@@ -5,9 +5,6 @@ Exit codes: 0 ok, 2 usage or case-format problem, 3 connectivity,
 (heterogeneous case), 7 numerical failure during simulation. Output files
 are written atomically (temp file + rename), numbers with 12 significant
 digits, so reruns with identical inputs and seed are byte-identical.
-
-``PIAC_WORKERS`` caps the worker pool used for sweep grid points; results
-are assembled in grid order regardless of completion order.
 """
 
 import argparse
@@ -29,7 +26,6 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      UnsupportedForLinearPath, UnsupportedForModalPath)
 from .h2 import analyze
 from .netmodel import check_homogeneous
-from .parallel import pmap as _pmap
 from .scenario import Scenario, ScenarioKind
 from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
                   write_ensemble_csv, write_trace_csv)
@@ -214,7 +210,7 @@ def cmd_sweep(args) -> int:
             row += [met.E_S, met.E_C]
         return row
 
-    rows = _pmap(norms_at, spec.grid)
+    rows = [norms_at(value) for value in spec.grid]
     header = [spec.parameter, "omega_norm", "u_norm", "spread_norm"]
     if spec.sim_kind == "step":
         header += ["S", "C"]
@@ -259,15 +255,22 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
     for tok in args.sigma or []:
         nid, _, s = tok.partition(":")
         sigma[int(nid)] = float(s)
+
+    def scenario(**fields):
+        try:
+            return Scenario(**fields)
+        except ValueError as exc:
+            raise _Usage(str(exc)) from None
+
     if kind_tok == "step":
-        return Scenario(kind=ScenarioKind.STEP,
+        return scenario(kind=ScenarioKind.STEP,
                         t_end=pick(args.t_end, "t_end", 60.0),
                         h=pick(args.h, "h", 0.01),
                         onset=pick(args.onset, "onset", 5.0), steps=steps)
     seed = args.seed if args.seed is not None else (base.seed if base else None)
     if seed is None:
         raise _Usage("stochastic simulation needs --seed (or seed= in the case file)")
-    return Scenario(kind=ScenarioKind.NOISE,
+    return scenario(kind=ScenarioKind.NOISE,
                     t_end=pick(args.t_end, "t_end", 250.0),
                     h=pick(args.h, "h", 1e-3), sigma=sigma,
                     paths=int(pick(args.paths, "paths", 20)),

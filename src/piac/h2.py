@@ -63,19 +63,15 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# dense Kronecker solve up to this state dimension; Schur-based beyond
-_DENSE_LIMIT = 200
-
 
 def lyapunov_solve(A, RHS, tol: float = 1e-9) -> np.ndarray:
     """Solve X A + A^T X + RHS = 0 for symmetric PSD RHS and Hurwitz A.
 
-    Uses a direct dense solve of the vectorized system below dimension 200
-    (exactness at desk scale beats cleverness), a Schur-based solve above,
-    and one round of iterative refinement either way. The residual must
-    come in under ``tol * max |RHS|``; if the Lyapunov operator is badly
-    conditioned (estimate above 1e8) the bound is relaxed to 1e-6 and the
-    condition estimate is logged.
+    One Schur-based (Bartels-Stewart) solve at every dimension, modal
+    blocks and whole closed loops alike, followed by iterative refinement.
+    The residual must come in under ``tol * max |RHS|``; if the Lyapunov
+    operator is badly conditioned (estimate above 1e8) the bound is relaxed
+    to 1e-6 and the condition estimate is logged.
     """
     A = np.asarray(A, dtype=float)
     RHS = np.asarray(RHS, dtype=float)
@@ -98,18 +94,8 @@ def lyapunov_solve(A, RHS, tol: float = 1e-9) -> np.ndarray:
             f"spectral abscissa {abscissa:.3e} is not negative; deflate the "
             "zero mode or fix the gains before solving")
 
-    n = A.shape[0]
-    if n <= _DENSE_LIMIT:
-        eye = np.eye(n)
-        K = np.kron(eye, A.T) + np.kron(A.T, eye)
-        lu = scipy.linalg.lu_factor(K)
-
-        def solve_rhs(R):
-            return scipy.linalg.lu_solve(lu, -R.reshape(-1, order="F")
-                                         ).reshape((n, n), order="F")
-    else:
-        def solve_rhs(R):
-            return scipy.linalg.solve_continuous_lyapunov(A.T, -R)
+    def solve_rhs(R):
+        return scipy.linalg.solve_continuous_lyapunov(A.T, -R)
 
     X = solve_rhs(RHS)
     for _ in range(2):
@@ -148,7 +134,7 @@ def grammians(sys: StateSpace) -> Grammians:
     return Grammians(observability=Qo, controllability=Qc)
 
 
-def h2_numeric(sys: StateSpace, _return_grammians: bool = False):
+def h2_numeric(sys: StateSpace) -> float:
     """Squared H2 norm via the Grammian traces.
 
     The observability and controllability routes must agree to 1e-8
@@ -161,8 +147,6 @@ def h2_numeric(sys: StateSpace, _return_grammians: bool = False):
     if abs(via_o - via_c) > 1e-8 * max(1.0, abs(via_o)):
         raise SolverAccuracyError(
             f"grammian traces disagree: {via_o!r} vs {via_c!r}")
-    if _return_grammians:
-        return via_o, g
     return via_o
 
 

@@ -27,7 +27,6 @@ from .controllers import GainSchedule, optimal_dispatch
 from .errors import (DAESolveError, DomainError, InsufficientHorizon,
                      NumericalBlowup)
 from .netmodel import CommunicationGraph, NodeKind, PowerNetwork
-from .parallel import pmap
 from .scenario import Scenario, ScenarioKind
 
 __all__ = [
@@ -484,7 +483,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
             return _stochastic_nonlinear_path(mo, net, x0, scenario, seed,
                                               record_stride, law)
 
-        traces = pmap(run_path, seeds)
+        traces = [run_path(seed) for seed in seeds]
     metrics = compute_metrics(traces, net.prices, burn_in=burn_in)
     return traces, metrics
 

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from piac import bundled_case_path
+from piac import (GainSchedule, build_laplacian, bundled_case_path,
+                  h2_dpiac_analytic, save_case, spectral_decompose)
 from piac.cli import main
+from conftest import ring_net
 
 TWO_NODE = """
 [nodes]
@@ -162,6 +166,23 @@ def test_analyze_bounds_with_b_diag(capsys, two_node_case):
     assert vals["analytic"] == ""  # closed form needs B = I
 
 
+def test_analyze_dpiac_ring45_within_2gib(tmp_path):
+    # deflated dimension 179, analyzed in a child capped at 2 GiB of address space
+    net, comm = ring_net(45)
+    case = tmp_path / "ring45.case"
+    save_case(case, net, comm, GainSchedule.analytic(1.0, 1.0))
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, "
+              "(2 << 30, 2 << 30)); from piac.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", capped, "analyze", "--case",
+                           str(case), "--law", "dpiac", "--format", "json"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    expected = h2_dpiac_analytic(spectral_decompose(build_laplacian(net)),
+                                 1.0, 1.0, 1.0, 1.0).value
+    assert json.loads(proc.stdout)["numeric"] == pytest.approx(expected, rel=1e-8)
+
+
 def test_sweep_k3_spread_decreasing(capsys, two_node_case, tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--case", two_node_case, "--law", "dpiac",
@@ -268,6 +289,20 @@ def test_simulate_noise_requires_seed(capsys, two_node_case):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    # the default burn-in (50 s) lies beyond a 4-s horizon
+    (["--kind", "noise", "--sigma", "1:0.01", "--t-end", "4", "--seed", "1"],
+     "burn_in must lie in [0, t_end)"),
+    (["--h", "0"], "step h must be positive"),
+], ids=["burn_in_past_horizon", "zero_step"])
+def test_simulate_invalid_scenario_is_usage_error(capsys, two_node_case, extra,
+                                                  message):
+    code, _, err = run(capsys, "simulate", "--case", two_node_case,
+                       "--law", "dpiac", *extra)
+    assert code == 2
+    assert f"usage error: {message}" in err
+
+
 def test_simulate_noise_byte_identical(capsys, two_node_case, tmp_path):
     args = ["simulate", "--case", two_node_case, "--law", "dpiac",
             "--kind", "noise", "--sigma", "1:0.01", "--t-end", "2",
@@ -289,8 +324,7 @@ def test_output_failure_leaves_no_partial_file(capsys, two_node_case, tmp_path):
     assert not target.with_name(target.name + ".tmp").exists()
 
 
-def test_workers_env_keeps_grid_order(capsys, two_node_case, monkeypatch):
-    monkeypatch.setenv("PIAC_WORKERS", "3")
+def test_sweep_rows_follow_grid_order(capsys, two_node_case):
     code, out, _ = run(capsys, "sweep", "--case", two_node_case, "--law",
                        "dpiac", "--param", "k3", "--grid", "1,2,4")
     assert code == 0

@@ -59,8 +59,8 @@ def test_lyapunov_zero_rhs():
                           np.zeros((3, 3)))
 
 
-def test_lyapunov_large_system_schur_path():
-    # above the dense-solve cutoff the Schur route must meet the same bound
+def test_lyapunov_large_system():
+    # a whole-network-sized system must meet the same bound as a small block
     rng = np.random.default_rng(4)
     n = 220
     A = rng.normal(size=(n, n)) / np.sqrt(n)
