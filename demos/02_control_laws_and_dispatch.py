@@ -6,9 +6,8 @@ Run: python demos/02_control_laws_and_dispatch.py
 
 import numpy as np
 
-from piac import (CommunicationGraph, ControllerState, GainSchedule, Node,
-                  NodeKind, PowerNetwork, decpiac_rhs, dpiac_rhs, gbpiac_rhs,
-                  marginal_costs, optimal_dispatch, synchronized_frequency)
+from piac import (CommunicationGraph, ControlLaw, GainSchedule, Node, NodeKind,
+                  PowerNetwork, optimal_dispatch, synchronized_frequency)
 
 # Two machines with different control prices and an unbalanced injection.
 nodes = (Node(id=1, kind=NodeKind.MACHINE, inertia=1.0, damping=1.0,
@@ -34,17 +33,19 @@ gains = GainSchedule.analytic(k1=1.0, k3=1.0)
 omega = np.array([0.1, 0.1])
 
 # Gather-broadcast: one central integrator pair, broadcast by inverse price.
-st = ControllerState.zeros("gbpiac", 2)
-d_eta, d_xi, u = gbpiac_rhs(st, omega, net, gains)
+law = ControlLaw.build(net, comm, "gbpiac", gains)
+eta, xi = np.zeros(1), np.zeros(1)
+d_eta, d_xi, u = law.d_eta(omega, xi), law.d_xi(omega, eta, xi), law.u(xi)
 print("\ngather-broadcast  d_eta=%.3f d_xi=%.3f u=%s" % (d_eta[0], d_xi[0], u))
 
 # Distributed: local pairs plus consensus on the marginal costs. With
 # xi = (1, 0) the costs disagree, so the eta integrators trade imbalance.
-st = ControllerState(eta=np.zeros(2), xi=np.array([1.0, 0.0]))
-d_eta, d_xi, u = dpiac_rhs(st, np.zeros(2), net, comm, gains)
+law = ControlLaw.build(net, comm, "dpiac", gains)
+xi = np.array([1.0, 0.0])
+d_eta = law.d_eta(np.zeros(2), xi)
 print("distributed       d_eta=%s (consensus shuffles imbalance)" % d_eta)
-print("                  marginal costs now:", marginal_costs(st.xi, net, gains))
+print("                  marginal costs now:", law.mc(xi))
 
 # Decentralized: the same law with the consensus term removed.
-d_eta0, _, _ = decpiac_rhs(st, np.zeros(2), net, gains)
+d_eta0 = ControlLaw.build(net, comm, "decpiac", gains).d_eta(np.zeros(2), xi)
 print("decentralized     d_eta=%s (no coordination)" % d_eta0)

@@ -10,11 +10,11 @@ white-noise disturbances.
 from .casefile import (bundled_case_path, dumps_case, load_case, loads_case,
                        save_case)
 from .closedloop import (ModeBlock, OpenLoop, OutputSelector, StateSpace,
-                         assemble_decpiac, assemble_dpiac, assemble_gbpiac,
-                         assemble_open_loop, deflate_zero_mode, modal_decouple)
-from .controllers import (LAWS, ControllerState, GainSchedule, decpiac_rhs,
-                          dpiac_rhs, gbpiac_rhs, marginal_costs,
-                          optimal_dispatch, synchronized_frequency)
+                         assemble, assemble_decpiac, assemble_dpiac,
+                         assemble_gbpiac, assemble_open_loop,
+                         deflate_zero_mode, modal_decouple)
+from .controllers import (LAWS, ControlLaw, GainSchedule, optimal_dispatch,
+                          synchronized_frequency)
 from .errors import (CaseFormatError, DAESolveError, DegenerateModel,
                      DisconnectedNetwork, DomainError, GainConstraintError,
                      InsufficientHorizon, NoControllers, NotDeflatable,

@@ -18,7 +18,7 @@ import numpy as np
 from . import svgplot
 from .casefile import load_case
 from .closedloop import OutputSelector
-from .controllers import GainSchedule
+from .controllers import GainSchedule, law_homogeneity
 from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      DomainError, GainConstraintError, InsufficientHorizon,
                      NotDeflatable, NumericalBlowup, PiacError, ShapeError,
@@ -109,10 +109,8 @@ def cmd_analyze(args) -> int:
     net, comm, file_gains, _ = load_case(args.case)
     gains = _gains_from(args, file_gains)
     selector = OutputSelector.from_token(args.selector)
-    comm_matters = (args.law == "dpiac"
-                    or (selector is OutputSelector.MARGINAL_COST_SPREAD
-                        and comm is not None))
-    hom = check_homogeneous(net, comm if comm_matters else None)
+    hom = law_homogeneity(net, comm, args.law,
+                          selector is OutputSelector.MARGINAL_COST_SPREAD)
     if args.analytic and not (hom.passed and gains.analytic_mode):
         why = "; ".join(hom.reasons) if not hom.passed else "k2 != 4*k1"
         print(f"closed-form analysis refused: {why}", file=sys.stderr)

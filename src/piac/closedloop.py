@@ -2,7 +2,9 @@
 
 State ordering is fixed as (theta, omega, eta, xi) for every law: phase
 angles, frequency deviations, then the controller integrator pairs (one
-pair for the gather-broadcast law, one per node for the local laws).
+pair for the gather-broadcast law, one per node for the local laws). The
+controller blocks are the matrices of the law's maps in
+:class:`~piac.controllers.ControlLaw`, so one assembler serves every law.
 Disturbances enter the frequency equation through an input matrix ``B_in``
 (identity by default), scaled by the inverse inertia.
 
@@ -24,11 +26,11 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .controllers import GainSchedule
+from .controllers import ControlLaw, GainSchedule, check_law, law_homogeneity
 from .errors import (DomainError, NotDeflatable, ShapeError,
                      UnsupportedForLinearPath, UnsupportedForModalPath)
 from .netmodel import (CommunicationGraph, PowerNetwork, SpectralDecomposition,
-                       build_laplacian, check_homogeneous)
+                       build_laplacian)
 
 __all__ = [
     "OutputSelector",
@@ -36,6 +38,7 @@ __all__ = [
     "OpenLoop",
     "ModeBlock",
     "assemble_open_loop",
+    "assemble",
     "assemble_gbpiac",
     "assemble_dpiac",
     "assemble_decpiac",
@@ -143,83 +146,42 @@ def _b_in(net: PowerNetwork, B_in) -> np.ndarray:
     return B_in
 
 
-def _hom_pair(net, comm=None):
-    rep = check_homogeneous(net, comm)
-    return (rep.m, rep.d) if rep.passed else None
+def _assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
+              gains: GainSchedule, B_in, selector: OutputSelector) -> StateSpace:
+    """Closed loop of any law: the open loop plus the law's linear maps."""
+    _machine_only(net, f"{law} closed loop")
+    ctrl = ControlLaw.build(net, comm, law, gains)
+    ol = assemble_open_loop(net)
+    n, k = ol.n, ctrl.pairs
+    B_in = _b_in(net, B_in)
+    N = 2 * n + 2 * k
+    labels = {"theta": slice(0, n), "omega": slice(n, 2 * n),
+              "eta": slice(2 * n, 2 * n + k), "xi": slice(2 * n + k, N)}
+    omega, pair = labels["omega"], slice(2 * n, N)
+    A = np.zeros((N, N))
+    A[:2 * n, :2 * n] = ol.A
+    A[omega, labels["xi"]] = ctrl.u(np.eye(k)).T / ol.M[:, None]
+    A[pair, n:] = ctrl.jacobian()
+    B = np.zeros((N, n))
+    B[omega, :] = B_in / ol.M[:, None]
+    C = _output_matrix(selector, ctrl, n, N, labels)
+    hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
+    return StateSpace(A=A, B=B, C=C, labels=labels, law=law, gains=gains,
+                      selector=selector, n=n, B_in=B_in,
+                      hom=(hom.m, hom.d) if hom.passed else None)
 
 
 def assemble_gbpiac(net: PowerNetwork, gains: GainSchedule, B_in=None,
                     selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION) -> StateSpace:
     """Closed loop of the gather-broadcast law; state (theta, omega, eta_s, xi_s)."""
-    _machine_only(net, "gather-broadcast closed loop")
-    ol = assemble_open_loop(net)
-    n = ol.n
-    B_in = _b_in(net, B_in)
-    k1, k2 = gains.k1, gains.k2
-    alpha = net.prices
-    a_s = net.alpha_s
-    N = 2 * n + 2
-    A = np.zeros((N, N))
-    A[:n, n:2 * n] = np.eye(n)
-    A[n:2 * n, :n] = -ol.L / ol.M[:, None]
-    A[n:2 * n, n:2 * n] = -np.diag(ol.D / ol.M)
-    A[n:2 * n, 2 * n + 1] = (a_s / alpha) * k2 / ol.M       # broadcast share of xi_s
-    A[2 * n, n:2 * n] = ol.D
-    A[2 * n + 1, n:2 * n] = -k1 * ol.M
-    A[2 * n + 1, 2 * n] = -k1
-    A[2 * n + 1, 2 * n + 1] = -k2
-    B = np.zeros((N, n))
-    B[n:2 * n, :] = B_in / ol.M[:, None]
-    labels = {"theta": slice(0, n), "omega": slice(n, 2 * n),
-              "eta": slice(2 * n, 2 * n + 1), "xi": slice(2 * n + 1, 2 * n + 2)}
-    C = _output_matrix(selector, "gbpiac", n, N, labels, gains, alpha, a_s, None)
-    return StateSpace(A=A, B=B, C=C, labels=labels, law="gbpiac", gains=gains,
-                      selector=selector, n=n, B_in=B_in, hom=_hom_pair(net))
-
-
-def _assemble_local(net: PowerNetwork, gains: GainSchedule, B_in, selector,
-                    comm: CommunicationGraph | None, law: str) -> StateSpace:
-    _machine_only(net, f"{law} closed loop")
-    ol = assemble_open_loop(net)
-    n = ol.n
-    B_in = _b_in(net, B_in)
-    k1, k2, k3 = gains.k1, gains.k2, gains.k3
-    alpha = net.prices
-    L_comm = comm.laplacian(net.controller_ids) if comm is not None else None
-    N = 4 * n
-    I = np.eye(n)
-    A = np.zeros((N, N))
-    A[:n, n:2 * n] = I
-    A[n:2 * n, :n] = -ol.L / ol.M[:, None]
-    A[n:2 * n, n:2 * n] = -np.diag(ol.D / ol.M)
-    A[n:2 * n, 3 * n:] = k2 * I / ol.M[:, None]
-    A[2 * n:3 * n, n:2 * n] = np.diag(ol.D)
-    if law == "dpiac":
-        if L_comm is None:
-            raise DomainError("distributed law needs a communication graph")
-        A[2 * n:3 * n, 3 * n:] = k3 * k2 * (L_comm * alpha[None, :])  # k3 L (k2 a xi)
-    A[3 * n:, n:2 * n] = -k1 * np.diag(ol.M)
-    A[3 * n:, 2 * n:3 * n] = -k1 * I
-    A[3 * n:, 3 * n:] = -k2 * I
-    B = np.zeros((N, n))
-    B[n:2 * n, :] = B_in / ol.M[:, None]
-    labels = {"theta": slice(0, n), "omega": slice(n, 2 * n),
-              "eta": slice(2 * n, 3 * n), "xi": slice(3 * n, 4 * n)}
-    C = _output_matrix(selector, law, n, N, labels, gains, alpha, net.alpha_s, L_comm)
-    # comm must mirror the grid whenever it enters the dynamics or the output
-    comm_matters = (law == "dpiac"
-                    or (selector is OutputSelector.MARGINAL_COST_SPREAD
-                        and comm is not None))
-    hom = _hom_pair(net, comm if comm_matters else None)
-    return StateSpace(A=A, B=B, C=C, labels=labels, law=law, gains=gains,
-                      selector=selector, n=n, B_in=B_in, hom=hom)
+    return _assemble(net, None, "gbpiac", gains, B_in, selector)
 
 
 def assemble_dpiac(net: PowerNetwork, comm: CommunicationGraph, gains: GainSchedule,
                    B_in=None,
                    selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION) -> StateSpace:
     """Closed loop of the distributed law; state (theta, omega, eta, xi), dim 4n."""
-    return _assemble_local(net, gains, B_in, selector, comm, "dpiac")
+    return _assemble(net, comm, "dpiac", gains, B_in, selector)
 
 
 def assemble_decpiac(net: PowerNetwork, gains: GainSchedule, B_in=None,
@@ -230,37 +192,33 @@ def assemble_decpiac(net: PowerNetwork, gains: GainSchedule, B_in=None,
     ``comm`` is only consulted when the spread output is requested, to define
     the difference operator on the marginal costs.
     """
-    return _assemble_local(net, gains, B_in, selector, comm, "decpiac")
+    return _assemble(net, comm, "decpiac", gains, B_in, selector)
 
 
-def _output_matrix(selector, law, n, N, labels, gains, alpha, alpha_s, L_comm):
-    k2 = gains.k2
-    xi = labels["xi"]
-    C = None
+def assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
+             gains: GainSchedule, B_in=None,
+             selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION) -> StateSpace:
+    """Closed loop of the law named ``law`` through its ``assemble_*``
+    function; the gather-broadcast law does not read ``comm``."""
+    check_law(law, comm)
+    if law == "gbpiac":
+        return assemble_gbpiac(net, gains, B_in, selector)
+    if law == "dpiac":
+        return assemble_dpiac(net, comm, gains, B_in, selector)
+    return assemble_decpiac(net, gains, B_in, selector, comm=comm)
+
+
+def _output_matrix(selector, ctrl: ControlLaw, n, N, labels):
+    C = np.zeros((1 if selector is OutputSelector.TOTAL_CONTROL_INPUT else n, N))
+    unit = np.eye(ctrl.pairs)
     if selector is OutputSelector.FREQUENCY_DEVIATION:
-        C = np.zeros((n, N))
         C[:, labels["omega"]] = np.eye(n)
     elif selector is OutputSelector.CONTROL_INPUT:
-        C = np.zeros((n, N))
-        if law == "gbpiac":
-            C[:, xi.start] = (alpha_s / alpha) * k2
-        else:
-            C[:, xi] = k2 * np.eye(n)
+        C[:, labels["xi"]] = ctrl.u(unit).T
     elif selector is OutputSelector.TOTAL_CONTROL_INPUT:
-        C = np.zeros((1, N))
-        if law == "gbpiac":
-            C[0, xi.start] = k2      # alpha_s * sum(1/alpha) == 1
-        else:
-            C[0, xi] = k2
-    elif selector is OutputSelector.MARGINAL_COST_SPREAD:
-        C = np.zeros((n, N))
-        if law == "gbpiac":
-            pass  # marginal costs identical by construction: y == 0
-        else:
-            if L_comm is None:
-                raise DomainError(
-                    "spread output needs a communication graph to difference over")
-            C[:, xi] = k2 * (L_comm * alpha[None, :])
+        C[0, labels["xi"]] = ctrl.u(unit).sum(axis=1)
+    else:
+        C[:, labels["xi"]] = ctrl.spread(unit).T
     return C
 
 

@@ -1,37 +1,41 @@
 """Secondary frequency control laws and dispatch diagnostics.
 
-Three laws share the same two-stage integrator structure; they differ in
-how the estimated power imbalance is allocated:
+The three laws are one two-stage integrator; they differ only in how the
+estimated power imbalance is allocated:
 
 * gather-broadcast (``gbpiac``): one central pair of states, allocation by
   inverse price,
-* distributed (``dpiac``): local pairs with a consensus term on the
-  marginal costs over a communication graph,
-* decentralized (``decpiac``): local pairs, no coordination.
+* distributed (``dpiac``): one pair per controller node, with a consensus
+  term on the marginal costs over a communication graph,
+* decentralized (``decpiac``): one pair per controller node, no
+  coordination at any k3.
 
-All right-hand-side functions are pure: they map (state, frequency
-deviations, network, gains) to derivatives plus the control input.
+Every law is linear in the frequencies and its own states. Each is written
+once, as the maps of a :class:`ControlLaw` built per (network, comm, law,
+gains): the simulator evaluates them, the closed-loop assembler takes their
+matrices, and the trace builders read the inputs and marginal costs from
+them.
 """
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateModel, GainConstraintError, NoControllers,
-                     ShapeError)
-from .netmodel import CommunicationGraph, NodeKind, PowerNetwork
+from .errors import (DegenerateModel, DomainError, GainConstraintError,
+                     NoControllers, ShapeError)
+from .netmodel import (CommunicationGraph, HomogeneityReport, NodeKind,
+                       PowerNetwork, check_homogeneous)
 
 __all__ = [
     "GainSchedule",
-    "ControllerState",
+    "ControlLaw",
     "LAWS",
-    "gbpiac_rhs",
-    "dpiac_rhs",
-    "decpiac_rhs",
+    "check_law",
+    "law_homogeneity",
     "optimal_dispatch",
     "synchronized_frequency",
-    "marginal_costs",
 ]
 
 log = logging.getLogger(__name__)
@@ -78,89 +82,154 @@ class GainSchedule:
         return self.k2 == 4.0 * self.k1
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Controller integrator pair.
+def check_law(law: str, comm: CommunicationGraph | None) -> None:
+    """Raise :class:`DomainError` for an unknown law, or for the distributed
+    law without the communication graph its consensus term runs over."""
+    if law not in LAWS:
+        raise DomainError(f"unknown law {law!r}")
+    if law == "dpiac" and comm is None:
+        raise DomainError("distributed law needs a communication graph")
 
-    Central law: ``eta``/``xi`` have shape (1,). Local laws: shape
-    (n_controllers,), aligned with ``net.controller_ids``.
+
+def law_homogeneity(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
+                    spread: bool) -> HomogeneityReport:
+    """Homogeneity report for one law and output.
+
+    The communication graph has to mirror the grid wherever the law reads
+    it: the consensus term of ``dpiac`` and, with ``spread``, the
+    marginal-cost spread of the local laws. The ``gbpiac`` spread is
+    identically zero and reads no graph.
+    """
+    reads_comm = law == "dpiac" or (law == "decpiac" and spread)
+    return check_homogeneous(net, comm if reads_comm else None)
+
+
+def _check(x: np.ndarray, n: int, what: str) -> None:
+    if x.shape[-1:] != (n,):
+        raise ShapeError(f"{what} must have shape (..., {n}), got {x.shape}")
+
+
+@dataclass(frozen=True, eq=False)
+class ControlLaw:
+    """One law's integrator pairs on one network, as linear maps.
+
+    There are ``pairs`` integrator pairs ``(eta, xi)``: one central pair for
+    ``gbpiac``, one per controller node (``net.controller_ids`` order) for
+    the local laws. ``omega`` runs over the controller set. The maps take
+    arrays and allow leading batch axes, so a map applied to identity
+    columns is its matrix (:meth:`jacobian`).
     """
 
-    eta: np.ndarray
-    xi: np.ndarray
+    name: str
+    gains: GainSchedule
+    D: np.ndarray                 # damping per controller
+    M: np.ndarray                 # inertia per controller, 0 at load buses
+    machines: np.ndarray          # controller positions of the machines
+    alpha: np.ndarray             # price per controller
+    alpha_s: float
+    L_comm: np.ndarray | None     # communication Laplacian over the controllers
 
     @classmethod
-    def zeros(cls, law: str, n_controllers: int) -> "ControllerState":
-        # zero start encodes "no accumulated imbalance yet"
-        k = 1 if law == "gbpiac" else n_controllers
-        return cls(eta=np.zeros(k), xi=np.zeros(k))
+    def build(cls, net: PowerNetwork, comm: CommunicationGraph | None, law: str,
+              gains: GainSchedule) -> "ControlLaw":
+        check_law(law, comm)
+        kinds = [net.node(i).kind for i in net.controller_ids]
+        M = np.array([net.node(i).inertia if kind is NodeKind.MACHINE else 0.0
+                      for i, kind in zip(net.controller_ids, kinds)])
+        machines = np.array([k for k, kind in enumerate(kinds)
+                             if kind is NodeKind.MACHINE], dtype=int)
+        return cls(name=law, gains=gains, D=net.dampings, M=M, machines=machines,
+                   alpha=net.prices, alpha_s=net.alpha_s,
+                   L_comm=comm.laplacian(net.controller_ids) if comm is not None else None)
 
+    @cached_property
+    def central(self) -> bool:
+        return self.name == "gbpiac"
 
-def _check_omega(omega, net: PowerNetwork) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    nk = len(net.controller_ids)
-    if omega.shape != (nk,):
-        raise ShapeError(f"omega must have shape ({nk},), got {omega.shape}")
-    return omega
+    @cached_property
+    def pairs(self) -> int:
+        return 1 if self.central else len(self.D)
 
+    @cached_property
+    def M_m(self) -> np.ndarray:
+        """Inertia per machine."""
+        return self.M[self.machines]
 
-def gbpiac_rhs(state: ControllerState, omega, net: PowerNetwork, gains: GainSchedule):
-    """Gather-broadcast update.
+    @cached_property
+    def share(self) -> np.ndarray:
+        """Input per unit of the central ``xi_s``: ``k2 alpha_s / alpha_i``."""
+        return (self.alpha_s / self.alpha) * self.gains.k2
 
-    ``omega`` runs over the controller set in ``net.controller_ids`` order.
-    Returns ``(d_eta, d_xi, u)`` with scalar-shaped derivative arrays and the
-    per-node input ``u_i = (alpha_s / alpha_i) * k2 * xi_s``, which makes the
-    marginal costs identical across nodes by construction.
-    """
-    omega = _check_omega(omega, net)
-    if state.eta.shape != (1,) or state.xi.shape != (1,):
-        raise ShapeError("central controller state must have shape (1,)")
-    is_machine = np.array([net.node(i).kind is NodeKind.MACHINE
-                           for i in net.controller_ids])
-    M = np.array([net.node(i).inertia if net.node(i).kind is NodeKind.MACHINE else 0.0
-                  for i in net.controller_ids])
-    d_eta = np.array([float(net.dampings @ omega)])
-    d_xi = np.array([-gains.k1 * (float(M[is_machine] @ omega[is_machine]) + state.eta[0])
-                     - gains.k2 * state.xi[0]])
-    u = (net.alpha_s / net.prices) * gains.k2 * state.xi[0]
-    return d_eta, d_xi, u
+    @property
+    def pair_of(self) -> np.ndarray:
+        """Index of the pair each controller reads: the central one under
+        ``gbpiac``, its own under the local laws."""
+        return np.zeros(len(self.D), dtype=int) if self.central else np.arange(len(self.D))
 
+    def d_eta(self, omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Imbalance estimate: damping power, plus for ``dpiac`` the
+        consensus term ``k3 L_comm mc``, which sums to zero over the network.
+        ``decpiac`` has no consensus term at any k3."""
+        _check(omega, len(self.D), "omega")
+        _check(xi, self.pairs, "xi")
+        if self.central:
+            return (omega @ self.D)[..., None]
+        d_eta = self.D * omega
+        if self.name == "dpiac":
+            d_eta = d_eta + self.gains.k3 * (self.L_comm @ self.mc(xi).T).T
+        return d_eta
 
-def dpiac_rhs(state: ControllerState, omega, net: PowerNetwork,
-              comm: CommunicationGraph, gains: GainSchedule):
-    """Distributed update with marginal-cost consensus.
+    def d_xi(self, omega: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Second integrator: ``-k1 (M omega + eta) - k2 xi``."""
+        _check(omega, len(self.D), "omega")
+        _check(eta, self.pairs, "eta")
+        _check(xi, self.pairs, "xi")
+        k1, k2 = self.gains.k1, self.gains.k2
+        if self.central:
+            m_omega = (omega[..., self.machines] @ self.M_m)[..., None]
+        else:
+            m_omega = self.M * omega
+        return -k1 * (m_omega + eta) - k2 * xi
 
-    The eta integrator accumulates both local damping power and the weighted
-    disagreement of marginal costs ``k3 * L_comm @ (k2 * alpha * xi)``; that
-    term sums to zero over the network, so coordination never distorts the
-    total imbalance bookkeeping.
-    """
-    omega = _check_omega(omega, net)
-    nk = len(net.controller_ids)
-    if state.eta.shape != (nk,) or state.xi.shape != (nk,):
-        raise ShapeError(f"local controller state must have shape ({nk},)")
-    L = comm.laplacian(net.controller_ids)
-    M = np.array([net.node(i).inertia if net.node(i).kind is NodeKind.MACHINE else 0.0
-                  for i in net.controller_ids])
-    mc = gains.k2 * net.prices * state.xi
-    d_eta = net.dampings * omega + gains.k3 * (L @ mc)
-    d_xi = -gains.k1 * (M * omega + state.eta) - gains.k2 * state.xi
-    u = gains.k2 * state.xi
-    return d_eta, d_xi, u
+    def u(self, xi: np.ndarray) -> np.ndarray:
+        """Control input per controller. ``gbpiac`` broadcasts ``k2 xi_s`` by
+        inverse price, which equalizes the marginal costs by construction."""
+        _check(xi, self.pairs, "xi")
+        if self.central:
+            return self.share * xi[..., :1]
+        return self.gains.k2 * xi
 
+    def mc(self, xi: np.ndarray) -> np.ndarray:
+        """Marginal cost ``alpha_i u_i`` per controller."""
+        _check(xi, self.pairs, "xi")
+        if self.central:
+            return self.gains.k2 * self.alpha_s * np.ones(len(self.D)) * xi[..., :1]
+        return self.gains.k2 * self.alpha * xi
 
-def decpiac_rhs(state: ControllerState, omega, net: PowerNetwork, gains: GainSchedule):
-    """Decentralized update: the distributed law with the consensus term removed."""
-    omega = _check_omega(omega, net)
-    nk = len(net.controller_ids)
-    if state.eta.shape != (nk,) or state.xi.shape != (nk,):
-        raise ShapeError(f"local controller state must have shape ({nk},)")
-    M = np.array([net.node(i).inertia if net.node(i).kind is NodeKind.MACHINE else 0.0
-                  for i in net.controller_ids])
-    d_eta = net.dampings * omega
-    d_xi = -gains.k1 * (M * omega + state.eta) - gains.k2 * state.xi
-    u = gains.k2 * state.xi
-    return d_eta, d_xi, u
+    def spread(self, xi: np.ndarray) -> np.ndarray:
+        """Marginal-cost spread ``L_comm mc``; identically zero for ``gbpiac``."""
+        _check(xi, self.pairs, "xi")
+        if self.central:
+            return np.zeros(xi.shape[:-1] + (len(self.D),))
+        if self.L_comm is None:
+            raise DomainError("spread output needs a communication graph to difference over")
+        return (self.L_comm @ self.mc(xi).T).T
+
+    def offsets(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Pair state ``(eta, xi)`` holding the inputs ``u`` at zero frequency."""
+        u = np.asarray(u, dtype=float)
+        _check(u, len(self.D), "u")
+        k1, k2 = self.gains.k1, self.gains.k2
+        xi = np.array([float(np.sum(u)) / k2]) if self.central else u / k2
+        return -(k2 / k1) * xi, xi
+
+    def jacobian(self) -> np.ndarray:
+        """Matrix of ``(d_eta, d_xi)`` over ``(omega, eta, xi)``, shape
+        (2k, nk + 2k): the maps applied to unit inputs."""
+        nk, k = len(self.D), self.pairs
+        unit = np.eye(nk + 2 * k)
+        omega, eta, xi = unit[:, :nk], unit[:, nk:nk + k], unit[:, nk + k:]
+        return np.hstack([self.d_eta(omega, xi), self.d_xi(omega, eta, xi)]).T
 
 
 def optimal_dispatch(net: PowerNetwork) -> np.ndarray:
@@ -186,12 +255,3 @@ def synchronized_frequency(net: PowerNetwork, u) -> float:
     if total_damping <= 0:
         raise DegenerateModel("total damping must be positive")
     return (float(np.sum(net.injections)) + float(np.sum(u))) / total_damping
-
-
-def marginal_costs(xi, net: PowerNetwork, gains: GainSchedule) -> np.ndarray:
-    """Marginal cost alpha_i * u_i = k2 * alpha_i * xi_i per controller node."""
-    xi = np.asarray(xi, dtype=float)
-    nk = len(net.controller_ids)
-    if xi.shape != (nk,):
-        raise ShapeError(f"xi must have shape ({nk},), got {xi.shape}")
-    return gains.k2 * net.prices * xi

@@ -36,13 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble_decpiac,
-                         assemble_dpiac, assemble_gbpiac, deflate_zero_mode,
-                         modal_decouple)
+from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble,
+                         deflate_zero_mode, modal_decouple)
 from .controllers import GainSchedule
 from .errors import DomainError, ShapeError, SolverAccuracyError, UnstableSystem
 from .netmodel import (CommunicationGraph, PowerNetwork, SpectralDecomposition,
-                       build_laplacian, check_homogeneous, spectral_decompose)
+                       build_laplacian, spectral_decompose)
 
 __all__ = [
     "Grammians",
@@ -369,19 +368,6 @@ class H2Report:
     homogeneous: bool = False
 
 
-def _assemble(net, comm, gains, law, selector, B_in):
-    if law == "gbpiac":
-        return assemble_gbpiac(net, gains, B_in, selector)
-    if law == "dpiac":
-        if comm is None:
-            raise DomainError("distributed law needs a communication graph")
-        return assemble_dpiac(net, comm, gains, B_in, selector)
-    if law == "decpiac":
-        gains0 = GainSchedule(k1=gains.k1, k2=gains.k2, k3=0.0, strict=gains.strict)
-        return assemble_decpiac(net, gains0, B_in, selector, comm=comm)
-    raise DomainError(f"unknown law {law!r}")
-
-
 def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
             gains: GainSchedule, law: str,
             selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION,
@@ -393,16 +379,12 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
     it adds the closed form and (if asked) the k1/k3 limits; with an
     explicit symmetric positive-definite ``B_in``, the sandwich bounds.
     """
-    sys = _assemble(net, comm, gains, law, selector, B_in)
+    sys = assemble(net, comm, law, gains, B_in, selector)
     numeric = h2_numeric(deflate_zero_mode(sys))
-    comm_matters = (law == "dpiac"
-                    or (selector is OutputSelector.MARGINAL_COST_SPREAD
-                        and comm is not None))
-    hom_rep = check_homogeneous(net, comm if comm_matters else None)
 
     per_mode_num = None
     spectral = None
-    if hom_rep.passed:
+    if sys.hom is not None:
         spectral = spectral_decompose(build_laplacian(net))
         _, per_mode_num = h2_modal(sys, spectral)
 
@@ -410,8 +392,8 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
     per_mode_ana = None
     limit_k1 = limit_k3 = None
     bounds = None
-    if hom_rep.passed and gains.analytic_mode and spectral is not None:
-        m, d, k1, k3 = hom_rep.m, hom_rep.d, gains.k1, gains.k3
+    if sys.hom is not None and gains.analytic_mode:
+        (m, d), k1, k3 = sys.hom, gains.k1, gains.k3
         if law == "gbpiac":
             ana = h2_gbpiac_analytic(net.n_nodes, m, d, k1, selector)
         else:
@@ -441,4 +423,4 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
                     analytic=analytic, rel_gap=rel_gap,
                     per_mode_numeric=per_mode_num, per_mode_analytic=per_mode_ana,
                     bounds=bounds, limit_k1=limit_k1, limit_k3=limit_k3,
-                    homogeneous=hom_rep.passed)
+                    homogeneous=sys.hom is not None)

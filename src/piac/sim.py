@@ -22,8 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .closedloop import (assemble_decpiac, assemble_dpiac, assemble_gbpiac)
-from .controllers import GainSchedule, optimal_dispatch
+from .closedloop import _phase_complement, assemble
+# kept importable here: the benchmark's tracer test checks that a wrapped
+# function is also patched where another module imported it
+from .closedloop import assemble_dpiac  # noqa: F401
+from .controllers import ControlLaw, GainSchedule, optimal_dispatch
 from .errors import (DAESolveError, DomainError, InsufficientHorizon,
                      NumericalBlowup)
 from .netmodel import CommunicationGraph, NodeKind, PowerNetwork
@@ -106,15 +109,10 @@ class _SimModel:
 
     def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
                  law: str, gains: GainSchedule, model: str):
-        if law not in ("gbpiac", "dpiac", "decpiac"):
-            raise DomainError(f"unknown law {law!r}")
         if model not in ("sin", "linear"):
             raise DomainError(f"unknown model {model!r} (sin|linear)")
-        if law == "dpiac" and comm is None:
-            raise DomainError("distributed law needs a communication graph")
+        self.law = ControlLaw.build(net, comm, law, gains)
         self.net = net
-        self.law = law
-        self.gains = gains
         self.model = model
         idx = net.index_of
         self.n = net.n_nodes
@@ -127,18 +125,18 @@ class _SimModel:
         self.n_mf = len(self.mf)
         self.n_m = len(self.mach_in_mf)
         self.n_p = len(self.pas)
+        freq_mask = np.ones(self.n_mf, dtype=bool)
+        freq_mask[self.mach_in_mf] = False
+        self.freq_in_mf = np.flatnonzero(freq_mask)
+        self.mach_nodes = self.mf[self.mach_in_mf]
+        self.freq_nodes = self.mf[self.freq_in_mf]
         self.M_m = net.inertias            # machines, node order
-        self.D_mf = net.dampings           # controller set == MF set
-        self.alpha = net.prices
-        self.alpha_s = net.alpha_s
-        self.M_k = np.zeros(self.n_mf)
-        self.M_k[self.mach_in_mf] = self.M_m
+        self.D_m = net.dampings[self.mach_in_mf]   # controller set == MF set
+        self.D_f = net.dampings[self.freq_in_mf]
         self.ei = np.array([idx[i] for i, _, _ in net.edges], dtype=int)
         self.ej = np.array([idx[j] for _, j, _ in net.edges], dtype=int)
         self.w = np.array([k for _, _, k in net.edges])
-        self.L_comm = (comm.laplacian(net.controller_ids)
-                       if (law == "dpiac" and comm is not None) else None)
-        self.n_ctrl = 1 if law == "gbpiac" else self.n_mf
+        self.n_ctrl = self.law.pairs
         self.dim = self.n_mf + self.n_m + 2 * self.n_ctrl
         # edge -> passive-local index (-1 when the endpoint is not passive)
         pas_local = {node_i: k for k, node_i in enumerate(self.pas)}
@@ -204,40 +202,25 @@ class _SimModel:
                 raise DAESolveError("passive-network Newton stalled")
         raise DAESolveError("passive-network Newton did not converge in 50 iterations")
 
-    # -- control law ----------------------------------------------------------
-
-    def control_input(self, xi: np.ndarray) -> np.ndarray:
-        if self.law == "gbpiac":
-            return (self.alpha_s / self.alpha) * self.gains.k2 * xi[0]
-        return self.gains.k2 * xi
-
-    def controller_derivative(self, omega_mf, eta, xi):
-        g = self.gains
-        if self.law == "gbpiac":
-            d_eta = np.array([self.D_mf @ omega_mf])
-            d_xi = np.array([-g.k1 * (self.M_m @ omega_mf[self.mach_in_mf] + eta[0])
-                             - g.k2 * xi[0]])
-            return d_eta, d_xi
-        d_eta = self.D_mf * omega_mf
-        if self.law == "dpiac" and g.k3 != 0.0:
-            d_eta = d_eta + g.k3 * (self.L_comm @ (g.k2 * self.alpha * xi))
-        d_xi = -g.k1 * (self.M_k * omega_mf + eta) - g.k2 * xi
-        return d_eta, d_xi
-
     # -- packed state ----------------------------------------------------------
 
     def pack(self, theta_mf, omega_m, eta, xi) -> np.ndarray:
         return np.concatenate([theta_mf, omega_m, eta, xi])
 
+    def at_rest(self, eq: Equilibrium) -> np.ndarray:
+        """Packed state at an equilibrium: its phases and pairs, zero frequency."""
+        return self.pack(eq.theta[self.mf], np.zeros(self.n_m), eq.eta, eq.xi)
+
     def unpack(self, x):
+        """Blocks of packed states; ``x`` may carry leading axes."""
         a = self.n_mf
         b = a + self.n_m
         c = b + self.n_ctrl
-        return x[:a], x[a:b], x[b:c], x[c:]
+        return x[..., :a], x[..., a:b], x[..., b:c], x[..., c:]
 
-    def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
-        theta_mf, omega_m, eta, xi = self.unpack(x)
-        u = self.control_input(xi)
+    def _network(self, theta_mf, omega_m, u, p_eff):
+        """Full theta, omega over the controller set and the line flows:
+        passive phases and load-bus frequencies from the power balance."""
         theta = np.zeros(self.n)
         theta[self.mf] = theta_mf
         if self.n_p:
@@ -245,39 +228,27 @@ class _SimModel:
         f = self.flows(theta)
         omega_mf = np.empty(self.n_mf)
         omega_mf[self.mach_in_mf] = omega_m
-        freq_mask = np.ones(self.n_mf, dtype=bool)
-        freq_mask[self.mach_in_mf] = False
-        if freq_mask.any():
-            mf_nodes = self.mf[freq_mask]
-            omega_mf[freq_mask] = ((p_eff[mf_nodes] + u[freq_mask] - f[mf_nodes])
-                                   / self.D_mf[freq_mask])
-        mach_nodes = self.mf[self.mach_in_mf]
-        d_omega_m = (p_eff[mach_nodes] + u[self.mach_in_mf]
-                     - self.D_mf[self.mach_in_mf] * omega_m
-                     - f[mach_nodes]) / self.M_m
-        d_eta, d_xi = self.controller_derivative(omega_mf, eta, xi)
-        return self.pack(omega_mf, d_omega_m, d_eta, d_xi)
+        if self.freq_nodes.size:
+            omega_mf[self.freq_in_mf] = ((p_eff[self.freq_nodes] + u[self.freq_in_mf]
+                                          - f[self.freq_nodes]) / self.D_f)
+        return theta, omega_mf, f
+
+    def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
+        theta_mf, omega_m, eta, xi = self.unpack(x)
+        u = self.law.u(xi)
+        _, omega_mf, f = self._network(theta_mf, omega_m, u, p_eff)
+        d_omega_m = (p_eff[self.mach_nodes] + u[self.mach_in_mf]
+                     - self.D_m * omega_m - f[self.mach_nodes]) / self.M_m
+        return self.pack(omega_mf, d_omega_m, self.law.d_eta(omega_mf, xi),
+                         self.law.d_xi(omega_mf, eta, xi))
 
     def observables(self, x, p_eff):
-        """Full theta, full omega (NaN on passive), u and marginal costs."""
-        theta_mf, omega_m, eta, xi = self.unpack(x)
-        u = self.control_input(xi)
-        theta = np.zeros(self.n)
-        theta[self.mf] = theta_mf
-        if self.n_p:
-            theta[self.pas] = self.solve_passive(theta_mf, p_eff[self.pas])
-        f = self.flows(theta)
+        """Full theta and full omega (NaN on passive nodes)."""
+        theta_mf, omega_m, _, xi = self.unpack(x)
+        theta, omega_mf, _ = self._network(theta_mf, omega_m, self.law.u(xi), p_eff)
         omega = np.full(self.n, np.nan)
-        omega[self.mf[self.mach_in_mf]] = omega_m
-        freq_mask = np.ones(self.n_mf, dtype=bool)
-        freq_mask[self.mach_in_mf] = False
-        if freq_mask.any():
-            mf_nodes = self.mf[freq_mask]
-            omega[mf_nodes] = ((p_eff[mf_nodes] + u[freq_mask] - f[mf_nodes])
-                               / self.D_mf[freq_mask])
-        mc = self.gains.k2 * self.alpha * xi if self.law != "gbpiac" \
-            else self.gains.k2 * self.alpha_s * np.ones(self.n_mf) * xi[0]
-        return theta, omega, u, mc
+        omega[self.mf] = omega_mf
+        return theta, omega
 
 
 def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
@@ -293,10 +264,7 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
     inj = p.copy()
     inj[model_obj.mf] += u_eq
     # reduced Newton on the zero-mean complement of the phase space
-    v = np.full(n, 1.0 / math.sqrt(n))
-    w = v - np.eye(n)[:, 0]
-    H = np.eye(n) - 2 * np.outer(w, w) / (w @ w) if n > 1 else np.eye(n)
-    basis = H[:, 1:]
+    basis = _phase_complement(n)
     z = np.zeros(n - 1)
     for _ in range(50):
         theta = basis @ z
@@ -329,14 +297,8 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
             raise DAESolveError("power-flow Newton stalled")
     else:
         raise DAESolveError("power-flow Newton did not converge in 50 iterations")
-    theta = basis @ z
-    k1, k2 = gains.k1, gains.k2
-    if law == "gbpiac":
-        xi = np.array([float(np.sum(u_eq)) / k2])
-    else:
-        xi = u_eq / k2
-    eta = -(k2 / k1) * xi
-    return Equilibrium(theta=theta, eta=eta, xi=xi, u=u_eq)
+    eta, xi = model_obj.law.offsets(u_eq)
+    return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
 
 
 def _record_grid(t_end: float, h: float) -> np.ndarray:
@@ -377,8 +339,7 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
     eq = find_equilibrium(net, law, gains, comm, model)
-    x0 = model_obj.pack(eq.theta[model_obj.mf],
-                        np.zeros(model_obj.n_m), eq.eta, eq.xi)
+    x0 = model_obj.at_rest(eq)
     onset = 0.0 if scenario.onset is None else scenario.onset
     grid = _record_grid(scenario.t_end, scenario.h * stride)
     p_pre = _effective_injection(net, scenario, False)
@@ -411,38 +372,35 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     X = np.vstack(xs)
     if np.abs(X).max() > _BLOWUP_LIMIT:
         raise NumericalBlowup("state magnitude exceeded blow-up limit")
-    return _build_trace(model_obj, net, t, X, scenario, law)
+    stepped = t >= onset - 1e-12
+    P = np.where(stepped[:, None], p_post, p_pre)
+    return _traces(model_obj, t, X[None], P[None])[0]
 
 
-def _build_trace(model_obj, net, t, X, scenario, law):
-    T = len(t)
-    n = net.n_nodes
-    nk = model_obj.n_mf
-    theta = np.zeros((T, n))
-    omega = np.zeros((T, n))
-    u = np.zeros((T, nk))
-    mc = np.zeros((T, nk))
-    eta_rec = np.zeros((T, nk))
-    xi_rec = np.zeros((T, nk))
-    onset = 0.0 if scenario.onset is None else scenario.onset
-    for k in range(T):
-        stepped = (scenario.kind is ScenarioKind.STEP) and t[k] >= onset - 1e-12
-        p_eff = _effective_injection(net, scenario, stepped)
-        th, om, uu, mm = model_obj.observables(X[k], p_eff)
-        theta[k] = th
-        omega[k] = om
-        u[k] = uu
-        mc[k] = mm
-        _, _, eta, xi = model_obj.unpack(X[k])
-        if law == "gbpiac":
-            eta_rec[k] = eta[0]
-            xi_rec[k] = xi[0]
-        else:
-            eta_rec[k] = eta
-            xi_rec[k] = xi
-    return Trace(t=t, node_ids=net.ids, theta=theta, omega=omega,
-                 controller_ids=net.controller_ids, eta=eta_rec, xi=xi_rec,
-                 u=u, mc=mc, law=law)
+def _traces(model_obj, t, X, P) -> list[Trace]:
+    """One trace per path from packed states ``X`` of shape (paths, T, dim)
+    recorded under the injections ``P`` (paths, T, n_nodes).
+
+    ``P`` is only read on networks with algebraic node states (passive
+    phases, load-bus frequencies), which are rebuilt row by row; everything
+    else is sliced or mapped at once.
+    """
+    net, law = model_obj.net, model_obj.law
+    theta_mf, omega_m, eta, xi = model_obj.unpack(X)
+    theta = np.zeros(X.shape[:-1] + (model_obj.n,))
+    omega = np.full_like(theta, np.nan)
+    theta[..., model_obj.mf] = theta_mf
+    omega[..., model_obj.mach_nodes] = omega_m
+    if model_obj.n_p or model_obj.freq_nodes.size:
+        for row in np.ndindex(X.shape[:-1]):
+            theta[row], omega[row] = model_obj.observables(X[row], P[row])
+    u, mc = law.u(xi), law.mc(xi)
+    # controller columns: the central pair on every column under gbpiac
+    eta, xi = eta[..., law.pair_of], xi[..., law.pair_of]
+    return [Trace(t=t, node_ids=net.ids, theta=theta[p], omega=omega[p],
+                  controller_ids=net.controller_ids, eta=eta[p], xi=xi[p],
+                  u=u[p], mc=mc[p], law=law.name)
+            for p in range(X.shape[0])]
 
 
 def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
@@ -479,9 +437,8 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         def run_path(seed):
             # fresh model per path: the passive-solve warm start is mutable
             mo = _SimModel(net, comm, law, gains, model)
-            x0 = mo.pack(eq.theta[mo.mf], np.zeros(mo.n_m), eq.eta, eq.xi)
-            return _stochastic_nonlinear_path(mo, net, x0, scenario, seed,
-                                              record_stride, law)
+            return _stochastic_nonlinear_path(mo, mo.at_rest(eq), scenario, seed,
+                                              record_stride)
 
         traces = [run_path(seed) for seed in seeds]
     metrics = compute_metrics(traces, net.prices, burn_in=burn_in)
@@ -496,22 +453,14 @@ def _noise_matrix(net, scenario):
 
 
 def _stochastic_linear(net, comm, law, gains, scenario, paths, seeds, record_stride):
-    if law == "gbpiac":
-        sys = assemble_gbpiac(net, gains)
-    elif law == "dpiac":
-        sys = assemble_dpiac(net, comm, gains)
-    else:
-        sys = assemble_decpiac(net, gains, comm=comm)
+    # on a machine-only network the packed state is the closed-loop state
+    sys = assemble(net, comm, law, gains)
     model_obj = _SimModel(net, comm, law, gains, "linear")
     eq = find_equilibrium(net, law, gains, comm, "linear")
     n = net.n_nodes
     N = sys.dim
-    x0 = np.zeros(N)
-    x0[sys.labels["theta"]] = eq.theta
-    x0[sys.labels["eta"]] = eq.eta
-    x0[sys.labels["xi"]] = eq.xi
-    b = np.zeros(N)
-    b[sys.labels["omega"]] = net.injections / net.inertias
+    x0 = model_obj.at_rest(eq)
+    b = model_obj.rhs(np.zeros(N), net.injections)
     sig = _noise_matrix(net, scenario)
     h = scenario.h
     n_steps = int(round(scenario.t_end / h))
@@ -542,30 +491,11 @@ def _stochastic_linear(net, comm, law, gains, scenario, paths, seeds, record_str
         if not np.all(np.isfinite(X)) or np.abs(X).max() > _BLOWUP_LIMIT:
             raise NumericalBlowup("stochastic ensemble diverged "
                                   f"(around t = {step * h:g} s)")
-
-    traces = []
-    th_sl, om_sl = sys.labels["theta"], sys.labels["omega"]
-    xi_sl, eta_sl = sys.labels["xi"], sys.labels["eta"]
-    for p in range(paths):
-        Xp = recorded[:, :, p]
-        xi = Xp[:, xi_sl]
-        eta = Xp[:, eta_sl]
-        if law == "gbpiac":
-            u = (model_obj.alpha_s / model_obj.alpha)[None, :] * gains.k2 * xi
-            mc = gains.k2 * model_obj.alpha_s * np.tile(xi, (1, n))
-            eta = np.tile(eta, (1, n))
-            xi_cols = np.tile(xi, (1, n))
-        else:
-            u = gains.k2 * xi
-            mc = gains.k2 * model_obj.alpha[None, :] * xi
-            xi_cols = xi
-        traces.append(Trace(t=t_rec, node_ids=net.ids, theta=Xp[:, th_sl],
-                            omega=Xp[:, om_sl], controller_ids=net.controller_ids,
-                            eta=eta, xi=xi_cols, u=u, mc=mc, law=law))
-    return traces
+    return _traces(model_obj, t_rec, recorded.transpose(2, 0, 1), None)
 
 
-def _stochastic_nonlinear_path(model_obj, net, x0, scenario, seed, record_stride, law):
+def _stochastic_nonlinear_path(model_obj, x0, scenario, seed, record_stride):
+    net = model_obj.net
     rng = np.random.Generator(np.random.Philox(seed))
     h = scenario.h
     sqrt_h = math.sqrt(h)
@@ -590,24 +520,7 @@ def _stochastic_nonlinear_path(model_obj, net, x0, scenario, seed, record_stride
             rec_states[rec_pos] = x
             rec_p[rec_pos] = p_eff
             rec_pos += 1
-    T = len(rec_idx)
-    n = net.n_nodes
-    nk = model_obj.n_mf
-    theta = np.zeros((T, n))
-    omega = np.zeros((T, n))
-    u = np.zeros((T, nk))
-    mc = np.zeros((T, nk))
-    eta_rec = np.zeros((T, nk))
-    xi_rec = np.zeros((T, nk))
-    for k in range(T):
-        th, om, uu, mm = model_obj.observables(rec_states[k], rec_p[k])
-        theta[k], omega[k], u[k], mc[k] = th, om, uu, mm
-        _, _, eta, xi = model_obj.unpack(rec_states[k])
-        eta_rec[k] = eta[0] if law == "gbpiac" else eta
-        xi_rec[k] = xi[0] if law == "gbpiac" else xi
-    return Trace(t=t_rec, node_ids=net.ids, theta=theta, omega=omega,
-                 controller_ids=net.controller_ids, eta=eta_rec, xi=xi_rec,
-                 u=u, mc=mc, law=law)
+    return _traces(model_obj, t_rec, rec_states[None], rec_p[None])[0]
 
 
 def compute_metrics(traces, alpha, t0: float = 40.0,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +153,23 @@ def test_analyze_refuses_analytic_on_heterogeneous(capsys, het_case):
                        "--law", "dpiac", "--analytic")
     assert code == 6
     assert "refused" in err
+
+
+def test_analyze_gbpiac_spread_ignores_comm_graph(capsys, tmp_path):
+    # the gather-broadcast spread is identically zero and reads no graph, so
+    # a communication graph that differs from the grid refuses only the laws
+    # that read it
+    text = Path(bundled_case_path("homogeneous10")).read_text()
+    case = tmp_path / "comm.case"
+    case.write_text(text.replace("3 8 l=2.5", "3 8 l=1.0"))
+    code, out, _ = run(capsys, "analyze", "--case", str(case), "--law", "gbpiac",
+                       "--selector", "spread", "--analytic")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2:4] == ["0", "0"]
+    for law in ("dpiac", "decpiac"):
+        code, _, err = run(capsys, "analyze", "--case", str(case), "--law", law,
+                           "--selector", "spread", "--analytic")
+        assert code == 6 and "refused" in err
 
 
 def test_analyze_bounds_with_b_diag(capsys, two_node_case):

@@ -45,6 +45,48 @@ def test_gbpiac_single_node_matrix():
     assert np.allclose(sys.A, expected, atol=1e-15)
 
 
+def two_node_unequal_prices():
+    # M = (1, 2), D = (1, 0.5), K = 2 (communication weight 2 as well),
+    # alpha = (1, 3); k1 = 0.5, k2 = 2, k3 = 0.25
+    net, comm = make_machine_net(2, m=[1.0, 2.0], d=[1.0, 0.5], alpha=[1.0, 3.0],
+                                 edges=[(1, 2, 2.0)])
+    return net, comm, GainSchedule(k1=0.5, k2=2.0, k3=0.25)
+
+
+def test_two_node_gbpiac_matrix_literal():
+    # state (theta1, theta2, omega1, omega2, eta_s, xi_s); alpha_s = 3/4, so
+    # u = (alpha_s/alpha_i) k2 xi_s = (1.5, 0.5) xi_s
+    net, _, g = two_node_unequal_prices()
+    expected = np.array([
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [-2.0, 2.0, -1.0, 0.0, 0.0, 1.5],      # (-L theta - D omega + u) / M
+        [1.0, -1.0, 0.0, -0.25, 0.0, 0.25],
+        [0.0, 0.0, 1.0, 0.5, 0.0, 0.0],        # D . omega
+        [0.0, 0.0, -0.5, -1.0, -0.5, -2.0],    # -k1 (M . omega + eta) - k2 xi
+    ])
+    sys = assemble_gbpiac(net, g)
+    assert np.allclose(sys.A, expected, rtol=0, atol=1e-15)
+
+
+def test_two_node_dpiac_matrix_literal():
+    # state (theta1, theta2, omega1, omega2, eta1, eta2, xi1, xi2); u = k2 xi;
+    # consensus k3 L_comm diag(k2 alpha) = 0.25 [[2, -2], [-2, 2]] diag(2, 6)
+    net, comm, g = two_node_unequal_prices()
+    expected = np.array([
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [-2.0, 2.0, -1.0, 0.0, 0.0, 0.0, 2.0, 0.0],
+        [1.0, -1.0, 0.0, -0.25, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, -3.0],
+        [0.0, 0.0, 0.0, 0.5, 0.0, 0.0, -1.0, 3.0],
+        [0.0, 0.0, -0.5, 0.0, -0.5, 0.0, -2.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0, 0.0, -0.5, 0.0, -2.0],
+    ])
+    sys = assemble_dpiac(net, comm, g)
+    assert np.array_equal(sys.A, expected)
+
+
 def test_single_node_laws_coincide():
     net, comm = make_machine_net(1, m=1.3, d=0.7, edges=[])
     g = GainSchedule.analytic(0.9, 2.0)

@@ -3,10 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from piac import (ControllerState, DegenerateModel, GainConstraintError,
-                  GainSchedule, NoControllers, Node, NodeKind, PowerNetwork,
-                  ShapeError, decpiac_rhs, dpiac_rhs, gbpiac_rhs,
-                  marginal_costs, optimal_dispatch, synchronized_frequency)
+from piac import (LAWS, ControlLaw, DegenerateModel, DomainError,
+                  GainConstraintError, GainSchedule, NoControllers, Node,
+                  NodeKind, PowerNetwork, ShapeError, optimal_dispatch,
+                  synchronized_frequency)
 from conftest import make_machine_net
 
 
@@ -35,29 +35,36 @@ def test_gain_schedule_permissive_logs(caplog):
 
 
 def test_gbpiac_equilibrium_is_fixed():
-    net, _ = two_node()
-    st = ControllerState.zeros("gbpiac", 2)
-    d_eta, d_xi, u = gbpiac_rhs(st, np.zeros(2), net, GainSchedule.analytic(1.0))
-    assert d_eta[0] == 0.0 and d_xi[0] == 0.0
-    assert np.array_equal(u, [0.0, 0.0])
+    net, comm = two_node()
+    law = ControlLaw.build(net, comm, "gbpiac", GainSchedule.analytic(1.0))
+    assert law.d_eta(np.zeros(2), np.zeros(1))[0] == 0.0
+    assert law.d_xi(np.zeros(2), np.zeros(1), np.zeros(1))[0] == 0.0
+    assert np.array_equal(law.u(np.zeros(1)), [0.0, 0.0])
+    # the offsets of the optimal dispatch hold every law's pairs still
+    net, comm = two_node(alpha=(1.0, 3.0), injections=[2.0, 1.0])
+    u_star = optimal_dispatch(net)
+    for name in LAWS:
+        law = ControlLaw.build(net, comm, name, GainSchedule.analytic(0.7, 2.0))
+        eta, xi = law.offsets(u_star)
+        assert np.allclose(law.d_eta(np.zeros(2), xi), 0.0, rtol=0, atol=1e-14)
+        assert np.allclose(law.d_xi(np.zeros(2), eta, xi), 0.0, rtol=0, atol=1e-14)
+        assert np.allclose(law.u(xi), u_star, rtol=1e-15, atol=0)
 
 
 def test_gbpiac_direct_evaluation():
-    net, _ = two_node()
-    g = GainSchedule(k1=1.0, k2=4.0)
-    st = ControllerState(eta=np.zeros(1), xi=np.zeros(1))
-    d_eta, d_xi, u = gbpiac_rhs(st, np.array([0.1, 0.1]), net, g)
-    assert d_eta[0] == pytest.approx(0.2, abs=1e-15)
-    assert d_xi[0] == pytest.approx(-0.2, abs=1e-15)
-    assert np.array_equal(u, [0.0, 0.0])
+    net, comm = two_node()
+    law = ControlLaw.build(net, comm, "gbpiac", GainSchedule(k1=1.0, k2=4.0))
+    omega = np.array([0.1, 0.1])
+    assert law.d_eta(omega, np.zeros(1))[0] == pytest.approx(0.2, abs=1e-15)
+    assert law.d_xi(omega, np.zeros(1), np.zeros(1))[0] == pytest.approx(-0.2, abs=1e-15)
+    assert np.array_equal(law.u(np.zeros(1)), [0.0, 0.0])
 
 
 def test_gbpiac_broadcast_share():
     # alpha_s = 1/2, so u_i = (1/2) * 4 * xi_s = 2 each at xi_s = 1
-    net, _ = two_node()
-    g = GainSchedule(k1=1.0, k2=4.0)
-    st = ControllerState(eta=np.zeros(1), xi=np.ones(1))
-    _, _, u = gbpiac_rhs(st, np.array([0.1, 0.1]), net, g)
+    net, comm = two_node()
+    law = ControlLaw.build(net, comm, "gbpiac", GainSchedule(k1=1.0, k2=4.0))
+    u = law.u(np.ones(1))
     assert np.allclose(u, [2.0, 2.0])
     mc = net.prices * u
     assert mc[0] == mc[1]
@@ -66,21 +73,21 @@ def test_gbpiac_broadcast_share():
 def test_gbpiac_equal_marginal_costs_heterogeneous_prices():
     # equal by construction: u_i carries 1/alpha_i, so alpha_i * u_i agree
     # to the last rounding of the product
-    net, _ = two_node(alpha=(1.0, 3.0))
-    g = GainSchedule.analytic(0.7)
-    st = ControllerState(eta=np.array([0.3]), xi=np.array([-1.2]))
-    _, _, u = gbpiac_rhs(st, np.array([0.01, -0.02]), net, g)
-    mc = net.prices * u
+    net, comm = two_node(alpha=(1.0, 3.0))
+    law = ControlLaw.build(net, comm, "gbpiac", GainSchedule.analytic(0.7))
+    xi = np.array([-1.2])
+    mc = net.prices * law.u(xi)
     assert abs(mc[0] - mc[1]) <= 4 * np.finfo(float).eps * abs(mc[0])
+    assert law.mc(xi)[0] == law.mc(xi)[1]
+    assert np.array_equal(law.spread(xi), [0.0, 0.0])
 
 
 def test_dpiac_consensus_term():
     net, comm = two_node()
-    g = GainSchedule(k1=1.0, k2=4.0, k3=1.0)
-    st = ControllerState(eta=np.zeros(2), xi=np.array([1.0, 0.0]))
-    d_eta, d_xi, u = dpiac_rhs(st, np.zeros(2), net, comm, g)
-    assert np.allclose(d_eta, [4.0, -4.0])
-    assert np.allclose(u, [4.0, 0.0])
+    law = ControlLaw.build(net, comm, "dpiac", GainSchedule(k1=1.0, k2=4.0, k3=1.0))
+    xi = np.array([1.0, 0.0])
+    assert np.allclose(law.d_eta(np.zeros(2), xi), [4.0, -4.0])
+    assert np.allclose(law.u(xi), [4.0, 0.0])
 
 
 def test_dpiac_consensus_sums_to_zero():
@@ -89,37 +96,66 @@ def test_dpiac_consensus_sums_to_zero():
                                            (4, 5, 1.1), (1, 5, 0.7)],
                                  alpha=[1.0, 2.0, 0.5, 1.5, 1.0])
     g = GainSchedule(k1=0.5, k2=2.0, k3=3.0)
-    st = ControllerState(eta=rng.normal(size=5), xi=rng.normal(size=5))
-    om = rng.normal(size=5)
-    d_eta, _, _ = dpiac_rhs(st, om, net, comm, g)
-    d_eta0, _, _ = decpiac_rhs(st, om, net, g)
+    xi, om = rng.normal(size=5), rng.normal(size=5)
+    d_eta = ControlLaw.build(net, comm, "dpiac", g).d_eta(om, xi)
+    d_eta0 = ControlLaw.build(net, comm, "decpiac", g).d_eta(om, xi)
     # coordination reshuffles the accumulated imbalance, never creates any
     assert abs(np.sum(d_eta) - np.sum(d_eta0)) <= 1e-12
 
 
 def test_dpiac_k3_zero_equals_decpiac():
+    # decpiac has no consensus term at any k3
     rng = np.random.default_rng(11)
     net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], d=[1.0, 0.3, 2.0, 1.0],
                                  alpha=[1.0, 2.0, 1.0, 0.5],
                                  edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5)])
-    g0 = GainSchedule(k1=0.5, k2=2.0, k3=0.0)
+    a = ControlLaw.build(net, comm, "dpiac", GainSchedule(k1=0.5, k2=2.0, k3=0.0))
+    b = ControlLaw.build(net, comm, "decpiac", GainSchedule(k1=0.5, k2=2.0, k3=5.0))
     for _ in range(5):
-        st = ControllerState(eta=rng.normal(size=4), xi=rng.normal(size=4))
-        om = rng.normal(size=4)
-        a = dpiac_rhs(st, om, net, comm, g0)
-        b = decpiac_rhs(st, om, net, g0)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        eta, xi, om = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
+        assert np.array_equal(a.d_eta(om, xi), b.d_eta(om, xi))
+        assert np.array_equal(a.d_xi(om, eta, xi), b.d_xi(om, eta, xi))
+        assert np.array_equal(a.u(xi), b.u(xi))
+    assert np.array_equal(a.jacobian(), b.jacobian())
 
 
 def test_rhs_shape_errors():
     net, comm = two_node()
     g = GainSchedule.analytic(1.0)
-    st = ControllerState.zeros("dpiac", 2)
+    local = ControlLaw.build(net, comm, "dpiac", g)
     with pytest.raises(ShapeError):
-        dpiac_rhs(st, np.zeros(3), net, comm, g)
+        local.d_eta(np.zeros(3), np.zeros(2))
     with pytest.raises(ShapeError):
-        gbpiac_rhs(st, np.zeros(2), net, g)   # central state must be scalar
+        local.u(np.zeros(3))
+    central = ControlLaw.build(net, comm, "gbpiac", g)
+    with pytest.raises(ShapeError):   # central state must be scalar
+        central.d_xi(np.zeros(2), np.zeros(2), np.zeros(2))
+    with pytest.raises(ShapeError):
+        central.offsets(np.zeros(3))
+
+
+def test_control_law_domain_errors():
+    net, comm = two_node()
+    g = GainSchedule.analytic(1.0)
+    with pytest.raises(DomainError):
+        ControlLaw.build(net, comm, "pid", g)
+    with pytest.raises(DomainError):
+        ControlLaw.build(net, None, "dpiac", g)
+    with pytest.raises(DomainError):   # nothing to difference over
+        ControlLaw.build(net, None, "decpiac", g).spread(np.zeros(2))
+
+
+def test_jacobian_reproduces_the_maps():
+    rng = np.random.default_rng(5)
+    net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], alpha=[1.0, 2.0, 1.0, 0.5])
+    g = GainSchedule(k1=0.5, k2=2.0, k3=1.5)
+    for name in LAWS:
+        law = ControlLaw.build(net, comm, name, g)
+        k = law.pairs
+        om, eta, xi = rng.normal(size=4), rng.normal(size=k), rng.normal(size=k)
+        want = np.concatenate([law.d_eta(om, xi), law.d_xi(om, eta, xi)])
+        got = law.jacobian() @ np.concatenate([om, eta, xi])
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 def test_optimal_dispatch_examples():
@@ -173,11 +209,13 @@ def test_synchronized_frequency_degenerate():
 
 
 def test_marginal_costs():
-    net, _ = two_node(alpha=(1.0, 2.0))
     g = GainSchedule(k1=1.0, k2=4.0)
-    assert np.array_equal(marginal_costs(np.zeros(2), net, g), [0.0, 0.0])
-    assert np.allclose(marginal_costs(np.array([1.0, 0.5]), net, g), [4.0, 4.0])
-    net1, _ = two_node()
-    assert np.allclose(marginal_costs(np.array([1.0, 0.0]), net1, g), [4.0, 0.0])
+    net, comm = two_node(alpha=(1.0, 2.0))
+    law = ControlLaw.build(net, comm, "dpiac", g)
+    assert np.array_equal(law.mc(np.zeros(2)), [0.0, 0.0])
+    assert np.allclose(law.mc(np.array([1.0, 0.5])), [4.0, 4.0])
+    net1, comm1 = two_node()
+    assert np.allclose(ControlLaw.build(net1, comm1, "decpiac", g).mc(np.array([1.0, 0.0])),
+                       [4.0, 0.0])
     with pytest.raises(ShapeError):
-        marginal_costs(np.zeros(3), net, g)
+        law.mc(np.zeros(3))

@@ -3,14 +3,15 @@ import io
 import numpy as np
 import pytest
 
-from piac import (CommunicationGraph, DomainError, GainSchedule,
+from piac import (LAWS, CommunicationGraph, DomainError, GainSchedule,
                   InsufficientHorizon, Node, NodeKind, OutputSelector,
-                  PowerNetwork, Scenario, ScenarioKind, Trace,
-                  build_laplacian, compute_metrics, find_equilibrium,
-                  h2_dpiac_analytic, optimal_dispatch, simulate_deterministic,
+                  PowerNetwork, Scenario, ScenarioKind, Trace, assemble,
+                  build_laplacian, bundled_case_path, compute_metrics,
+                  find_equilibrium, h2_dpiac_analytic, load_case,
+                  optimal_dispatch, simulate_deterministic,
                   simulate_stochastic, spectral_decompose, write_ensemble_csv,
                   write_trace_csv)
-from conftest import ring_net
+from conftest import make_machine_net, ring_net
 
 
 def mixed_net():
@@ -82,32 +83,35 @@ def test_step_reaches_optimal_steady_state():
             assert mc.max() - mc.min() <= 1e-3
 
 
-def test_sim_controller_equations_match_public_rhs():
-    # the simulator inlines the control laws with precomputed vectors; they
-    # must agree with the public right-hand-side functions to the last bit
-    from piac import ControllerState, decpiac_rhs, dpiac_rhs, gbpiac_rhs
+@pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
+def test_sim_rhs_matches_closed_loop(case):
+    # on a machine-only network the packed simulator state is the closed-loop
+    # state: the linear model's rhs is A x plus the injection term rhs(0, p)
     from piac.sim import _SimModel
 
-    net, comm = mixed_net()
-    g = GainSchedule.analytic(0.9, 1.7)
-    rng = np.random.default_rng(17)
-    nk = len(net.controller_ids)
-    omega = rng.normal(size=nk)
-    for law in ("gbpiac", "dpiac", "decpiac"):
-        mo = _SimModel(net, comm, law, g, "sin")
-        k = 1 if law == "gbpiac" else nk
-        st = ControllerState(eta=rng.normal(size=k), xi=rng.normal(size=k))
-        if law == "gbpiac":
-            want = gbpiac_rhs(st, omega, net, g)
-        elif law == "dpiac":
-            want = dpiac_rhs(st, omega, net, comm, g)
-        else:
-            want = decpiac_rhs(st, omega, net, g)
-        d_eta, d_xi = mo.controller_derivative(omega, st.eta, st.xi)
-        u = mo.control_input(st.xi)
-        assert np.array_equal(d_eta, want[0])
-        assert np.array_equal(d_xi, want[1])
-        assert np.array_equal(u, want[2])
+    if case == "homogeneous10":
+        net, comm, _, _ = load_case(bundled_case_path(case))
+    else:
+        net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], d=[1.0, 0.3, 2.0, 1.0],
+                                     alpha=[1.0, 3.0, 0.5, 2.0],
+                                     edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5),
+                                            (1, 4, 1.5)])
+    g = GainSchedule(k1=0.8, k2=3.2, k3=4.0)
+    rng = np.random.default_rng(23)
+    zero_p = np.zeros(net.n_nodes)
+    for law in LAWS:
+        sys = assemble(net, comm, law, g)
+        mo = _SimModel(net, comm, law, g, "linear")
+        assert mo.dim == sys.dim
+        # column by column the rhs is A itself, to the last bit
+        for j, e_j in enumerate(np.eye(sys.dim)):
+            assert np.array_equal(mo.rhs(e_j, zero_p), sys.A[:, j]), (law, j)
+        # elsewhere the two sum the same terms in another order
+        p = rng.normal(size=net.n_nodes)
+        x = rng.normal(size=sys.dim)
+        want = sys.A @ x + mo.rhs(np.zeros(sys.dim), p)
+        scale = np.abs(sys.A).max() * np.abs(x).max() + np.abs(p).max()
+        assert np.allclose(mo.rhs(x, p), want, rtol=0, atol=1e-14 * scale)
 
 
 def test_heavily_loaded_passive_chain():
@@ -331,7 +335,8 @@ def test_stochastic_nonlinear_mixed_network():
         assert np.all(np.isnan(tr.omega[:, passive_cols]))
 
 
-def test_stepper_paths_agree_on_linear_model():
+@pytest.mark.parametrize("law", LAWS)
+def test_stepper_paths_agree_on_linear_model(law):
     # the vectorized ensemble and the per-path stepper integrate the same
     # recursion from the same spawned streams; on the linear model they must
     # coincide up to floating-point accumulation
@@ -341,15 +346,15 @@ def test_stepper_paths_agree_on_linear_model():
     g = GainSchedule.analytic(1.0, 1.0)
     scen = Scenario.white_noise({1: 0.005, 2: 0.002}, seed=13, t_end=5.0,
                                 h=1e-3, paths=2, burn_in=1.0)
-    fast, _ = simulate_stochastic(net, comm, "dpiac", g, scen, model="linear")
-    model_obj = _SimModel(net, comm, "dpiac", g, "linear")
-    eq = find_equilibrium(net, "dpiac", g, comm, "linear")
+    fast, _ = simulate_stochastic(net, comm, law, g, scen, model="linear")
+    model_obj = _SimModel(net, comm, law, g, "linear")
+    eq = find_equilibrium(net, law, g, comm, "linear")
     x0 = model_obj.pack(eq.theta[model_obj.mf], np.zeros(model_obj.n_m),
                         eq.eta, eq.xi)
     seeds = np.random.SeedSequence(13).spawn(2)
     for p in range(2):
-        slow = _stochastic_nonlinear_path(model_obj, net, x0, scen, seeds[p],
-                                          record_stride=100, law="dpiac")
+        slow = _stochastic_nonlinear_path(model_obj, x0, scen, seeds[p],
+                                          record_stride=100)
         assert np.allclose(slow.omega, fast[p].omega, rtol=1e-8, atol=1e-12)
         assert np.allclose(slow.u, fast[p].u, rtol=1e-8, atol=1e-12)
 
