@@ -26,28 +26,30 @@ scen = Scenario.step({2: -0.15}, onset=2.0, t_end=50.0, h=0.01)
 print("canonical serialization:\n")
 print(dumps_case(net, comm, gains, scen))
 
-workdir = Path(tempfile.mkdtemp(prefix="piac-demo-"))
-case = workdir / "triangle.case"
-save_case(case, net, comm, gains, scen)
-assert load_case(case) == (net, comm, gains, scen)   # exact round trip
-print(f"saved and re-loaded identically: {case}\n")
+with tempfile.TemporaryDirectory(prefix="piac-demo-") as tmp:
+    workdir = Path(tmp)
+    case = workdir / "triangle.case"
+    save_case(case, net, comm, gains, scen)
+    assert load_case(case) == (net, comm, gains, scen)   # exact round trip
+    print(f"saved and re-loaded identically: {case}\n")
 
-# The same operations are scriptable through the CLI. main() returns the
-# exit code; nonzero codes classify the failure (format, connectivity,
-# gains, analysis, numerics).
-print("$ piac validate")
-main(["validate", "--case", str(case)])
+    # The same operations are scriptable through the CLI. main() returns the
+    # exit code; nonzero codes classify the failure (format, connectivity,
+    # gains, analysis, numerics).
+    print("$ piac validate")
+    main(["validate", "--case", str(case)])
 
-print("\n$ piac analyze --law dpiac --selector omega --limits")
-main(["analyze", "--case", str(case), "--law", "dpiac",
-      "--selector", "omega", "--limits"])
+    print("\n$ piac analyze --law dpiac --selector omega --limits")
+    main(["analyze", "--case", str(case), "--law", "dpiac",
+          "--selector", "omega", "--limits"])
 
-print("\n$ piac sweep --param k3 --grid 1,4,16,64")
-main(["sweep", "--case", str(case), "--law", "dpiac",
-      "--param", "k3", "--grid", "1,4,16,64"])
+    print("\n$ piac sweep --param k3 --grid 1,4,16,64")
+    main(["sweep", "--case", str(case), "--law", "dpiac",
+          "--param", "k3", "--grid", "1,4,16,64"])
 
-print("\n$ piac simulate  (writes the trace, prints the metrics)")
-trace_file = workdir / "trace.csv"
-main(["simulate", "--case", str(case), "--law", "dpiac",
-      "--out", str(trace_file)])
-print(f"trace rows: {sum(1 for _ in open(trace_file)) - 1}")
+    print("\n$ piac simulate  (writes the trace, prints the metrics)")
+    trace_file = workdir / "trace.csv"
+    main(["simulate", "--case", str(case), "--law", "dpiac",
+          "--out", str(trace_file)])
+    with open(trace_file) as fh:
+        print(f"trace rows: {sum(1 for _ in fh) - 1}")

@@ -66,11 +66,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def _gains_from(args, file_gains) -> GainSchedule:
     k1 = args.k1 if args.k1 is not None else (file_gains.k1 if file_gains else None)
-    k2 = args.k2 if args.k2 is not None else (file_gains.k2 if file_gains else None)
     k3 = args.k3 if args.k3 is not None else (file_gains.k3 if file_gains else 0.0)
     if k1 is None:
         raise _Usage("no gains: case file has no [gains] section, pass --k1 (and --k2)")
-    if k2 is None:
+    if args.k2 is not None:
+        k2 = args.k2
+    elif args.k1 is None:
+        k2 = file_gains.k2
+    else:
+        # the file's k2 belongs to the file's k1; a new k1 alone takes
+        # k2 = 4 k1, as `sweep --param k1` does
         k2 = 4.0 * k1
     return GainSchedule(k1=k1, k2=k2, k3=k3)
 

@@ -176,7 +176,7 @@ class ControlLaw:
             return (omega @ self.D)[..., None]
         d_eta = self.D * omega
         if self.name == "dpiac":
-            d_eta = d_eta + self.gains.k3 * (self.L_comm @ self.mc(xi).T).T
+            d_eta = d_eta + self.gains.k3 * (self.mc(xi) @ self.L_comm.T)
         return d_eta
 
     def d_xi(self, omega: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -213,7 +213,7 @@ class ControlLaw:
             return np.zeros(xi.shape[:-1] + (len(self.D),))
         if self.L_comm is None:
             raise DomainError("spread output needs a communication graph to difference over")
-        return (self.L_comm @ self.mc(xi).T).T
+        return self.mc(xi) @ self.L_comm.T
 
     def offsets(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Pair state ``(eta, xi)`` holding the inputs ``u`` at zero frequency."""

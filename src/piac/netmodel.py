@@ -11,9 +11,9 @@ Machine and frequency-dependent nodes together form the controller set;
 each of them has a control price ``alpha``. Edge weights are effective
 susceptances ``K_ij = B_ij * V_i * V_j`` of loss-less lines.
 
-This module also builds the graph Laplacians used by the closed-loop
-analysis and provides their spectral decomposition with a deterministic
-eigenvector convention.
+This module also builds the signed incidence matrix ``E`` of each graph, the
+graph Laplacians ``E^T diag(w) E`` used by the closed-loop analysis, and
+their spectral decomposition with a deterministic eigenvector convention.
 """
 
 import math
@@ -180,6 +180,17 @@ class PowerNetwork:
         """
         return 1.0 / float(np.sum(1.0 / self.prices))
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Signed incidence matrix, edges by nodes: ``+1`` at ``i`` and
+        ``-1`` at ``j`` on the row of edge ``(i, j, K_ij)``."""
+        return _incidence(self.index_of, self.edges)
+
+    @cached_property
+    def susceptances(self) -> np.ndarray:
+        """Edge weights ``K_ij`` in edge order."""
+        return np.array([k for _, _, k in self.edges])
+
     def node(self, node_id: int) -> Node:
         return self.nodes[self.index_of[node_id]]
 
@@ -208,21 +219,28 @@ class CommunicationGraph:
     def laplacian(self, controller_ids) -> np.ndarray:
         """Laplacian over ``controller_ids`` in the given order."""
         idx = {nid: k for k, nid in enumerate(controller_ids)}
-        n = len(controller_ids)
-        L = np.zeros((n, n))
-        for i, j, w in self.weights:
+        for i, j, _ in self.weights:
             if i not in idx or j not in idx:
                 raise ShapeError(f"communication edge ({i},{j}) touches a non-controller node")
-            a, b = idx[i], idx[j]
-            L[a, a] += w
-            L[b, b] += w
-            L[a, b] -= w
-            L[b, a] -= w
-        return L
+        E = _incidence(idx, self.weights)
+        return _laplacian(E, np.array([w for _, _, w in self.weights]))
 
     def is_connected_over(self, controller_ids) -> bool:
         pairs = [(i, j) for i, j, w in self.weights if w > 0]
         return _connected(tuple(controller_ids), pairs)
+
+
+def _incidence(index_of: dict[int, int], edges) -> np.ndarray:
+    E = np.zeros((len(edges), len(index_of)))
+    for e, (i, j, _) in enumerate(edges):
+        E[e, index_of[i]] = 1.0
+        E[e, index_of[j]] = -1.0
+    return E
+
+
+def _laplacian(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``E^T diag(w) E``: off-diagonal ``-w_ij``, zero row sums."""
+    return E.T @ (w[:, None] * E)
 
 
 def _connected(ids, pairs) -> bool:
@@ -257,16 +275,7 @@ def build_laplacian(net: PowerNetwork) -> np.ndarray:
     """
     if not net.is_connected():
         raise DisconnectedNetwork("power graph is not connected")
-    n = net.n_nodes
-    idx = net.index_of
-    L = np.zeros((n, n))
-    for i, j, k in net.edges:
-        a, b = idx[i], idx[j]
-        L[a, a] += k
-        L[b, b] += k
-        L[a, b] -= k
-        L[b, a] -= k
-    return L
+    return _laplacian(net.incidence, net.susceptances)
 
 
 @dataclass(frozen=True)

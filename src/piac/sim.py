@@ -7,12 +7,17 @@ damped Newton inside every right-hand-side evaluation (semi-explicit
 index-1 treatment). A ``model="linear"`` flag swaps the sine for its
 linearization to expose the small-angle agreement directly.
 
+One network model, coupled through the grid's signed incidence matrix,
+takes states with leading (path, row) axes, and one damped Newton, element
+by element, solves both the equilibrium power flow and the passive balance.
 Deterministic runs integrate with an adaptive Runge-Kutta scheme; stochastic
-runs use Euler-Maruyama with a fixed step. White-noise disturbances at any
-node kind are injected as per-step load jitter ``sigma * N(0,1) / sqrt(h)``,
-which for differential states reduces to the standard Euler-Maruyama
-increment and for algebraic states is the frozen-over-the-step reading of
-white noise in the power balance.
+runs step the whole ensemble as one (paths, dim) state with Euler-Maruyama
+at a fixed step. White-noise disturbances at any node kind are injected as
+per-step load jitter ``sigma * N(0,1) / sqrt(h)``, which for differential
+states reduces to the standard Euler-Maruyama increment and for algebraic
+states is the frozen-over-the-step reading of white noise in the power
+balance. Traces rebuild the algebraic states of the recorded rows in
+batched solves.
 """
 
 import logging
@@ -41,6 +46,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
+# recorded rows per path rebuilt in one batched solve. Blocks of 256 rows
+# made the trace rebuild of the sim benchmark 4x slower on a shared 2-CPU
+# host, where their matrix products go multithreaded in BLAS.
+_TRACE_BLOCK = 64
 
 
 def _note_gain_ratio(gains: GainSchedule) -> None:
@@ -105,7 +114,15 @@ class Equilibrium:
 
 
 class _SimModel:
-    """Index bookkeeping plus vectorized right-hand sides for one network."""
+    """Index bookkeeping plus right-hand sides for one network.
+
+    Every method takes states with leading (path, row) axes. The lines couple
+    the phases through the signed incidence matrix ``E``: the flows are
+    ``E^T (w * sin(E theta))`` (``w * E theta`` for ``model="linear"``) and
+    their Jacobian is ``E^T diag(w * cos(E theta)) E``. Passive phases are
+    solved by damped Newton inside every evaluation, warm-started from the
+    previous solve of the same shape, which is per path in an ensemble.
+    """
 
     def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
                  law: str, gains: GainSchedule, model: str):
@@ -133,86 +150,55 @@ class _SimModel:
         self.M_m = net.inertias            # machines, node order
         self.D_m = net.dampings[self.mach_in_mf]   # controller set == MF set
         self.D_f = net.dampings[self.freq_in_mf]
-        self.ei = np.array([idx[i] for i, _, _ in net.edges], dtype=int)
-        self.ej = np.array([idx[j] for _, j, _ in net.edges], dtype=int)
-        self.w = np.array([k for _, _, k in net.edges])
+        self.E = net.incidence
+        self.w = net.susceptances
         self.n_ctrl = self.law.pairs
         self.dim = self.n_mf + self.n_m + 2 * self.n_ctrl
-        # edge -> passive-local index (-1 when the endpoint is not passive)
-        pas_local = {node_i: k for k, node_i in enumerate(self.pas)}
-        self.pi = np.array([pas_local.get(a, -1) for a in self.ei], dtype=int)
-        self.pj = np.array([pas_local.get(a, -1) for a in self.ej], dtype=int)
+        # columns of E: the gaps are E_mf theta_mf + E_p theta_p
+        self.E_mf, self.E_p = self.E[:, self.mf], self.E[:, self.pas]
+        self._passive_gram = _weighted_gram(self.E_p)
         self._theta_p_warm = np.zeros(self.n_p)
 
     # -- couplings -----------------------------------------------------------
 
-    def flows(self, theta: np.ndarray) -> np.ndarray:
-        gap = theta[self.ei] - theta[self.ej]
-        s = self.w * (np.sin(gap) if self.model == "sin" else gap)
-        out = np.zeros(self.n)
-        np.add.at(out, self.ei, s)
-        np.add.at(out, self.ej, -s)
-        return out
+    def line_flows(self, gap: np.ndarray) -> np.ndarray:
+        """Flow along each line for the phase gaps ``E theta``."""
+        return self.w * (np.sin(gap) if self.model == "sin" else gap)
 
-    def _passive_jacobian(self, theta: np.ndarray) -> np.ndarray:
-        gap = theta[self.ei] - theta[self.ej]
-        c = self.w * (np.cos(gap) if self.model == "sin" else np.ones_like(gap))
-        H = np.zeros((self.n_p, self.n_p))
-        pi, pj = self.pi, self.pj
-        both = (pi >= 0) & (pj >= 0)
-        one_i = (pi >= 0) & (pj < 0)
-        one_j = (pj >= 0) & (pi < 0)
-        np.add.at(H, (pi[both], pi[both]), c[both])
-        np.add.at(H, (pj[both], pj[both]), c[both])
-        np.add.at(H, (pi[both], pj[both]), -c[both])
-        np.add.at(H, (pj[both], pi[both]), -c[both])
-        np.add.at(H, (pi[one_i], pi[one_i]), c[one_i])
-        np.add.at(H, (pj[one_j], pj[one_j]), c[one_j])
-        return H
+    def stiffness(self, gap: np.ndarray) -> np.ndarray:
+        """Derivative of :meth:`line_flows` in the gaps, ``w * cos(gap)``."""
+        return self.w * np.cos(gap) if self.model == "sin" else np.broadcast_to(self.w, gap.shape)
+
+    def flows(self, theta: np.ndarray) -> np.ndarray:
+        """Net flow out of each node, ``E^T line_flows(E theta)``."""
+        return self.line_flows(theta @ self.E.T) @ self.E
 
     def solve_passive(self, theta_mf: np.ndarray, p_pas: np.ndarray) -> np.ndarray:
-        """Damped Newton on the passive power balance; warm-started."""
+        """Passive phases balancing ``p_pas``, by damped Newton."""
+        shape = theta_mf.shape[:-1] + (self.n_p,)
         if self.n_p == 0:
-            return np.zeros(0)
-        theta = np.zeros(self.n)
-        theta[self.mf] = theta_mf
-        theta_p = self._theta_p_warm.copy()
-        for _ in range(50):
-            theta[self.pas] = theta_p
-            g = p_pas - self.flows(theta)[self.pas]
-            gn = float(np.abs(g).max())
-            if gn <= 1e-12 * max(1.0, float(np.abs(p_pas).max())):
-                self._theta_p_warm = theta_p
-                return theta_p
-            H = self._passive_jacobian(theta)
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError as exc:
-                raise DAESolveError(f"singular passive-network jacobian: {exc}") from None
-            alpha = 1.0
-            for _ in range(30):
-                cand = theta_p + alpha * step
-                theta[self.pas] = cand
-                g_new = p_pas - self.flows(theta)[self.pas]
-                if float(np.abs(g_new).max()) < gn:
-                    theta_p = cand
-                    break
-                alpha *= 0.5
-            else:
-                raise DAESolveError("passive-network Newton stalled")
-        raise DAESolveError("passive-network Newton did not converge in 50 iterations")
+            return np.zeros(shape)
+        gap_mf = theta_mf @ self.E_mf.T
+        E_p = self.E_p
+        warm = self._theta_p_warm
+        self._theta_p_warm = _damped_newton(
+            lambda z: p_pas - self.line_flows(gap_mf + z @ E_p.T) @ E_p,
+            lambda z: self._passive_gram(self.stiffness(gap_mf + z @ E_p.T)),
+            warm if warm.shape == shape else np.zeros(shape),
+            1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network")
+        return self._theta_p_warm
 
     # -- packed state ----------------------------------------------------------
 
     def pack(self, theta_mf, omega_m, eta, xi) -> np.ndarray:
-        return np.concatenate([theta_mf, omega_m, eta, xi])
+        return np.concatenate([theta_mf, omega_m, eta, xi], axis=-1)
 
     def at_rest(self, eq: Equilibrium) -> np.ndarray:
         """Packed state at an equilibrium: its phases and pairs, zero frequency."""
         return self.pack(eq.theta[self.mf], np.zeros(self.n_m), eq.eta, eq.xi)
 
     def unpack(self, x):
-        """Blocks of packed states; ``x`` may carry leading axes."""
+        """Blocks of packed states."""
         a = self.n_mf
         b = a + self.n_m
         c = b + self.n_ctrl
@@ -221,24 +207,25 @@ class _SimModel:
     def _network(self, theta_mf, omega_m, u, p_eff):
         """Full theta, omega over the controller set and the line flows:
         passive phases and load-bus frequencies from the power balance."""
-        theta = np.zeros(self.n)
-        theta[self.mf] = theta_mf
+        theta = np.zeros(theta_mf.shape[:-1] + (self.n,))
+        theta[..., self.mf] = theta_mf
         if self.n_p:
-            theta[self.pas] = self.solve_passive(theta_mf, p_eff[self.pas])
+            theta[..., self.pas] = self.solve_passive(theta_mf, p_eff[..., self.pas])
         f = self.flows(theta)
-        omega_mf = np.empty(self.n_mf)
-        omega_mf[self.mach_in_mf] = omega_m
+        omega_mf = np.empty(theta_mf.shape)
+        omega_mf[..., self.mach_in_mf] = omega_m
         if self.freq_nodes.size:
-            omega_mf[self.freq_in_mf] = ((p_eff[self.freq_nodes] + u[self.freq_in_mf]
-                                          - f[self.freq_nodes]) / self.D_f)
+            omega_mf[..., self.freq_in_mf] = (
+                (p_eff[..., self.freq_nodes] + u[..., self.freq_in_mf]
+                 - f[..., self.freq_nodes]) / self.D_f)
         return theta, omega_mf, f
 
     def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
         theta_mf, omega_m, eta, xi = self.unpack(x)
         u = self.law.u(xi)
         _, omega_mf, f = self._network(theta_mf, omega_m, u, p_eff)
-        d_omega_m = (p_eff[self.mach_nodes] + u[self.mach_in_mf]
-                     - self.D_m * omega_m - f[self.mach_nodes]) / self.M_m
+        d_omega_m = (p_eff[..., self.mach_nodes] + u[..., self.mach_in_mf]
+                     - self.D_m * omega_m - f[..., self.mach_nodes]) / self.M_m
         return self.pack(omega_mf, d_omega_m, self.law.d_eta(omega_mf, xi),
                          self.law.d_xi(omega_mf, eta, xi))
 
@@ -246,9 +233,62 @@ class _SimModel:
         """Full theta and full omega (NaN on passive nodes)."""
         theta_mf, omega_m, _, xi = self.unpack(x)
         theta, omega_mf, _ = self._network(theta_mf, omega_m, self.law.u(xi), p_eff)
-        omega = np.full(self.n, np.nan)
-        omega[self.mf] = omega_mf
+        omega = np.full(theta.shape, np.nan)
+        omega[..., self.mf] = omega_mf
         return theta, omega
+
+
+def _weighted_gram(F: np.ndarray):
+    """The map ``c -> F^T diag(c) F`` over the leading axes of ``c``: one
+    product with the outer products of the rows of ``F``, so a large batch
+    builds no (batch, rows, columns) temporary."""
+    k = F.shape[1]
+    outer = (F[:, :, None] * F[:, None, :]).reshape(len(F), k * k)
+    return lambda c: (c @ outer).reshape(c.shape[:-1] + (k, k))
+
+
+def _damped_newton(residual, jacobian, z0, tol, what):
+    """Solve the power mismatch ``residual(z) = 0`` by Newton steps
+    ``jacobian(z)^-1 residual(z)``, ``jacobian`` being the derivative of the
+    flows, i.e. of ``-residual``.
+
+    Works over the leading axes of ``z0``. An element is done once the max
+    norm of its mismatch is at most ``tol`` (broadcast over the leading
+    axes) and is frozen from then on; each element halves its own step until
+    its mismatch falls. So no element's iterates depend on the others.
+    """
+    z = np.array(z0, dtype=float)
+    g = residual(z)
+    gn = np.abs(g).max(axis=-1, initial=0.0)
+    eye = np.eye(z.shape[-1])
+    for _ in range(50):
+        active = ~(gn <= tol)
+        if not active.any():
+            return z
+        # frozen elements solve an identity system and are never updated
+        J = np.where(active[..., None, None], jacobian(z), eye)
+        try:
+            step = np.linalg.solve(J, g[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise DAESolveError(f"singular {what} jacobian: {exc}") from None
+        # an element leaves the search at its first improving step, so the
+        # ones still searching share one step length
+        alpha = 1.0
+        for _ in range(30):
+            cand = z + alpha * step
+            g_new = residual(cand)
+            gn_new = np.abs(g_new).max(axis=-1, initial=0.0)
+            better = active & (gn_new < gn)
+            z = np.where(better[..., None], cand, z)
+            g = np.where(better[..., None], g_new, g)
+            gn = np.where(better, gn_new, gn)
+            active = active & ~better
+            if not active.any():
+                break
+            alpha *= 0.5
+        else:
+            raise DAESolveError(f"{what} Newton stalled")
+    raise DAESolveError(f"{what} Newton did not converge in 50 iterations")
 
 
 def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
@@ -259,44 +299,17 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
     zero-mean phase profile solving the (sine or linearized) power flow."""
     model_obj = _SimModel(net, comm, law, gains, model)
     u_eq = optimal_dispatch(net)
-    p = net.injections
-    n = net.n_nodes
-    inj = p.copy()
+    inj = net.injections.copy()
     inj[model_obj.mf] += u_eq
     # reduced Newton on the zero-mean complement of the phase space
-    basis = _phase_complement(n)
-    z = np.zeros(n - 1)
-    for _ in range(50):
-        theta = basis @ z
-        resid = inj - model_obj.flows(theta)
-        g = basis.T @ resid
-        gn = float(np.abs(g).max()) if g.size else 0.0
-        if gn <= 1e-12 * max(1.0, float(np.abs(inj).max())):
-            break
-        gap = theta[model_obj.ei] - theta[model_obj.ej]
-        c = model_obj.w * (np.cos(gap) if model == "sin" else np.ones_like(gap))
-        Hc = np.zeros((n, n))
-        np.add.at(Hc, (model_obj.ei, model_obj.ei), c)
-        np.add.at(Hc, (model_obj.ej, model_obj.ej), c)
-        np.add.at(Hc, (model_obj.ei, model_obj.ej), -c)
-        np.add.at(Hc, (model_obj.ej, model_obj.ei), -c)
-        J = basis.T @ Hc @ basis
-        try:
-            step = np.linalg.solve(J, g)
-        except np.linalg.LinAlgError as exc:
-            raise DAESolveError(f"singular power-flow jacobian: {exc}") from None
-        alpha = 1.0
-        for _ in range(30):
-            cand = z + alpha * step
-            r_new = inj - model_obj.flows(basis @ cand)
-            if float(np.abs(basis.T @ r_new).max()) < gn:
-                z = cand
-                break
-            alpha *= 0.5
-        else:
-            raise DAESolveError("power-flow Newton stalled")
-    else:
-        raise DAESolveError("power-flow Newton did not converge in 50 iterations")
+    basis = _phase_complement(net.n_nodes)
+    F = model_obj.E @ basis
+    jacobian = _weighted_gram(F)
+    target = inj @ basis
+    z = _damped_newton(lambda z: target - model_obj.line_flows(z @ F.T) @ F,
+                       lambda z: jacobian(model_obj.stiffness(z @ F.T)),
+                       np.zeros(net.n_nodes - 1),
+                       1e-12 * max(1.0, float(np.abs(inj).max())), "power-flow")
     eta, xi = model_obj.law.offsets(u_eq)
     return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
 
@@ -381,19 +394,17 @@ def _traces(model_obj, t, X, P) -> list[Trace]:
     """One trace per path from packed states ``X`` of shape (paths, T, dim)
     recorded under the injections ``P`` (paths, T, n_nodes).
 
-    ``P`` is only read on networks with algebraic node states (passive
-    phases, load-bus frequencies), which are rebuilt row by row; everything
-    else is sliced or mapped at once.
+    The algebraic node states are rebuilt for all paths at once, in blocks
+    of ``_TRACE_BLOCK`` rows: one batched solve per block, warm-started from
+    the block before. The blocks bound the memory the batched Newton takes.
     """
     net, law = model_obj.net, model_obj.law
-    theta_mf, omega_m, eta, xi = model_obj.unpack(X)
-    theta = np.zeros(X.shape[:-1] + (model_obj.n,))
-    omega = np.full_like(theta, np.nan)
-    theta[..., model_obj.mf] = theta_mf
-    omega[..., model_obj.mach_nodes] = omega_m
-    if model_obj.n_p or model_obj.freq_nodes.size:
-        for row in np.ndindex(X.shape[:-1]):
-            theta[row], omega[row] = model_obj.observables(X[row], P[row])
+    theta = np.empty(X.shape[:-1] + (model_obj.n,))
+    omega = np.empty_like(theta)
+    for a in range(0, X.shape[1], _TRACE_BLOCK):
+        rows = slice(a, a + _TRACE_BLOCK)
+        theta[:, rows], omega[:, rows] = model_obj.observables(X[:, rows], P[:, rows])
+    _, _, eta, xi = model_obj.unpack(X)
     u, mc = law.u(xi), law.mc(xi)
     # controller columns: the central pair on every column under gbpiac
     eta, xi = eta[..., law.pair_of], xi[..., law.pair_of]
@@ -409,11 +420,12 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
                         ) -> tuple[list[Trace], Metrics]:
     """Euler-Maruyama ensemble under white-noise load disturbances.
 
-    Per-path noise streams are spawned deterministically from the scenario
-    seed, so results do not depend on evaluation order. Machine-only
-    networks with ``model="linear"`` run on the assembled closed-loop matrix,
-    vectorized across paths; everything else steps the nonlinear model path
-    by path.
+    All paths step together as one (paths, dim) state. Per-path noise
+    streams are spawned deterministically from the scenario seed, so a path
+    does not depend on how many others run beside it. The drift is the
+    assembled closed-loop matrix on machine-only networks with
+    ``model="linear"`` (there the packed state is the closed-loop state) and
+    the model's right-hand side everywhere else.
     """
     if scenario.kind is not ScenarioKind.NOISE:
         raise DomainError("simulate_stochastic needs a noise scenario")
@@ -425,22 +437,24 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     burn_in = scenario.burn_in if scenario.burn_in is not None else 50.0
     if record_stride is None:
         record_stride = max(1, int(round(0.1 / scenario.h)))
-    seeds = np.random.SeedSequence(scenario.seed).spawn(paths)
 
-    linear_fast = (model == "linear" and not net.freq_ids and not net.passive_ids)
-    if linear_fast:
-        traces = _stochastic_linear(net, comm, law, gains, scenario, paths,
-                                    seeds, record_stride)
+    model_obj = _SimModel(net, comm, law, gains, model)
+    eq = find_equilibrium(net, law, gains, comm, model)
+    p = net.injections
+    if model == "linear" and not net.freq_ids and not net.passive_ids:
+        sys = assemble(net, comm, law, gains)
+        A_T, B_T = sys.A.T, sys.B.T
+        b = model_obj.rhs(np.zeros(sys.dim), p)
+
+        def drift(X, W):
+            return X @ A_T + (W @ B_T + b)
     else:
-        eq = find_equilibrium(net, law, gains, comm, model)
+        def drift(X, W):
+            return model_obj.rhs(X, p + W)
 
-        def run_path(seed):
-            # fresh model per path: the passive-solve warm start is mutable
-            mo = _SimModel(net, comm, law, gains, model)
-            return _stochastic_nonlinear_path(mo, mo.at_rest(eq), scenario, seed,
-                                              record_stride)
-
-        traces = [run_path(seed) for seed in seeds]
+    t, X, W = _euler_maruyama(drift, model_obj.at_rest(eq), _noise_matrix(net, scenario),
+                              scenario, paths, record_stride)
+    traces = _traces(model_obj, t, X, p + W)
     metrics = compute_metrics(traces, net.prices, burn_in=burn_in)
     return traces, metrics
 
@@ -452,75 +466,46 @@ def _noise_matrix(net, scenario):
     return sig
 
 
-def _stochastic_linear(net, comm, law, gains, scenario, paths, seeds, record_stride):
-    # on a machine-only network the packed state is the closed-loop state
-    sys = assemble(net, comm, law, gains)
-    model_obj = _SimModel(net, comm, law, gains, "linear")
-    eq = find_equilibrium(net, law, gains, comm, "linear")
-    n = net.n_nodes
-    N = sys.dim
-    x0 = model_obj.at_rest(eq)
-    b = model_obj.rhs(np.zeros(N), net.injections)
-    sig = _noise_matrix(net, scenario)
-    h = scenario.h
-    n_steps = int(round(scenario.t_end / h))
-    sqrt_h = math.sqrt(h)
-    A, B = sys.A, sys.B
+def _euler_maruyama(drift, x0, sig, scenario, paths, record_stride):
+    """Step ``X + h * drift(X, W)`` from ``x0`` on every path, ``W`` being the
+    white-noise load jitter ``sig * N(0, 1) / sqrt(h)`` per node.
 
-    rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
-    X = np.tile(x0[:, None], (1, paths))
+    Returns the recording times and, with shapes (paths, T, .), the states
+    and the jitter of the step that led to each recorded row (zero on the
+    first).
+    """
+    h = scenario.h
+    sqrt_h = math.sqrt(h)
+    n_steps = int(round(scenario.t_end / h))
+    rngs = [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(scenario.seed).spawn(paths)]
     rec_idx = np.arange(0, n_steps + 1, record_stride)
-    t_rec = rec_idx * h
-    recorded = np.empty((len(rec_idx), N, paths))
-    recorded[0] = X
+    X_rec = np.empty((len(rec_idx), paths, len(x0)))
+    W_rec = np.zeros((len(rec_idx), paths, len(sig)))
+    X = np.tile(x0, (paths, 1))
+    X_rec[0] = X
     rec_pos = 1
     chunk = 2000
-    step = 0
-    while step < n_steps:
-        this = min(chunk, n_steps - step)
-        noise = np.empty((this, n, paths))
+    for start in range(0, n_steps, chunk):
+        this = min(chunk, n_steps - start)
+        W = np.empty((this, paths, len(sig)))
         for p, rng in enumerate(rngs):
-            noise[:, :, p] = rng.standard_normal((this, n))
-        noise *= sig[None, :, None]
+            # each path draws from its own stream, step by step in node order
+            W[:, p] = rng.standard_normal((this, len(sig)))
+        W *= sig
+        W /= sqrt_h
         for k in range(this):
-            X = X + h * (A @ X + b[:, None]) + sqrt_h * (B @ noise[k])
-            step += 1
+            X = X + h * drift(X, W[k])
+            step = start + k + 1
             if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
-                recorded[rec_pos] = X
+                # checked where recorded: no other state reaches the output
+                if not np.abs(X).max() <= _BLOWUP_LIMIT:
+                    raise NumericalBlowup("stochastic ensemble diverged "
+                                          f"(by t = {step * h:g} s)")
+                X_rec[rec_pos] = X
+                W_rec[rec_pos] = W[k]
                 rec_pos += 1
-        if not np.all(np.isfinite(X)) or np.abs(X).max() > _BLOWUP_LIMIT:
-            raise NumericalBlowup("stochastic ensemble diverged "
-                                  f"(around t = {step * h:g} s)")
-    return _traces(model_obj, t_rec, recorded.transpose(2, 0, 1), None)
-
-
-def _stochastic_nonlinear_path(model_obj, x0, scenario, seed, record_stride):
-    net = model_obj.net
-    rng = np.random.Generator(np.random.Philox(seed))
-    h = scenario.h
-    sqrt_h = math.sqrt(h)
-    sig = _noise_matrix(net, scenario)
-    n_steps = int(round(scenario.t_end / h))
-    p_base = net.injections
-    x = x0.copy()
-    rec_idx = np.arange(0, n_steps + 1, record_stride)
-    t_rec = rec_idx * h
-    rec_states = np.empty((len(rec_idx), len(x)))
-    rec_p = np.empty((len(rec_idx), net.n_nodes))
-    rec_states[0] = x
-    rec_p[0] = p_base
-    rec_pos = 1
-    for step in range(1, n_steps + 1):
-        # one draw per node per step, matching the vectorized path's stream
-        p_eff = p_base + sig * rng.standard_normal(net.n_nodes) / sqrt_h
-        x = x + h * model_obj.rhs(x, p_eff)
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > _BLOWUP_LIMIT:
-            raise NumericalBlowup(f"stochastic path diverged at step {step}")
-        if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
-            rec_states[rec_pos] = x
-            rec_p[rec_pos] = p_eff
-            rec_pos += 1
-    return _traces(model_obj, t_rec, rec_states[None], rec_p[None])[0]
+    return rec_idx * h, X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
 
 
 def compute_metrics(traces, alpha, t0: float = 40.0,

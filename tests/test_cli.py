@@ -148,6 +148,22 @@ def test_analyze_mixed_network_rejected(capsys):
     assert "machine-only" in err
 
 
+def test_k1_without_k2_takes_4k1(capsys):
+    # the bundled case has k1 = 0.8, k2 = 3.2; a k1 given alone must not be
+    # paired with the file's k2
+    case = bundled_case_path("homogeneous10")
+    code, _, err = run(capsys, "analyze", "--case", case, "--law", "dpiac",
+                       "--k1", "2")
+    assert code == 0, err
+    code, out, err = run(capsys, "analyze", "--case", case, "--law", "dpiac",
+                         "--k1", "0.5", "--analytic")
+    assert code == 0, err
+    code, explicit, _ = run(capsys, "analyze", "--case", case, "--law", "dpiac",
+                            "--k1", "0.5", "--k2", "2", "--analytic")
+    assert code == 0
+    assert out == explicit
+
+
 def test_analyze_refuses_analytic_on_heterogeneous(capsys, het_case):
     code, _, err = run(capsys, "analyze", "--case", het_case,
                        "--law", "dpiac", "--analytic")

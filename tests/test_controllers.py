@@ -158,6 +158,25 @@ def test_jacobian_reproduces_the_maps():
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
+def test_maps_take_leading_axes():
+    # a (paths, rows) batch maps element by element
+    rng = np.random.default_rng(8)
+    net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], alpha=[1.0, 2.0, 1.0, 0.5])
+    g = GainSchedule(k1=0.5, k2=2.0, k3=1.5)
+    for name in LAWS:
+        law = ControlLaw.build(net, comm, name, g)
+        om = rng.normal(size=(2, 3, 4))
+        eta, xi = rng.normal(size=(2, 3, law.pairs)), rng.normal(size=(2, 3, law.pairs))
+        maps = {"d_eta": lambda k: law.d_eta(om[k], xi[k]),
+                "d_xi": lambda k: law.d_xi(om[k], eta[k], xi[k]),
+                "u": lambda k: law.u(xi[k]), "mc": lambda k: law.mc(xi[k]),
+                "spread": lambda k: law.spread(xi[k])}
+        for what, f in maps.items():
+            batched = f(...)
+            for k in np.ndindex(2, 3):
+                assert np.allclose(batched[k], f(k), rtol=1e-14, atol=1e-14), (name, what)
+
+
 def test_optimal_dispatch_examples():
     net, _ = two_node(alpha=(1.0, 2.0), injections=[2.0, 1.0])   # P_s = 3
     u = optimal_dispatch(net)

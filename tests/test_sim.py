@@ -34,6 +34,21 @@ def mixed_net():
     return PowerNetwork(nodes=nodes, edges=edges), comm
 
 
+def loaded_chain():
+    """Machine, two passive buses, machine: a corridor of three lines."""
+    nodes = (
+        Node(id=1, kind=NodeKind.MACHINE, inertia=1.0, damping=1.0,
+             injection=0.8, price=1.0),
+        Node(id=2, kind=NodeKind.PASSIVE),
+        Node(id=3, kind=NodeKind.PASSIVE),
+        Node(id=4, kind=NodeKind.MACHINE, inertia=1.2, damping=0.9,
+             injection=-0.8, price=1.0),
+    )
+    edges = ((1, 2, 1.2), (2, 3, 1.2), (3, 4, 1.2))
+    return (PowerNetwork(nodes=nodes, edges=edges),
+            CommunicationGraph(weights=((1, 4, 1.0),)))
+
+
 def quiet_step(t_end=20.0, h=0.01):
     return Scenario(kind=ScenarioKind.STEP, t_end=t_end, h=h, onset=1.0, steps={})
 
@@ -117,17 +132,7 @@ def test_sim_rhs_matches_closed_loop(case):
 def test_heavily_loaded_passive_chain():
     # passive buses hanging in a chain between source and sink, loaded to
     # sizable angles: exercises the damped Newton inside every rhs call
-    nodes = (
-        Node(id=1, kind=NodeKind.MACHINE, inertia=1.0, damping=1.0,
-             injection=0.8, price=1.0),
-        Node(id=2, kind=NodeKind.PASSIVE),
-        Node(id=3, kind=NodeKind.PASSIVE),
-        Node(id=4, kind=NodeKind.MACHINE, inertia=1.2, damping=0.9,
-             injection=-0.8, price=1.0),
-    )
-    edges = ((1, 2, 1.2), (2, 3, 1.2), (3, 4, 1.2))
-    net = PowerNetwork(nodes=nodes, edges=edges)
-    comm = CommunicationGraph(weights=((1, 4, 1.0),))
+    net, comm = loaded_chain()
     g = GainSchedule.analytic(1.0, 1.0)
     eq = find_equilibrium(net, "dpiac", g, comm)
     # the corridor carries 0.8 over lines of strength 1.2: sin(gap) = 2/3
@@ -337,10 +342,10 @@ def test_stochastic_nonlinear_mixed_network():
 
 @pytest.mark.parametrize("law", LAWS)
 def test_stepper_paths_agree_on_linear_model(law):
-    # the vectorized ensemble and the per-path stepper integrate the same
-    # recursion from the same spawned streams; on the linear model they must
-    # coincide up to floating-point accumulation
-    from piac.sim import _SimModel, _stochastic_nonlinear_path, find_equilibrium
+    # the assembled closed-loop matrix and the model's rhs drive the same
+    # Euler-Maruyama loop from the same spawned streams; on the linear model
+    # they must coincide up to floating-point accumulation
+    from piac.sim import _SimModel, _euler_maruyama, _noise_matrix, _traces
 
     net, comm = ring_net(3, k=3.0)
     g = GainSchedule.analytic(1.0, 1.0)
@@ -349,14 +354,97 @@ def test_stepper_paths_agree_on_linear_model(law):
     fast, _ = simulate_stochastic(net, comm, law, g, scen, model="linear")
     model_obj = _SimModel(net, comm, law, g, "linear")
     eq = find_equilibrium(net, law, g, comm, "linear")
-    x0 = model_obj.pack(eq.theta[model_obj.mf], np.zeros(model_obj.n_m),
-                        eq.eta, eq.xi)
-    seeds = np.random.SeedSequence(13).spawn(2)
-    for p in range(2):
-        slow = _stochastic_nonlinear_path(model_obj, x0, scen, seeds[p],
-                                          record_stride=100)
-        assert np.allclose(slow.omega, fast[p].omega, rtol=1e-8, atol=1e-12)
-        assert np.allclose(slow.u, fast[p].u, rtol=1e-8, atol=1e-12)
+    p = net.injections
+    t, X, W = _euler_maruyama(lambda X, W: model_obj.rhs(X, p + W),
+                              model_obj.at_rest(eq), _noise_matrix(net, scen),
+                              scen, paths=2, record_stride=100)
+    slow = _traces(model_obj, t, X, p + W)
+    for k in range(2):
+        assert np.allclose(slow[k].omega, fast[k].omega, rtol=1e-8, atol=1e-12)
+        assert np.allclose(slow[k].u, fast[k].u, rtol=1e-8, atol=1e-12)
+
+
+def test_sin_ensemble_path_independent_of_ensemble_size():
+    # the batched passive Newton freezes and damps each path on its own, so
+    # a path does not see how many others step beside it
+    net, comm = mixed_net()
+    g = GainSchedule.analytic(1.0, 1.0)
+    runs = []
+    for paths in (2, 3):
+        scen = Scenario.white_noise({1: 0.01, 5: 0.01, 3: 0.005}, seed=11,
+                                    t_end=1.0, h=1e-3, paths=paths, burn_in=0.5)
+        runs.append(simulate_stochastic(net, comm, "dpiac", g, scen)[0][0])
+    a, b = runs
+    for field in ("theta", "omega", "eta", "xi", "u", "mc"):
+        assert np.allclose(getattr(a, field), getattr(b, field), rtol=0,
+                           atol=1e-12, equal_nan=True), field
+
+
+def test_batched_passive_newton_matches_unbatched():
+    from piac.sim import _SimModel
+
+    net, comm = loaded_chain()
+    g = GainSchedule.analytic(1.0, 1.0)
+    model = lambda: _SimModel(net, comm, "dpiac", g, "sin")
+    mo = model()
+    theta_mf = np.array([[1.0, -2.0],      # 3 rad across the corridor
+                         [0.0, 0.0]])      # balanced at the cold start
+    p_pas = np.zeros((2, 2))
+    # precondition: from the cold start the full Newton step on the loaded
+    # element raises its mismatch, so that element has to backtrack
+    theta0 = np.array([1.0, 0.0, 0.0, -2.0])
+    g0 = -mo.flows(theta0)[mo.pas]
+    H0 = mo.E_p.T @ (mo.stiffness(theta0 @ mo.E.T)[:, None] * mo.E_p)
+    full = theta0.copy()
+    full[mo.pas] += np.linalg.solve(H0, g0)
+    assert np.abs(mo.flows(full)[mo.pas]).max() > np.abs(g0).max()
+
+    batched = mo.solve_passive(theta_mf, p_pas)
+    theta = np.insert(theta_mf, [1, 1], batched, axis=1)
+    assert np.abs(mo.flows(theta)[:, mo.pas]).max() <= 1e-12
+    assert np.array_equal(batched[1], [0.0, 0.0])
+    for k in range(2):
+        alone = model().solve_passive(theta_mf[k], p_pas[k])
+        assert np.allclose(batched[k], alone, rtol=0, atol=1e-14)
+
+
+def node_flows(net, theta):
+    """Net sine flow out of each node, edge by edge."""
+    idx = net.index_of
+    f = np.zeros_like(theta)
+    for i, j, k in net.edges:
+        s = k * np.sin(theta[..., idx[i]] - theta[..., idx[j]])
+        f[..., idx[i]] += s
+        f[..., idx[j]] -= s
+    return f
+
+
+def test_traces_rebuild_algebraic_states():
+    # every recorded row, rebuilt in batched blocks (the step trace spans
+    # several), balances the passive buses and pins each load-bus frequency
+    # to its power balance
+    net, comm = mixed_net()
+    g = GainSchedule.analytic(1.0, 1.0)
+    step = Scenario.step({3: -0.1, 2: 0.05}, onset=0.5, t_end=3.0, h=0.01)
+    noise = Scenario.white_noise({1: 0.01, 2: 0.01}, seed=5, t_end=1.0,
+                                 h=1e-3, paths=2, burn_in=0.5)
+    tr_step = simulate_deterministic(net, comm, "dpiac", g, step)
+    tr_noise, _ = simulate_stochastic(net, comm, "dpiac", g, noise)
+    idx = net.index_of
+    pas = [idx[i] for i in net.passive_ids]
+    freq = [idx[i] for i in net.freq_ids]
+    ctrl = [net.controller_ids.index(i) for i in net.freq_ids]
+    D = np.array([net.node(i).damping for i in net.freq_ids])
+    for tr, stepped in [(tr_step, tr_step.t >= 0.5)] + [(tr, None) for tr in tr_noise]:
+        p = np.tile(net.injections, (len(tr.t), 1))
+        if stepped is not None:
+            for nid, dp in step.steps.items():
+                p[stepped, idx[nid]] += dp
+        f = node_flows(net, tr.theta)
+        scale = max(1.0, float(np.abs(p).max()))
+        assert np.abs(p[:, pas] - f[:, pas]).max() <= 1e-10 * scale
+        want = (p[:, freq] + tr.u[:, ctrl] - f[:, freq]) / D
+        assert np.allclose(tr.omega[:, freq], want, rtol=0, atol=1e-12)
 
 
 def test_trace_csv_export():
