@@ -84,6 +84,12 @@ class _Usage(Exception):
     pass
 
 
+def _check_t0(t0: float) -> None:
+    # the metrics integrate over [0, t0]; an empty window would read 0
+    if not t0 > 0:
+        raise _Usage(f"--t0 must be positive, got {t0:g}")
+
+
 # --- validate ------------------------------------------------------------------
 
 
@@ -170,6 +176,7 @@ class SweepSpec:
             raise _Usage("sweep grid values must be positive")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise _Usage("sweep grid must be strictly increasing")
+        _check_t0(self.t0)
 
     def gains_at(self, value: float) -> GainSchedule:
         g = self.base_gains
@@ -281,6 +288,9 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
 
 
 def cmd_simulate(args) -> int:
+    _check_t0(args.t0)
+    if args.stride < 1:
+        raise _Usage(f"--stride must be at least 1, got {args.stride}")
     net, comm, file_gains, file_scenario = load_case(args.case)
     gains = _gains_from(args, file_gains)
     scenario = _scenario_from(args, file_scenario, net)

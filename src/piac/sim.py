@@ -10,14 +10,19 @@ linearization to expose the small-angle agreement directly.
 One network model, coupled through the grid's signed incidence matrix,
 takes states with leading (path, row) axes, and one damped Newton, element
 by element, solves both the equilibrium power flow and the passive balance.
-Deterministic runs integrate with an adaptive Runge-Kutta scheme; stochastic
-runs step the whole ensemble as one (paths, dim) state with Euler-Maruyama
-at a fixed step. White-noise disturbances at any node kind are injected as
-per-step load jitter ``sigma * N(0,1) / sqrt(h)``, which for differential
-states reduces to the standard Euler-Maruyama increment and for algebraic
-states is the frozen-over-the-step reading of white noise in the power
-balance. Traces rebuild the algebraic states of the recorded rows in
-batched solves.
+Deterministic runs integrate with LSODA, which switches between Adams and
+BDF methods as the problem's stiffness demands (Petzold, SIAM J. Sci. Stat.
+Comput. 4(1), 1983): low-damping load buses put closed-loop eigenvalues far
+into the left half-plane (down to about -235 on ``ieee39-like``), where an
+explicit scheme is held to tiny steps by stability, not accuracy. Its
+Jacobian is a forward difference over all unit perturbations, taken in one
+batched right-hand-side call. Stochastic runs step the whole ensemble as one
+(paths, dim) state with Euler-Maruyama at a fixed step. White-noise
+disturbances at any node kind are injected as per-step load jitter
+``sigma * N(0,1) / sqrt(h)``, which for differential states reduces to the
+standard Euler-Maruyama increment and for algebraic states is the
+frozen-over-the-step reading of white noise in the power balance. Traces
+rebuild the algebraic states of the recorded rows in batched solves.
 """
 
 import logging
@@ -46,6 +51,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
+# relative forward-difference step of the Jacobian, sqrt of the machine epsilon
+_FD_STEP = math.sqrt(np.finfo(float).eps)
 # recorded rows per path rebuilt in one batched solve. Blocks of 256 rows
 # made the trace rebuild of the sim benchmark 4x slower on a shared 2-CPU
 # host, where their matrix products go multithreaded in BLAS.
@@ -157,7 +164,9 @@ class _SimModel:
         # columns of E: the gaps are E_mf theta_mf + E_p theta_p
         self.E_mf, self.E_p = self.E[:, self.mf], self.E[:, self.pas]
         self._passive_gram = _weighted_gram(self.E_p)
-        self._theta_p_warm = np.zeros(self.n_p)
+        # last passive solve per state shape: the integrator's single states
+        # and the batched Jacobian rows each warm-start from their own
+        self._theta_p_warm = {}
 
     # -- couplings -----------------------------------------------------------
 
@@ -180,13 +189,14 @@ class _SimModel:
             return np.zeros(shape)
         gap_mf = theta_mf @ self.E_mf.T
         E_p = self.E_p
-        warm = self._theta_p_warm
-        self._theta_p_warm = _damped_newton(
+        warm = self._theta_p_warm.get(shape)
+        theta_p = _damped_newton(
             lambda z: p_pas - self.line_flows(gap_mf + z @ E_p.T) @ E_p,
             lambda z: self._passive_gram(self.stiffness(gap_mf + z @ E_p.T)),
-            warm if warm.shape == shape else np.zeros(shape),
+            np.zeros(shape) if warm is None else warm,
             1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network")
-        return self._theta_p_warm
+        self._theta_p_warm[shape] = theta_p
+        return theta_p
 
     # -- packed state ----------------------------------------------------------
 
@@ -228,6 +238,15 @@ class _SimModel:
                      - self.D_m * omega_m - f[..., self.mach_nodes]) / self.M_m
         return self.pack(omega_mf, d_omega_m, self.law.d_eta(omega_mf, xi),
                          self.law.d_xi(omega_mf, eta, xi))
+
+    def jacobian(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobian of :meth:`rhs` at the single state
+        ``x``: the state and its ``dim`` unit perturbations go through one
+        batched :meth:`rhs` call."""
+        h = _FD_STEP * np.maximum(1.0, np.abs(x))
+        h = (x + h) - x                  # steps exact in floating point
+        F = self.rhs(np.vstack([x, x + np.diag(h)]), p_eff)
+        return (F[1:] - F[0]).T / h
 
     def observables(self, x, p_eff):
         """Full theta and full omega (NaN on passive nodes)."""
@@ -343,11 +362,16 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
                            atol: float = 1e-10, stride: int = 1) -> Trace:
     """Step-load response from the pre-disturbance equilibrium.
 
+    LSODA integrates at ``rtol``/``atol`` with the forward-difference
+    :meth:`_SimModel.jacobian`, one method for every network: its own
+    stiffness detection takes Adams steps where the dynamics are not stiff.
     Integration restarts at the onset so the load step never straddles an
     adaptive step. Output lands on the uniform grid ``scenario.h * stride``.
     """
     if scenario.kind is not ScenarioKind.STEP:
         raise DomainError("simulate_deterministic needs a step scenario")
+    if stride < 1:
+        raise DomainError(f"record stride must be at least 1, got {stride}")
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
@@ -371,8 +395,9 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
         ends_on_grid = len(pts) > 0 and abs(pts[-1] - seg_b) < 1e-12
         t_eval = pts if ends_on_grid else np.concatenate([pts, [seg_b]])
         sol = solve_ivp(lambda t, x: model_obj.rhs(x, p_eff), (seg_a, seg_b),
-                        x_start, method="RK45", rtol=rtol, atol=atol,
-                        t_eval=t_eval)
+                        x_start, method="LSODA", rtol=rtol, atol=atol,
+                        t_eval=t_eval,
+                        jac=lambda t, x: model_obj.jacobian(x, p_eff))
         if not sol.success:
             raise NumericalBlowup(f"integration failed: {sol.message}")
         if sol.y.size and not np.all(np.isfinite(sol.y)):

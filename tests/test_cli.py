@@ -337,6 +337,29 @@ def test_simulate_invalid_scenario_is_usage_error(capsys, two_node_case, extra,
     assert f"usage error: {message}" in err
 
 
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_simulate_stride_below_one_is_usage_error(capsys, stride):
+    code, _, err = run(capsys, "simulate", "--case",
+                       bundled_case_path("homogeneous10"), "--law", "dpiac",
+                       "--kind", "step", "--t-end", "2", "--onset", "1",
+                       "--stride", stride)
+    assert code == 2
+    assert f"usage error: --stride must be at least 1, got {stride}" in err
+
+
+@pytest.mark.parametrize("t0", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_t0_not_positive_is_usage_error(capsys, two_node_case, command, t0):
+    # the metrics integrate over [0, t0]; an empty window has no number
+    extra = (["--t-end", "3", "--onset", "1"] if command == "simulate" else
+             ["--param", "k3", "--grid", "1", "--sim", "step"])
+    code, out, err = run(capsys, command, "--case", two_node_case,
+                         "--law", "dpiac", "--t0", t0, *extra)
+    assert code == 2
+    assert f"usage error: --t0 must be positive, got {t0}" in err
+    assert out == ""
+
+
 def test_simulate_noise_byte_identical(capsys, two_node_case, tmp_path):
     args = ["simulate", "--case", two_node_case, "--law", "dpiac",
             "--kind", "noise", "--sigma", "1:0.01", "--t-end", "2",

@@ -98,19 +98,23 @@ def test_step_reaches_optimal_steady_state():
             assert mc.max() - mc.min() <= 1e-3
 
 
+def machine_only_case(case):
+    if case == "homogeneous10":
+        net, comm, _, _ = load_case(bundled_case_path(case))
+        return net, comm
+    return make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], d=[1.0, 0.3, 2.0, 1.0],
+                            alpha=[1.0, 3.0, 0.5, 2.0],
+                            edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5),
+                                   (1, 4, 1.5)])
+
+
 @pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
 def test_sim_rhs_matches_closed_loop(case):
     # on a machine-only network the packed simulator state is the closed-loop
     # state: the linear model's rhs is A x plus the injection term rhs(0, p)
     from piac.sim import _SimModel
 
-    if case == "homogeneous10":
-        net, comm, _, _ = load_case(bundled_case_path(case))
-    else:
-        net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], d=[1.0, 0.3, 2.0, 1.0],
-                                     alpha=[1.0, 3.0, 0.5, 2.0],
-                                     edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5),
-                                            (1, 4, 1.5)])
+    net, comm = machine_only_case(case)
     g = GainSchedule(k1=0.8, k2=3.2, k3=4.0)
     rng = np.random.default_rng(23)
     zero_p = np.zeros(net.n_nodes)
@@ -210,6 +214,91 @@ def test_step_size_convergence():
     (s1, c1), (s2, c2) = vals
     assert abs(s1 - s2) <= 1e-3 * abs(s2)
     assert abs(c1 - c2) <= 1e-3 * abs(c2)
+
+
+def test_record_stride_must_be_positive():
+    net, comm = ring_net(3)
+    for stride in (0, -1):
+        with pytest.raises(DomainError):
+            simulate_deterministic(net, comm, "dpiac", GainSchedule.analytic(1.0),
+                                   quiet_step(t_end=2.0), stride=stride)
+
+
+@pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
+def test_jacobian_matches_closed_loop(case):
+    # on a machine-only network the linear model's Jacobian is A itself; the
+    # forward differences leave round-off of eps / step relative to the scale
+    from piac.sim import _SimModel
+
+    net, comm = machine_only_case(case)
+    g = GainSchedule(k1=0.8, k2=3.2, k3=4.0)
+    rng = np.random.default_rng(29)
+    for law in LAWS:
+        sys = assemble(net, comm, law, g)
+        mo = _SimModel(net, comm, law, g, "linear")
+        x = rng.normal(size=sys.dim)
+        p = rng.normal(size=net.n_nodes)
+        J = mo.jacobian(x, p)
+        assert J.shape == sys.A.shape
+        scale = np.abs(sys.A).max()
+        assert np.allclose(J, sys.A, rtol=0, atol=1e-6 * scale), law
+
+
+def ieee39_step_run():
+    net, comm, gains, scen = load_case(bundled_case_path("ieee39-like"))
+    return net, scen, simulate_deterministic(net, comm, "dpiac", gains, scen)
+
+
+def test_ieee39_load_buses_quiet_before_onset():
+    # a load-bus frequency is read as (p + u - f) / D with D = 0.2, so it
+    # shows the integrator's phase error amplified; before the step the
+    # network sits at its equilibrium and that error must stay small
+    net, scen, tr = ieee39_step_run()
+    pre = tr.t < scen.onset - 1e-12
+    freq = [tr.node_ids.index(i) for i in net.freq_ids]
+    assert freq and pre.sum() > 100
+    assert np.abs(tr.omega[np.ix_(pre, freq)]).max() <= 1e-7
+
+
+def test_ieee39_step_rhs_budget(monkeypatch):
+    # the step study is stiff: an explicit scheme needs ~30k evaluations,
+    # the stiff integrator with its batched Jacobian stays well below 5000
+    import piac.sim
+
+    calls = []
+    real = piac.sim.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        calls.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(piac.sim, "solve_ivp", counting)
+    ieee39_step_run()
+    assert len(calls) == 2              # before and after the onset
+    assert sum(calls) <= 5000
+
+
+# S and C of the bundled step scenarios over [0, 40] s, from RK45 at
+# rtol 1e-8, atol 1e-10
+STEP_STUDY_VALUES = {
+    ("homogeneous10", "gbpiac"): (0.005290376724698222, 0.14976562500145874),
+    ("homogeneous10", "dpiac"): (0.00517295599109121, 0.14978244631642665),
+    ("homogeneous10", "decpiac"): (0.00470251023436068, 0.15519788816167693),
+    ("ieee39-like", "gbpiac"): (0.020389993214791728, 0.07532013160131501),
+    ("ieee39-like", "dpiac"): (0.01989718092186588, 0.07612125715429977),
+    ("ieee39-like", "decpiac"): (0.019999553340784102, 0.09818904461989687),
+}
+
+
+@pytest.mark.parametrize("case, law", sorted(STEP_STUDY_VALUES))
+def test_bundled_step_study_numbers(case, law):
+    net, comm, gains, scen = load_case(bundled_case_path(case))
+    tr = simulate_deterministic(net, comm, law, gains, scen)
+    met = compute_metrics(tr, net.prices, t0=40.0)
+    S, C = STEP_STUDY_VALUES[case, law]
+    assert met.S == pytest.approx(S, rel=1e-6, abs=0)
+    assert met.C == pytest.approx(C, rel=1e-6, abs=0)
 
 
 def synthetic_trace(t, omega_val=0.0, u_val=0.0, n=1):
