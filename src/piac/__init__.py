@@ -9,9 +9,8 @@ white-noise disturbances.
 
 from .casefile import (bundled_case_path, dumps_case, load_case, loads_case,
                        save_case)
-from .closedloop import (ModeBlock, OpenLoop, OutputSelector, StateSpace,
-                         assemble, assemble_decpiac, assemble_dpiac,
-                         assemble_gbpiac, assemble_open_loop,
+from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble,
+                         assemble_decpiac, assemble_dpiac, assemble_gbpiac,
                          deflate_zero_mode, modal_decouple)
 from .controllers import (LAWS, ControlLaw, GainSchedule, optimal_dispatch,
                           synchronized_frequency)

@@ -84,6 +84,15 @@ class _Usage(Exception):
     pass
 
 
+def _number(tok: str, flag: str, kind=float):
+    """``tok`` read as a ``kind``; a malformed token is a usage error."""
+    try:
+        return kind(tok)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise _Usage(f"{flag}: {tok!r} is not {what}") from None
+
+
 def _check_t0(t0: float) -> None:
     # the metrics integrate over [0, t0]; an empty window would read 0
     if not t0 > 0:
@@ -128,7 +137,7 @@ def cmd_analyze(args) -> int:
         return EXIT_ANALYTIC_REFUSED
     B_in = None
     if args.b_diag:
-        diag = [float(tok) for tok in args.b_diag.split(",")]
+        diag = [_number(tok, "--b-diag") for tok in args.b_diag.split(",")]
         if len(diag) != net.n_nodes:
             raise _Usage(f"--b-diag needs {net.n_nodes} entries, got {len(diag)}")
         B_in = np.diag(diag)
@@ -189,7 +198,7 @@ class SweepSpec:
 def cmd_sweep(args) -> int:
     net, comm, file_gains, scenario = load_case(args.case)
     base = _gains_from(args, file_gains)
-    grid = tuple(float(tok) for tok in args.grid.split(",") if tok.strip())
+    grid = tuple(_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip())
     spec = SweepSpec(parameter=args.param, grid=grid, law=args.law,
                      base_gains=base, sim_kind=args.sim, t0=args.t0)
     if spec.sim_kind is not None:
@@ -243,6 +252,16 @@ def cmd_sweep(args) -> int:
 # --- simulate ------------------------------------------------------------------
 
 
+def _node_values(tokens, flag: str) -> dict[int, float]:
+    """``NODE:VALUE`` tokens of ``flag`` as a mapping."""
+    values = {}
+    for tok in tokens or []:
+        nid, _, value = tok.partition(":")
+        node = _number(nid, flag, int)
+        values[node] = _number(value, flag)
+    return values
+
+
 def _scenario_from(args, file_scenario, net) -> Scenario:
     kind_tok = args.kind or (file_scenario.kind.value if file_scenario else None)
     if kind_tok is None:
@@ -258,13 +277,9 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
         return default
 
     steps = dict(base.steps) if base else {}
-    for tok in args.step or []:
-        nid, _, dp = tok.partition(":")
-        steps[int(nid)] = float(dp)
+    steps.update(_node_values(args.step, "--step"))
     sigma = dict(base.sigma) if base else {}
-    for tok in args.sigma or []:
-        nid, _, s = tok.partition(":")
-        sigma[int(nid)] = float(s)
+    sigma.update(_node_values(args.sigma, "--sigma"))
 
     def scenario(**fields):
         try:

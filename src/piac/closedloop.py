@@ -1,10 +1,16 @@
-"""Linearized closed-loop systems and their modal structure.
+"""The controlled network's model, its linearized closed loops and their
+modal structure.
+
+:class:`_SimModel` holds the network's dynamics once: swing equations at the
+machines, the power balance of frequency-dependent and passive buses, lines
+coupled through the signed incidence matrix, and the law's maps from
+:class:`~piac.controllers.ControlLaw`. The simulator integrates it, and the
+closed loops are read off its ``model="linear"`` instance at unit vectors
+(:meth:`_SimModel.matrices`), which is exact because that model is affine.
 
 State ordering is fixed as (theta, omega, eta, xi) for every law: phase
 angles, frequency deviations, then the controller integrator pairs (one
-pair for the gather-broadcast law, one per node for the local laws). The
-controller blocks are the matrices of the law's maps in
-:class:`~piac.controllers.ControlLaw`, so one assembler serves every law.
+pair for the gather-broadcast law, one per node for the local laws).
 Disturbances enter the frequency equation through an input matrix ``B_in``
 (identity by default), scaled by the inverse inertia.
 
@@ -27,17 +33,15 @@ import numpy as np
 import scipy.linalg
 
 from .controllers import ControlLaw, GainSchedule, check_law, law_homogeneity
-from .errors import (DomainError, NotDeflatable, ShapeError,
+from .errors import (DAESolveError, DomainError, NotDeflatable, ShapeError,
                      UnsupportedForLinearPath, UnsupportedForModalPath)
-from .netmodel import (CommunicationGraph, PowerNetwork, SpectralDecomposition,
-                       build_laplacian)
+from .netmodel import (CommunicationGraph, NodeKind, PowerNetwork,
+                       SpectralDecomposition)
 
 __all__ = [
     "OutputSelector",
     "StateSpace",
-    "OpenLoop",
     "ModeBlock",
-    "assemble_open_loop",
     "assemble",
     "assemble_gbpiac",
     "assemble_dpiac",
@@ -61,29 +65,6 @@ class OutputSelector(Enum):
             if sel.value == token:
                 return sel
         raise DomainError(f"unknown selector {token!r} (omega|u|us|spread)")
-
-
-@dataclass(frozen=True)
-class OpenLoop:
-    """Primary-control network pieces: inertia, damping, Laplacian."""
-
-    M: np.ndarray   # inertia vector, machine order = node order
-    D: np.ndarray   # damping vector
-    L: np.ndarray   # power-graph Laplacian
-
-    @property
-    def n(self) -> int:
-        return len(self.M)
-
-    @property
-    def A(self) -> np.ndarray:
-        """Open-loop matrix over (theta, omega) with u = 0."""
-        n = self.n
-        A = np.zeros((2 * n, 2 * n))
-        A[:n, n:] = np.eye(n)
-        A[n:, :n] = -self.L / self.M[:, None]
-        A[n:, n:] = -np.diag(self.D / self.M)
-        return A
 
 
 @dataclass(frozen=True)
@@ -117,6 +98,219 @@ class StateSpace:
         return float(np.max(np.linalg.eigvals(self.A).real))
 
 
+# --- network model -----------------------------------------------------------
+
+# relative forward-difference step of the Jacobian, sqrt of the machine epsilon
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+class _SimModel:
+    """Index bookkeeping plus right-hand sides for one network.
+
+    Every method takes states with leading (path, row) axes. The lines couple
+    the phases through the signed incidence matrix ``E``: the flows are
+    ``E^T (w * sin(E theta))`` (``w * E theta`` for ``model="linear"``) and
+    their Jacobian is ``E^T diag(w * cos(E theta)) E``. Passive phases are
+    solved by damped Newton inside every evaluation, warm-started from the
+    previous solve of the same shape, which is per path in an ensemble.
+    """
+
+    def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
+                 law: str, gains: GainSchedule, model: str):
+        if model not in ("sin", "linear"):
+            raise DomainError(f"unknown model {model!r} (sin|linear)")
+        self.law = ControlLaw.build(net, comm, law, gains)
+        self.net = net
+        self.model = model
+        idx = net.index_of
+        self.n = net.n_nodes
+        self.mf = np.array([idx[i] for i in net.ids
+                            if net.node(i).kind is not NodeKind.PASSIVE], dtype=int)
+        self.pas = np.array([idx[i] for i in net.passive_ids], dtype=int)
+        self.mach_in_mf = np.array([k for k, node_i in enumerate(self.mf)
+                                    if net.nodes[node_i].kind is NodeKind.MACHINE],
+                                   dtype=int)
+        self.n_mf = len(self.mf)
+        self.n_m = len(self.mach_in_mf)
+        self.n_p = len(self.pas)
+        freq_mask = np.ones(self.n_mf, dtype=bool)
+        freq_mask[self.mach_in_mf] = False
+        self.freq_in_mf = np.flatnonzero(freq_mask)
+        self.mach_nodes = self.mf[self.mach_in_mf]
+        self.freq_nodes = self.mf[self.freq_in_mf]
+        self.M_m = net.inertias            # machines, node order
+        self.D_m = net.dampings[self.mach_in_mf]   # controller set == MF set
+        self.D_f = net.dampings[self.freq_in_mf]
+        self.E = net.incidence
+        self.w = net.susceptances
+        self.n_ctrl = self.law.pairs
+        self.dim = self.n_mf + self.n_m + 2 * self.n_ctrl
+        # columns of E: the gaps are E_mf theta_mf + E_p theta_p
+        self.E_mf, self.E_p = self.E[:, self.mf], self.E[:, self.pas]
+        self._passive_gram = _weighted_gram(self.E_p)
+        # last passive solve per state shape: the integrator's single states
+        # and the batched Jacobian rows each warm-start from their own
+        self._theta_p_warm = {}
+
+    # -- couplings -----------------------------------------------------------
+
+    def line_flows(self, gap: np.ndarray) -> np.ndarray:
+        """Flow along each line for the phase gaps ``E theta``."""
+        return self.w * (np.sin(gap) if self.model == "sin" else gap)
+
+    def stiffness(self, gap: np.ndarray) -> np.ndarray:
+        """Derivative of :meth:`line_flows` in the gaps, ``w * cos(gap)``."""
+        return self.w * np.cos(gap) if self.model == "sin" else np.broadcast_to(self.w, gap.shape)
+
+    def flows(self, theta: np.ndarray) -> np.ndarray:
+        """Net flow out of each node, ``E^T line_flows(E theta)``."""
+        return self.line_flows(theta @ self.E.T) @ self.E
+
+    def solve_passive(self, theta_mf: np.ndarray, p_pas: np.ndarray) -> np.ndarray:
+        """Passive phases balancing ``p_pas``, by damped Newton."""
+        shape = theta_mf.shape[:-1] + (self.n_p,)
+        if self.n_p == 0:
+            return np.zeros(shape)
+        gap_mf = theta_mf @ self.E_mf.T
+        E_p = self.E_p
+        warm = self._theta_p_warm.get(shape)
+        theta_p = _damped_newton(
+            lambda z: p_pas - self.line_flows(gap_mf + z @ E_p.T) @ E_p,
+            lambda z: self._passive_gram(self.stiffness(gap_mf + z @ E_p.T)),
+            np.zeros(shape) if warm is None else warm,
+            1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network")
+        self._theta_p_warm[shape] = theta_p
+        return theta_p
+
+    # -- packed state ----------------------------------------------------------
+
+    def pack(self, theta_mf, omega_m, eta, xi) -> np.ndarray:
+        return np.concatenate([theta_mf, omega_m, eta, xi], axis=-1)
+
+    def at_rest(self, eq) -> np.ndarray:
+        """Packed state at an equilibrium: its phases and pairs, zero frequency."""
+        return self.pack(eq.theta[self.mf], np.zeros(self.n_m), eq.eta, eq.xi)
+
+    def unpack(self, x):
+        """Blocks of packed states."""
+        a = self.n_mf
+        b = a + self.n_m
+        c = b + self.n_ctrl
+        return x[..., :a], x[..., a:b], x[..., b:c], x[..., c:]
+
+    def _network(self, theta_mf, omega_m, u, p_eff):
+        """Full theta, omega over the controller set and the line flows:
+        passive phases and load-bus frequencies from the power balance."""
+        theta = np.zeros(theta_mf.shape[:-1] + (self.n,))
+        theta[..., self.mf] = theta_mf
+        if self.n_p:
+            theta[..., self.pas] = self.solve_passive(theta_mf, p_eff[..., self.pas])
+        f = self.flows(theta)
+        omega_mf = np.empty(theta_mf.shape)
+        omega_mf[..., self.mach_in_mf] = omega_m
+        if self.freq_nodes.size:
+            omega_mf[..., self.freq_in_mf] = (
+                (p_eff[..., self.freq_nodes] + u[..., self.freq_in_mf]
+                 - f[..., self.freq_nodes]) / self.D_f)
+        return theta, omega_mf, f
+
+    def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
+        theta_mf, omega_m, eta, xi = self.unpack(x)
+        u = self.law.u(xi)
+        _, omega_mf, f = self._network(theta_mf, omega_m, u, p_eff)
+        d_omega_m = (p_eff[..., self.mach_nodes] + u[..., self.mach_in_mf]
+                     - self.D_m * omega_m - f[..., self.mach_nodes]) / self.M_m
+        return self.pack(omega_mf, d_omega_m, self.law.d_eta(omega_mf, xi),
+                         self.law.d_xi(omega_mf, eta, xi))
+
+    def jacobian(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobian of :meth:`rhs` at the single state
+        ``x``: the state and its ``dim`` unit perturbations go through one
+        batched :meth:`rhs` call."""
+        h = _FD_STEP * np.maximum(1.0, np.abs(x))
+        h = (x + h) - x                  # steps exact in floating point
+        F = self.rhs(np.vstack([x, x + np.diag(h)]), p_eff)
+        return (F[1:] - F[0]).T / h
+
+    def matrices(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, B)`` of a ``model="linear"`` instance, ``dx/dt = A x + B w``
+        under the injections ``P w``: the rhs at zero injection applied to
+        the ``dim`` unit states, and at zero state applied to the columns of
+        ``P``.
+
+        Both are exact because the linear model is affine. Every evaluation
+        solves the passive balance, so on mixed networks they are the
+        Kron-reduced linearization.
+        """
+        A = self.rhs(np.eye(self.dim), np.zeros(self.n)).T
+        B = self.rhs(np.zeros((P.shape[1], self.dim)), P.T).T
+        return A, B
+
+    def observables(self, x, p_eff):
+        """Full theta and full omega (NaN on passive nodes)."""
+        theta_mf, omega_m, _, xi = self.unpack(x)
+        theta, omega_mf, _ = self._network(theta_mf, omega_m, self.law.u(xi), p_eff)
+        omega = np.full(theta.shape, np.nan)
+        omega[..., self.mf] = omega_mf
+        return theta, omega
+
+
+def _weighted_gram(F: np.ndarray):
+    """The map ``c -> F^T diag(c) F`` over the leading axes of ``c``: one
+    product with the outer products of the rows of ``F``, so a large batch
+    builds no (batch, rows, columns) temporary."""
+    k = F.shape[1]
+    outer = (F[:, :, None] * F[:, None, :]).reshape(len(F), k * k)
+    return lambda c: (c @ outer).reshape(c.shape[:-1] + (k, k))
+
+
+def _damped_newton(residual, jacobian, z0, tol, what):
+    """Solve the power mismatch ``residual(z) = 0`` by Newton steps
+    ``jacobian(z)^-1 residual(z)``, ``jacobian`` being the derivative of the
+    flows, i.e. of ``-residual``.
+
+    Works over the leading axes of ``z0``. An element is done once the max
+    norm of its mismatch is at most ``tol`` (broadcast over the leading
+    axes) and is frozen from then on; each element halves its own step until
+    its mismatch falls. So no element's iterates depend on the others.
+    """
+    z = np.array(z0, dtype=float)
+    g = residual(z)
+    gn = np.abs(g).max(axis=-1, initial=0.0)
+    eye = np.eye(z.shape[-1])
+    for _ in range(50):
+        active = ~(gn <= tol)
+        if not active.any():
+            return z
+        # frozen elements solve an identity system and are never updated
+        J = np.where(active[..., None, None], jacobian(z), eye)
+        try:
+            step = np.linalg.solve(J, g[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise DAESolveError(f"singular {what} jacobian: {exc}") from None
+        # an element leaves the search at its first improving step, so the
+        # ones still searching share one step length
+        alpha = 1.0
+        for _ in range(30):
+            cand = z + alpha * step
+            g_new = residual(cand)
+            gn_new = np.abs(g_new).max(axis=-1, initial=0.0)
+            better = active & (gn_new < gn)
+            z = np.where(better[..., None], cand, z)
+            g = np.where(better[..., None], g_new, g)
+            gn = np.where(better, gn_new, gn)
+            active = active & ~better
+            if not active.any():
+                break
+            alpha *= 0.5
+        else:
+            raise DAESolveError(f"{what} Newton stalled")
+    raise DAESolveError(f"{what} Newton did not converge in 50 iterations")
+
+
+# --- closed loops ------------------------------------------------------------
+
+
 def _machine_only(net: PowerNetwork, what: str):
     bad = []
     if net.freq_ids:
@@ -127,13 +321,6 @@ def _machine_only(net: PowerNetwork, what: str):
         raise UnsupportedForLinearPath(
             f"{what} needs a machine-only network; found {' and '.join(bad)} node(s). "
             "Use the simulation path for mixed networks.")
-
-
-def assemble_open_loop(net: PowerNetwork) -> OpenLoop:
-    """Linearized swing dynamics without secondary control."""
-    _machine_only(net, "open-loop assembly")
-    return OpenLoop(M=net.inertias.copy(), D=net.dampings.copy(),
-                    L=build_laplacian(net))
 
 
 def _b_in(net: PowerNetwork, B_in) -> np.ndarray:
@@ -148,23 +335,15 @@ def _b_in(net: PowerNetwork, B_in) -> np.ndarray:
 
 def _assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
               gains: GainSchedule, B_in, selector: OutputSelector) -> StateSpace:
-    """Closed loop of any law: the open loop plus the law's linear maps."""
+    """Closed loop of any law, read off the linear network model."""
     _machine_only(net, f"{law} closed loop")
-    ctrl = ControlLaw.build(net, comm, law, gains)
-    ol = assemble_open_loop(net)
-    n, k = ol.n, ctrl.pairs
+    model = _SimModel(net, comm, law, gains, "linear")
     B_in = _b_in(net, B_in)
-    N = 2 * n + 2 * k
+    A, B = model.matrices(B_in)
+    n, k, N = model.n, model.n_ctrl, model.dim
     labels = {"theta": slice(0, n), "omega": slice(n, 2 * n),
               "eta": slice(2 * n, 2 * n + k), "xi": slice(2 * n + k, N)}
-    omega, pair = labels["omega"], slice(2 * n, N)
-    A = np.zeros((N, N))
-    A[:2 * n, :2 * n] = ol.A
-    A[omega, labels["xi"]] = ctrl.u(np.eye(k)).T / ol.M[:, None]
-    A[pair, n:] = ctrl.jacobian()
-    B = np.zeros((N, n))
-    B[omega, :] = B_in / ol.M[:, None]
-    C = _output_matrix(selector, ctrl, n, N, labels)
+    C = _output_matrix(selector, model.law, n, N, labels)
     hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
     return StateSpace(A=A, B=B, C=C, labels=labels, law=law, gains=gains,
                       selector=selector, n=n, B_in=B_in,

@@ -12,9 +12,9 @@ estimated power imbalance is allocated:
 
 Every law is linear in the frequencies and its own states. Each is written
 once, as the maps of a :class:`ControlLaw` built per (network, comm, law,
-gains): the simulator evaluates them, the closed-loop assembler takes their
-matrices, and the trace builders read the inputs and marginal costs from
-them.
+gains). The network model of :mod:`piac.closedloop` evaluates them, so the
+simulator and the closed-loop matrices both read this one copy, and the
+trace builders read the inputs and marginal costs from them.
 """
 
 import logging
@@ -117,7 +117,7 @@ class ControlLaw:
     ``gbpiac``, one per controller node (``net.controller_ids`` order) for
     the local laws. ``omega`` runs over the controller set. The maps take
     arrays and allow leading batch axes, so a map applied to identity
-    columns is its matrix (:meth:`jacobian`).
+    columns is its matrix.
     """
 
     name: str
@@ -222,14 +222,6 @@ class ControlLaw:
         k1, k2 = self.gains.k1, self.gains.k2
         xi = np.array([float(np.sum(u)) / k2]) if self.central else u / k2
         return -(k2 / k1) * xi, xi
-
-    def jacobian(self) -> np.ndarray:
-        """Matrix of ``(d_eta, d_xi)`` over ``(omega, eta, xi)``, shape
-        (2k, nk + 2k): the maps applied to unit inputs."""
-        nk, k = len(self.D), self.pairs
-        unit = np.eye(nk + 2 * k)
-        omega, eta, xi = unit[:, :nk], unit[:, nk:nk + k], unit[:, nk + k:]
-        return np.hstack([self.d_eta(omega, xi), self.d_xi(omega, eta, xi)]).T
 
 
 def optimal_dispatch(net: PowerNetwork) -> np.ndarray:

@@ -7,22 +7,25 @@ damped Newton inside every right-hand-side evaluation (semi-explicit
 index-1 treatment). A ``model="linear"`` flag swaps the sine for its
 linearization to expose the small-angle agreement directly.
 
-One network model, coupled through the grid's signed incidence matrix,
-takes states with leading (path, row) axes, and one damped Newton, element
-by element, solves both the equilibrium power flow and the passive balance.
-Deterministic runs integrate with LSODA, which switches between Adams and
-BDF methods as the problem's stiffness demands (Petzold, SIAM J. Sci. Stat.
-Comput. 4(1), 1983): low-damping load buses put closed-loop eigenvalues far
-into the left half-plane (down to about -235 on ``ieee39-like``), where an
-explicit scheme is held to tiny steps by stability, not accuracy. Its
-Jacobian is a forward difference over all unit perturbations, taken in one
-batched right-hand-side call. Stochastic runs step the whole ensemble as one
-(paths, dim) state with Euler-Maruyama at a fixed step. White-noise
-disturbances at any node kind are injected as per-step load jitter
-``sigma * N(0,1) / sqrt(h)``, which for differential states reduces to the
-standard Euler-Maruyama increment and for algebraic states is the
-frozen-over-the-step reading of white noise in the power balance. Traces
-rebuild the algebraic states of the recorded rows in batched solves.
+The network model is the one in :mod:`piac.closedloop`, which also reads
+the closed-loop matrices off it; this module integrates it, rebuilds traces
+and exports them. The model, coupled through the grid's signed incidence
+matrix, takes states with leading (path, row) axes, and one damped Newton,
+element by element, solves both the equilibrium power flow and the passive
+balance. Deterministic runs integrate with LSODA, which switches between
+Adams and BDF methods as the problem's stiffness demands (Petzold, SIAM J.
+Sci. Stat. Comput. 4(1), 1983): low-damping load buses put closed-loop
+eigenvalues far into the left half-plane (down to about -235 on
+``ieee39-like``), where an explicit scheme is held to tiny steps by
+stability, not accuracy. Its Jacobian is a forward difference over all unit
+perturbations, taken in one batched right-hand-side call. Stochastic runs
+step the whole ensemble as one (paths, dim) state with Euler-Maruyama at a
+fixed step. White-noise disturbances at any node kind are injected as
+per-step load jitter ``sigma * N(0,1) / sqrt(h)``, which for differential
+states reduces to the standard Euler-Maruyama increment and for algebraic
+states is the frozen-over-the-step reading of white noise in the power
+balance. Traces rebuild the algebraic states of the recorded rows in
+batched solves.
 """
 
 import logging
@@ -32,14 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .closedloop import _phase_complement, assemble
+from .closedloop import (_damped_newton, _phase_complement, _SimModel,
+                         _weighted_gram)
 # kept importable here: the benchmark's tracer test checks that a wrapped
 # function is also patched where another module imported it
 from .closedloop import assemble_dpiac  # noqa: F401
-from .controllers import ControlLaw, GainSchedule, optimal_dispatch
-from .errors import (DAESolveError, DomainError, InsufficientHorizon,
-                     NumericalBlowup)
-from .netmodel import CommunicationGraph, NodeKind, PowerNetwork
+from .controllers import GainSchedule, optimal_dispatch
+from .errors import DomainError, InsufficientHorizon, NumericalBlowup
+from .netmodel import CommunicationGraph, PowerNetwork
 from .scenario import Scenario, ScenarioKind
 
 __all__ = [
@@ -51,8 +54,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
-# relative forward-difference step of the Jacobian, sqrt of the machine epsilon
-_FD_STEP = math.sqrt(np.finfo(float).eps)
 # recorded rows per path rebuilt in one batched solve. Blocks of 256 rows
 # made the trace rebuild of the sim benchmark 4x slower on a shared 2-CPU
 # host, where their matrix products go multithreaded in BLAS.
@@ -117,206 +118,18 @@ class Equilibrium:
     u: np.ndarray                # controller inputs at the optimum
 
 
-# --- internal machinery -------------------------------------------------------
-
-
-class _SimModel:
-    """Index bookkeeping plus right-hand sides for one network.
-
-    Every method takes states with leading (path, row) axes. The lines couple
-    the phases through the signed incidence matrix ``E``: the flows are
-    ``E^T (w * sin(E theta))`` (``w * E theta`` for ``model="linear"``) and
-    their Jacobian is ``E^T diag(w * cos(E theta)) E``. Passive phases are
-    solved by damped Newton inside every evaluation, warm-started from the
-    previous solve of the same shape, which is per path in an ensemble.
-    """
-
-    def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
-                 law: str, gains: GainSchedule, model: str):
-        if model not in ("sin", "linear"):
-            raise DomainError(f"unknown model {model!r} (sin|linear)")
-        self.law = ControlLaw.build(net, comm, law, gains)
-        self.net = net
-        self.model = model
-        idx = net.index_of
-        self.n = net.n_nodes
-        self.mf = np.array([idx[i] for i in net.ids
-                            if net.node(i).kind is not NodeKind.PASSIVE], dtype=int)
-        self.pas = np.array([idx[i] for i in net.passive_ids], dtype=int)
-        self.mach_in_mf = np.array([k for k, node_i in enumerate(self.mf)
-                                    if net.nodes[node_i].kind is NodeKind.MACHINE],
-                                   dtype=int)
-        self.n_mf = len(self.mf)
-        self.n_m = len(self.mach_in_mf)
-        self.n_p = len(self.pas)
-        freq_mask = np.ones(self.n_mf, dtype=bool)
-        freq_mask[self.mach_in_mf] = False
-        self.freq_in_mf = np.flatnonzero(freq_mask)
-        self.mach_nodes = self.mf[self.mach_in_mf]
-        self.freq_nodes = self.mf[self.freq_in_mf]
-        self.M_m = net.inertias            # machines, node order
-        self.D_m = net.dampings[self.mach_in_mf]   # controller set == MF set
-        self.D_f = net.dampings[self.freq_in_mf]
-        self.E = net.incidence
-        self.w = net.susceptances
-        self.n_ctrl = self.law.pairs
-        self.dim = self.n_mf + self.n_m + 2 * self.n_ctrl
-        # columns of E: the gaps are E_mf theta_mf + E_p theta_p
-        self.E_mf, self.E_p = self.E[:, self.mf], self.E[:, self.pas]
-        self._passive_gram = _weighted_gram(self.E_p)
-        # last passive solve per state shape: the integrator's single states
-        # and the batched Jacobian rows each warm-start from their own
-        self._theta_p_warm = {}
-
-    # -- couplings -----------------------------------------------------------
-
-    def line_flows(self, gap: np.ndarray) -> np.ndarray:
-        """Flow along each line for the phase gaps ``E theta``."""
-        return self.w * (np.sin(gap) if self.model == "sin" else gap)
-
-    def stiffness(self, gap: np.ndarray) -> np.ndarray:
-        """Derivative of :meth:`line_flows` in the gaps, ``w * cos(gap)``."""
-        return self.w * np.cos(gap) if self.model == "sin" else np.broadcast_to(self.w, gap.shape)
-
-    def flows(self, theta: np.ndarray) -> np.ndarray:
-        """Net flow out of each node, ``E^T line_flows(E theta)``."""
-        return self.line_flows(theta @ self.E.T) @ self.E
-
-    def solve_passive(self, theta_mf: np.ndarray, p_pas: np.ndarray) -> np.ndarray:
-        """Passive phases balancing ``p_pas``, by damped Newton."""
-        shape = theta_mf.shape[:-1] + (self.n_p,)
-        if self.n_p == 0:
-            return np.zeros(shape)
-        gap_mf = theta_mf @ self.E_mf.T
-        E_p = self.E_p
-        warm = self._theta_p_warm.get(shape)
-        theta_p = _damped_newton(
-            lambda z: p_pas - self.line_flows(gap_mf + z @ E_p.T) @ E_p,
-            lambda z: self._passive_gram(self.stiffness(gap_mf + z @ E_p.T)),
-            np.zeros(shape) if warm is None else warm,
-            1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network")
-        self._theta_p_warm[shape] = theta_p
-        return theta_p
-
-    # -- packed state ----------------------------------------------------------
-
-    def pack(self, theta_mf, omega_m, eta, xi) -> np.ndarray:
-        return np.concatenate([theta_mf, omega_m, eta, xi], axis=-1)
-
-    def at_rest(self, eq: Equilibrium) -> np.ndarray:
-        """Packed state at an equilibrium: its phases and pairs, zero frequency."""
-        return self.pack(eq.theta[self.mf], np.zeros(self.n_m), eq.eta, eq.xi)
-
-    def unpack(self, x):
-        """Blocks of packed states."""
-        a = self.n_mf
-        b = a + self.n_m
-        c = b + self.n_ctrl
-        return x[..., :a], x[..., a:b], x[..., b:c], x[..., c:]
-
-    def _network(self, theta_mf, omega_m, u, p_eff):
-        """Full theta, omega over the controller set and the line flows:
-        passive phases and load-bus frequencies from the power balance."""
-        theta = np.zeros(theta_mf.shape[:-1] + (self.n,))
-        theta[..., self.mf] = theta_mf
-        if self.n_p:
-            theta[..., self.pas] = self.solve_passive(theta_mf, p_eff[..., self.pas])
-        f = self.flows(theta)
-        omega_mf = np.empty(theta_mf.shape)
-        omega_mf[..., self.mach_in_mf] = omega_m
-        if self.freq_nodes.size:
-            omega_mf[..., self.freq_in_mf] = (
-                (p_eff[..., self.freq_nodes] + u[..., self.freq_in_mf]
-                 - f[..., self.freq_nodes]) / self.D_f)
-        return theta, omega_mf, f
-
-    def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
-        theta_mf, omega_m, eta, xi = self.unpack(x)
-        u = self.law.u(xi)
-        _, omega_mf, f = self._network(theta_mf, omega_m, u, p_eff)
-        d_omega_m = (p_eff[..., self.mach_nodes] + u[..., self.mach_in_mf]
-                     - self.D_m * omega_m - f[..., self.mach_nodes]) / self.M_m
-        return self.pack(omega_mf, d_omega_m, self.law.d_eta(omega_mf, xi),
-                         self.law.d_xi(omega_mf, eta, xi))
-
-    def jacobian(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
-        """Forward-difference Jacobian of :meth:`rhs` at the single state
-        ``x``: the state and its ``dim`` unit perturbations go through one
-        batched :meth:`rhs` call."""
-        h = _FD_STEP * np.maximum(1.0, np.abs(x))
-        h = (x + h) - x                  # steps exact in floating point
-        F = self.rhs(np.vstack([x, x + np.diag(h)]), p_eff)
-        return (F[1:] - F[0]).T / h
-
-    def observables(self, x, p_eff):
-        """Full theta and full omega (NaN on passive nodes)."""
-        theta_mf, omega_m, _, xi = self.unpack(x)
-        theta, omega_mf, _ = self._network(theta_mf, omega_m, self.law.u(xi), p_eff)
-        omega = np.full(theta.shape, np.nan)
-        omega[..., self.mf] = omega_mf
-        return theta, omega
-
-
-def _weighted_gram(F: np.ndarray):
-    """The map ``c -> F^T diag(c) F`` over the leading axes of ``c``: one
-    product with the outer products of the rows of ``F``, so a large batch
-    builds no (batch, rows, columns) temporary."""
-    k = F.shape[1]
-    outer = (F[:, :, None] * F[:, None, :]).reshape(len(F), k * k)
-    return lambda c: (c @ outer).reshape(c.shape[:-1] + (k, k))
-
-
-def _damped_newton(residual, jacobian, z0, tol, what):
-    """Solve the power mismatch ``residual(z) = 0`` by Newton steps
-    ``jacobian(z)^-1 residual(z)``, ``jacobian`` being the derivative of the
-    flows, i.e. of ``-residual``.
-
-    Works over the leading axes of ``z0``. An element is done once the max
-    norm of its mismatch is at most ``tol`` (broadcast over the leading
-    axes) and is frozen from then on; each element halves its own step until
-    its mismatch falls. So no element's iterates depend on the others.
-    """
-    z = np.array(z0, dtype=float)
-    g = residual(z)
-    gn = np.abs(g).max(axis=-1, initial=0.0)
-    eye = np.eye(z.shape[-1])
-    for _ in range(50):
-        active = ~(gn <= tol)
-        if not active.any():
-            return z
-        # frozen elements solve an identity system and are never updated
-        J = np.where(active[..., None, None], jacobian(z), eye)
-        try:
-            step = np.linalg.solve(J, g[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise DAESolveError(f"singular {what} jacobian: {exc}") from None
-        # an element leaves the search at its first improving step, so the
-        # ones still searching share one step length
-        alpha = 1.0
-        for _ in range(30):
-            cand = z + alpha * step
-            g_new = residual(cand)
-            gn_new = np.abs(g_new).max(axis=-1, initial=0.0)
-            better = active & (gn_new < gn)
-            z = np.where(better[..., None], cand, z)
-            g = np.where(better[..., None], g_new, g)
-            gn = np.where(better, gn_new, gn)
-            active = active & ~better
-            if not active.any():
-                break
-            alpha *= 0.5
-        else:
-            raise DAESolveError(f"{what} Newton stalled")
-    raise DAESolveError(f"{what} Newton did not converge in 50 iterations")
-
-
 def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
                      comm: CommunicationGraph | None = None,
                      model: str = "sin") -> Equilibrium:
     """Steady state with the secondary loop holding the synchronized
     frequency at zero: optimal inputs, matching controller offsets, and the
     zero-mean phase profile solving the (sine or linearized) power flow."""
-    model_obj = _SimModel(net, comm, law, gains, model)
+    return _equilibrium(_SimModel(net, comm, law, gains, model))
+
+
+def _equilibrium(model_obj: _SimModel) -> Equilibrium:
+    """:func:`find_equilibrium` of the network ``model_obj`` was built on."""
+    net = model_obj.net
     u_eq = optimal_dispatch(net)
     inj = net.injections.copy()
     inj[model_obj.mf] += u_eq
@@ -375,8 +188,7 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
-    eq = find_equilibrium(net, law, gains, comm, model)
-    x0 = model_obj.at_rest(eq)
+    x0 = model_obj.at_rest(_equilibrium(model_obj))
     onset = 0.0 if scenario.onset is None else scenario.onset
     grid = _record_grid(scenario.t_end, scenario.h * stride)
     p_pre = _effective_injection(net, scenario, False)
@@ -447,10 +259,10 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
 
     All paths step together as one (paths, dim) state. Per-path noise
     streams are spawned deterministically from the scenario seed, so a path
-    does not depend on how many others run beside it. The drift is the
-    assembled closed-loop matrix on machine-only networks with
-    ``model="linear"`` (there the packed state is the closed-loop state) and
-    the model's right-hand side everywhere else.
+    does not depend on how many others run beside it. With
+    ``model="linear"`` the drift is affine and is read as the model's
+    matrices on every network, so no step solves the passive balance; the
+    sine model evaluates its right-hand side.
     """
     if scenario.kind is not ScenarioKind.NOISE:
         raise DomainError("simulate_stochastic needs a noise scenario")
@@ -464,12 +276,12 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         record_stride = max(1, int(round(0.1 / scenario.h)))
 
     model_obj = _SimModel(net, comm, law, gains, model)
-    eq = find_equilibrium(net, law, gains, comm, model)
+    x0 = model_obj.at_rest(_equilibrium(model_obj))
     p = net.injections
-    if model == "linear" and not net.freq_ids and not net.passive_ids:
-        sys = assemble(net, comm, law, gains)
-        A_T, B_T = sys.A.T, sys.B.T
-        b = model_obj.rhs(np.zeros(sys.dim), p)
+    if model == "linear":
+        A, B = model_obj.matrices(np.eye(net.n_nodes))
+        A_T, B_T = A.T, B.T
+        b = model_obj.rhs(np.zeros(model_obj.dim), p)
 
         def drift(X, W):
             return X @ A_T + (W @ B_T + b)
@@ -477,7 +289,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         def drift(X, W):
             return model_obj.rhs(X, p + W)
 
-    t, X, W = _euler_maruyama(drift, model_obj.at_rest(eq), _noise_matrix(net, scenario),
+    t, X, W = _euler_maruyama(drift, x0, _noise_matrix(net, scenario),
                               scenario, paths, record_stride)
     traces = _traces(model_obj, t, X, p + W)
     metrics = compute_metrics(traces, net.prices, burn_in=burn_in)

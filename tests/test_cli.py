@@ -337,6 +337,22 @@ def test_simulate_invalid_scenario_is_usage_error(capsys, two_node_case, extra,
     assert f"usage error: {message}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--law", "gbpiac", "--b-diag", "1,x"], "--b-diag: 'x' is not a number"),
+    (["sweep", "--law", "dpiac", "--param", "k3", "--grid", "1,x"],
+     "--grid: 'x' is not a number"),
+    (["simulate", "--law", "dpiac", "--step", "1:abc"], "--step: 'abc' is not a number"),
+    (["simulate", "--law", "dpiac", "--step", "abc"], "--step: 'abc' is not an integer"),
+    (["simulate", "--law", "dpiac", "--kind", "noise", "--seed", "1", "--sigma", "1:x"],
+     "--sigma: 'x' is not a number"),
+], ids=["b-diag", "grid", "step-value", "step-node", "sigma"])
+def test_malformed_number_is_usage_error(capsys, two_node_case, argv, message):
+    code, out, err = run(capsys, argv[0], "--case", two_node_case, *argv[1:])
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("stride", ["0", "-1"])
 def test_simulate_stride_below_one_is_usage_error(capsys, stride):
     code, _, err = run(capsys, "simulate", "--case",

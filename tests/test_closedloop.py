@@ -2,29 +2,19 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from piac import (GainSchedule, NotDeflatable, OutputSelector, ShapeError,
-                  UnsupportedForLinearPath, UnsupportedForModalPath,
-                  assemble_decpiac, assemble_dpiac, assemble_gbpiac,
-                  assemble_open_loop, build_laplacian, deflate_zero_mode,
-                  load_case, bundled_case_path, modal_decouple,
-                  spectral_decompose)
+from piac import (LAWS, GainSchedule, NotDeflatable, OutputSelector,
+                  ShapeError, UnsupportedForLinearPath, UnsupportedForModalPath,
+                  assemble, assemble_decpiac, assemble_dpiac, assemble_gbpiac,
+                  build_laplacian, deflate_zero_mode, load_case,
+                  bundled_case_path, modal_decouple, spectral_decompose)
 from conftest import make_machine_net, random_homogeneous, ring_net
 
 
-def test_open_loop_two_nodes():
-    net, _ = make_machine_net(2, edges=[(1, 2, 1.0)])
-    ol = assemble_open_loop(net)
-    expected = np.array([[0.0, 0.0, 1.0, 0.0],
-                         [0.0, 0.0, 0.0, 1.0],
-                         [-1.0, 1.0, -1.0, 0.0],
-                         [1.0, -1.0, 0.0, -1.0]])
-    assert np.array_equal(ol.A, expected)
-
-
-def test_open_loop_rejects_mixed():
-    net = load_case(bundled_case_path("ieee39-like"))[0]
-    with pytest.raises(UnsupportedForLinearPath):
-        assemble_open_loop(net)
+def test_assemble_rejects_mixed():
+    net, comm, gains, _ = load_case(bundled_case_path("ieee39-like"))
+    for law in LAWS:
+        with pytest.raises(UnsupportedForLinearPath):
+            assemble(net, comm, law, gains)
 
 
 def test_default_input_matrix_is_identity():

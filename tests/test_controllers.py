@@ -116,7 +116,6 @@ def test_dpiac_k3_zero_equals_decpiac():
         assert np.array_equal(a.d_eta(om, xi), b.d_eta(om, xi))
         assert np.array_equal(a.d_xi(om, eta, xi), b.d_xi(om, eta, xi))
         assert np.array_equal(a.u(xi), b.u(xi))
-    assert np.array_equal(a.jacobian(), b.jacobian())
 
 
 def test_rhs_shape_errors():
@@ -143,19 +142,6 @@ def test_control_law_domain_errors():
         ControlLaw.build(net, None, "dpiac", g)
     with pytest.raises(DomainError):   # nothing to difference over
         ControlLaw.build(net, None, "decpiac", g).spread(np.zeros(2))
-
-
-def test_jacobian_reproduces_the_maps():
-    rng = np.random.default_rng(5)
-    net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], alpha=[1.0, 2.0, 1.0, 0.5])
-    g = GainSchedule(k1=0.5, k2=2.0, k3=1.5)
-    for name in LAWS:
-        law = ControlLaw.build(net, comm, name, g)
-        k = law.pairs
-        om, eta, xi = rng.normal(size=4), rng.normal(size=k), rng.normal(size=k)
-        want = np.concatenate([law.d_eta(om, xi), law.d_xi(om, eta, xi)])
-        got = law.jacobian() @ np.concatenate([om, eta, xi])
-        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 def test_maps_take_leading_axes():

@@ -117,20 +117,33 @@ def test_sim_rhs_matches_closed_loop(case):
     net, comm = machine_only_case(case)
     g = GainSchedule(k1=0.8, k2=3.2, k3=4.0)
     rng = np.random.default_rng(23)
-    zero_p = np.zeros(net.n_nodes)
     for law in LAWS:
         sys = assemble(net, comm, law, g)
         mo = _SimModel(net, comm, law, g, "linear")
         assert mo.dim == sys.dim
-        # column by column the rhs is A itself, to the last bit
-        for j, e_j in enumerate(np.eye(sys.dim)):
-            assert np.array_equal(mo.rhs(e_j, zero_p), sys.A[:, j]), (law, j)
-        # elsewhere the two sum the same terms in another order
         p = rng.normal(size=net.n_nodes)
         x = rng.normal(size=sys.dim)
         want = sys.A @ x + mo.rhs(np.zeros(sys.dim), p)
         scale = np.abs(sys.A).max() * np.abs(x).max() + np.abs(p).max()
         assert np.allclose(mo.rhs(x, p), want, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_linear_model_matrices_reproduce_rhs_on_mixed_network(law):
+    # every rhs call solves the passive balance, so the matrices read off
+    # the linear model are its Kron-reduced linearization, exact up to
+    # round-off because the model is affine
+    from piac.sim import _SimModel
+
+    net, comm, gains, _ = load_case(bundled_case_path("ieee39-like"))
+    mo = _SimModel(net, comm, law, gains, "linear")
+    A, B = mo.matrices(np.eye(net.n_nodes))
+    assert A.shape == (mo.dim, mo.dim) and B.shape == (mo.dim, net.n_nodes)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        x, p = rng.normal(size=mo.dim), rng.normal(size=net.n_nodes)
+        scale = np.abs(A).max() * np.abs(x).max() + np.abs(B).max() * np.abs(p).max()
+        assert np.allclose(mo.rhs(x, p), A @ x + B @ p, rtol=0, atol=1e-14 * scale)
 
 
 def test_heavily_loaded_passive_chain():
@@ -430,27 +443,43 @@ def test_stochastic_nonlinear_mixed_network():
 
 
 @pytest.mark.parametrize("law", LAWS)
-def test_stepper_paths_agree_on_linear_model(law):
-    # the assembled closed-loop matrix and the model's rhs drive the same
-    # Euler-Maruyama loop from the same spawned streams; on the linear model
-    # they must coincide up to floating-point accumulation
+def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
+    # the linear model's matrices and its rhs drive the same Euler-Maruyama
+    # loop from the same spawned streams; they must coincide up to
+    # floating-point accumulation, on a machine ring and on a mixed network
+    # with noise at passive and frequency-dependent buses
     from piac.sim import _SimModel, _euler_maruyama, _noise_matrix, _traces
 
-    net, comm = ring_net(3, k=3.0)
+    ring, ring_comm = ring_net(3, k=3.0)
+    mixed, mixed_comm = mixed_net()
     g = GainSchedule.analytic(1.0, 1.0)
-    scen = Scenario.white_noise({1: 0.005, 2: 0.002}, seed=13, t_end=5.0,
-                                h=1e-3, paths=2, burn_in=1.0)
-    fast, _ = simulate_stochastic(net, comm, law, g, scen, model="linear")
-    model_obj = _SimModel(net, comm, law, g, "linear")
-    eq = find_equilibrium(net, law, g, comm, "linear")
-    p = net.injections
-    t, X, W = _euler_maruyama(lambda X, W: model_obj.rhs(X, p + W),
-                              model_obj.at_rest(eq), _noise_matrix(net, scen),
-                              scen, paths=2, record_stride=100)
-    slow = _traces(model_obj, t, X, p + W)
-    for k in range(2):
-        assert np.allclose(slow[k].omega, fast[k].omega, rtol=1e-8, atol=1e-12)
-        assert np.allclose(slow[k].u, fast[k].u, rtol=1e-8, atol=1e-12)
+    rhs, calls = _SimModel.rhs, []
+
+    def counting_rhs(self, x, p_eff):
+        calls.append(x.shape)
+        return rhs(self, x, p_eff)
+
+    for net, comm, sigma in ((ring, ring_comm, {1: 0.005, 2: 0.002}),
+                             (mixed, mixed_comm, {5: 0.005, 3: 0.002, 1: 0.002})):
+        scen = Scenario.white_noise(sigma, seed=13, t_end=5.0, h=1e-3, paths=2,
+                                    burn_in=1.0)
+        calls.clear()
+        monkeypatch.setattr(_SimModel, "rhs", counting_rhs)
+        fast, _ = simulate_stochastic(net, comm, law, g, scen, model="linear")
+        monkeypatch.undo()
+        # the matrices are read once, not evaluated per step
+        assert len(calls) <= 3
+        model_obj = _SimModel(net, comm, law, g, "linear")
+        eq = find_equilibrium(net, law, g, comm, "linear")
+        p = net.injections
+        t, X, W = _euler_maruyama(lambda X, W: model_obj.rhs(X, p + W),
+                                  model_obj.at_rest(eq), _noise_matrix(net, scen),
+                                  scen, paths=2, record_stride=100)
+        slow = _traces(model_obj, t, X, p + W)
+        for k in range(2):
+            assert np.allclose(slow[k].omega, fast[k].omega, rtol=1e-8, atol=1e-12,
+                               equal_nan=True)
+            assert np.allclose(slow[k].u, fast[k].u, rtol=1e-8, atol=1e-12)
 
 
 def test_sin_ensemble_path_independent_of_ensemble_size():
