@@ -45,11 +45,13 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """``write(fh)`` streams into a temporary file, renamed over ``path`` only
+    after ``write`` returns."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,7 +61,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
 
@@ -314,19 +316,13 @@ def cmd_simulate(args) -> int:
                                        model=args.model, stride=args.stride)
         met = compute_metrics(trace, net.prices, t0=args.t0)
         if args.out:
-            import io
-            buf = io.StringIO()
-            write_trace_csv(buf, trace)
-            _atomic_write(args.out, buf.getvalue())
+            _atomic_write(args.out, lambda fh: write_trace_csv(fh, trace))
         print(f"S={_fmt(met.S)} C={_fmt(met.C)} (t0={_fmt(met.t0)})")
     else:
         traces, met = simulate_stochastic(net, comm, args.law, gains, scenario,
                                           model=args.model)
         if args.out:
-            import io
-            buf = io.StringIO()
-            write_ensemble_csv(buf, traces)
-            _atomic_write(args.out, buf.getvalue())
+            _atomic_write(args.out, lambda fh: write_ensemble_csv(fh, traces))
         print(f"E_S={_fmt(met.E_S)} (se {_fmt(met.E_S_se)}) "
               f"E_C={_fmt(met.E_C)} (se {_fmt(met.E_C_se)}) "
               f"paths={len(traces)} burn_in={_fmt(met.burn_in)}")

@@ -54,9 +54,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
-# recorded rows per path rebuilt in one batched solve. Blocks of 256 rows
-# made the trace rebuild of the sim benchmark 4x slower on a shared 2-CPU
-# host, where their matrix products go multithreaded in BLAS.
+# recorded rows per path rebuilt in one batched solve, and time steps per
+# block of CSV text. Blocks of 256 rows made the trace rebuild of the sim
+# benchmark 4x slower on a shared 2-CPU host, where their matrix products go
+# multithreaded in BLAS.
 _TRACE_BLOCK = 64
 
 
@@ -393,33 +394,47 @@ def compute_metrics(traces, alpha, t0: float = 40.0,
 _CSV_HEADER = "t,node,theta,omega,eta,xi,u,mc"
 
 
-def _fmt(x) -> str:
-    return "" if x is None or (isinstance(x, float) and math.isnan(x)) else f"{x:.12g}"
+def _write_rows(fh, trace: Trace, prefix: str = "") -> None:
+    """Write the rows of ``trace``, each starting with ``prefix``, in blocks
+    of ``_TRACE_BLOCK`` time steps.
 
-
-def _trace_rows(trace: Trace, prefix: str = ""):
-    ctrl_pos = {nid: k for k, nid in enumerate(trace.controller_ids)}
-    for k, t in enumerate(trace.t):
-        for col, nid in enumerate(trace.node_ids):
-            cp = ctrl_pos.get(nid)
-            eta = xi = u = mc = None
-            if cp is not None:
-                eta, xi = float(trace.eta[k, cp]), float(trace.xi[k, cp])
-                u, mc = float(trace.u[k, cp]), float(trace.mc[k, cp])
-            yield (prefix + ",".join([
-                _fmt(float(t)), str(nid), _fmt(float(trace.theta[k, col])),
-                _fmt(float(trace.omega[k, col])), _fmt(eta), _fmt(xi),
-                _fmt(u), _fmt(mc)]))
+    One ``%``-template covers a time step: node ids, the prefix and the
+    empty controller fields of nodes without a controller are literal text,
+    every number is ``%.12g``, and ``t``, formatted once per time step,
+    takes the place of each ``"\\0"``. A NaN in any column is written as an
+    empty field: ``%`` prints NaN of either sign as ``nan``, a word no other
+    field can contain.
+    """
+    n, c = len(trace.node_ids), len(trace.controller_ids)
+    ctrl = {nid: k for k, nid in enumerate(trace.controller_ids)}
+    # positions of a step's values in the template, in the stacked columns
+    # theta | omega | eta | xi | u | mc
+    order, rows = [], []
+    for col, nid in enumerate(trace.node_ids):
+        order += [col, n + col]
+        k = ctrl.get(nid)
+        if k is None:
+            rows.append(f"{prefix}\0,{nid},%.12g,%.12g,,,,\n")
+        else:
+            order += [2 * n + j * c + k for j in range(4)]
+            rows.append(f"{prefix}\0,{nid}" + ",%.12g" * 6 + "\n")
+    step = "".join(rows)
+    columns = (trace.theta, trace.omega, trace.eta, trace.xi, trace.u, trace.mc)
+    times = ["%.12g" % t for t in trace.t.tolist()]
+    for a in range(0, len(times), _TRACE_BLOCK):
+        block = slice(a, a + _TRACE_BLOCK)
+        template = "".join([step.replace("\0", t) for t in times[block]])
+        values = np.column_stack([col[block] for col in columns])[:, order]
+        text = template % tuple(values.ravel().tolist())
+        fh.write(text.replace("nan", ""))
 
 
 def write_trace_csv(fh, trace: Trace) -> None:
     fh.write(_CSV_HEADER + "\n")
-    for row in _trace_rows(trace):
-        fh.write(row + "\n")
+    _write_rows(fh, trace)
 
 
 def write_ensemble_csv(fh, traces) -> None:
     fh.write("path," + _CSV_HEADER + "\n")
     for p, trace in enumerate(traces):
-        for row in _trace_rows(trace, prefix=f"{p},"):
-            fh.write(row + "\n")
+        _write_rows(fh, trace, prefix=f"{p},")

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 
 from piac import (GainSchedule, build_laplacian, bundled_case_path,
                   h2_dpiac_analytic, save_case, spectral_decompose)
+import piac.cli as cli
 from piac.cli import main
 from conftest import ring_net
 
@@ -395,6 +398,68 @@ def test_output_failure_leaves_no_partial_file(capsys, two_node_case, tmp_path):
     assert code == 2
     assert not target.exists()
     assert not target.with_name(target.name + ".tmp").exists()
+
+
+@pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                 KeyboardInterrupt()])
+def test_streamed_out_failure_keeps_target(capsys, monkeypatch, two_node_case,
+                                           tmp_path, exc):
+    # the trace streams into a temporary file; a writer that fails part way
+    # leaves the file it was to replace as it was, and no temporary file
+    target = tmp_path / "trace.csv"
+    target.write_bytes(b"old contents\n")
+
+    def failing(fh, trace):
+        fh.write("t,node,theta,omega,eta,xi,u,mc\n0,1,")
+        fh.flush()
+        assert Path(fh.name) != target and Path(fh.name).stat().st_size > 0
+        raise exc
+
+    monkeypatch.setattr(cli, "write_trace_csv", failing)
+    argv = ["simulate", "--case", two_node_case, "--law", "dpiac",
+            "--t-end", "45", "--out", str(target)]
+    if isinstance(exc, OSError):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "No space left" in err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert target.read_bytes() == b"old contents\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("kind", ["step", "noise"])
+def test_streamed_out_matches_library_writer(capsys, monkeypatch, two_node_case,
+                                             tmp_path, kind):
+    # `--out` holds the bytes the library writer gives for the same trace, and
+    # the stream position after the writer returns is the file size: the
+    # benchmark counts written bytes with fh.tell()
+    simulator, writer = {"step": ("simulate_deterministic", "write_trace_csv"),
+                         "noise": ("simulate_stochastic", "write_ensemble_csv")}[kind]
+    simulate, write = getattr(cli, simulator), getattr(cli, writer)
+    made, told = [], []
+
+    def recording_simulate(*args, **kwargs):
+        made.append(simulate(*args, **kwargs))
+        return made[-1]
+
+    def recording_write(fh, traces):
+        write(fh, traces)
+        told.append(fh.tell())
+
+    monkeypatch.setattr(cli, simulator, recording_simulate)
+    monkeypatch.setattr(cli, writer, recording_write)
+    noise = ["--sigma", "1:0.01", "--t-end", "2", "--h", "0.001", "--paths", "2",
+             "--burn-in", "0.5", "--seed", "42"]
+    out = tmp_path / "f.csv"
+    code, _, _ = run(capsys, "simulate", "--case", two_node_case, "--law", "dpiac",
+                     "--kind", kind, *(noise if kind == "noise" else []),
+                     "--out", str(out))
+    assert code == 0
+    buf = io.StringIO()
+    write(buf, made[0] if kind == "step" else made[0][0])
+    assert out.read_bytes() == buf.getvalue().encode()
+    assert told == [os.path.getsize(out)]
 
 
 def test_sweep_rows_follow_grid_order(capsys, two_node_case):

@@ -595,3 +595,45 @@ def test_csv_passive_fields_empty():
     assert by_node[5][3] == ""      # passive omega empty
     assert by_node[5][6] == ""      # passive u empty
     assert by_node[1][6] != ""      # machine u present
+
+
+EDGE_VALUES = [np.nan, -np.nan, -0.0, 1e-300, 1e300, np.inf, -np.inf, 5e-324]
+
+EDGE_ROWS = """\
+,1,,1e-300,inf,-inf,4.94065645841e-324,
+,2,-0,1e+300,,,,
+,1,-0,1e+300,-inf,4.94065645841e-324,,
+,2,1e-300,inf,,,,
+-0,1,1e-300,inf,4.94065645841e-324,,,-0
+-0,2,1e+300,-inf,,,,
+1e-300,1,1e+300,-inf,,,-0,1e-300
+1e-300,2,inf,4.94065645841e-324,,,,
+1e+300,1,inf,4.94065645841e-324,,-0,1e-300,1e+300
+1e+300,2,-inf,,,,,
+inf,1,-inf,,-0,1e-300,1e+300,inf
+inf,2,4.94065645841e-324,,,,,
+-inf,1,4.94065645841e-324,,1e-300,1e+300,inf,-inf
+-inf,2,,-0,,,,
+4.94065645841e-324,1,,-0,1e+300,inf,-inf,4.94065645841e-324
+4.94065645841e-324,2,,1e-300,,,,
+"""
+
+
+def test_csv_edge_values_literal():
+    # every edge value in every column: time step k holds EDGE_VALUES[k + j]
+    # in column j of t | theta | omega | eta | xi | u | mc; node 1 has the
+    # controller, node 2 none. NaN of either sign is an empty field.
+    cols = np.array([[EDGE_VALUES[(k + j) % 8] for j in range(9)] for k in range(8)])
+    assert np.signbit(cols[1, 0]) and np.isnan(cols[1, 0])
+    tr = Trace(t=cols[:, 0], node_ids=(1, 2), theta=cols[:, 1:3],
+               omega=cols[:, 3:5], controller_ids=(1,), eta=cols[:, 5:6],
+               xi=cols[:, 6:7], u=cols[:, 7:8], mc=cols[:, 8:9], law="dpiac")
+    buf = io.StringIO()
+    write_trace_csv(buf, tr)
+    assert buf.getvalue() == "t,node,theta,omega,eta,xi,u,mc\n" + EDGE_ROWS
+    buf = io.StringIO()
+    write_ensemble_csv(buf, [tr, tr])
+    rows = EDGE_ROWS.splitlines(keepends=True)
+    assert buf.getvalue() == ("path,t,node,theta,omega,eta,xi,u,mc\n"
+                              + "".join("0," + r for r in rows)
+                              + "".join("1," + r for r in rows))
