@@ -20,7 +20,9 @@ print("two machines, lambda_2 = 2, m = d = k1 = k3 = 1\n")
 for sel in (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
             OutputSelector.MARGINAL_COST_SPREAD):
     sys = assemble_dpiac(net, comm, gains, selector=sel)
-    dense = h2_numeric(deflate_zero_mode(sys))        # big Lyapunov solve
+    # the unreachable marginal modes come out first (the left kernel of
+    # [A B]), then one Lyapunov solve on the whole Hurwitz loop
+    dense = h2_numeric(deflate_zero_mode(sys))
     modal, per_mode = h2_modal(sys, spec)             # 4x4 blocks, summed
     ana = h2_dpiac_analytic(spec, 1.0, 1.0, 1.0, 1.0, sel)
     print(f"{sel.value:>8}: dense {dense:.12f}  modal {modal:.12f}  "

@@ -16,10 +16,10 @@ from .controllers import (LAWS, ControlLaw, GainSchedule, optimal_dispatch,
                           synchronized_frequency)
 from .errors import (CaseFormatError, DAESolveError, DegenerateModel,
                      DisconnectedNetwork, DomainError, GainConstraintError,
-                     InsufficientHorizon, NoControllers, NotDeflatable,
-                     NumericalBlowup, PiacError, ShapeError,
-                     SolverAccuracyError, UnstableSystem,
-                     UnsupportedForLinearPath, UnsupportedForModalPath)
+                     InsufficientHorizon, NoControllers, NumericalBlowup,
+                     PiacError, ShapeError, SolverAccuracyError,
+                     UnstableSystem, UnsupportedForLinearPath,
+                     UnsupportedForModalPath)
 from .h2 import (AnalyticH2, DpiacModeCoefficients, Grammians, H2Report,
                  analyze, compare_laws, grammians, h2_bounds_general_B,
                  h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_numeric,

@@ -36,6 +36,7 @@ by id, edges sorted by pair, floats via ``repr`` so loading a saved file
 reproduces the exact same objects.
 """
 
+import math
 import os
 
 from .controllers import GainSchedule
@@ -61,9 +62,12 @@ def bundled_case_path(name: str) -> str:
 
 def _parse_float(tok: str, what: str, path, lineno) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise CaseFormatError(f"{what}: not a number: {tok!r}", path, lineno) from None
+    if not math.isfinite(value):
+        raise CaseFormatError(f"{what}: not a finite number: {tok!r}", path, lineno)
+    return value
 
 
 def _parse_int(tok: str, what: str, path, lineno) -> int:

@@ -9,6 +9,7 @@ digits, so reruns with identical inputs and seed are byte-identical.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from .closedloop import OutputSelector
 from .controllers import GainSchedule, law_homogeneity
 from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      DomainError, GainConstraintError, InsufficientHorizon,
-                     NotDeflatable, NumericalBlowup, PiacError, ShapeError,
+                     NumericalBlowup, PiacError, ShapeError,
                      SolverAccuracyError, UnstableSystem,
                      UnsupportedForLinearPath, UnsupportedForModalPath)
 from .h2 import analyze
@@ -87,12 +88,16 @@ class _Usage(Exception):
 
 
 def _number(tok: str, flag: str, kind=float):
-    """``tok`` read as a ``kind``; a malformed token is a usage error."""
+    """``tok`` read as a ``kind``; a malformed token, or ``nan`` and ``inf``,
+    is a usage error."""
     try:
-        return kind(tok)
+        value = kind(tok)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise _Usage(f"{flag}: {tok!r} is not {what}") from None
+    if not math.isfinite(value):
+        raise _Usage(f"{flag}: {tok!r} is not a finite number")
+    return value
 
 
 def _check_t0(t0: float) -> None:
@@ -409,8 +414,8 @@ def main(argv=None) -> int:
     except GainConstraintError as exc:
         print(f"gain constraint violated: {exc}", file=sys.stderr)
         return EXIT_GAINS
-    except (UnsupportedForLinearPath, UnsupportedForModalPath, NotDeflatable,
-            UnstableSystem, SolverAccuracyError, DomainError, ShapeError) as exc:
+    except (UnsupportedForLinearPath, UnsupportedForModalPath, UnstableSystem,
+            SolverAccuracyError, DomainError, ShapeError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except (DAESolveError, NumericalBlowup, InsufficientHorizon) as exc:

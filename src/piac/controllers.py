@@ -18,6 +18,7 @@ trace builders read the inputs and marginal costs from them.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +46,7 @@ LAWS = ("gbpiac", "dpiac", "decpiac")
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Control gains k1 > 0, k2 > 0, k3 >= 0.
+    """Control gains k1 > 0, k2 > 0, k3 >= 0, all finite.
 
     The two-stage integrator avoids input overshoot when ``k2 >= 4*k1``;
     strict mode (default) rejects schedules below that line, permissive mode
@@ -59,6 +60,9 @@ class GainSchedule:
     strict: bool = True
 
     def __post_init__(self):
+        for name, value in (("k1", self.k1), ("k2", self.k2), ("k3", self.k3)):
+            if not math.isfinite(value):
+                raise GainConstraintError(f"{name} must be finite, got {value}")
         if not self.k1 > 0:
             raise GainConstraintError(f"k1 must be positive, got {self.k1}")
         if not self.k2 > 0:

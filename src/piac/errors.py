@@ -48,10 +48,6 @@ class UnsupportedForModalPath(PiacError):
     """Modal decoupling needs homogeneous parameters."""
 
 
-class NotDeflatable(PiacError):
-    """The output depends on the average-phase mode slated for removal."""
-
-
 class UnstableSystem(PiacError):
     """A Lyapunov solve was requested for a non-Hurwitz matrix."""
 

@@ -404,13 +404,10 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
             rel_gap = abs(analytic - numeric) / max(1.0, abs(numeric))
             per_mode_ana = ana.per_mode
         else:
-            B_arr = np.asarray(B_in, dtype=float)
-            if np.allclose(B_arr, B_arr.T, rtol=0,
-                           atol=1e-12 * max(1.0, float(np.abs(B_arr).max()))):
-                try:
-                    bounds = h2_bounds_general_B(ana.value, B_arr)
-                except DomainError:
-                    bounds = None
+            try:
+                bounds = h2_bounds_general_B(ana.value, B_in)
+            except DomainError:
+                pass            # no bounds unless B_in is symmetric positive definite
         if with_limits:
             if law == "dpiac" and selector is OutputSelector.FREQUENCY_DEVIATION:
                 limit_k1 = limit_k1_infinity(spectral, m, d, k3)

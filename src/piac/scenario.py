@@ -1,5 +1,6 @@
 """Disturbance scenarios driving the time-domain simulations."""
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,6 +32,14 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("t_end", "h", "onset", "burn_in"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("steps", "sigma"):
+            for nid, value in getattr(self, name).items():
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} at node {nid} must be finite, got {value}")
         if not self.h > 0:
             raise ValueError(f"step h must be positive, got {self.h}")
         if not self.t_end > 0:

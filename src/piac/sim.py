@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .closedloop import (_damped_newton, _phase_complement, _SimModel,
-                         _weighted_gram)
+from .closedloop import _damped_newton, _SimModel, _weighted_gram
 # kept importable here: the benchmark's tracer test checks that a wrapped
 # function is also patched where another module imported it
 from .closedloop import assemble_dpiac  # noqa: F401
@@ -126,6 +125,21 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
     frequency at zero: optimal inputs, matching controller offsets, and the
     zero-mean phase profile solving the (sine or linearized) power flow."""
     return _equilibrium(_SimModel(net, comm, law, gains, model))
+
+
+def _phase_complement(n: int) -> np.ndarray:
+    """Orthonormal basis of the complement of the uniform vector in R^n.
+
+    Columns 2..n of the Householder reflector mapping e_1 to 1/sqrt(n);
+    deterministic, so the power flow solved on it is reproducible.
+    """
+    v = np.full(n, 1.0 / math.sqrt(n))
+    w = v - np.eye(n)[:, 0]
+    H = np.eye(n)
+    wn = w @ w
+    if wn > 0:
+        H -= 2.0 * np.outer(w, w) / wn
+    return H[:, 1:]
 
 
 def _equilibrium(model_obj: _SimModel) -> Equilibrium:

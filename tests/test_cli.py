@@ -356,6 +356,68 @@ def test_malformed_number_is_usage_error(capsys, two_node_case, argv, message):
     assert out == ""
 
 
+HOM10_STEP = ["simulate", "--law", "gbpiac", "--kind", "step", "--step", "3:0.1",
+              "--onset", "0.5", "--t-end", "2"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["analyze", "--law", "dpiac", "--k1", "inf"], 4,
+     "gain constraint violated: k1 must be finite, got inf"),
+    (["analyze", "--law", "dpiac", "--k2", "inf"], 4,
+     "gain constraint violated: k2 must be finite, got inf"),
+    (["analyze", "--law", "dpiac", "--k3", "nan"], 4,
+     "gain constraint violated: k3 must be finite, got nan"),
+    (["analyze", "--law", "gbpiac", "--b-diag", "nan" + ",1" * 9], 2,
+     "usage error: --b-diag: 'nan' is not a finite number"),
+    (["sweep", "--law", "dpiac", "--param", "k3", "--grid", "1,inf"], 2,
+     "usage error: --grid: 'inf' is not a finite number"),
+    (HOM10_STEP + ["--t-end", "inf"], 2, "usage error: t_end must be finite, got inf"),
+    (HOM10_STEP + ["--h", "nan"], 2, "usage error: h must be finite, got nan"),
+    (HOM10_STEP + ["--onset", "nan"], 2, "usage error: onset must be finite, got nan"),
+    (["simulate", "--law", "dpiac", "--kind", "noise", "--seed", "1", "--t-end", "2",
+      "--burn-in", "inf"], 2, "usage error: burn_in must be finite, got inf"),
+    (["simulate", "--law", "dpiac", "--kind", "noise", "--seed", "1", "--t-end", "2",
+      "--burn-in", "1", "--sigma", "1:-inf"], 2,
+     "usage error: --sigma: '-inf' is not a finite number"),
+], ids=["k1-inf", "k2-inf", "k3-nan", "b-diag-nan", "grid-inf", "t-end-inf", "h-nan",
+        "onset-nan", "burn-in-inf", "sigma-inf"])
+def test_non_finite_number_is_refused(capsys, argv, code, message):
+    got, out, err = run(capsys, argv[0], "--case", bundled_case_path("homogeneous10"),
+                        *argv[1:])
+    assert got == code
+    assert message in err
+    assert out == ""
+
+
+def test_non_finite_step_is_refused_in_a_child():
+    # an infinite load step sends the integrator into an endless search for
+    # a step size, so the command runs in a child that a timeout stops
+    proc = subprocess.run([sys.executable, "-m", "piac.cli", "simulate", "--case",
+                           bundled_case_path("homogeneous10"), "--law", "gbpiac",
+                           "--kind", "step", "--step", "3:inf", "--onset", "0.5",
+                           "--t-end", "2"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "usage error: --step: 'inf' is not a finite number" in proc.stderr
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("M=1.0", "M=inf", "field M: not a finite number: 'inf'"),
+    ("D=1.0", "D=nan", "field D: not a finite number: 'nan'"),
+    ("alpha=1.0", "alpha=-inf", "field alpha: not a finite number: '-inf'"),
+    ("K=1.0", "K=inf", "field K: not a finite number: 'inf'"),
+    ("k1=1.0", "k1=nan", "gain k1: not a finite number: 'nan'"),
+    ("step=1:-0.2", "step=1:inf", "step size: not a finite number: 'inf'"),
+], ids=["M", "D", "alpha", "K", "k1", "step"])
+def test_non_finite_case_number_is_format_error(capsys, tmp_path, old, new, message):
+    case = tmp_path / "bad.case"
+    case.write_text(TWO_NODE.replace(old, new, 1))
+    code, out, err = run(capsys, "analyze", "--case", str(case), "--law", "dpiac")
+    assert code == 2
+    assert f"case format error: {case}:" in err and message in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("stride", ["0", "-1"])
 def test_simulate_stride_below_one_is_usage_error(capsys, stride):
     code, _, err = run(capsys, "simulate", "--case",

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from piac import (LAWS, GainSchedule, NotDeflatable, OutputSelector,
-                  ShapeError, UnsupportedForLinearPath, UnsupportedForModalPath,
-                  assemble, assemble_decpiac, assemble_dpiac, assemble_gbpiac,
-                  build_laplacian, deflate_zero_mode, load_case,
-                  bundled_case_path, modal_decouple, spectral_decompose)
+from piac import (LAWS, GainSchedule, OutputSelector, ShapeError,
+                  UnstableSystem, UnsupportedForLinearPath,
+                  UnsupportedForModalPath, assemble, assemble_decpiac,
+                  assemble_dpiac, assemble_gbpiac, build_laplacian,
+                  deflate_zero_mode, h2_numeric, load_case, bundled_case_path,
+                  modal_decouple, spectral_decompose)
+from piac.closedloop import StateSpace, _SimModel
 from conftest import make_machine_net, random_homogeneous, ring_net
 
 
@@ -123,19 +125,67 @@ def test_gbpiac_control_input_shares_prices():
 
 
 def test_deflation_dimension_and_stability():
+    # coordinated laws lose the one conserved phase sum, uncoordinated ones
+    # (decpiac, dpiac at k3 = 0) one per controller
     rng = np.random.default_rng(5)
     for _ in range(8):
-        net, comm, m, d = random_homogeneous(rng, n=int(rng.integers(2, 7)))
+        n = int(rng.integers(2, 7))
+        net, comm, m, d = random_homogeneous(rng, n=n)
         k1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
         k3 = float(rng.uniform(0, 10))
         g = GainSchedule.analytic(k1, k3)
-        for sys in (assemble_gbpiac(net, g), assemble_dpiac(net, comm, g)):
+        g0 = GainSchedule.analytic(k1, 0.0)
+        for sys, lost in ((assemble_gbpiac(net, g), 1),
+                          (assemble_dpiac(net, comm, g), 1),
+                          (assemble_dpiac(net, comm, g0), n),
+                          (assemble_decpiac(net, g), n)):
             defl = deflate_zero_mode(sys)
-            assert defl.dim == sys.dim - 1
+            assert defl.dim == sys.dim - lost
             assert defl.deflated
+            assert defl.labels == {}
             assert defl.spectral_abscissa() < 0
             # idempotent
             assert deflate_zero_mode(defl) is defl
+
+
+def _transfer(sys, s):
+    return sys.C @ np.linalg.solve(s * np.eye(sys.dim) - sys.A, sys.B)
+
+
+@pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
+@pytest.mark.parametrize("law", LAWS)
+def test_deflation_keeps_transfer_function(case, law):
+    if case == "homogeneous10":
+        net, comm, g, _ = load_case(bundled_case_path(case))
+    else:
+        net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 3.0], d=[0.2, 1.0, 0.7, 2.0],
+                                     alpha=[1.0, 2.0, 0.5, 3.0],
+                                     edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5),
+                                            (1, 4, 1.0)])
+        g = GainSchedule.analytic(0.7, 1.5)
+    for sel in OutputSelector:
+        sys = assemble(net, comm, law, g, selector=sel)
+        defl = deflate_zero_mode(sys)
+        for s in (0.3, 1.0j, 2.0 + 0.5j, -0.1 + 3.0j):
+            want = _transfer(sys, s)
+            got = _transfer(defl, s)
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_deflation_kron_reduced_ieee39_is_hurwitz():
+    # the mixed network's loop, Kron-reduced by the linear model's passive
+    # balance: heterogeneous, with frequency-dependent and passive buses
+    net, comm, g, _ = load_case(bundled_case_path("ieee39-like"))
+    n = net.n_nodes
+    for law, dim in (("gbpiac", 40), ("dpiac", 96), ("decpiac", 68)):
+        model = _SimModel(net, comm, law, g, "linear")
+        A, B = model.matrices(np.eye(n))
+        sys = StateSpace(A=A, B=B, C=np.zeros((1, model.dim)), labels={}, law=law,
+                         gains=g, selector=OutputSelector.FREQUENCY_DEVIATION, n=n,
+                         B_in=np.eye(n))
+        defl = deflate_zero_mode(sys)
+        assert defl.dim == dim
+        assert defl.spectral_abscissa() < 0
 
 
 def test_deflation_single_node_drops_theta():
@@ -147,13 +197,35 @@ def test_deflation_single_node_drops_theta():
     assert defl.spectral_abscissa() < 0
 
 
-def test_deflation_refuses_observable_phase():
+def test_deflation_lets_output_read_one_phase():
+    # on reachable states sum(d theta) = eta_s, so theta_1 equals
+    # theta_1 - mean(theta) + eta_s / (n d), an output blind to the phase mean
+    n, d = 3, 1.0
+    net, _ = ring_net(n, d=d)
+    sys = assemble_gbpiac(net, GainSchedule.analytic(1.0))
+    C_phase = np.zeros((1, sys.dim))
+    C_phase[0, 0] = 1.0
+    C_blind = np.zeros((1, sys.dim))
+    C_blind[0, sys.labels["theta"]] = -1.0 / n
+    C_blind[0, 0] += 1.0
+    C_blind[0, sys.labels["eta"]] = 1.0 / (n * d)
+    phase = h2_numeric(deflate_zero_mode(replace(sys, C=C_phase)))
+    blind = h2_numeric(deflate_zero_mode(replace(sys, C=C_blind)))
+    assert np.isfinite(phase)
+    assert phase == pytest.approx(blind, rel=1e-10)
+
+
+def test_deflation_keeps_a_reached_marginal_mode():
+    # an input into theta_1 moves the conserved eta_s - sum(d theta): nothing
+    # is unreachable, so the marginal mode stays and the solve refuses it
     net, _ = ring_net(3)
     sys = assemble_gbpiac(net, GainSchedule.analytic(1.0))
-    C_bad = np.zeros((1, sys.dim))
-    C_bad[0, 0] = 1.0
-    with pytest.raises(NotDeflatable):
-        deflate_zero_mode(replace(sys, C=C_bad))
+    B = np.zeros((sys.dim, 1))
+    B[0, 0] = 1.0
+    defl = deflate_zero_mode(replace(sys, B=B))
+    assert defl.dim == sys.dim
+    with pytest.raises(UnstableSystem):
+        h2_numeric(defl)
 
 
 def test_dpiac_deflated_hurwitz_n3():

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def test_gain_schedule_constraints():
     g = GainSchedule.analytic(0.5, 2.0)
     assert g.k2 == 2.0 and g.analytic_mode
     assert not GainSchedule(k1=1.0, k2=5.0).analytic_mode
+
+
+@pytest.mark.parametrize("gains", [
+    dict(k1=math.inf, k2=math.inf), dict(k1=1.0, k2=math.inf),
+    dict(k1=math.nan, k2=4.0), dict(k1=1.0, k2=4.0, k3=math.nan),
+    dict(k1=1.0, k2=4.0, k3=math.inf),
+])
+def test_gain_schedule_refuses_non_finite(gains):
+    with pytest.raises(GainConstraintError, match="must be finite"):
+        GainSchedule(**gains, strict=False)
 
 
 def test_gain_schedule_permissive_logs(caplog):

@@ -396,6 +396,23 @@ def test_analyze_non_analytic_gains():
     assert rep.numeric > 0
 
 
+@pytest.mark.parametrize("B_in, has_bounds", [
+    (np.diag([0.5, 1.0, 2.0]), True),
+    (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), False),
+    (np.diag([1.0, -1.0, 1.0]), False),
+], ids=["spd", "non-symmetric", "indefinite"])
+def test_analyze_bounds_only_for_spd_input(B_in, has_bounds):
+    net, comm = ring_net(3)
+    rep = analyze(net, comm, GainSchedule.analytic(1.0, 1.0), "dpiac", OM, B_in=B_in)
+    assert rep.numeric > 0
+    assert rep.analytic is None        # the closed form is for B = I
+    if has_bounds:
+        lo, hi = rep.bounds
+        assert lo <= rep.numeric * (1 + 1e-10) and rep.numeric <= hi * (1 + 1e-10)
+    else:
+        assert rep.bounds is None
+
+
 def test_analyze_heterogeneous_numeric_only():
     net, comm = make_machine_net(3, m=[1.0, 2.0, 0.5], d=[0.4, 1.0, 0.9],
                                  edges=[(1, 2, 1.0), (2, 3, 2.0)])

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -185,6 +186,24 @@ def test_step_scenario_required():
     with pytest.raises(DomainError):
         simulate_stochastic(net, comm, "dpiac", GainSchedule.analytic(1.0),
                             quiet_step())
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind=ScenarioKind.STEP, t_end=math.inf, h=0.1), "t_end must be finite"),
+    (dict(kind=ScenarioKind.STEP, t_end=10.0, h=math.nan), "h must be finite"),
+    (dict(kind=ScenarioKind.STEP, t_end=10.0, h=0.1, onset=math.nan),
+     "onset must be finite"),
+    # the step that made the integrator search for a step size forever
+    (dict(kind=ScenarioKind.STEP, t_end=2.0, h=0.01, onset=0.5, steps={3: math.inf}),
+     "steps at node 3 must be finite"),
+    (dict(kind=ScenarioKind.NOISE, t_end=10.0, h=0.1, sigma={1: math.nan}),
+     "sigma at node 1 must be finite"),
+    (dict(kind=ScenarioKind.NOISE, t_end=10.0, h=0.1, burn_in=math.inf),
+     "burn_in must be finite"),
+], ids=["t_end", "h", "onset", "step", "sigma", "burn_in"])
+def test_scenario_refuses_non_finite(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(**fields)
 
 
 def test_scenario_validation():
