@@ -227,7 +227,8 @@ def cmd_sweep(args) -> int:
                     OutputSelector.MARGINAL_COST_SPREAD):
             row.append(analyze(net, comm, gains, spec.law, sel).numeric)
         if spec.sim_kind == "step":
-            trace = simulate_deterministic(net, comm, spec.law, gains, scenario)
+            trace = simulate_deterministic(net, comm, spec.law, gains, scenario,
+                                           model=args.model)
             met = compute_metrics(trace, net.prices, t0=spec.t0)
             row += [met.S, met.C]
         elif spec.sim_kind == "noise":

@@ -4,9 +4,13 @@ modal structure.
 :class:`_SimModel` holds the network's dynamics once: swing equations at the
 machines, the power balance of frequency-dependent and passive buses, lines
 coupled through the signed incidence matrix, and the law's maps from
-:class:`~piac.controllers.ControlLaw`. The simulator integrates it, and the
-closed loops are read off its ``model="linear"`` instance at unit vectors
-(:meth:`_SimModel.matrices`), which is exact because that model is affine.
+:class:`~piac.controllers.ControlLaw`. Apart from the line flows, all of it
+is linear, so the model precomputes one affine map of the state, the
+injections and the line flows; an evaluation solves the passive balance,
+takes the flows at the resulting phase gaps and applies the map. The
+simulator integrates it, and the closed loops are read off its
+``model="linear"`` instance at unit vectors (:meth:`_SimModel.matrices`),
+which is exact because that model is affine.
 
 State ordering is fixed as (theta, omega, eta, xi) for every law: phase
 angles, frequency deviations, then the controller integrator pairs (one
@@ -108,14 +112,19 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 class _SimModel:
-    """Index bookkeeping plus right-hand sides for one network.
+    """Index bookkeeping plus the right-hand side for one network.
 
     Every method takes states with leading (path, row) axes. The lines couple
-    the phases through the signed incidence matrix ``E``: the flows are
-    ``E^T (w * sin(E theta))`` (``w * E theta`` for ``model="linear"``) and
-    their Jacobian is ``E^T diag(w * cos(E theta)) E``. Passive phases are
-    solved by damped Newton inside every evaluation, warm-started from the
-    previous solve of the same shape, which is per path in an ensemble.
+    the phases through the signed incidence matrix ``E``: the line flows are
+    ``l = w * sin(E theta)`` (``w * E theta`` for ``model="linear"``), the
+    node flows ``E^T l``, and their Jacobian is ``E^T diag(w * cos(E theta))
+    E``. The flows are the model's only nonlinear part. Its equations are
+    affine in the packed state ``x``, the injections ``p`` and ``l``; they
+    are written once, in :meth:`_equations`, and read at unit vectors when
+    the model is built, which makes the right-hand side the product
+    ``x L_x + p L_p + l L_l``. Passive phases are solved by damped Newton
+    inside every evaluation, warm-started from the previous solve of the
+    same shape, which is per path in an ensemble.
     """
 
     def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
@@ -154,6 +163,14 @@ class _SimModel:
         # last passive solve per state shape: the integrator's single states
         # and the batched Jacobian rows each warm-start from their own
         self._theta_p_warm = {}
+        # the equations have no constant term, so their values at the unit
+        # vectors of (x, p, f) are the rows of the map; L_l = E L_f as the
+        # node flows are l E
+        a, b = self.dim, self.dim + self.n
+        unit = np.eye(b + self.n)
+        rows = self._equations(unit[:, :a], unit[:, a:b], unit[:, b:])
+        self._L_x, self._L_p = rows[:a], rows[a:b]
+        self._L_l = self.E @ rows[b:]
 
     # -- couplings -----------------------------------------------------------
 
@@ -171,19 +188,28 @@ class _SimModel:
 
     def solve_passive(self, theta_mf: np.ndarray, p_pas: np.ndarray) -> np.ndarray:
         """Passive phases balancing ``p_pas``, by damped Newton."""
+        return self._balance(theta_mf, p_pas)[0]
+
+    def _balance(self, theta_mf, p_pas):
+        """:meth:`solve_passive`, and the phase gaps of the lines at the
+        solution."""
         shape = theta_mf.shape[:-1] + (self.n_p,)
-        if self.n_p == 0:
-            return np.zeros(shape)
         gap_mf = theta_mf @ self.E_mf.T
+        if self.n_p == 0:
+            return np.zeros(shape), gap_mf
         E_p = self.E_p
+
+        def mismatch(z):
+            gap = gap_mf + z @ E_p.T
+            return p_pas - self.line_flows(gap) @ E_p, gap
+
         warm = self._theta_p_warm.get(shape)
-        theta_p = _damped_newton(
-            lambda z: p_pas - self.line_flows(gap_mf + z @ E_p.T) @ E_p,
-            lambda z: self._passive_gram(self.stiffness(gap_mf + z @ E_p.T)),
+        theta_p, gap = _damped_newton(
+            mismatch, lambda gap: self._passive_gram(self.stiffness(gap)),
             np.zeros(shape) if warm is None else warm,
             1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network")
         self._theta_p_warm[shape] = theta_p
-        return theta_p
+        return theta_p, gap
 
     # -- packed state ----------------------------------------------------------
 
@@ -201,30 +227,30 @@ class _SimModel:
         c = b + self.n_ctrl
         return x[..., :a], x[..., a:b], x[..., b:c], x[..., c:]
 
-    def _network(self, theta_mf, omega_m, u, p_eff):
-        """Full theta, omega over the controller set and the line flows:
-        passive phases and load-bus frequencies from the power balance."""
-        theta = np.zeros(theta_mf.shape[:-1] + (self.n,))
-        theta[..., self.mf] = theta_mf
-        if self.n_p:
-            theta[..., self.pas] = self.solve_passive(theta_mf, p_eff[..., self.pas])
-        f = self.flows(theta)
-        omega_mf = np.empty(theta_mf.shape)
-        omega_mf[..., self.mach_in_mf] = omega_m
-        if self.freq_nodes.size:
-            omega_mf[..., self.freq_in_mf] = (
-                (p_eff[..., self.freq_nodes] + u[..., self.freq_in_mf]
-                 - f[..., self.freq_nodes]) / self.D_f)
-        return theta, omega_mf, f
-
-    def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
+    def _equations(self, x, p, f):
+        """The model's equations at the states ``x``, injections ``p`` and
+        node flows ``f``: swing equations at the machines, load-bus
+        frequencies from the power balance, and the law's maps. They are
+        linear in all three."""
         theta_mf, omega_m, eta, xi = self.unpack(x)
         u = self.law.u(xi)
-        _, omega_mf, f = self._network(theta_mf, omega_m, u, p_eff)
-        d_omega_m = (p_eff[..., self.mach_nodes] + u[..., self.mach_in_mf]
+        omega_mf = np.empty(theta_mf.shape)
+        omega_mf[..., self.mach_in_mf] = omega_m
+        omega_mf[..., self.freq_in_mf] = (
+            (p[..., self.freq_nodes] + u[..., self.freq_in_mf]
+             - f[..., self.freq_nodes]) / self.D_f)
+        d_omega_m = (p[..., self.mach_nodes] + u[..., self.mach_in_mf]
                      - self.D_m * omega_m - f[..., self.mach_nodes]) / self.M_m
         return self.pack(omega_mf, d_omega_m, self.law.d_eta(omega_mf, xi),
                          self.law.d_xi(omega_mf, eta, xi))
+
+    def _evaluate(self, x, p_eff):
+        """Passive phases and the right-hand side at the states ``x``."""
+        theta_p, gap = self._balance(x[..., :self.n_mf], p_eff[..., self.pas])
+        return theta_p, x @ self._L_x + p_eff @ self._L_p + self.line_flows(gap) @ self._L_l
+
+    def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
+        return self._evaluate(x, p_eff)[1]
 
     def jacobian(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
         """Forward-difference Jacobian of :meth:`rhs` at the single state
@@ -250,11 +276,14 @@ class _SimModel:
         return A, B
 
     def observables(self, x, p_eff):
-        """Full theta and full omega (NaN on passive nodes)."""
-        theta_mf, omega_m, _, xi = self.unpack(x)
-        theta, omega_mf, _ = self._network(theta_mf, omega_m, self.law.u(xi), p_eff)
+        """Full theta and full omega (NaN on passive nodes). The frequencies
+        are the phase block of the right-hand side, d theta / dt = omega."""
+        theta_p, dx = self._evaluate(x, p_eff)
+        theta = np.empty(x.shape[:-1] + (self.n,))
+        theta[..., self.mf] = x[..., :self.n_mf]
+        theta[..., self.pas] = theta_p
         omega = np.full(theta.shape, np.nan)
-        omega[..., self.mf] = omega_mf
+        omega[..., self.mf] = dx[..., :self.n_mf]
         return theta, omega
 
 
@@ -268,9 +297,12 @@ def _weighted_gram(F: np.ndarray):
 
 
 def _damped_newton(residual, jacobian, z0, tol, what):
-    """Solve the power mismatch ``residual(z) = 0`` by Newton steps
-    ``jacobian(z)^-1 residual(z)``, ``jacobian`` being the derivative of the
-    flows, i.e. of ``-residual``.
+    """Solve the power mismatch ``g(z) = 0`` by Newton steps ``J^-1 g(z)``.
+
+    ``residual(z)`` returns ``g(z)`` and the phase gaps at ``z``;
+    ``jacobian(gaps)`` is ``J``, the derivative of the flows, i.e. of
+    ``-g``, so the two share one gap evaluation. Returns the solution and
+    its gaps.
 
     Works over the leading axes of ``z0``. An element is done once the max
     norm of its mismatch is at most ``tol`` (broadcast over the leading
@@ -278,15 +310,17 @@ def _damped_newton(residual, jacobian, z0, tol, what):
     its mismatch falls. So no element's iterates depend on the others.
     """
     z = np.array(z0, dtype=float)
-    g = residual(z)
+    g, gap = residual(z)
     gn = np.abs(g).max(axis=-1, initial=0.0)
     eye = np.eye(z.shape[-1])
     for _ in range(50):
         active = ~(gn <= tol)
         if not active.any():
-            return z
-        # frozen elements solve an identity system and are never updated
-        J = np.where(active[..., None, None], jacobian(z), eye)
+            return z, gap
+        J = jacobian(gap)
+        if not active.all():
+            # frozen elements solve an identity system and are never updated
+            J = np.where(active[..., None, None], J, eye)
         try:
             step = np.linalg.solve(J, g[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -296,19 +330,35 @@ def _damped_newton(residual, jacobian, z0, tol, what):
         alpha = 1.0
         for _ in range(30):
             cand = z + alpha * step
-            g_new = residual(cand)
+            g_new, gap_new = residual(cand)
             gn_new = np.abs(g_new).max(axis=-1, initial=0.0)
             better = active & (gn_new < gn)
+            if better.all():
+                z, g, gap, gn = cand, g_new, gap_new, gn_new
+                break
             z = np.where(better[..., None], cand, z)
             g = np.where(better[..., None], g_new, g)
+            gap = np.where(better[..., None], gap_new, gap)
             gn = np.where(better, gn_new, gn)
             active = active & ~better
             if not active.any():
                 break
             alpha *= 0.5
         else:
-            raise DAESolveError(f"{what} Newton stalled")
-    raise DAESolveError(f"{what} Newton did not converge in 50 iterations")
+            raise DAESolveError(_unconverged(f"{what} Newton stalled", gn, tol))
+    raise DAESolveError(_unconverged(
+        f"{what} Newton did not converge in 50 iterations", gn, tol))
+
+
+def _unconverged(message, gn, tol):
+    """``message`` with the count of elements whose mismatch ``gn`` is above
+    ``tol``, and the largest of them against its tolerance."""
+    gn, tol = np.broadcast_arrays(gn, tol)
+    off = ~(gn <= tol)
+    worst = np.argmax(np.where(off, gn, -np.inf))
+    return (f"{message}: {np.count_nonzero(off)} of {gn.size} element(s) "
+            f"unconverged, largest mismatch {gn.flat[worst]:.3e} against "
+            f"tolerance {tol.flat[worst]:.3e}")
 
 
 # --- closed loops ------------------------------------------------------------

@@ -58,6 +58,11 @@ _BLOWUP_LIMIT = 1e6
 # benchmark 4x slower on a shared 2-CPU host, where their matrix products go
 # multithreaded in BLAS.
 _TRACE_BLOCK = 64
+# bytes of load jitter drawn at a time by the Euler-Maruyama stepper, in
+# chunks of whole steps (at least one). The draws do not depend on the
+# chunking, so neither do the outputs; the budget bounds the stepper's
+# largest temporary whatever the number of paths.
+_NOISE_CHUNK_BYTES = 1 << 22
 
 
 def _note_gain_ratio(gains: GainSchedule) -> None:
@@ -153,10 +158,14 @@ def _equilibrium(model_obj: _SimModel) -> Equilibrium:
     F = model_obj.E @ basis
     jacobian = _weighted_gram(F)
     target = inj @ basis
-    z = _damped_newton(lambda z: target - model_obj.line_flows(z @ F.T) @ F,
-                       lambda z: jacobian(model_obj.stiffness(z @ F.T)),
-                       np.zeros(net.n_nodes - 1),
-                       1e-12 * max(1.0, float(np.abs(inj).max())), "power-flow")
+
+    def mismatch(z):
+        gap = z @ F.T
+        return target - model_obj.line_flows(gap) @ F, gap
+
+    z, _ = _damped_newton(mismatch, lambda gap: jacobian(model_obj.stiffness(gap)),
+                          np.zeros(net.n_nodes - 1),
+                          1e-12 * max(1.0, float(np.abs(inj).max())), "power-flow")
     eta, xi = model_obj.law.offsets(u_eq)
     return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
 
@@ -337,7 +346,7 @@ def _euler_maruyama(drift, x0, sig, scenario, paths, record_stride):
     X = np.tile(x0, (paths, 1))
     X_rec[0] = X
     rec_pos = 1
-    chunk = 2000
+    chunk = max(1, _NOISE_CHUNK_BYTES // (8 * paths * len(sig)))
     for start in range(0, n_steps, chunk):
         this = min(chunk, n_steps - start)
         W = np.empty((this, paths, len(sig)))

@@ -261,6 +261,21 @@ def test_sweep_with_step_metrics(capsys, two_node_case, tmp_path):
     assert rows[0][5] < rows[1][5]    # C rises
 
 
+def test_sweep_step_metrics_follow_the_model(capsys):
+    # the swept S and C come from the model asked for, as in `simulate`;
+    # the sine and linear models differ on homogeneous10 in the 6th digit
+    case = bundled_case_path("homogeneous10")
+    code, out, _ = run(capsys, "sweep", "--case", case, "--law", "dpiac",
+                       "--param", "k3", "--grid", "2", "--sim", "step",
+                       "--model", "linear")
+    assert code == 0
+    S, C = out.strip().splitlines()[1].split(",")[4:]
+    code, out, _ = run(capsys, "simulate", "--case", case, "--law", "dpiac",
+                       "--k3", "2", "--kind", "step", "--model", "linear")
+    assert code == 0
+    assert out.split() == [f"S={S}", f"C={C}", "(t0=40)"]
+
+
 def test_sweep_with_noise_metrics(capsys, tmp_path):
     case = tmp_path / "noise.case"
     case.write_text(TWO_NODE.replace(

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,99 @@ def test_linear_model_matrices_reproduce_rhs_on_mixed_network(law):
         assert np.allclose(mo.rhs(x, p), A @ x + B @ p, rtol=0, atol=1e-14 * scale)
 
 
+@pytest.mark.parametrize("case, law", [(case, law) for case in
+                                       ("ieee39-like", "heterogeneous-prices")
+                                       for law in LAWS])
+def test_rhs_matches_written_out_equations(case, law):
+    # an oracle for the precomputed map: the swing equations, the load-bus
+    # balance and the law's maps, written out node by node at random states
+    # and injections; the passive phases are the model's, checked to balance
+    from piac.closedloop import _SimModel
+    from piac.controllers import ControlLaw
+
+    if case == "ieee39-like":
+        net, comm, gains, _ = load_case(bundled_case_path(case))
+    else:
+        net, comm = machine_only_case(case)
+        gains = GainSchedule(k1=0.8, k2=3.2, k3=4.0)
+    mo = _SimModel(net, comm, law, gains, "sin")
+    ctrl = ControlLaw.build(net, comm, law, gains)
+    idx = net.index_of
+    kind = {i: net.node(i).kind for i in net.ids}
+    mf = [idx[i] for i in net.ids if kind[i] is not NodeKind.PASSIVE]
+    mach = [idx[i] for i in net.ids if kind[i] is NodeKind.MACHINE]
+    freq = [idx[i] for i in net.ids if kind[i] is NodeKind.FREQ_DEPENDENT]
+    pas = [idx[i] for i in net.ids if kind[i] is NodeKind.PASSIVE]
+    assert [idx[i] for i in net.controller_ids] == mf
+    M = np.array([net.nodes[i].inertia for i in mach])
+    D = np.zeros(net.n_nodes)
+    D[mf] = [net.nodes[i].damping for i in mf]
+    k = ctrl.pairs
+    rng = np.random.default_rng(41)
+    for rows in ((), (3,)):
+        x = rng.normal(size=rows + (mo.dim,))
+        x[..., :len(mf)] *= 0.1                  # phases the lines can carry
+        p = net.injections + 0.1 * rng.normal(size=rows + (net.n_nodes,))
+        theta = np.empty(rows + (net.n_nodes,))
+        theta[..., mf] = x[..., :len(mf)]
+        theta[..., pas] = mo.solve_passive(x[..., :len(mf)], p[..., pas])
+        f = node_flows(net, theta)
+        assert np.abs(f[..., pas] - p[..., pas]).max(initial=0.0) <= 1e-11
+        omega_m = x[..., len(mf):len(mf) + len(mach)]
+        eta, xi = x[..., len(mf) + len(mach):-k], x[..., -k:]
+        u = np.zeros(rows + (net.n_nodes,))
+        u[..., mf] = ctrl.u(xi)
+        omega = np.zeros(rows + (net.n_nodes,))
+        omega[..., mach] = omega_m
+        omega[..., freq] = (p[..., freq] + u[..., freq] - f[..., freq]) / D[freq]
+        d_omega = (p[..., mach] + u[..., mach] - D[mach] * omega_m
+                   - f[..., mach]) / M
+        want = np.concatenate([omega[..., mf], d_omega,
+                               ctrl.d_eta(omega[..., mf], xi),
+                               ctrl.d_xi(omega[..., mf], eta, xi)], axis=-1)
+        got = mo.rhs(x, p)
+        scale = (np.abs(want).max()
+                 + np.abs(x).max() * max(1.0, gains.k1, gains.k2, gains.k3)
+                 + (np.abs(p).max() + np.abs(f).max()) / min(D[mf].min(), M.min()))
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case, solves", [("ieee39-like", ["solve"]),
+                                          ("homogeneous10", [])])
+def test_one_passive_solve_per_evaluation(case, solves, monkeypatch):
+    # the hot path: an rhs call, and the Jacobian's batched one, make one
+    # passive solve and one flow evaluation after it, and no more
+    import piac.closedloop
+    from piac.closedloop import _SimModel
+
+    net, comm, gains, _ = load_case(bundled_case_path(case))
+    mo = _SimModel(net, comm, "dpiac", gains, "sin")
+    x = mo.at_rest(find_equilibrium(net, "dpiac", gains, comm))
+    p = net.injections
+    newton, line_flows = piac.closedloop._damped_newton, _SimModel.line_flows
+    events, depth = [], [0]
+
+    def counting_newton(*args, **kwargs):
+        events.append("solve")
+        depth[0] += 1
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counting_flows(self, gap):
+        if not depth[0]:
+            events.append("flows")
+        return line_flows(self, gap)
+
+    monkeypatch.setattr(piac.closedloop, "_damped_newton", counting_newton)
+    monkeypatch.setattr(_SimModel, "line_flows", counting_flows)
+    for evaluate in (mo.rhs, mo.jacobian):
+        events.clear()
+        evaluate(x, p)
+        assert events == solves + ["flows"], evaluate.__name__
+
+
 def test_heavily_loaded_passive_chain():
     # passive buses hanging in a chain between source and sink, loaded to
     # sizable angles: exercises the damped Newton inside every rhs call
@@ -174,8 +268,15 @@ def test_infeasible_power_flow_raises():
              injection=-1.5, price=1.0),
     )
     net = PowerNetwork(nodes=nodes, edges=((1, 2, 1.0),))
-    with pytest.raises(DAESolveError):
+    with pytest.raises(DAESolveError) as err:
         find_equilibrium(net, "decpiac", GainSchedule.analytic(1.0))
+    # in the zero-mean phase coordinate the target is 1.5 sqrt(2) and the
+    # flow at most sqrt(2): no step gets the mismatch below sqrt(2) / 2
+    found = re.fullmatch(r"power-flow Newton stalled: 1 of 1 element\(s\) "
+                         r"unconverged, largest mismatch (\S+) against "
+                         r"tolerance 1\.500e-12", str(err.value))
+    assert found, str(err.value)
+    assert float(found.group(1)) >= 0.5 * math.sqrt(2.0) * (1 - 1e-3)
 
 
 def test_step_scenario_required():
@@ -499,6 +600,25 @@ def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
             assert np.allclose(slow[k].omega, fast[k].omega, rtol=1e-8, atol=1e-12,
                                equal_nan=True)
             assert np.allclose(slow[k].u, fast[k].u, rtol=1e-8, atol=1e-12)
+
+
+def test_noise_chunks_do_not_change_the_draws(monkeypatch):
+    # the jitter is drawn in chunks of whole steps sized by a byte budget;
+    # single-step chunks and one chunk for the whole run give the same arrays
+    import piac.sim
+    from piac.sim import _euler_maruyama
+
+    scen = Scenario.white_noise({1: 0.01, 3: 0.02}, seed=17, t_end=0.05,
+                                h=1e-3, paths=3, burn_in=0.0)
+    sig = np.array([0.01, 0.0, 0.02, 0.0])
+    A = -np.eye(4) + 0.1 * np.eye(4, k=1)
+    runs = []
+    for budget in (1, 8 * 3 * 4 * 50):
+        monkeypatch.setattr(piac.sim, "_NOISE_CHUNK_BYTES", budget)
+        runs.append(_euler_maruyama(lambda X, W: X @ A.T + W, np.ones(4), sig,
+                                    scen, paths=3, record_stride=7))
+    for one_step, whole in zip(*runs):
+        assert np.array_equal(one_step, whole)
 
 
 def test_sin_ensemble_path_independent_of_ensemble_size():
