@@ -22,8 +22,8 @@ flat so files diff well::
     k3=1.0
     [scenario]
     kind=step                      # step | noise   (section optional)
-    t_end=60
-    h=0.01
+    t_end=60                       # default 60 (step) or 250 (noise)
+    h=0.01                         # default 0.01 (step) or 1e-3 (noise)
     onset=5                        # step only
     step=1:-0.1                    # step only, repeatable
     sigma=2:0.002                  # noise only, repeatable
@@ -42,7 +42,7 @@ import os
 from .controllers import GainSchedule
 from .errors import CaseFormatError, DisconnectedNetwork
 from .netmodel import CommunicationGraph, Node, NodeKind, PowerNetwork
-from .scenario import Scenario, ScenarioKind
+from .scenario import DEFAULTS, Scenario, ScenarioKind
 
 __all__ = ["load_case", "save_case", "loads_case", "dumps_case", "bundled_case_path"]
 
@@ -232,11 +232,12 @@ def loads_case(text: str, path: str = "<string>"):
         for nid in list(steps) + list(sigma):
             if nid not in known:
                 raise CaseFormatError(f"scenario references unknown node {nid}", path)
+        kind = ScenarioKind(kind_tok)
         try:
             scenario = Scenario(
-                kind=ScenarioKind.STEP if kind_tok == "step" else ScenarioKind.NOISE,
-                t_end=float(scen_kv.get("t_end", 60.0)),
-                h=float(scen_kv.get("h", 0.01)),
+                kind=kind,
+                t_end=float(scen_kv.get("t_end", DEFAULTS[kind]["t_end"])),
+                h=float(scen_kv.get("h", DEFAULTS[kind]["h"])),
                 onset=float(scen_kv["onset"]) if "onset" in scen_kv else None,
                 steps=dict(sorted(steps.items())),
                 sigma=dict(sorted(sigma.items())),

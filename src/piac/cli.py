@@ -27,7 +27,7 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      UnsupportedForLinearPath, UnsupportedForModalPath)
 from .h2 import analyze
 from .netmodel import check_homogeneous
-from .scenario import Scenario, ScenarioKind
+from .scenario import DEFAULTS, Scenario, ScenarioKind
 from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
                   write_ensemble_csv, write_trace_csv)
 
@@ -274,15 +274,15 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
     kind_tok = args.kind or (file_scenario.kind.value if file_scenario else None)
     if kind_tok is None:
         raise _Usage("no scenario: case file has no [scenario] section, pass --kind")
-    base = file_scenario if (file_scenario and file_scenario.kind.value == kind_tok) \
-        else None
+    kind = ScenarioKind(kind_tok)
+    base = file_scenario if (file_scenario and file_scenario.kind is kind) else None
 
-    def pick(flag, attr, default):
+    def pick(flag, attr):
         if flag is not None:
             return flag
         if base is not None and getattr(base, attr) is not None:
             return getattr(base, attr)
-        return default
+        return DEFAULTS[kind][attr]
 
     steps = dict(base.steps) if base else {}
     steps.update(_node_values(args.step, "--step"))
@@ -295,19 +295,17 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
         except ValueError as exc:
             raise _Usage(str(exc)) from None
 
-    if kind_tok == "step":
-        return scenario(kind=ScenarioKind.STEP,
-                        t_end=pick(args.t_end, "t_end", 60.0),
-                        h=pick(args.h, "h", 0.01),
-                        onset=pick(args.onset, "onset", 5.0), steps=steps)
+    if kind is ScenarioKind.STEP:
+        return scenario(kind=kind, t_end=pick(args.t_end, "t_end"),
+                        h=pick(args.h, "h"), onset=pick(args.onset, "onset"),
+                        steps=steps)
     seed = args.seed if args.seed is not None else (base.seed if base else None)
     if seed is None:
         raise _Usage("stochastic simulation needs --seed (or seed= in the case file)")
-    return scenario(kind=ScenarioKind.NOISE,
-                    t_end=pick(args.t_end, "t_end", 250.0),
-                    h=pick(args.h, "h", 1e-3), sigma=sigma,
-                    paths=int(pick(args.paths, "paths", 20)),
-                    burn_in=pick(args.burn_in, "burn_in", 50.0), seed=seed)
+    return scenario(kind=kind, t_end=pick(args.t_end, "t_end"),
+                    h=pick(args.h, "h"), sigma=sigma,
+                    paths=int(pick(args.paths, "paths")),
+                    burn_in=pick(args.burn_in, "burn_in"), seed=seed)
 
 
 def cmd_simulate(args) -> int:

@@ -17,7 +17,6 @@ simulator and the closed-loop matrices both read this one copy, and the
 trace builders read the inputs and marginal costs from them.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,8 +38,6 @@ __all__ = [
     "synchronized_frequency",
 ]
 
-log = logging.getLogger(__name__)
-
 LAWS = ("gbpiac", "dpiac", "decpiac")
 
 
@@ -49,15 +46,14 @@ class GainSchedule:
     """Control gains k1 > 0, k2 > 0, k3 >= 0, all finite.
 
     The two-stage integrator avoids input overshoot when ``k2 >= 4*k1``;
-    strict mode (default) rejects schedules below that line, permissive mode
-    only logs. The closed-form transient results additionally require
-    ``k2 == 4*k1`` exactly, exposed here as ``analytic_mode``.
+    schedules below that line are rejected. The closed-form transient
+    results additionally require ``k2 == 4*k1`` exactly, exposed here as
+    ``analytic_mode``.
     """
 
     k1: float
     k2: float
     k3: float = 0.0
-    strict: bool = True
 
     def __post_init__(self):
         for name, value in (("k1", self.k1), ("k2", self.k2), ("k3", self.k3)):
@@ -70,11 +66,8 @@ class GainSchedule:
         if self.k3 < 0:
             raise GainConstraintError(f"k3 must be non-negative, got {self.k3}")
         if self.k2 < 4.0 * self.k1:
-            if self.strict:
-                raise GainConstraintError(
-                    f"k2 = {self.k2} violates k2 >= 4*k1 = {4.0 * self.k1}")
-            log.warning("gain schedule with k2=%g < 4*k1=%g accepted in permissive mode",
-                        self.k2, 4.0 * self.k1)
+            raise GainConstraintError(
+                f"k2 = {self.k2} violates k2 >= 4*k1 = {4.0 * self.k1}")
 
     @classmethod
     def analytic(cls, k1: float, k3: float = 0.0) -> "GainSchedule":

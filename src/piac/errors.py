@@ -29,7 +29,7 @@ class CaseFormatError(PiacError):
 
 
 class GainConstraintError(PiacError):
-    """Control gains violate k2 >= 4*k1 (strict mode) or positivity."""
+    """Control gains violate k2 >= 4*k1, positivity or finiteness."""
 
 
 class NoControllers(PiacError):

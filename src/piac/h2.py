@@ -10,9 +10,11 @@ unit white-noise input this trace equals the stationary output variance
 ``lim E[y^T y]``, which is what the stochastic simulations estimate.
 
 On homogeneous networks two more routes exist: summing small per-mode
-Lyapunov solves over the decoupled blocks, and evaluating the closed-form
-expressions in the Laplacian eigenvalues. All routes agree to solver
-accuracy; the test suite leans on that redundancy.
+Lyapunov solves over the decoupled blocks (:func:`h2_modal`), and evaluating
+the closed-form expressions in the Laplacian eigenvalues. All routes agree to
+solver accuracy; the test suite leans on that redundancy. :func:`analyze`
+reports the dense value and, where they apply, the closed forms; the modal
+route is the tests' independent check on both.
 
 Closed forms, with k2 = 4 k1 and unit-strength disturbances at every node:
 
@@ -63,12 +65,15 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def lyapunov_solve(A, RHS, tol: float = 1e-9) -> np.ndarray:
+_LYAP_TOL = 1e-9
+
+
+def lyapunov_solve(A, RHS) -> np.ndarray:
     """Solve X A + A^T X + RHS = 0 for symmetric PSD RHS and Hurwitz A.
 
     One Schur-based (Bartels-Stewart) solve at every dimension, modal
     blocks and whole closed loops alike, followed by iterative refinement.
-    The residual must come in under ``tol * max |RHS|``; if the Lyapunov
+    The residual must come in under ``1e-9 * max |RHS|``; if the Lyapunov
     operator is badly conditioned (estimate above 1e8) the bound is relaxed
     to 1e-6 and the condition estimate is logged.
     """
@@ -100,13 +105,13 @@ def lyapunov_solve(A, RHS, tol: float = 1e-9) -> np.ndarray:
     for _ in range(2):
         R = X @ A + A.T @ X + RHS
         res = float(np.abs(R).max())
-        if res <= 0.1 * tol * rhs_scale:
+        if res <= 0.1 * _LYAP_TOL * rhs_scale:
             break
         X = X + solve_rhs(R)
     X = 0.5 * (X + X.T)
 
     res = float(np.abs(X @ A + A.T @ X + RHS).max())
-    if res > tol * rhs_scale:
+    if res > _LYAP_TOL * rhs_scale:
         kappa = float(np.max(np.abs(eigs)) / max(-abscissa, 1e-300))
         if kappa > 1e8 and res <= 1e-6 * rhs_scale:
             log.info("lyapunov solve accepted at relaxed tolerance: residual "
@@ -114,7 +119,7 @@ def lyapunov_solve(A, RHS, tol: float = 1e-9) -> np.ndarray:
         else:
             raise SolverAccuracyError(
                 f"lyapunov residual {res / rhs_scale:.3e} relative exceeds "
-                f"{tol:.1e} (condition estimate {kappa:.2e})")
+                f"{_LYAP_TOL:.1e} (condition estimate {kappa:.2e})")
     return X
 
 
@@ -149,15 +154,13 @@ def h2_numeric(sys: StateSpace) -> float:
     return via_o
 
 
-def h2_modal(sys: StateSpace, spectral: SpectralDecomposition | None = None):
+def h2_modal(sys: StateSpace, spectral: SpectralDecomposition):
     """Squared H2 norm summed over the decoupled per-mode blocks.
 
     Independent of the dense route: each block is solved on its own 2x2 to
     4x4 Lyapunov equation. Returns ``(value, per_mode)`` with one
     contribution per Laplacian eigenvalue, ascending.
     """
-    if spectral is None:
-        raise ShapeError("h2_modal needs the spectral decomposition of the Laplacian")
     blocks = modal_decouple(sys, spectral)
     per_mode = np.zeros(len(blocks))
     for k, blk in enumerate(blocks):
@@ -360,8 +363,6 @@ class H2Report:
     numeric: float
     analytic: float | None = None
     rel_gap: float | None = None
-    per_mode_numeric: np.ndarray | None = None
-    per_mode_analytic: np.ndarray | None = None
     bounds: tuple[float, float] | None = None
     limit_k1: float | None = None
     limit_k3: float | None = None
@@ -374,26 +375,20 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
             B_in=None, with_limits: bool = False) -> H2Report:
     """One-stop squared-norm analysis for one (law, selector) pair.
 
-    Always computes the dense numeric value. On homogeneous networks it adds
-    the per-mode numeric breakdown; with k2 = 4 k1 and default disturbances
-    it adds the closed form and (if asked) the k1/k3 limits; with an
-    explicit symmetric positive-definite ``B_in``, the sandwich bounds.
+    Always computes the dense numeric value. On homogeneous networks with
+    k2 = 4 k1 it adds the closed form and (if asked) the k1/k3 limits, or,
+    with an explicit symmetric positive-definite ``B_in``, the sandwich
+    bounds.
     """
     sys = assemble(net, comm, law, gains, B_in, selector)
     numeric = h2_numeric(deflate_zero_mode(sys))
 
-    per_mode_num = None
-    spectral = None
-    if sys.hom is not None:
-        spectral = spectral_decompose(build_laplacian(net))
-        _, per_mode_num = h2_modal(sys, spectral)
-
     analytic = rel_gap = None
-    per_mode_ana = None
     limit_k1 = limit_k3 = None
     bounds = None
     if sys.hom is not None and gains.analytic_mode:
         (m, d), k1, k3 = sys.hom, gains.k1, gains.k3
+        spectral = spectral_decompose(build_laplacian(net))
         if law == "gbpiac":
             ana = h2_gbpiac_analytic(net.n_nodes, m, d, k1, selector)
         else:
@@ -402,7 +397,6 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
         if B_in is None:
             analytic = ana.value
             rel_gap = abs(analytic - numeric) / max(1.0, abs(numeric))
-            per_mode_ana = ana.per_mode
         else:
             try:
                 bounds = h2_bounds_general_B(ana.value, B_in)
@@ -417,7 +411,6 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
                 limit_k3 = h2_gbpiac_analytic(net.n_nodes, m, d, k1, selector).value
 
     return H2Report(law=law, selector=selector.value, numeric=numeric,
-                    analytic=analytic, rel_gap=rel_gap,
-                    per_mode_numeric=per_mode_num, per_mode_analytic=per_mode_ana,
-                    bounds=bounds, limit_k1=limit_k1, limit_k3=limit_k3,
+                    analytic=analytic, rel_gap=rel_gap, bounds=bounds,
+                    limit_k1=limit_k1, limit_k3=limit_k3,
                     homogeneous=sys.hom is not None)

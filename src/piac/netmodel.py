@@ -300,12 +300,15 @@ class SpectralDecomposition:
         return float(self.eigenvalues[1]) if self.n > 1 else math.inf
 
 
-def spectral_decompose(L: np.ndarray, zero_tol: float = 1e-9) -> SpectralDecomposition:
+_ZERO_MODE_TOL = 1e-9
+
+
+def spectral_decompose(L: np.ndarray) -> SpectralDecomposition:
     """Decompose a symmetric PSD Laplacian; see :class:`SpectralDecomposition`.
 
-    ``zero_tol`` is relative to the largest eigenvalue: any |lambda_1| below
-    it is treated as the structural zero mode and snapped, so downstream
-    deflation never divides by numerical dust.
+    Any |lambda_1| below 1e-9 relative to the largest eigenvalue is treated
+    as the structural zero mode and snapped, so downstream deflation never
+    divides by numerical dust.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -315,7 +318,7 @@ def spectral_decompose(L: np.ndarray, zero_tol: float = 1e-9) -> SpectralDecompo
     lam, Q = np.linalg.eigh(L)
     scale = max(float(lam[-1]), 0.0)
     lam = lam.copy()
-    if abs(lam[0]) <= zero_tol * max(scale, 1e-300):
+    if abs(lam[0]) <= _ZERO_MODE_TOL * max(scale, 1e-300):
         lam[0] = 0.0
     # deterministic sign: first component above noise level is positive
     for k in range(Q.shape[1]):

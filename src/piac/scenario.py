@@ -4,12 +4,24 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-__all__ = ["ScenarioKind", "Scenario"]
+__all__ = ["ScenarioKind", "Scenario", "DEFAULTS"]
 
 
 class ScenarioKind(Enum):
     STEP = "step"
     NOISE = "noise"
+
+
+# The value a scenario field takes where its source leaves it unset, per
+# kind: the constructors below, case files, the CLI flags and the
+# stochastic simulator all read this one table. A step scenario's
+# ``onset=None`` still means onset at t = 0.
+DEFAULTS = {
+    ScenarioKind.STEP: {"t_end": 60.0, "h": 0.01, "onset": 5.0},
+    ScenarioKind.NOISE: {"t_end": 250.0, "h": 1e-3, "paths": 20, "burn_in": 50.0},
+}
+_STEP = DEFAULTS[ScenarioKind.STEP]
+_NOISE = DEFAULTS[ScenarioKind.NOISE]
 
 
 @dataclass(frozen=True)
@@ -57,13 +69,15 @@ class Scenario:
                 raise ValueError("burn_in must lie in [0, t_end)")
 
     @classmethod
-    def step(cls, steps: dict[int, float], onset: float = 5.0,
-             t_end: float = 60.0, h: float = 0.01) -> "Scenario":
+    def step(cls, steps: dict[int, float], onset: float = _STEP["onset"],
+             t_end: float = _STEP["t_end"], h: float = _STEP["h"]) -> "Scenario":
         return cls(kind=ScenarioKind.STEP, t_end=t_end, h=h, onset=onset,
                    steps=dict(steps))
 
     @classmethod
-    def white_noise(cls, sigma: dict[int, float], seed: int, t_end: float = 250.0,
-                    h: float = 1e-3, paths: int = 20, burn_in: float = 50.0) -> "Scenario":
+    def white_noise(cls, sigma: dict[int, float], seed: int,
+                    t_end: float = _NOISE["t_end"], h: float = _NOISE["h"],
+                    paths: int = _NOISE["paths"],
+                    burn_in: float = _NOISE["burn_in"]) -> "Scenario":
         return cls(kind=ScenarioKind.NOISE, t_end=t_end, h=h, sigma=dict(sigma),
                    paths=paths, burn_in=burn_in, seed=seed)

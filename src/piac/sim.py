@@ -42,7 +42,7 @@ from .closedloop import assemble_dpiac  # noqa: F401
 from .controllers import GainSchedule, optimal_dispatch
 from .errors import DomainError, InsufficientHorizon, NumericalBlowup
 from .netmodel import CommunicationGraph, PowerNetwork
-from .scenario import Scenario, ScenarioKind
+from .scenario import DEFAULTS, Scenario, ScenarioKind
 
 __all__ = [
     "Scenario", "ScenarioKind", "Trace", "Metrics", "Equilibrium",
@@ -53,6 +53,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
+# LSODA tolerances of the step studies
+_RTOL = 1e-8
+_ATOL = 1e-10
 # recorded rows per path rebuilt in one batched solve, and time steps per
 # block of CSV text. Blocks of 256 rows made the trace rebuild of the sim
 # benchmark 4x slower on a shared 2-CPU host, where their matrix products go
@@ -195,11 +198,10 @@ def _check_scenario_nodes(net, scenario):
 
 def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
                            law: str, gains: GainSchedule, scenario: Scenario,
-                           model: str = "sin", rtol: float = 1e-8,
-                           atol: float = 1e-10, stride: int = 1) -> Trace:
+                           model: str = "sin", stride: int = 1) -> Trace:
     """Step-load response from the pre-disturbance equilibrium.
 
-    LSODA integrates at ``rtol``/``atol`` with the forward-difference
+    LSODA integrates at rtol 1e-8, atol 1e-10 with the forward-difference
     :meth:`_SimModel.jacobian`, one method for every network: its own
     stiffness detection takes Adams steps where the dynamics are not stiff.
     Integration restarts at the onset so the load step never straddles an
@@ -231,7 +233,7 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
         ends_on_grid = len(pts) > 0 and abs(pts[-1] - seg_b) < 1e-12
         t_eval = pts if ends_on_grid else np.concatenate([pts, [seg_b]])
         sol = solve_ivp(lambda t, x: model_obj.rhs(x, p_eff), (seg_a, seg_b),
-                        x_start, method="LSODA", rtol=rtol, atol=atol,
+                        x_start, method="LSODA", rtol=_RTOL, atol=_ATOL,
                         t_eval=t_eval,
                         jac=lambda t, x: model_obj.jacobian(x, p_eff))
         if not sol.success:
@@ -294,8 +296,9 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         raise DomainError("stochastic runs need a seed for reproducibility")
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
-    paths = scenario.paths if scenario.paths is not None else 20
-    burn_in = scenario.burn_in if scenario.burn_in is not None else 50.0
+    defaults = DEFAULTS[ScenarioKind.NOISE]
+    paths = scenario.paths if scenario.paths is not None else defaults["paths"]
+    burn_in = scenario.burn_in if scenario.burn_in is not None else defaults["burn_in"]
     if record_stride is None:
         record_stride = max(1, int(round(0.1 / scenario.h)))
 

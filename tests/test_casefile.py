@@ -142,6 +142,19 @@ def test_noise_scenario():
     assert scen.paths == 4 and scen.seed == 7
 
 
+@pytest.mark.parametrize("body, kind, t_end, h", [
+    ("kind=step\nstep=2:-0.1", ScenarioKind.STEP, 60.0, 0.01),
+    ("kind=noise\nsigma=3:0.002\nseed=7", ScenarioKind.NOISE, 250.0, 1e-3),
+], ids=["step", "noise"])
+def test_scenario_horizon_defaults_follow_the_kind(body, kind, t_end, h):
+    # a file without t_end= or h= runs at the same horizon and step as the
+    # CLI and the Scenario constructors of its kind
+    text = GOOD.replace("kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1", body)
+    _, _, _, scen = loads_case(text)
+    assert scen.kind is kind
+    assert (scen.t_end, scen.h) == (t_end, h)
+
+
 def test_scenario_unknown_node():
     bad = GOOD.replace("step=2:-0.1", "step=99:-0.1")
     with pytest.raises(CaseFormatError):

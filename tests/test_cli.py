@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from piac import (GainSchedule, build_laplacian, bundled_case_path,
-                  h2_dpiac_analytic, save_case, spectral_decompose)
+from piac import (LAWS, GainSchedule, OutputSelector, analyze, build_laplacian,
+                  bundled_case_path, h2_dpiac_analytic, load_case, save_case,
+                  spectral_decompose)
 import piac.cli as cli
+import piac.h2
 from piac.cli import main
 from conftest import ring_net
 
@@ -274,6 +276,24 @@ def test_sweep_step_metrics_follow_the_model(capsys):
                        "--k3", "2", "--kind", "step", "--model", "linear")
     assert code == 0
     assert out.split() == [f"S={S}", f"C={C}", "(t0=40)"]
+
+
+def test_analyze_and_sweep_run_without_the_modal_route(capsys, monkeypatch):
+    # the modal blocks are the tests' oracle, not a step of the analysis:
+    # every printed number comes from the dense route or the closed forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze must not run the modal route")
+
+    monkeypatch.setattr(piac.h2, "h2_modal", refuse)
+    case = bundled_case_path("homogeneous10")
+    net, comm, gains, _ = load_case(case)
+    for law in LAWS:
+        for sel in OutputSelector:
+            rep = analyze(net, comm, gains, law, sel, with_limits=True)
+            assert rep.analytic is not None and rep.rel_gap <= 1e-8
+    code, _, _ = run(capsys, "sweep", "--case", case, "--law", "dpiac",
+                     "--param", "k3", "--grid", "1,10")
+    assert code == 0
 
 
 def test_sweep_with_noise_metrics(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -35,14 +34,7 @@ def test_gain_schedule_constraints():
 ])
 def test_gain_schedule_refuses_non_finite(gains):
     with pytest.raises(GainConstraintError, match="must be finite"):
-        GainSchedule(**gains, strict=False)
-
-
-def test_gain_schedule_permissive_logs(caplog):
-    with caplog.at_level(logging.WARNING):
-        g = GainSchedule(k1=1.0, k2=3.0, strict=False)
-    assert g.k2 == 3.0
-    assert any("permissive" in r.message for r in caplog.records)
+        GainSchedule(**gains)
 
 
 def test_gbpiac_equilibrium_is_fixed():
