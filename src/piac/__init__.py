@@ -18,8 +18,7 @@ from .errors import (CaseFormatError, DAESolveError, DegenerateModel,
                      DisconnectedNetwork, DomainError, GainConstraintError,
                      InsufficientHorizon, NoControllers, NumericalBlowup,
                      PiacError, ShapeError, SolverAccuracyError,
-                     UnstableSystem, UnsupportedForLinearPath,
-                     UnsupportedForModalPath)
+                     UnstableSystem, UnsupportedForModalPath)
 from .h2 import (AnalyticH2, DpiacModeCoefficients, Grammians, H2Report,
                  analyze, compare_laws, grammians, h2_bounds_general_B,
                  h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_numeric,

@@ -42,7 +42,7 @@ import os
 from .controllers import GainSchedule
 from .errors import CaseFormatError, DisconnectedNetwork
 from .netmodel import CommunicationGraph, Node, NodeKind, PowerNetwork
-from .scenario import DEFAULTS, Scenario, ScenarioKind
+from .scenario import Scenario, ScenarioKind
 
 __all__ = ["load_case", "save_case", "loads_case", "dumps_case", "bundled_case_path"]
 
@@ -236,8 +236,8 @@ def loads_case(text: str, path: str = "<string>"):
         try:
             scenario = Scenario(
                 kind=kind,
-                t_end=float(scen_kv.get("t_end", DEFAULTS[kind]["t_end"])),
-                h=float(scen_kv.get("h", DEFAULTS[kind]["h"])),
+                t_end=float(scen_kv["t_end"]) if "t_end" in scen_kv else None,
+                h=float(scen_kv["h"]) if "h" in scen_kv else None,
                 onset=float(scen_kv["onset"]) if "onset" in scen_kv else None,
                 steps=dict(sorted(steps.items())),
                 sigma=dict(sorted(sigma.items())),

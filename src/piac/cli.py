@@ -24,10 +24,10 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      DomainError, GainConstraintError, InsufficientHorizon,
                      NumericalBlowup, PiacError, ShapeError,
                      SolverAccuracyError, UnstableSystem,
-                     UnsupportedForLinearPath, UnsupportedForModalPath)
+                     UnsupportedForModalPath)
 from .h2 import analyze
 from .netmodel import check_homogeneous
-from .scenario import DEFAULTS, Scenario, ScenarioKind
+from .scenario import Scenario, ScenarioKind
 from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
                   write_ensemble_csv, write_trace_csv)
 
@@ -278,11 +278,8 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
     base = file_scenario if (file_scenario and file_scenario.kind is kind) else None
 
     def pick(flag, attr):
-        if flag is not None:
-            return flag
-        if base is not None and getattr(base, attr) is not None:
-            return getattr(base, attr)
-        return DEFAULTS[kind][attr]
+        # a field left None here takes the kind's default in Scenario
+        return flag if flag is not None or base is None else getattr(base, attr)
 
     steps = dict(base.steps) if base else {}
     steps.update(_node_values(args.step, "--step"))
@@ -304,7 +301,7 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
         raise _Usage("stochastic simulation needs --seed (or seed= in the case file)")
     return scenario(kind=kind, t_end=pick(args.t_end, "t_end"),
                     h=pick(args.h, "h"), sigma=sigma,
-                    paths=int(pick(args.paths, "paths")),
+                    paths=pick(args.paths, "paths"),
                     burn_in=pick(args.burn_in, "burn_in"), seed=seed)
 
 
@@ -413,8 +410,8 @@ def main(argv=None) -> int:
     except GainConstraintError as exc:
         print(f"gain constraint violated: {exc}", file=sys.stderr)
         return EXIT_GAINS
-    except (UnsupportedForLinearPath, UnsupportedForModalPath, UnstableSystem,
-            SolverAccuracyError, DomainError, ShapeError) as exc:
+    except (UnsupportedForModalPath, UnstableSystem, SolverAccuracyError,
+            DomainError, ShapeError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except (DAESolveError, NumericalBlowup, InsufficientHorizon) as exc:

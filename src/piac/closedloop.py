@@ -8,15 +8,19 @@ coupled through the signed incidence matrix, and the law's maps from
 is linear, so the model precomputes one affine map of the state, the
 injections and the line flows; an evaluation solves the passive balance,
 takes the flows at the resulting phase gaps and applies the map. The
-simulator integrates it, and the closed loops are read off its
-``model="linear"`` instance at unit vectors (:meth:`_SimModel.matrices`),
-which is exact because that model is affine.
+simulator integrates it, and the closed loops of every network are read off
+its ``model="linear"`` instance at unit vectors (:meth:`_SimModel.matrices`),
+which is exact because that model is affine (Kron-reduced where buses are
+passive).
 
-State ordering is fixed as (theta, omega, eta, xi) for every law: phase
-angles, frequency deviations, then the controller integrator pairs (one
-pair for the gather-broadcast law, one per node for the local laws).
-Disturbances enter the frequency equation through an input matrix ``B_in``
-(identity by default), scaled by the inverse inertia.
+State ordering is fixed as (theta, omega, eta, xi) for every law: phases of
+the non-passive buses, machine frequencies, then the integrator pairs (one
+for the gather-broadcast law, one per controller for the local laws).
+Disturbances are the injections ``B_in w``, ``B_in`` the identity by default.
+The ``omega`` output, the frequency at every non-passive bus, is the phase
+block of the rhs: rows of ``A``, with those rows of ``B`` as direct term. An
+input into a load bus's power balance feeds straight through, which makes
+the H2 norm infinite, and is refused.
 
 The raw closed-loop matrix is marginally stable: the integrators conserve
 damping-weighted phase sums that no disturbance can move.
@@ -40,7 +44,7 @@ import scipy.linalg
 
 from .controllers import ControlLaw, GainSchedule, check_law, law_homogeneity
 from .errors import (DAESolveError, DomainError, ShapeError,
-                     UnsupportedForLinearPath, UnsupportedForModalPath)
+                     UnsupportedForModalPath)
 from .netmodel import (CommunicationGraph, NodeKind, PowerNetwork,
                        SpectralDecomposition)
 
@@ -77,10 +81,11 @@ class OutputSelector(Enum):
 class StateSpace:
     """Closed-loop (A, B, C) with labeled state blocks.
 
-    ``labels`` maps block names ('theta', 'omega', 'eta', 'xi') to slices of
-    the state vector; it is empty once :func:`deflate_zero_mode` has mixed
-    the coordinates. ``B_in`` is the physical n-by-n disturbance matrix
-    before the inertia scaling; ``B`` is the full state-space input matrix.
+    ``labels`` maps block names to slices of the state: 'theta' (non-passive
+    buses), 'omega' (machines), 'eta' and 'xi' (integrator pairs); it is
+    empty once :func:`deflate_zero_mode` has mixed the coordinates. ``B_in``
+    is the physical disturbance matrix over all ``n`` buses; ``B`` is the
+    full state-space input matrix.
     ``hom`` holds (m, d) when the network qualifies for the modal/analytic
     path, else None.
     """
@@ -364,18 +369,6 @@ def _unconverged(message, gn, tol):
 # --- closed loops ------------------------------------------------------------
 
 
-def _machine_only(net: PowerNetwork, what: str):
-    bad = []
-    if net.freq_ids:
-        bad.append(f"{len(net.freq_ids)} frequency-dependent")
-    if net.passive_ids:
-        bad.append(f"{len(net.passive_ids)} passive")
-    if bad:
-        raise UnsupportedForLinearPath(
-            f"{what} needs a machine-only network; found {' and '.join(bad)} node(s). "
-            "Use the simulation path for mixed networks.")
-
-
 def _b_in(net: PowerNetwork, B_in) -> np.ndarray:
     n = net.n_nodes
     if B_in is None:
@@ -389,17 +382,28 @@ def _b_in(net: PowerNetwork, B_in) -> np.ndarray:
 def _assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
               gains: GainSchedule, B_in, selector: OutputSelector) -> StateSpace:
     """Closed loop of any law, read off the linear network model."""
-    _machine_only(net, f"{law} closed loop")
     model = _SimModel(net, comm, law, gains, "linear")
     B_in = _b_in(net, B_in)
     A, B = model.matrices(B_in)
-    n, k, N = model.n, model.n_ctrl, model.dim
-    labels = {"theta": slice(0, n), "omega": slice(n, 2 * n),
-              "eta": slice(2 * n, 2 * n + k), "xi": slice(2 * n + k, N)}
-    C = _output_matrix(selector, model.law, n, N, labels)
+    a = model.n_mf
+    b = a + model.n_m
+    c = b + model.n_ctrl
+    labels = {"theta": slice(0, a), "omega": slice(a, b), "eta": slice(b, c),
+              "xi": slice(c, model.dim)}
+    if selector is OutputSelector.FREQUENCY_DEVIATION:
+        C = A[:a]
+        fed = np.flatnonzero(np.any(B[:a] != 0, axis=1))
+        if len(fed):
+            ids = ", ".join(str(net.ids[i]) for i in model.mf[fed])
+            raise DomainError(
+                "the omega norm is infinite: the input feeds straight through to "
+                f"the frequency at bus(es) {ids}; use an input that reaches the "
+                "machine buses only (--b-diag with zeros off the machine buses)")
+    else:
+        C = _output_matrix(selector, model.law, model.dim, labels)
     hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
     return StateSpace(A=A, B=B, C=C, labels=labels, law=law, gains=gains,
-                      selector=selector, n=n, B_in=B_in,
+                      selector=selector, n=model.n, B_in=B_in,
                       hom=(hom.m, hom.d) if hom.passed else None)
 
 
@@ -412,7 +416,7 @@ def assemble_gbpiac(net: PowerNetwork, gains: GainSchedule, B_in=None,
 def assemble_dpiac(net: PowerNetwork, comm: CommunicationGraph, gains: GainSchedule,
                    B_in=None,
                    selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION) -> StateSpace:
-    """Closed loop of the distributed law; state (theta, omega, eta, xi), dim 4n."""
+    """Closed loop of the distributed law; state (theta, omega, eta, xi)."""
     return _assemble(net, comm, "dpiac", gains, B_in, selector)
 
 
@@ -440,17 +444,17 @@ def assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
     return assemble_decpiac(net, gains, B_in, selector, comm=comm)
 
 
-def _output_matrix(selector, ctrl: ControlLaw, n, N, labels):
-    C = np.zeros((1 if selector is OutputSelector.TOTAL_CONTROL_INPUT else n, N))
+def _output_matrix(selector, ctrl: ControlLaw, N, labels):
+    """Rows of the outputs that read ``xi`` only (all but ``omega``)."""
     unit = np.eye(ctrl.pairs)
-    if selector is OutputSelector.FREQUENCY_DEVIATION:
-        C[:, labels["omega"]] = np.eye(n)
-    elif selector is OutputSelector.CONTROL_INPUT:
-        C[:, labels["xi"]] = ctrl.u(unit).T
+    if selector is OutputSelector.CONTROL_INPUT:
+        rows = ctrl.u(unit).T
     elif selector is OutputSelector.TOTAL_CONTROL_INPUT:
-        C[0, labels["xi"]] = ctrl.u(unit).sum(axis=1)
+        rows = ctrl.u(unit).sum(axis=1, keepdims=True).T
     else:
-        C[:, labels["xi"]] = ctrl.spread(unit).T
+        rows = ctrl.spread(unit).T
+    C = np.zeros((len(rows), N))
+    C[:, labels["xi"]] = rows
     return C
 
 

@@ -40,10 +40,6 @@ class DegenerateModel(PiacError):
     """The model has no damping to define a synchronized frequency."""
 
 
-class UnsupportedForLinearPath(PiacError):
-    """Linearized closed-loop assembly needs a machine-only network."""
-
-
 class UnsupportedForModalPath(PiacError):
     """Modal decoupling needs homogeneous parameters."""
 

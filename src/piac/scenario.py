@@ -13,9 +13,8 @@ class ScenarioKind(Enum):
 
 
 # The value a scenario field takes where its source leaves it unset, per
-# kind: the constructors below, case files, the CLI flags and the
-# stochastic simulator all read this one table. A step scenario's
-# ``onset=None`` still means onset at t = 0.
+# kind. :class:`Scenario` fills every ``None`` field of its kind from this
+# one table, so case files, the CLI flags and the simulators see one value.
 DEFAULTS = {
     ScenarioKind.STEP: {"t_end": 60.0, "h": 0.01, "onset": 5.0},
     ScenarioKind.NOISE: {"t_end": 250.0, "h": 1e-3, "paths": 20, "burn_in": 50.0},
@@ -31,6 +30,7 @@ class Scenario:
     ``h`` is the Euler-Maruyama step for noise runs and the output-grid
     spacing for deterministic runs (which integrate adaptively underneath).
     ``seed`` is mandatory for noise runs so every ensemble is reproducible.
+    A field left ``None`` takes its kind's value in :data:`DEFAULTS`.
     """
 
     kind: ScenarioKind
@@ -44,6 +44,9 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self):
+        for name, value in DEFAULTS[self.kind].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         for name in ("t_end", "h", "onset", "burn_in"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -57,15 +60,14 @@ class Scenario:
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.kind is ScenarioKind.STEP:
-            onset = 0.0 if self.onset is None else self.onset
-            if onset < 0 or onset >= self.t_end:
-                raise ValueError(f"onset {onset} must lie in [0, t_end)")
+            if self.onset < 0 or self.onset >= self.t_end:
+                raise ValueError(f"onset {self.onset} must lie in [0, t_end)")
         else:
             if any(s < 0 for s in self.sigma.values()):
                 raise ValueError("noise strengths must be >= 0")
-            if self.paths is not None and self.paths < 1:
+            if self.paths < 1:
                 raise ValueError("paths must be >= 1")
-            if self.burn_in is not None and not 0 <= self.burn_in < self.t_end:
+            if not 0 <= self.burn_in < self.t_end:
                 raise ValueError("burn_in must lie in [0, t_end)")
 
     @classmethod

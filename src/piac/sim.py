@@ -42,7 +42,7 @@ from .closedloop import assemble_dpiac  # noqa: F401
 from .controllers import GainSchedule, optimal_dispatch
 from .errors import DomainError, InsufficientHorizon, NumericalBlowup
 from .netmodel import CommunicationGraph, PowerNetwork
-from .scenario import DEFAULTS, Scenario, ScenarioKind
+from .scenario import Scenario, ScenarioKind
 
 __all__ = [
     "Scenario", "ScenarioKind", "Trace", "Metrics", "Equilibrium",
@@ -215,7 +215,7 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
     x0 = model_obj.at_rest(_equilibrium(model_obj))
-    onset = 0.0 if scenario.onset is None else scenario.onset
+    onset = scenario.onset
     grid = _record_grid(scenario.t_end, scenario.h * stride)
     p_pre = _effective_injection(net, scenario, False)
     p_post = _effective_injection(net, scenario, True)
@@ -296,9 +296,6 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         raise DomainError("stochastic runs need a seed for reproducibility")
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
-    defaults = DEFAULTS[ScenarioKind.NOISE]
-    paths = scenario.paths if scenario.paths is not None else defaults["paths"]
-    burn_in = scenario.burn_in if scenario.burn_in is not None else defaults["burn_in"]
     if record_stride is None:
         record_stride = max(1, int(round(0.1 / scenario.h)))
 
@@ -317,9 +314,9 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
             return model_obj.rhs(X, p + W)
 
     t, X, W = _euler_maruyama(drift, x0, _noise_matrix(net, scenario),
-                              scenario, paths, record_stride)
+                              scenario, scenario.paths, record_stride)
     traces = _traces(model_obj, t, X, p + W)
-    metrics = compute_metrics(traces, net.prices, burn_in=burn_in)
+    metrics = compute_metrics(traces, net.prices, burn_in=scenario.burn_in)
     return traces, metrics
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from piac import CommunicationGraph, GainSchedule, Node, NodeKind, PowerNetwork
+from piac import (CommunicationGraph, GainSchedule, Node, NodeKind, PowerNetwork,
+                  bundled_case_path, load_case)
 
 
 def make_machine_net(n, m=1.0, d=1.0, alpha=1.0, edges=None, k=1.0,
@@ -48,6 +49,23 @@ def ring_net(n, k=1.0, m=1.0, d=1.0, alpha=1.0):
     else:
         edges = [(i, i % n + 1, k) for i in range(1, n + 1)]
     return make_machine_net(n, m=m, d=d, alpha=alpha, edges=edges)
+
+
+def machine_only_case(case):
+    """The bundled homogeneous10 network, or a four-machine ring with
+    heterogeneous inertias, dampings and prices ("heterogeneous-prices")."""
+    if case == "homogeneous10":
+        net, comm, _, _ = load_case(bundled_case_path(case))
+        return net, comm
+    return make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], d=[1.0, 0.3, 2.0, 1.0],
+                            alpha=[1.0, 3.0, 0.5, 2.0],
+                            edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5),
+                                   (1, 4, 1.5)])
+
+
+def machine_bus_input(net):
+    """Disturbance matrix with unit noise on the machine buses only."""
+    return np.diag([float(node.kind is NodeKind.MACHINE) for node in net.nodes])
 
 
 @pytest.fixture

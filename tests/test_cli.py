@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -144,13 +145,33 @@ def test_analyze_gbpiac_u_topology_free(capsys, two_node_case):
     assert float(vals["numeric"]) == pytest.approx(0.25, abs=1e-8)
 
 
-def test_analyze_mixed_network_rejected(capsys):
-    # buses without rotational states have no linearized closed loop; the
-    # simulation path is the supported route for such cases
+def test_analyze_omega_feedthrough_refused(capsys):
+    # the default input reaches the load buses' frequencies directly, so
+    # their omega norm is infinite: refused, naming the 19 load buses
     code, _, err = run(capsys, "analyze", "--case",
                        bundled_case_path("ieee39-like"), "--law", "dpiac")
     assert code == 5
-    assert "machine-only" in err
+    assert ("bus(es) 2, 3, 4, 7, 8, 12, 15, 16, 18, 19, 20, 21, 23, 24, 25, 26, "
+            "27, 28, 29;") in err
+    assert "--b-diag" in err
+
+
+def test_analyze_mixed_network_prints_numeric_norms(capsys):
+    # every selector at the machine-bus input, and every selector but omega
+    # at the default input, gets a finite numeric norm and no closed form
+    case = bundled_case_path("ieee39-like")
+    machines = ",".join("1" if i >= 30 else "0" for i in range(1, 40))
+    for law in LAWS:
+        for sel, extra in ([(sel, []) for sel in ("u", "us", "spread")]
+                           + [(sel, ["--b-diag", machines])
+                              for sel in ("omega", "u", "us", "spread")]):
+            code, out, err = run(capsys, "analyze", "--case", case, "--law", law,
+                                 "--selector", sel, *extra)
+            assert code == 0, err
+            header, row = out.strip().splitlines()
+            vals = dict(zip(header.split(","), row.split(",")))
+            assert math.isfinite(float(vals["numeric"]))
+            assert vals["analytic"] == ""
 
 
 def test_k1_without_k2_takes_4k1(capsys):
@@ -170,10 +191,11 @@ def test_k1_without_k2_takes_4k1(capsys):
 
 
 def test_analyze_refuses_analytic_on_heterogeneous(capsys, het_case):
-    code, _, err = run(capsys, "analyze", "--case", het_case,
-                       "--law", "dpiac", "--analytic")
-    assert code == 6
-    assert "refused" in err
+    for case in (het_case, bundled_case_path("ieee39-like")):
+        code, _, err = run(capsys, "analyze", "--case", case,
+                           "--law", "dpiac", "--analytic")
+        assert code == 6
+        assert "refused" in err
 
 
 def test_analyze_gbpiac_spread_ignores_comm_graph(capsys, tmp_path):
@@ -274,6 +296,23 @@ def test_sweep_step_metrics_follow_the_model(capsys):
     S, C = out.strip().splitlines()[1].split(",")[4:]
     code, out, _ = run(capsys, "simulate", "--case", case, "--law", "dpiac",
                        "--k3", "2", "--kind", "step", "--model", "linear")
+    assert code == 0
+    assert out.split() == [f"S={S}", f"C={C}", "(t0=40)"]
+
+
+def test_step_case_without_onset_steps_at_the_default_onset(capsys, tmp_path):
+    # a step case file without onset= takes the default onset (5 s) in
+    # `simulate`, in `sweep --sim step` and in the library alike
+    case = tmp_path / "no-onset.case"
+    text = Path(bundled_case_path("homogeneous10")).read_text()
+    case.write_text(text.replace("onset=5.0\n", ""))
+    net, comm, gains, scen = load_case(case)
+    assert scen.onset == 5.0
+    code, out, _ = run(capsys, "sweep", "--case", str(case), "--law", "dpiac",
+                       "--param", "k3", "--grid", "4", "--sim", "step")
+    assert code == 0
+    S, C = out.strip().splitlines()[1].split(",")[4:]
+    code, out, _ = run(capsys, "simulate", "--case", str(case), "--law", "dpiac")
     assert code == 0
     assert out.split() == [f"S={S}", f"C={C}", "(t0=40)"]
 

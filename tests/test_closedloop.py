@@ -2,21 +2,55 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from piac import (LAWS, GainSchedule, OutputSelector, ShapeError,
-                  UnstableSystem, UnsupportedForLinearPath,
-                  UnsupportedForModalPath, assemble, assemble_decpiac,
-                  assemble_dpiac, assemble_gbpiac, build_laplacian,
-                  deflate_zero_mode, h2_numeric, load_case, bundled_case_path,
-                  modal_decouple, spectral_decompose)
-from piac.closedloop import StateSpace, _SimModel
-from conftest import make_machine_net, random_homogeneous, ring_net
+from piac import (LAWS, ControlLaw, DomainError, GainSchedule, OutputSelector,
+                  ShapeError, UnstableSystem, UnsupportedForModalPath, assemble,
+                  assemble_decpiac, assemble_dpiac, assemble_gbpiac,
+                  build_laplacian, deflate_zero_mode, h2_numeric, load_case,
+                  bundled_case_path, modal_decouple, spectral_decompose)
+from conftest import (machine_bus_input, machine_only_case, make_machine_net,
+                      random_homogeneous, ring_net)
 
 
-def test_assemble_rejects_mixed():
+def test_assemble_refuses_omega_feedthrough():
+    # the default input enters the load buses' power balance, so it reaches
+    # their frequencies with no dynamics between: the omega norm is infinite.
+    # On the machine buses it has no direct term.
     net, comm, gains, _ = load_case(bundled_case_path("ieee39-like"))
+    freq = ", ".join(str(i) for i in net.freq_ids)
     for law in LAWS:
-        with pytest.raises(UnsupportedForLinearPath):
+        with pytest.raises(DomainError, match=rf"bus\(es\) {freq};.*--b-diag"):
             assemble(net, comm, law, gains)
+        sys = assemble(net, comm, law, gains, machine_bus_input(net))
+        theta = sys.labels["theta"]
+        assert theta.stop == 29 and sys.labels["omega"] == slice(29, 39)
+        assert np.array_equal(sys.C, sys.A[theta])
+        assert not sys.B[theta].any()
+        for sel in (OutputSelector.CONTROL_INPUT, OutputSelector.TOTAL_CONTROL_INPUT,
+                    OutputSelector.MARGINAL_COST_SPREAD):
+            sys = assemble(net, comm, law, gains, selector=sel)
+            assert sys.C.shape == (1 if sel is OutputSelector.TOTAL_CONTROL_INPUT else 29,
+                                   sys.dim)
+
+
+@pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
+def test_output_matrix_matches_hand_written(case):
+    # on a machine-only network the omega rows read off the model are the
+    # identity on the omega block, and the other outputs read xi only
+    net, comm = machine_only_case(case)
+    g = GainSchedule(k1=0.8, k2=3.2, k3=4.0)
+    n = net.n_nodes
+    for law in LAWS:
+        ctrl = ControlLaw.build(net, comm, law, g)
+        unit = np.eye(ctrl.pairs)
+        N = 2 * n + 2 * ctrl.pairs
+        xi = slice(N - ctrl.pairs, N)
+        om, u, us, sp = np.zeros((n, N)), np.zeros((n, N)), np.zeros((1, N)), np.zeros((n, N))
+        om[:, n:2 * n] = np.eye(n)
+        u[:, xi] = ctrl.u(unit).T
+        us[0, xi] = ctrl.u(unit).sum(axis=1)
+        sp[:, xi] = ctrl.spread(unit).T
+        for sel, want in zip(OutputSelector, (om, u, us, sp)):
+            assert np.array_equal(assemble(net, comm, law, g, selector=sel).C, want)
 
 
 def test_default_input_matrix_is_identity():
@@ -176,13 +210,8 @@ def test_deflation_kron_reduced_ieee39_is_hurwitz():
     # the mixed network's loop, Kron-reduced by the linear model's passive
     # balance: heterogeneous, with frequency-dependent and passive buses
     net, comm, g, _ = load_case(bundled_case_path("ieee39-like"))
-    n = net.n_nodes
     for law, dim in (("gbpiac", 40), ("dpiac", 96), ("decpiac", 68)):
-        model = _SimModel(net, comm, law, g, "linear")
-        A, B = model.matrices(np.eye(n))
-        sys = StateSpace(A=A, B=B, C=np.zeros((1, model.dim)), labels={}, law=law,
-                         gains=g, selector=OutputSelector.FREQUENCY_DEVIATION, n=n,
-                         B_in=np.eye(n))
+        sys = assemble(net, comm, law, g, selector=OutputSelector.CONTROL_INPUT)
         defl = deflate_zero_mode(sys)
         assert defl.dim == dim
         assert defl.spectral_abscissa() < 0

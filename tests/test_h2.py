@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from piac import (DomainError, DpiacModeCoefficients, GainSchedule,
+from piac import (LAWS, DomainError, DpiacModeCoefficients, GainSchedule,
                   OutputSelector, ShapeError, UnstableSystem,
                   analyze, assemble_dpiac, assemble_gbpiac, build_laplacian,
-                  compare_laws, deflate_zero_mode, grammians,
+                  bundled_case_path, compare_laws, deflate_zero_mode, grammians,
                   h2_bounds_general_B, h2_dpiac_analytic, h2_gbpiac_analytic,
-                  h2_modal, h2_numeric, limit_k1_infinity, lyapunov_solve,
-                  spectral_decompose)
-from conftest import make_machine_net, random_homogeneous, ring_net
+                  h2_modal, h2_numeric, limit_k1_infinity, load_case,
+                  lyapunov_solve, spectral_decompose)
+from conftest import (machine_bus_input, make_machine_net, random_homogeneous,
+                      ring_net)
 
 OM = OutputSelector.FREQUENCY_DEVIATION
 U = OutputSelector.CONTROL_INPUT
@@ -426,3 +427,16 @@ def test_analyze_decpiac_is_k3_zero():
     spec = spectral_decompose(build_laplacian(net))
     assert rep_dec.analytic == pytest.approx(
         h2_dpiac_analytic(spec, 1.0, 1.0, 1.0, 0.0, U).value)
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_total_input_norm_on_mixed_network(law):
+    # an oracle apart from the closed forms and the modal blocks: the total
+    # input's norm is k1 times the number of unit-noise buses over two on
+    # any network, here with load and passive buses and k2 = 4 k1 or not
+    net, comm, _, _ = load_case(bundled_case_path("ieee39-like"))
+    for B_in, buses in ((None, 39), (machine_bus_input(net), 10)):
+        for g in (GainSchedule(k1=0.8, k2=3.2, k3=2.0),
+                  GainSchedule(k1=0.5, k2=3.0, k3=1.0)):
+            rep = analyze(net, comm, g, law, US, B_in=B_in)
+            assert rep.numeric == pytest.approx(g.k1 * buses / 2, rel=1e-10, abs=0)

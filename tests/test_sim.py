@@ -13,7 +13,7 @@ from piac import (LAWS, CommunicationGraph, DomainError, GainSchedule,
                   optimal_dispatch, simulate_deterministic,
                   simulate_stochastic, spectral_decompose, write_ensemble_csv,
                   write_trace_csv)
-from conftest import make_machine_net, ring_net
+from conftest import machine_only_case, make_machine_net, ring_net
 
 
 def mixed_net():
@@ -98,16 +98,6 @@ def test_step_reaches_optimal_steady_state():
         if law != "decpiac":
             mc = tr.mc[-1]
             assert mc.max() - mc.min() <= 1e-3
-
-
-def machine_only_case(case):
-    if case == "homogeneous10":
-        net, comm, _, _ = load_case(bundled_case_path(case))
-        return net, comm
-    return make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], d=[1.0, 0.3, 2.0, 1.0],
-                            alpha=[1.0, 3.0, 0.5, 2.0],
-                            edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5),
-                                   (1, 4, 1.5)])
 
 
 @pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
