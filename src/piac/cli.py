@@ -18,14 +18,14 @@ import numpy as np
 
 from . import svgplot
 from .casefile import load_case
-from .closedloop import OutputSelector
+from .closedloop import OutputSelector, assemble
 from .controllers import GainSchedule, law_homogeneity
 from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      DomainError, GainConstraintError, InsufficientHorizon,
                      NumericalBlowup, PiacError, ShapeError,
                      SolverAccuracyError, UnstableSystem,
                      UnsupportedForModalPath)
-from .h2 import analyze
+from .h2 import analyze, h2_norms
 from .netmodel import check_homogeneous
 from .scenario import Scenario, ScenarioKind
 from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
@@ -100,6 +100,16 @@ def _number(tok: str, flag: str, kind=float):
     return value
 
 
+def _b_in(args, net):
+    """The disturbance matrix of ``--b-diag``, None (the identity) without it."""
+    if not args.b_diag:
+        return None
+    diag = [_number(tok, "--b-diag") for tok in args.b_diag.split(",")]
+    if len(diag) != net.n_nodes:
+        raise _Usage(f"--b-diag needs {net.n_nodes} entries, got {len(diag)}")
+    return np.diag(diag)
+
+
 def _check_t0(t0: float) -> None:
     # the metrics integrate over [0, t0]; an empty window would read 0
     if not t0 > 0:
@@ -142,13 +152,7 @@ def cmd_analyze(args) -> int:
         why = "; ".join(hom.reasons) if not hom.passed else "k2 != 4*k1"
         print(f"closed-form analysis refused: {why}", file=sys.stderr)
         return EXIT_ANALYTIC_REFUSED
-    B_in = None
-    if args.b_diag:
-        diag = [_number(tok, "--b-diag") for tok in args.b_diag.split(",")]
-        if len(diag) != net.n_nodes:
-            raise _Usage(f"--b-diag needs {net.n_nodes} entries, got {len(diag)}")
-        B_in = np.diag(diag)
-    rep = analyze(net, comm, gains, args.law, selector, B_in=B_in,
+    rep = analyze(net, comm, gains, args.law, selector, B_in=_b_in(args, net),
                   with_limits=args.limits)
     fields = {
         "law": rep.law, "selector": rep.selector,
@@ -202,12 +206,17 @@ class SweepSpec:
         return GainSchedule(k1=g.k1, k2=g.k2, k3=value)
 
 
+_SWEPT = (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
+          OutputSelector.MARGINAL_COST_SPREAD)
+
+
 def cmd_sweep(args) -> int:
     net, comm, file_gains, scenario = load_case(args.case)
     base = _gains_from(args, file_gains)
     grid = tuple(_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip())
     spec = SweepSpec(parameter=args.param, grid=grid, law=args.law,
                      base_gains=base, sim_kind=args.sim, t0=args.t0)
+    B_in = _b_in(args, net)
     if spec.sim_kind is not None:
         if scenario is None:
             raise _Usage("--sim needs a [scenario] section in the case file")
@@ -222,10 +231,9 @@ def cmd_sweep(args) -> int:
 
     def norms_at(value: float):
         gains = spec.gains_at(value)
-        row = [value]
-        for sel in (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
-                    OutputSelector.MARGINAL_COST_SPREAD):
-            row.append(analyze(net, comm, gains, spec.law, sel).numeric)
+        # one loop, read through the three outputs the columns name
+        loop = assemble(net, comm, spec.law, gains, B_in)
+        row = [value, *h2_norms(loop, _SWEPT)]
         if spec.sim_kind == "step":
             trace = simulate_deterministic(net, comm, spec.law, gains, scenario,
                                            model=args.model)
@@ -372,6 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--t0", type=float, default=40.0)
     p.add_argument("--model", default="sin", choices=("sin", "linear"))
+    p.add_argument("--b-diag", help="diagonal disturbance matrix of the norms, comma floats")
     p.add_argument("--svg", help="write an SVG chart of the norm columns")
     p.set_defaults(fn=cmd_sweep)
 

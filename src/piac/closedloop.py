@@ -36,7 +36,7 @@ closed-form norms and an independent numeric route to them.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -58,6 +58,7 @@ __all__ = [
     "assemble_decpiac",
     "modal_decouple",
     "deflate_zero_mode",
+    "output_matrix",
 ]
 
 
@@ -87,7 +88,11 @@ class StateSpace:
     is the physical disturbance matrix over all ``n`` buses; ``B`` is the
     full state-space input matrix.
     ``hom`` holds (m, d) when the network qualifies for the modal/analytic
-    path, else None.
+    path, else None. ``model`` is the linear network model the loop was
+    read off, from which :func:`output_matrix` reads any other output.
+    ``basis`` is set by :func:`deflate_zero_mode`: its orthonormal columns
+    span the kept states in the original coordinates, so an output matrix
+    ``C`` of the undeflated loop is ``C @ basis`` on the deflated one.
     """
 
     A: np.ndarray
@@ -101,6 +106,8 @@ class StateSpace:
     B_in: np.ndarray
     hom: tuple[float, float] | None = None
     deflated: bool = False
+    model: "_SimModel | None" = field(default=None, repr=False)
+    basis: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -258,13 +265,21 @@ class _SimModel:
         return self._evaluate(x, p_eff)[1]
 
     def jacobian(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
-        """Forward-difference Jacobian of :meth:`rhs` at the single state
-        ``x``: the state and its ``dim`` unit perturbations go through one
-        batched :meth:`rhs` call."""
-        h = _FD_STEP * np.maximum(1.0, np.abs(x))
-        h = (x + h) - x                  # steps exact in floating point
-        F = self.rhs(np.vstack([x, x + np.diag(h)]), p_eff)
-        return (F[1:] - F[0]).T / h
+        """Jacobian of :meth:`rhs` at the single state ``x``.
+
+        Only the phases move the gaps, so every other column is its row of
+        the affine map ``L_x``. The ``n_mf`` phase columns are forward
+        differences: the state and its phase perturbations go through one
+        batched :meth:`rhs` call of ``n_mf + 1`` rows."""
+        k = self.n_mf
+        h = _FD_STEP * np.maximum(1.0, np.abs(x[:k]))
+        h = (x[:k] + h) - x[:k]          # steps exact in floating point
+        shifted = np.tile(x, (k + 1, 1))
+        shifted[np.arange(1, k + 1), np.arange(k)] += h
+        F = self.rhs(shifted, p_eff)
+        J = self._L_x.T.copy()
+        J[:, :k] = (F[1:] - F[0]).T / h
+        return J
 
     def matrices(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(A, B)`` of a ``model="linear"`` instance, ``dx/dt = A x + B w``
@@ -390,21 +405,10 @@ def _assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
     c = b + model.n_ctrl
     labels = {"theta": slice(0, a), "omega": slice(a, b), "eta": slice(b, c),
               "xi": slice(c, model.dim)}
-    if selector is OutputSelector.FREQUENCY_DEVIATION:
-        C = A[:a]
-        fed = np.flatnonzero(np.any(B[:a] != 0, axis=1))
-        if len(fed):
-            ids = ", ".join(str(net.ids[i]) for i in model.mf[fed])
-            raise DomainError(
-                "the omega norm is infinite: the input feeds straight through to "
-                f"the frequency at bus(es) {ids}; use an input that reaches the "
-                "machine buses only (--b-diag with zeros off the machine buses)")
-    else:
-        C = _output_matrix(selector, model.law, model.dim, labels)
     hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
-    return StateSpace(A=A, B=B, C=C, labels=labels, law=law, gains=gains,
-                      selector=selector, n=model.n, B_in=B_in,
-                      hom=(hom.m, hom.d) if hom.passed else None)
+    return StateSpace(A=A, B=B, C=_output_matrix(selector, model, A, B), labels=labels,
+                      law=law, gains=gains, selector=selector, n=model.n, B_in=B_in,
+                      hom=(hom.m, hom.d) if hom.passed else None, model=model)
 
 
 def assemble_gbpiac(net: PowerNetwork, gains: GainSchedule, B_in=None,
@@ -444,8 +448,30 @@ def assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
     return assemble_decpiac(net, gains, B_in, selector, comm=comm)
 
 
-def _output_matrix(selector, ctrl: ControlLaw, N, labels):
-    """Rows of the outputs that read ``xi`` only (all but ``omega``)."""
+def output_matrix(sys: StateSpace, selector: OutputSelector) -> np.ndarray:
+    """Output matrix of ``selector`` on the undeflated loop ``sys``, read
+    off its model as :func:`assemble` reads ``sys.C``. On the deflated
+    loop the same output is ``output_matrix(sys, selector) @ basis``."""
+    if sys.deflated or sys.model is None:
+        raise DomainError("output_matrix needs the undeflated loop from assemble")
+    return _output_matrix(selector, sys.model, sys.A, sys.B)
+
+
+def _output_matrix(selector, model: _SimModel, A, B):
+    """``omega`` is the phase block of the rhs: the phase rows of ``A``, with
+    a nonzero direct term in those rows of ``B`` refused. The other outputs
+    read ``xi`` only, through the law's maps."""
+    a = model.n_mf
+    if selector is OutputSelector.FREQUENCY_DEVIATION:
+        fed = np.flatnonzero(np.any(B[:a] != 0, axis=1))
+        if len(fed):
+            ids = ", ".join(str(model.net.ids[i]) for i in model.mf[fed])
+            raise DomainError(
+                "the omega norm is infinite: the input feeds straight through to "
+                f"the frequency at bus(es) {ids}; use an input that reaches the "
+                "machine buses only (--b-diag with zeros off the machine buses)")
+        return A[:a]
+    ctrl = model.law
     unit = np.eye(ctrl.pairs)
     if selector is OutputSelector.CONTROL_INPUT:
         rows = ctrl.u(unit).T
@@ -453,8 +479,8 @@ def _output_matrix(selector, ctrl: ControlLaw, N, labels):
         rows = ctrl.u(unit).sum(axis=1, keepdims=True).T
     else:
         rows = ctrl.spread(unit).T
-    C = np.zeros((len(rows), N))
-    C[:, labels["xi"]] = rows
+    C = np.zeros((len(rows), model.dim))
+    C[:, model.dim - ctrl.pairs:] = rows
     return C
 
 
@@ -484,10 +510,11 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     reach stays, and :func:`~piac.h2.lyapunov_solve` raises
     :class:`UnstableSystem` for it.
 
-    The basis of the complement is the identity on the coordinates outside
-    the support of ``W`` and an orthonormal complement of ``W`` on its
-    support. The mixed coordinates carry no block names, so the result has
-    ``labels={}``.
+    The basis ``P`` of the complement is the identity on the coordinates
+    outside the support of ``W`` and an orthonormal complement of ``W`` on
+    its support. The result is ``(P^T A P, P^T B, C P)`` with ``P`` as its
+    ``basis``, which maps any other output of the loop the same way. The
+    mixed coordinates carry no block names, so the result has ``labels={}``.
     """
     if sys.deflated:
         return sys
@@ -505,7 +532,7 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     P[np.ix_(support, np.arange(mixed))] = Q_s[:, k:]
     P[rest, np.arange(mixed, N - k)] = 1.0
     return replace(sys, A=P.T @ sys.A @ P, B=P.T @ sys.B, C=sys.C @ P,
-                   labels={}, deflated=True)
+                   labels={}, deflated=True, basis=P)
 
 
 # --- modal decoupling --------------------------------------------------------

@@ -5,7 +5,10 @@ The numeric route solves the two Lyapunov equations
     Qo A + A^T Qo + C^T C = 0        (observability Grammian)
     A Qc + Qc A^T + B B^T = 0        (controllability Grammian)
 
-and returns ``tr(B^T Qo B)``, cross-checked against ``tr(C Qc C^T)``. Under
+on one real Schur factorization of A and returns ``tr(B^T Qo B)``,
+cross-checked against ``tr(C Qc C^T)``. Qc does not depend on the output,
+so :func:`h2_norms` serves several selectors of one loop with one Qc and
+one Qo each. Under
 unit white-noise input this trace equals the stationary output variance
 ``lim E[y^T y]``, which is what the stochastic simulations estimate.
 
@@ -33,13 +36,13 @@ lambda_i^2; anything else fails the Grammian cross-check.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble,
-                         deflate_zero_mode, modal_decouple)
+                         deflate_zero_mode, modal_decouple, output_matrix)
 from .controllers import GainSchedule
 from .errors import DomainError, ShapeError, SolverAccuracyError, UnstableSystem
 from .netmodel import (CommunicationGraph, PowerNetwork, SpectralDecomposition,
@@ -53,6 +56,7 @@ __all__ = [
     "lyapunov_solve",
     "grammians",
     "h2_numeric",
+    "h2_norms",
     "h2_modal",
     "h2_gbpiac_analytic",
     "h2_dpiac_analytic",
@@ -68,11 +72,75 @@ log = logging.getLogger(__name__)
 _LYAP_TOL = 1e-9
 
 
-def lyapunov_solve(A, RHS) -> np.ndarray:
+@dataclass(frozen=True)
+class _SchurForm:
+    """Real Schur form ``M = U T U^T`` of a square matrix, factored when a
+    solve first needs it, with the spectral abscissa and spectral radius
+    read off the diagonal blocks of ``T``.
+
+    With ``transposed`` set it serves the Lyapunov equations of
+    ``M^T = U T^T U^T``; :meth:`dual` shares the factorization, so one
+    factorization solves both Grammians of a loop.
+    """
+
+    M: np.ndarray
+    transposed: bool = False
+    _factors: dict = field(default_factory=dict, repr=False)
+
+    def _factor(self) -> dict:
+        f = self._factors
+        if not f:
+            T, U = scipy.linalg.schur(self.M, output="real")
+            # LAPACK leaves each complex pair in a standardized 2x2 block
+            # [[a, b], [c, a]] with eigenvalues a +- i sqrt(-b c), and zeros
+            # below the diagonal everywhere else
+            re = np.diag(T)
+            im2 = np.zeros(len(T))
+            pair = np.flatnonzero(np.diag(T, -1))
+            im2[pair] = im2[pair + 1] = np.abs(T[pair + 1, pair] * T[pair, pair + 1])
+            f.update(T=T, U=U, abscissa=float(re.max()),
+                     radius=float(np.sqrt(np.max(re ** 2 + im2))))
+        return f
+
+    @property
+    def abscissa(self) -> float:
+        return self._factor()["abscissa"]
+
+    @property
+    def radius(self) -> float:
+        return self._factor()["radius"]
+
+    def dual(self) -> "_SchurForm":
+        """The same factorization, read as one of the transposed matrix."""
+        return replace(self, transposed=not self.transposed)
+
+    def solve(self, R: np.ndarray) -> np.ndarray:
+        """``X`` with ``X A + A^T X + R = 0``, ``A`` the factored matrix (or
+        its transpose): in Schur coordinates ``Y = U^T X U`` this is one
+        triangular Sylvester equation."""
+        f = self._factor()
+        T, U = f["T"], f["U"]
+        F = U.T @ R @ U
+        if self.transposed:        # T Y + Y T^T = -F
+            Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -F, tranb="T")
+        else:                      # T^T Y + Y T = -F
+            Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -F, trana="T")
+        if info < 0:
+            raise ValueError(f"dtrsyl: illegal value in argument {-info}")
+        return U @ (Y / scale) @ U.T
+
+
+def lyapunov_solve(A, RHS, schur: _SchurForm | None = None) -> np.ndarray:
     """Solve X A + A^T X + RHS = 0 for symmetric PSD RHS and Hurwitz A.
 
     One Schur-based (Bartels-Stewart) solve at every dimension, modal
-    blocks and whole closed loops alike, followed by iterative refinement.
+    blocks and whole closed loops alike: ``A`` is factored once, the
+    Hurwitz check and the condition estimate are read off the factor, and
+    the solve and its iterative refinement rounds are triangular Sylvester
+    solves on it. ``schur`` passes in the factorization of ``A`` that other
+    solves share (:func:`grammians` shares one between all its Grammians);
+    a zero RHS returns zeros before anything is factored or checked.
+
     The residual must come in under ``1e-9 * max |RHS|``; if the Lyapunov
     operator is badly conditioned (estimate above 1e8) the bound is relaxed
     to 1e-6 and the condition estimate is logged.
@@ -89,53 +157,82 @@ def lyapunov_solve(A, RHS) -> np.ndarray:
     if rhs_scale == 0.0:
         return np.zeros_like(A)
 
-    eigs = np.linalg.eigvals(A)
-    abscissa = float(np.max(eigs.real))
+    if schur is None:
+        schur = _SchurForm(A)
+    abscissa = schur.abscissa
     # a mode on (or within rounding of) the imaginary axis has no Grammian
-    margin = 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
+    margin = 1e-12 * max(1.0, schur.radius)
     if abscissa >= -margin:
         raise UnstableSystem(
             f"spectral abscissa {abscissa:.3e} is not negative; deflate the "
             "zero mode or fix the gains before solving")
 
-    def solve_rhs(R):
-        return scipy.linalg.solve_continuous_lyapunov(A.T, -R)
-
-    X = solve_rhs(RHS)
+    X = schur.solve(RHS)
     for _ in range(2):
         R = X @ A + A.T @ X + RHS
         res = float(np.abs(R).max())
         if res <= 0.1 * _LYAP_TOL * rhs_scale:
             break
-        X = X + solve_rhs(R)
+        X = X + schur.solve(R)
     X = 0.5 * (X + X.T)
 
     res = float(np.abs(X @ A + A.T @ X + RHS).max())
     if res > _LYAP_TOL * rhs_scale:
-        kappa = float(np.max(np.abs(eigs)) / max(-abscissa, 1e-300))
+        kappa = float(schur.radius / max(-abscissa, 1e-300))
         if kappa > 1e8 and res <= 1e-6 * rhs_scale:
             log.info("lyapunov solve accepted at relaxed tolerance: residual "
                      "%.3e (relative), condition estimate %.3e", res / rhs_scale, kappa)
         else:
+            a_scale = float(np.abs(A).max())
+            floor = np.finfo(float).eps * a_scale * float(np.abs(X).max())
             raise SolverAccuracyError(
                 f"lyapunov residual {res / rhs_scale:.3e} relative exceeds "
-                f"{_LYAP_TOL:.1e} (condition estimate {kappa:.2e})")
+                f"{_LYAP_TOL:.1e} (condition estimate {kappa:.2e}, scale "
+                f"max|A| {a_scale:.2e}): gains this large put the round-off "
+                "floor of the residual, about eps*|A|*|X| (here "
+                f"{floor / rhs_scale:.1e} relative), above the bound")
     return X
 
 
 @dataclass(frozen=True)
 class Grammians:
-    """Observability and controllability Grammians of a deflated system."""
+    """Observability Grammians, one per output matrix, and the
+    controllability Grammian of a deflated system."""
 
-    observability: np.ndarray
+    observabilities: tuple[np.ndarray, ...]
     controllability: np.ndarray
 
+    @property
+    def observability(self) -> np.ndarray:
+        """The observability Grammian of the first output, ``sys.C`` by
+        default."""
+        return self.observabilities[0]
 
-def grammians(sys: StateSpace) -> Grammians:
-    """Both Grammians of ``sys``; requires a deflated (Hurwitz) system."""
-    Qo = lyapunov_solve(sys.A, sys.C.T @ sys.C)
-    Qc = lyapunov_solve(sys.A.T, sys.B @ sys.B.T)
-    return Grammians(observability=Qo, controllability=Qc)
+
+def grammians(sys: StateSpace, outputs=None) -> Grammians:
+    """The Grammians of ``sys``; requires a deflated (Hurwitz) system.
+
+    ``outputs`` are output matrices in the coordinates of ``sys`` (default:
+    ``sys.C`` alone), one observability Grammian each. ``A`` is factored
+    once, by the first solve with a nonzero right-hand side; every solve,
+    the controllability one included, runs on that factorization.
+    """
+    if outputs is None:
+        outputs = (sys.C,)
+    schur = _SchurForm(sys.A)
+    Qo = tuple(lyapunov_solve(sys.A, C.T @ C, schur) for C in outputs)
+    Qc = lyapunov_solve(sys.A.T, sys.B @ sys.B.T, schur.dual())
+    return Grammians(observabilities=Qo, controllability=Qc)
+
+
+def _cross_checked(sys: StateSpace, C, Qo, Qc) -> float:
+    """``tr(B^T Qo B)``, refused unless ``tr(C Qc C^T)`` agrees to 1e-8."""
+    via_o = float(np.trace(sys.B.T @ Qo @ sys.B))
+    via_c = float(np.trace(C @ Qc @ C.T))
+    if abs(via_o - via_c) > 1e-8 * max(1.0, abs(via_o)):
+        raise SolverAccuracyError(
+            f"grammian traces disagree: {via_o!r} vs {via_c!r}")
+    return via_o
 
 
 def h2_numeric(sys: StateSpace) -> float:
@@ -146,12 +243,24 @@ def h2_numeric(sys: StateSpace) -> float:
     :class:`SolverAccuracyError` is raised.
     """
     g = grammians(sys)
-    via_o = float(np.trace(sys.B.T @ g.observability @ sys.B))
-    via_c = float(np.trace(sys.C @ g.controllability @ sys.C.T))
-    if abs(via_o - via_c) > 1e-8 * max(1.0, abs(via_o)):
-        raise SolverAccuracyError(
-            f"grammian traces disagree: {via_o!r} vs {via_c!r}")
-    return via_o
+    return _cross_checked(sys, sys.C, g.observability, g.controllability)
+
+
+def h2_norms(sys: StateSpace, selectors) -> list[float]:
+    """Squared H2 norms of the undeflated loop ``sys`` read through each of
+    ``selectors``, in order, each as :func:`h2_numeric` computes it.
+
+    The selectors share everything but their output: one deflation, one
+    Schur factorization, one controllability Grammian, and one
+    observability Grammian per selector. Each output matrix comes off the
+    loop's model (:func:`~piac.closedloop.output_matrix`) and is mapped
+    into the deflated coordinates by the deflation basis.
+    """
+    defl = deflate_zero_mode(sys)
+    outputs = [output_matrix(sys, sel) @ defl.basis for sel in selectors]
+    g = grammians(defl, outputs)
+    return [_cross_checked(defl, C, Qo, g.controllability)
+            for C, Qo in zip(outputs, g.observabilities)]
 
 
 def h2_modal(sys: StateSpace, spectral: SpectralDecomposition):
@@ -375,13 +484,14 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
             B_in=None, with_limits: bool = False) -> H2Report:
     """One-stop squared-norm analysis for one (law, selector) pair.
 
-    Always computes the dense numeric value. On homogeneous networks with
+    Always computes the dense numeric value, through :func:`h2_norms` with
+    the one selector. On homogeneous networks with
     k2 = 4 k1 it adds the closed form and (if asked) the k1/k3 limits, or,
     with an explicit symmetric positive-definite ``B_in``, the sandwich
     bounds.
     """
     sys = assemble(net, comm, law, gains, B_in, selector)
-    numeric = h2_numeric(deflate_zero_mode(sys))
+    numeric, = h2_norms(sys, (selector,))
 
     analytic = rel_gap = None
     limit_k1 = limit_k3 = None

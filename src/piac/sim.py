@@ -17,8 +17,9 @@ Adams and BDF methods as the problem's stiffness demands (Petzold, SIAM J.
 Sci. Stat. Comput. 4(1), 1983): low-damping load buses put closed-loop
 eigenvalues far into the left half-plane (down to about -235 on
 ``ieee39-like``), where an explicit scheme is held to tiny steps by
-stability, not accuracy. Its Jacobian is a forward difference over all unit
-perturbations, taken in one batched right-hand-side call. Stochastic runs
+stability, not accuracy. Its Jacobian is exact in every column but the
+phases, which alone move the line flows; those are forward differences,
+taken in one batched right-hand-side call. Stochastic runs
 step the whole ensemble as one (paths, dim) state with Euler-Maruyama at a
 fixed step. White-noise disturbances at any node kind are injected as
 per-step load jitter ``sigma * N(0,1) / sqrt(h)``, which for differential
@@ -201,8 +202,9 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
                            model: str = "sin", stride: int = 1) -> Trace:
     """Step-load response from the pre-disturbance equilibrium.
 
-    LSODA integrates at rtol 1e-8, atol 1e-10 with the forward-difference
-    :meth:`_SimModel.jacobian`, one method for every network: its own
+    LSODA integrates at rtol 1e-8, atol 1e-10 with
+    :meth:`_SimModel.jacobian` (forward differences in the phase columns),
+    one method for every network: its own
     stiffness detection takes Adams steps where the dynamics are not stiff.
     Integration restarts at the onset so the load step never straddles an
     adaptive step. Output lands on the uniform grid ``scenario.h * stride``.

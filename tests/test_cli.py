@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 from piac import (LAWS, GainSchedule, OutputSelector, analyze, build_laplacian,
                   bundled_case_path, h2_dpiac_analytic, load_case, save_case,
@@ -333,6 +334,64 @@ def test_analyze_and_sweep_run_without_the_modal_route(capsys, monkeypatch):
     code, _, _ = run(capsys, "sweep", "--case", case, "--law", "dpiac",
                      "--param", "k3", "--grid", "1,10")
     assert code == 0
+
+
+def test_sweep_factors_one_loop_per_grid_point(capsys, monkeypatch):
+    # a grid point reads its three columns off one loop: one Schur
+    # factorization, one controllability and three observability Grammians
+    factored, solved = [], []
+    schur, solve = scipy.linalg.schur, piac.h2.lyapunov_solve
+
+    def counting_schur(*args, **kwargs):
+        factored.append(1)
+        return schur(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        solved.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(piac.h2, "lyapunov_solve", counting_solve)
+    code, _, err = run(capsys, "sweep", "--case", bundled_case_path("homogeneous10"),
+                       "--law", "dpiac", "--param", "k3", "--grid", "1,2,4")
+    assert code == 0, err
+    assert len(factored) == 3
+    assert len(solved) == 12
+
+
+def test_sweep_b_diag_matches_analyze(capsys):
+    # with unit noise on the machine buses ieee39-like has a finite omega
+    # norm, and each column of a row is what analyze prints for its selector
+    case = bundled_case_path("ieee39-like")
+    machines = ",".join("1" if i >= 30 else "0" for i in range(1, 40))
+    code, out, err = run(capsys, "sweep", "--case", case, "--law", "dpiac",
+                         "--param", "k3", "--grid", "1,4", "--b-diag", machines)
+    assert code == 0, err
+    header, *rows = out.strip().splitlines()
+    assert header == "k3,omega_norm,u_norm,spread_norm"
+    assert len(rows) == 2
+    for row in rows:
+        k3, *norms = row.split(",")
+        for sel, value in zip(("omega", "u", "spread"), norms):
+            code, out, err = run(capsys, "analyze", "--case", case, "--law", "dpiac",
+                                 "--k3", k3, "--selector", sel, "--b-diag", machines)
+            assert code == 0, err
+            want = float(out.strip().splitlines()[1].split(",")[2])
+            assert float(value) == pytest.approx(want, rel=1e-12), (k3, sel)
+
+
+def test_sweep_omega_feedthrough_refused(capsys):
+    # without --b-diag the default input reaches the load buses: exit 5,
+    # recommending the option sweep now has; a short --b-diag is misuse
+    case = bundled_case_path("ieee39-like")
+    code, out, err = run(capsys, "sweep", "--case", case, "--law", "dpiac",
+                         "--param", "k3", "--grid", "1,4")
+    assert code == 5 and out == ""
+    assert "--b-diag" in err
+    code, _, err = run(capsys, "sweep", "--case", case, "--law", "dpiac",
+                       "--param", "k3", "--grid", "1", "--b-diag", "1,1")
+    assert code == 2
+    assert "usage error: --b-diag needs 39 entries, got 2" in err
 
 
 def test_sweep_with_noise_metrics(capsys, tmp_path):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from piac import (LAWS, DomainError, DpiacModeCoefficients, GainSchedule,
-                  OutputSelector, ShapeError, UnstableSystem,
-                  analyze, assemble_dpiac, assemble_gbpiac, build_laplacian,
-                  bundled_case_path, compare_laws, deflate_zero_mode, grammians,
-                  h2_bounds_general_B, h2_dpiac_analytic, h2_gbpiac_analytic,
-                  h2_modal, h2_numeric, limit_k1_infinity, load_case,
-                  lyapunov_solve, spectral_decompose)
+                  OutputSelector, ShapeError, SolverAccuracyError, UnstableSystem,
+                  analyze, assemble, assemble_dpiac, assemble_gbpiac,
+                  build_laplacian, bundled_case_path, compare_laws,
+                  deflate_zero_mode, grammians, h2_bounds_general_B,
+                  h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_norms,
+                  h2_numeric, limit_k1_infinity, load_case, lyapunov_solve,
+                  spectral_decompose)
+from piac.h2 import _SchurForm
 from conftest import (machine_bus_input, make_machine_net, random_homogeneous,
                       ring_net)
 
@@ -15,6 +19,7 @@ OM = OutputSelector.FREQUENCY_DEVIATION
 U = OutputSelector.CONTROL_INPUT
 US = OutputSelector.TOTAL_CONTROL_INPUT
 SP = OutputSelector.MARGINAL_COST_SPREAD
+SELECTORS = (OM, U, US, SP)
 
 
 # --- lyapunov solver ----------------------------------------------------------
@@ -55,9 +60,14 @@ def test_lyapunov_rejects_nonsymmetric_rhs():
         lyapunov_solve(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_lyapunov_zero_rhs():
-    assert np.array_equal(lyapunov_solve(-np.eye(3), np.zeros((3, 3))),
-                          np.zeros((3, 3)))
+def test_lyapunov_zero_rhs(monkeypatch):
+    # zeros come back before anything is factored, so even for unstable A
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero RHS needs no factorization")
+
+    monkeypatch.setattr(scipy.linalg, "schur", refuse)
+    for A in (-np.eye(3), np.eye(3)):
+        assert np.array_equal(lyapunov_solve(A, np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 def test_lyapunov_large_system():
@@ -71,6 +81,96 @@ def test_lyapunov_large_system():
     X = lyapunov_solve(A, RHS)
     res = np.abs(X @ A + A.T @ X + RHS).max()
     assert res <= 1e-9 * np.abs(RHS).max()
+
+
+def test_schur_spectrum_matches_eigvals():
+    # the abscissa and the spectral radius are read off the 1x1 and 2x2
+    # diagonal blocks of the real Schur form, without an eigenvalue solve;
+    # dense random matrices have complex pairs, shifted to abscissa -1
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 8, 17, 40):
+        for _ in range(5):
+            A = rng.normal(size=(n, n))
+            A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(n)
+            A *= np.exp(rng.uniform(-3, 3))
+            form = _SchurForm(A)
+            eigs = np.linalg.eigvals(A)
+            assert form.abscissa == pytest.approx(np.max(eigs.real), rel=1e-12)
+            assert form.radius == pytest.approx(np.max(np.abs(eigs)), rel=1e-12)
+            if n >= 5:
+                assert np.any(eigs.imag != 0)
+
+
+@pytest.mark.parametrize("decay, unstable", [(5e-12, True), (2e-11, False)])
+def test_unstable_margin_read_off_the_schur_form(decay, unstable):
+    # a lightly damped pair of modulus ~10, rotated out of block form: the
+    # margin is 1e-12 * max(1, max |lambda|) = 1e-11
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    A = Q @ scipy.linalg.block_diag([[-decay, 10.0], [-10.0, -decay]],
+                                    [[-1.0]], [[-3.0]]) @ Q.T
+    if unstable:
+        with pytest.raises(UnstableSystem):
+            lyapunov_solve(A, np.eye(4))
+    else:
+        try:
+            lyapunov_solve(A, np.eye(4))
+        except SolverAccuracyError:
+            pass                 # this close to the axis the residual may fail
+
+
+def test_dual_solve_on_non_normal_matrix():
+    # one factorization of A also solves A X + X A^T + R = 0
+    rng = np.random.default_rng(8)
+    n = 12
+    A = -np.diag(rng.uniform(0.5, 3.0, n)) + np.triu(rng.normal(scale=3.0, size=(n, n)), 1)
+    R = rng.normal(size=(n, 3))
+    RHS = R @ R.T
+    form = _SchurForm(A)
+    X = lyapunov_solve(A.T, RHS, form.dual())
+    assert np.abs(A @ X + X @ A.T + RHS).max() <= 1e-9 * np.abs(RHS).max()
+    Y = lyapunov_solve(A, RHS, form)
+    assert np.abs(Y @ A + A.T @ Y + RHS).max() <= 1e-9 * np.abs(RHS).max()
+
+
+def test_one_schur_factorization_per_loop(monkeypatch):
+    # both Grammians, the Hurwitz check and the refinement rounds share one
+    # factorization of A; no eigenvalue solve runs
+    calls = []
+    real = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve reads the spectrum off the Schur form")
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    net, comm = ring_net(6, k=1.3, m=0.7, d=2.0)
+    for law in LAWS:
+        sys = deflate_zero_mode(assemble(net, comm, law, GainSchedule.analytic(1.5, 0.5)))
+        calls.clear()
+        h2_numeric(sys)
+        assert len(calls) == 1, law
+        calls.clear()
+        h2_norms(assemble(net, comm, law, GainSchedule.analytic(1.5, 0.5)), SELECTORS)
+        assert len(calls) == 1, law
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_h2_norms_match_one_loop_per_selector(law):
+    # the shared route gives each selector the number of its own loop, on a
+    # homogeneous ring and, through the machine buses, on ieee39-like
+    net, comm, _, _ = load_case(bundled_case_path("ieee39-like"))
+    ring, ring_comm = ring_net(5, k=1.3)
+    g = GainSchedule(k1=0.8, k2=3.2, k3=2.0)
+    for net, comm, B_in in ((ring, ring_comm, None), (net, comm, machine_bus_input(net))):
+        got = h2_norms(assemble(net, comm, law, g, B_in), SELECTORS)
+        for sel, value in zip(SELECTORS, got):
+            want = h2_numeric(deflate_zero_mode(assemble(net, comm, law, g, B_in, sel)))
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-14), sel
 
 
 def test_h2_numeric_requires_deflation():

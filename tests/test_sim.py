@@ -221,14 +221,19 @@ def test_one_passive_solve_per_evaluation(case, solves, monkeypatch):
     def counting_flows(self, gap):
         if not depth[0]:
             events.append("flows")
+            rows.append(len(np.atleast_2d(gap)))
         return line_flows(self, gap)
 
     monkeypatch.setattr(piac.closedloop, "_damped_newton", counting_newton)
     monkeypatch.setattr(_SimModel, "line_flows", counting_flows)
-    for evaluate in (mo.rhs, mo.jacobian):
+    # the Jacobian differences the phase columns only, one row per phase
+    # plus the state itself; the other columns are rows of the affine map
+    for evaluate, batch in ((mo.rhs, 1), (mo.jacobian, mo.n_mf + 1)):
         events.clear()
+        rows = []
         evaluate(x, p)
         assert events == solves + ["flows"], evaluate.__name__
+        assert rows == [batch], evaluate.__name__
 
 
 def test_heavily_loaded_passive_chain():
