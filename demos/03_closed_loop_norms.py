@@ -6,8 +6,8 @@ Run: python demos/03_closed_loop_norms.py
 
 from piac import (CommunicationGraph, GainSchedule, Node, NodeKind,
                   OutputSelector, PowerNetwork, analyze, assemble_dpiac,
-                  build_laplacian, deflate_zero_mode, h2_dpiac_analytic,
-                  h2_modal, h2_numeric, spectral_decompose)
+                  build_laplacian, h2_dpiac_analytic, h2_modal, h2_norms,
+                  spectral_decompose)
 
 nodes = tuple(Node(id=i, kind=NodeKind.MACHINE, inertia=1.0, damping=1.0,
                    price=1.0) for i in (1, 2))
@@ -17,15 +17,17 @@ gains = GainSchedule.analytic(k1=1.0, k3=1.0)
 spec = spectral_decompose(build_laplacian(net))
 
 print("two machines, lambda_2 = 2, m = d = k1 = k3 = 1\n")
-for sel in (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
-            OutputSelector.MARGINAL_COST_SPREAD):
-    sys = assemble_dpiac(net, comm, gains, selector=sel)
-    # the unreachable marginal modes come out first (the left kernel of
-    # [A B]), then one Lyapunov solve on the whole Hurwitz loop
-    dense = h2_numeric(deflate_zero_mode(sys))
-    modal, per_mode = h2_modal(sys, spec)             # 4x4 blocks, summed
+selectors = (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
+             OutputSelector.MARGINAL_COST_SPREAD)
+sys = assemble_dpiac(net, comm, gains)
+# one loop read through all three outputs: the unreachable marginal modes come
+# out once (the left kernel of [A B]), then Lyapunov solves on the whole
+# Hurwitz loop share one factorization
+dense = h2_norms(sys, selectors)
+for sel, dense_value in zip(selectors, dense):
+    modal, per_mode = h2_modal(sys, spec, sel)        # 4x4 blocks, summed
     ana = h2_dpiac_analytic(spec, 1.0, 1.0, 1.0, 1.0, sel)
-    print(f"{sel.value:>8}: dense {dense:.12f}  modal {modal:.12f}  "
+    print(f"{sel.value:>8}: dense {dense_value:.12f}  modal {modal:.12f}  "
           f"closed form {ana.value:.12f}")
     print(f"          per-mode contributions {per_mode}")
 

@@ -11,7 +11,7 @@ from .casefile import (bundled_case_path, dumps_case, load_case, loads_case,
                        save_case)
 from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble,
                          assemble_decpiac, assemble_dpiac, assemble_gbpiac,
-                         deflate_zero_mode, modal_decouple)
+                         deflate_zero_mode, modal_decouple, output_matrix)
 from .controllers import (LAWS, ControlLaw, GainSchedule, optimal_dispatch,
                           synchronized_frequency)
 from .errors import (CaseFormatError, DAESolveError, DegenerateModel,
@@ -22,7 +22,7 @@ from .errors import (CaseFormatError, DAESolveError, DegenerateModel,
 from .h2 import (AnalyticH2, DpiacModeCoefficients, Grammians, H2Report,
                  analyze, compare_laws, grammians, h2_bounds_general_B,
                  h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_norms,
-                 h2_numeric, limit_k1_infinity, lyapunov_solve)
+                 limit_k1_infinity, lyapunov_solve)
 from .netmodel import (CommunicationGraph, HomogeneityReport, Node, NodeKind,
                        PowerNetwork, SpectralDecomposition, build_laplacian,
                        check_homogeneous, spectral_decompose)

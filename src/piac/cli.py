@@ -8,6 +8,7 @@ digits, so reruns with identical inputs and seed are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -227,7 +228,10 @@ def cmd_sweep(args) -> int:
         if want is ScenarioKind.NOISE and scenario.seed is None and args.seed is None:
             raise _Usage("stochastic sweep needs a seed (case file or --seed)")
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+            try:
+                scenario = replace(scenario, seed=args.seed)
+            except ValueError as exc:
+                raise _Usage(str(exc)) from None
 
     def norms_at(value: float):
         gains = spec.gains_at(value)
@@ -315,19 +319,24 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
 
 def cmd_simulate(args) -> int:
     _check_t0(args.t0)
-    if args.stride < 1:
+    if args.stride is not None and args.stride < 1:
         raise _Usage(f"--stride must be at least 1, got {args.stride}")
     net, comm, file_gains, file_scenario = load_case(args.case)
     gains = _gains_from(args, file_gains)
     scenario = _scenario_from(args, file_scenario, net)
     if scenario.kind is ScenarioKind.STEP:
+        stride = 1 if args.stride is None else args.stride
         trace = simulate_deterministic(net, comm, args.law, gains, scenario,
-                                       model=args.model, stride=args.stride)
+                                       model=args.model, stride=stride)
         met = compute_metrics(trace, net.prices, t0=args.t0)
         if args.out:
             _atomic_write(args.out, lambda fh: write_trace_csv(fh, trace))
         print(f"S={_fmt(met.S)} C={_fmt(met.C)} (t0={_fmt(met.t0)})")
     else:
+        if args.stride is not None:
+            # noise runs record every 0.1 s, the grid of the stored ensembles
+            raise _Usage("--stride applies to step studies; noise runs record "
+                         "every 0.1 s")
         traces, met = simulate_stochastic(net, comm, args.law, gains, scenario,
                                           model=args.model)
         if args.out:
@@ -341,7 +350,9 @@ def cmd_simulate(args) -> int:
 # --- argument plumbing -----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` reuses it."""
     ap = argparse.ArgumentParser(
         prog="piac",
         description="Secondary frequency control: H2 analysis and simulation.")
@@ -396,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--t0", type=float, default=40.0)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=int, help="record every n-th step (step studies)")
     p.add_argument("--model", default="sin", choices=("sin", "linear"))
     p.set_defaults(fn=cmd_simulate)
     return ap

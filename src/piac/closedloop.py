@@ -17,10 +17,11 @@ State ordering is fixed as (theta, omega, eta, xi) for every law: phases of
 the non-passive buses, machine frequencies, then the integrator pairs (one
 for the gather-broadcast law, one per controller for the local laws).
 Disturbances are the injections ``B_in w``, ``B_in`` the identity by default.
-The ``omega`` output, the frequency at every non-passive bus, is the phase
-block of the rhs: rows of ``A``, with those rows of ``B`` as direct term. An
-input into a load bus's power balance feeds straight through, which makes
-the H2 norm infinite, and is refused.
+A loop is one law under one gains and input; :func:`output_matrix` reads any
+output off it. The ``omega`` output, the frequency at every non-passive bus,
+is the phase block of the rhs: rows of ``A``, with those rows of ``B`` as
+direct term. An input into a load bus's power balance feeds straight
+through, which makes the H2 norm infinite, and is refused.
 
 The raw closed-loop matrix is marginally stable: the integrators conserve
 damping-weighted phase sums that no disturbance can move.
@@ -80,33 +81,29 @@ class OutputSelector(Enum):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Closed-loop (A, B, C) with labeled state blocks.
+    """Closed-loop (A, B) of one law and gains, with labeled state blocks.
 
+    The loop carries no output: :func:`output_matrix` reads the C of any
+    selector off it, so one loop serves every output.
     ``labels`` maps block names to slices of the state: 'theta' (non-passive
     buses), 'omega' (machines), 'eta' and 'xi' (integrator pairs); it is
     empty once :func:`deflate_zero_mode` has mixed the coordinates. ``B_in``
     is the physical disturbance matrix over all ``n`` buses; ``B`` is the
-    full state-space input matrix.
-    ``hom`` holds (m, d) when the network qualifies for the modal/analytic
-    path, else None. ``model`` is the linear network model the loop was
-    read off, from which :func:`output_matrix` reads any other output.
-    ``basis`` is set by :func:`deflate_zero_mode`: its orthonormal columns
-    span the kept states in the original coordinates, so an output matrix
-    ``C`` of the undeflated loop is ``C @ basis`` on the deflated one.
+    full state-space input matrix. ``model`` is the linear network model the
+    loop was read off. ``basis`` is set by :func:`deflate_zero_mode`: its
+    orthonormal columns span the kept states in the original coordinates, so
+    an output matrix ``C`` of the undeflated loop is ``C @ basis`` on the
+    deflated one.
     """
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
     labels: dict[str, slice]
     law: str
     gains: GainSchedule
-    selector: OutputSelector
     n: int
     B_in: np.ndarray
-    hom: tuple[float, float] | None = None
-    deflated: bool = False
-    model: "_SimModel | None" = field(default=None, repr=False)
+    model: "_SimModel" = field(repr=False)
     basis: np.ndarray | None = None
 
     @property
@@ -144,7 +141,7 @@ class _SimModel:
         if model not in ("sin", "linear"):
             raise DomainError(f"unknown model {model!r} (sin|linear)")
         self.law = ControlLaw.build(net, comm, law, gains)
-        self.net = net
+        self.net, self.comm = net, comm
         self.model = model
         idx = net.index_of
         self.n = net.n_nodes
@@ -395,7 +392,7 @@ def _b_in(net: PowerNetwork, B_in) -> np.ndarray:
 
 
 def _assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
-              gains: GainSchedule, B_in, selector: OutputSelector) -> StateSpace:
+              gains: GainSchedule, B_in) -> StateSpace:
     """Closed loop of any law, read off the linear network model."""
     model = _SimModel(net, comm, law, gains, "linear")
     B_in = _b_in(net, B_in)
@@ -405,72 +402,69 @@ def _assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
     c = b + model.n_ctrl
     labels = {"theta": slice(0, a), "omega": slice(a, b), "eta": slice(b, c),
               "xi": slice(c, model.dim)}
-    hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
-    return StateSpace(A=A, B=B, C=_output_matrix(selector, model, A, B), labels=labels,
-                      law=law, gains=gains, selector=selector, n=model.n, B_in=B_in,
-                      hom=(hom.m, hom.d) if hom.passed else None, model=model)
+    return StateSpace(A=A, B=B, labels=labels, law=law, gains=gains, n=model.n,
+                      B_in=B_in, model=model)
 
 
-def assemble_gbpiac(net: PowerNetwork, gains: GainSchedule, B_in=None,
-                    selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION) -> StateSpace:
+def assemble_gbpiac(net: PowerNetwork, gains: GainSchedule, B_in=None) -> StateSpace:
     """Closed loop of the gather-broadcast law; state (theta, omega, eta_s, xi_s)."""
-    return _assemble(net, None, "gbpiac", gains, B_in, selector)
+    return _assemble(net, None, "gbpiac", gains, B_in)
 
 
 def assemble_dpiac(net: PowerNetwork, comm: CommunicationGraph, gains: GainSchedule,
-                   B_in=None,
-                   selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION) -> StateSpace:
+                   B_in=None) -> StateSpace:
     """Closed loop of the distributed law; state (theta, omega, eta, xi)."""
-    return _assemble(net, comm, "dpiac", gains, B_in, selector)
+    return _assemble(net, comm, "dpiac", gains, B_in)
 
 
 def assemble_decpiac(net: PowerNetwork, gains: GainSchedule, B_in=None,
-                     selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION,
                      comm: CommunicationGraph | None = None) -> StateSpace:
     """Closed loop of the decentralized law (no consensus coupling).
 
-    ``comm`` is only consulted when the spread output is requested, to define
-    the difference operator on the marginal costs.
+    ``comm`` is only read by the spread output, to define the difference
+    operator on the marginal costs.
     """
-    return _assemble(net, comm, "decpiac", gains, B_in, selector)
+    return _assemble(net, comm, "decpiac", gains, B_in)
 
 
 def assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
-             gains: GainSchedule, B_in=None,
-             selector: OutputSelector = OutputSelector.FREQUENCY_DEVIATION) -> StateSpace:
-    """Closed loop of the law named ``law`` through its ``assemble_*``
-    function; the gather-broadcast law does not read ``comm``."""
+             gains: GainSchedule, B_in=None) -> StateSpace:
+    """Closed loop of the law named ``law`` under the gains ``gains`` and the
+    input ``B_in`` (the identity by default), through its ``assemble_*``
+    function; the gather-broadcast law does not read ``comm``. Any output is
+    read off the result by :func:`output_matrix`."""
     check_law(law, comm)
     if law == "gbpiac":
-        return assemble_gbpiac(net, gains, B_in, selector)
+        return assemble_gbpiac(net, gains, B_in)
     if law == "dpiac":
-        return assemble_dpiac(net, comm, gains, B_in, selector)
-    return assemble_decpiac(net, gains, B_in, selector, comm=comm)
+        return assemble_dpiac(net, comm, gains, B_in)
+    return assemble_decpiac(net, gains, B_in, comm=comm)
 
 
 def output_matrix(sys: StateSpace, selector: OutputSelector) -> np.ndarray:
-    """Output matrix of ``selector`` on the undeflated loop ``sys``, read
-    off its model as :func:`assemble` reads ``sys.C``. On the deflated
-    loop the same output is ``output_matrix(sys, selector) @ basis``."""
-    if sys.deflated or sys.model is None:
+    """Output matrix of ``selector`` on the undeflated loop ``sys``, read off
+    its model; on the deflated loop the same output is
+    ``output_matrix(sys, selector) @ basis``.
+
+    ``omega`` is the phase block of the rhs: the phase rows of ``A``. A
+    nonzero direct term in those rows of ``B`` makes its norm infinite and
+    raises :class:`DomainError`, naming the buses it feeds. The other
+    outputs read ``xi`` only, through the law's maps; the spread of a local
+    law needs the communication graph.
+    """
+    if sys.basis is not None:
         raise DomainError("output_matrix needs the undeflated loop from assemble")
-    return _output_matrix(selector, sys.model, sys.A, sys.B)
-
-
-def _output_matrix(selector, model: _SimModel, A, B):
-    """``omega`` is the phase block of the rhs: the phase rows of ``A``, with
-    a nonzero direct term in those rows of ``B`` refused. The other outputs
-    read ``xi`` only, through the law's maps."""
+    model = sys.model
     a = model.n_mf
     if selector is OutputSelector.FREQUENCY_DEVIATION:
-        fed = np.flatnonzero(np.any(B[:a] != 0, axis=1))
+        fed = np.flatnonzero(np.any(sys.B[:a] != 0, axis=1))
         if len(fed):
             ids = ", ".join(str(model.net.ids[i]) for i in model.mf[fed])
             raise DomainError(
                 "the omega norm is infinite: the input feeds straight through to "
                 f"the frequency at bus(es) {ids}; use an input that reaches the "
                 "machine buses only (--b-diag with zeros off the machine buses)")
-        return A[:a]
+        return sys.A[:a]
     ctrl = model.law
     unit = np.eye(ctrl.pairs)
     if selector is OutputSelector.CONTROL_INPUT:
@@ -512,11 +506,11 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
 
     The basis ``P`` of the complement is the identity on the coordinates
     outside the support of ``W`` and an orthonormal complement of ``W`` on
-    its support. The result is ``(P^T A P, P^T B, C P)`` with ``P`` as its
-    ``basis``, which maps any other output of the loop the same way. The
+    its support. The result is ``(P^T A P, P^T B)`` with ``P`` as its
+    ``basis``, which maps every output ``C`` of the loop to ``C P``. The
     mixed coordinates carry no block names, so the result has ``labels={}``.
     """
-    if sys.deflated:
+    if sys.basis is not None:
         return sys
     M = np.hstack([sys.A, sys.B])
     Q, R, _ = scipy.linalg.qr(M, pivoting=True)
@@ -531,8 +525,7 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     mixed = len(support) - k
     P[np.ix_(support, np.arange(mixed))] = Q_s[:, k:]
     P[rest, np.arange(mixed, N - k)] = 1.0
-    return replace(sys, A=P.T @ sys.A @ P, B=P.T @ sys.B, C=sys.C @ P,
-                   labels={}, deflated=True, basis=P)
+    return replace(sys, A=P.T @ sys.A @ P, B=P.T @ sys.B, labels={}, basis=P)
 
 
 # --- modal decoupling --------------------------------------------------------
@@ -580,8 +573,10 @@ class ModeBlock:
         return blk
 
 
-def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition) -> list[ModeBlock]:
-    """Split a homogeneous closed loop into per-eigenvalue blocks.
+def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
+                   selector: OutputSelector) -> list[ModeBlock]:
+    """Split a homogeneous closed loop into per-eigenvalue blocks, each with
+    its rows of the ``selector`` output.
 
     Gather-broadcast: one 4-dim block for the zero mode (phase mean,
     frequency mean, both central states) plus 2-dim oscillator blocks for
@@ -589,13 +584,17 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition) -> list[Mod
     orthogonal transform is verified to block-diagonalize A to 1e-9
     relative before the blocks are returned.
     """
-    if sys.deflated:
+    if sys.basis is not None:
         raise UnsupportedForModalPath("modal decoupling expects the undeflated system")
-    if sys.hom is None:
+    spread = selector is OutputSelector.MARGINAL_COST_SPREAD
+    if spread and sys.law != "gbpiac" and sys.model.comm is None:
+        raise DomainError("spread output needs a communication graph to difference over")
+    hom = law_homogeneity(sys.model.net, sys.model.comm, sys.law, spread)
+    if not hom.passed:
         raise UnsupportedForModalPath(
             "modal decoupling needs homogeneous parameters (and a matching "
             "communication graph for the distributed law)")
-    m, d = sys.hom
+    m, d = hom.m, hom.d
     n = sys.n
     if spectral.n != n:
         raise ShapeError(f"spectral decomposition is for n={spectral.n}, system has n={n}")
@@ -604,7 +603,6 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition) -> list[Mod
     k1, k2, k3 = sys.gains.k1, sys.gains.k2, sys.gains.k3
     if sys.law != "dpiac":
         k3 = 0.0
-    sel = sys.selector
     blocks: list[ModeBlock] = []
     cols: list[np.ndarray] = []     # columns of T, original coordinates
     N = sys.dim
@@ -629,7 +627,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition) -> list[Mod
         C0 = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0, 0.0, 0.0],
               OutputSelector.CONTROL_INPUT: [0.0, 0.0, 0.0, k2 / rt_n],
               OutputSelector.TOTAL_CONTROL_INPUT: [0.0, 0.0, 0.0, k2],
-              OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, 0.0]}[sel]
+              OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, 0.0]}[selector]
         B0 = np.zeros((4, sys.B.shape[1]))
         B0[1, :] = Q[:, 0] @ sys.B_in / m
         blocks.append(ModeBlock(0, float(lam[0]), A0, B0, np.array([C0]),
@@ -637,7 +635,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition) -> list[Mod
         cols += [col("theta", 0), col("omega", 0), col("eta", 0), col("xi", 0)]
         for i in range(1, n):
             Ai = np.array([[0.0, 1.0], [-lam[i] / m, -d / m]])
-            Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0]}.get(sel, [0.0, 0.0])
+            Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0]}.get(selector, [0.0, 0.0])
             Bi = np.zeros((2, sys.B.shape[1]))
             Bi[1, :] = Q[:, i] @ sys.B_in / m
             blocks.append(ModeBlock(i, float(lam[i]), Ai, Bi, np.array([Ci]),
@@ -657,7 +655,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition) -> list[Mod
             Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0, 0.0, 0.0],
                   OutputSelector.CONTROL_INPUT: [0.0, 0.0, 0.0, k2],
                   OutputSelector.TOTAL_CONTROL_INPUT: [0.0, 0.0, 0.0, us_w],
-                  OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, k2 * li]}[sel]
+                  OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, k2 * li]}[selector]
             Bi = np.zeros((4, sys.B.shape[1]))
             Bi[1, :] = Q[:, i] @ sys.B_in / m
             blocks.append(ModeBlock(i, li, Ai, Bi, np.array([Ci]),

@@ -6,9 +6,9 @@ The numeric route solves the two Lyapunov equations
     A Qc + Qc A^T + B B^T = 0        (controllability Grammian)
 
 on one real Schur factorization of A and returns ``tr(B^T Qo B)``,
-cross-checked against ``tr(C Qc C^T)``. Qc does not depend on the output,
-so :func:`h2_norms` serves several selectors of one loop with one Qc and
-one Qo each. Under
+cross-checked against ``tr(C Qc C^T)``. :func:`h2_norms` is this dense
+route: it reads each requested output off one loop, and as Qc does not
+depend on the output, the outputs share one Qc and take one Qo each. Under
 unit white-noise input this trace equals the stationary output variance
 ``lim E[y^T y]``, which is what the stochastic simulations estimate.
 
@@ -43,7 +43,7 @@ import scipy.linalg
 
 from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble,
                          deflate_zero_mode, modal_decouple, output_matrix)
-from .controllers import GainSchedule
+from .controllers import GainSchedule, law_homogeneity
 from .errors import DomainError, ShapeError, SolverAccuracyError, UnstableSystem
 from .netmodel import (CommunicationGraph, PowerNetwork, SpectralDecomposition,
                        build_laplacian, spectral_decompose)
@@ -55,7 +55,6 @@ __all__ = [
     "H2Report",
     "lyapunov_solve",
     "grammians",
-    "h2_numeric",
     "h2_norms",
     "h2_modal",
     "h2_gbpiac_analytic",
@@ -202,23 +201,15 @@ class Grammians:
     observabilities: tuple[np.ndarray, ...]
     controllability: np.ndarray
 
-    @property
-    def observability(self) -> np.ndarray:
-        """The observability Grammian of the first output, ``sys.C`` by
-        default."""
-        return self.observabilities[0]
 
-
-def grammians(sys: StateSpace, outputs=None) -> Grammians:
+def grammians(sys: StateSpace, outputs) -> Grammians:
     """The Grammians of ``sys``; requires a deflated (Hurwitz) system.
 
-    ``outputs`` are output matrices in the coordinates of ``sys`` (default:
-    ``sys.C`` alone), one observability Grammian each. ``A`` is factored
-    once, by the first solve with a nonzero right-hand side; every solve,
-    the controllability one included, runs on that factorization.
+    ``outputs`` are output matrices in the coordinates of ``sys``, one
+    observability Grammian each. ``A`` is factored once, by the first solve
+    with a nonzero right-hand side; every solve, the controllability one
+    included, runs on that factorization.
     """
-    if outputs is None:
-        outputs = (sys.C,)
     schur = _SchurForm(sys.A)
     Qo = tuple(lyapunov_solve(sys.A, C.T @ C, schur) for C in outputs)
     Qc = lyapunov_solve(sys.A.T, sys.B @ sys.B.T, schur.dual())
@@ -235,42 +226,37 @@ def _cross_checked(sys: StateSpace, C, Qo, Qc) -> float:
     return via_o
 
 
-def h2_numeric(sys: StateSpace) -> float:
-    """Squared H2 norm via the Grammian traces.
-
-    The observability and controllability routes must agree to 1e-8
-    relative, otherwise the solve is not trusted and
-    :class:`SolverAccuracyError` is raised.
-    """
-    g = grammians(sys)
-    return _cross_checked(sys, sys.C, g.observability, g.controllability)
-
-
 def h2_norms(sys: StateSpace, selectors) -> list[float]:
     """Squared H2 norms of the undeflated loop ``sys`` read through each of
-    ``selectors``, in order, each as :func:`h2_numeric` computes it.
+    ``selectors``, in order: the dense numeric route.
 
-    The selectors share everything but their output: one deflation, one
-    Schur factorization, one controllability Grammian, and one
-    observability Grammian per selector. Each output matrix comes off the
-    loop's model (:func:`~piac.closedloop.output_matrix`) and is mapped
-    into the deflated coordinates by the deflation basis.
+    Every output matrix is read off the loop
+    (:func:`~piac.closedloop.output_matrix`) before anything is solved, so
+    an output it refuses fails first. The selectors then share one
+    deflation, one Schur factorization and one controllability Grammian,
+    with one observability Grammian each; each output is mapped into the
+    deflated coordinates by the deflation basis. The observability and
+    controllability traces of every norm must agree to 1e-8 relative,
+    otherwise :class:`SolverAccuracyError` is raised.
     """
+    outputs = [output_matrix(sys, sel) for sel in selectors]
     defl = deflate_zero_mode(sys)
-    outputs = [output_matrix(sys, sel) @ defl.basis for sel in selectors]
+    outputs = [C @ defl.basis for C in outputs]
     g = grammians(defl, outputs)
     return [_cross_checked(defl, C, Qo, g.controllability)
             for C, Qo in zip(outputs, g.observabilities)]
 
 
-def h2_modal(sys: StateSpace, spectral: SpectralDecomposition):
-    """Squared H2 norm summed over the decoupled per-mode blocks.
+def h2_modal(sys: StateSpace, spectral: SpectralDecomposition,
+             selector: OutputSelector):
+    """Squared H2 norm of the ``selector`` output summed over the decoupled
+    per-mode blocks.
 
     Independent of the dense route: each block is solved on its own 2x2 to
     4x4 Lyapunov equation. Returns ``(value, per_mode)`` with one
     contribution per Laplacian eigenvalue, ascending.
     """
-    blocks = modal_decouple(sys, spectral)
+    blocks = modal_decouple(sys, spectral, selector)
     per_mode = np.zeros(len(blocks))
     for k, blk in enumerate(blocks):
         per_mode[k] = _block_norm(blk)
@@ -490,14 +476,14 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
     with an explicit symmetric positive-definite ``B_in``, the sandwich
     bounds.
     """
-    sys = assemble(net, comm, law, gains, B_in, selector)
-    numeric, = h2_norms(sys, (selector,))
+    numeric, = h2_norms(assemble(net, comm, law, gains, B_in), (selector,))
+    hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
 
     analytic = rel_gap = None
     limit_k1 = limit_k3 = None
     bounds = None
-    if sys.hom is not None and gains.analytic_mode:
-        (m, d), k1, k3 = sys.hom, gains.k1, gains.k3
+    if hom.passed and gains.analytic_mode:
+        m, d, k1, k3 = hom.m, hom.d, gains.k1, gains.k3
         spectral = spectral_decompose(build_laplacian(net))
         if law == "gbpiac":
             ana = h2_gbpiac_analytic(net.n_nodes, m, d, k1, selector)
@@ -523,4 +509,4 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
     return H2Report(law=law, selector=selector.value, numeric=numeric,
                     analytic=analytic, rel_gap=rel_gap, bounds=bounds,
                     limit_k1=limit_k1, limit_k3=limit_k3,
-                    homogeneous=sys.hom is not None)
+                    homogeneous=hom.passed)

@@ -29,7 +29,8 @@ class Scenario:
 
     ``h`` is the Euler-Maruyama step for noise runs and the output-grid
     spacing for deterministic runs (which integrate adaptively underneath).
-    ``seed`` is mandatory for noise runs so every ensemble is reproducible.
+    ``seed`` is mandatory for noise runs so every ensemble is reproducible,
+    and non-negative, as numpy's ``SeedSequence`` requires.
     A field left ``None`` takes its kind's value in :data:`DEFAULTS`.
     """
 
@@ -59,6 +60,8 @@ class Scenario:
             raise ValueError(f"step h must be positive, got {self.h}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kind is ScenarioKind.STEP:
             if self.onset < 0 or self.onset >= self.t_end:
                 raise ValueError(f"onset {self.onset} must lie in [0, t_end)")

@@ -12,8 +12,8 @@ import pytest
 
 from piac import (GainSchedule, OutputSelector, Scenario, assemble_dpiac,
                   assemble_gbpiac, bundled_case_path, build_laplacian,
-                  compute_metrics, deflate_zero_mode, h2_bounds_general_B,
-                  h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_numeric,
+                  compute_metrics, h2_bounds_general_B,
+                  h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_norms,
                   limit_k1_infinity, load_case, simulate_deterministic,
                   simulate_stochastic, spectral_decompose)
 from conftest import machine_bus_input, random_homogeneous, ring_net
@@ -46,9 +46,8 @@ def test_criterion_1_gbpiac_agreement():
         net, comm, m, d = random_homogeneous(rng)
         k1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         g = GainSchedule.analytic(k1)
-        num_om = h2_numeric(deflate_zero_mode(assemble_gbpiac(net, g, selector=OM)))
+        num_om, num_u = h2_norms(assemble_gbpiac(net, g), [OM, U])
         ana_om = h2_gbpiac_analytic(net.n_nodes, m, d, k1, OM).value
-        num_u = h2_numeric(deflate_zero_mode(assemble_gbpiac(net, g, selector=U)))
         worst = max(worst, _rel_gap(ana_om, num_om), _rel_gap(k1 / 2.0, num_u))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -69,8 +68,7 @@ def test_criterion_2_dpiac_agreement():
         g = GainSchedule.analytic(k1, k3)
         spec = spectral_decompose(build_laplacian(net))
         for sel in (OM, U, SP):
-            num = h2_numeric(deflate_zero_mode(
-                assemble_dpiac(net, comm, g, selector=sel)))
+            num = h2_norms(assemble_dpiac(net, comm, g), [sel])[0]
             ana = h2_dpiac_analytic(spec, m, d, k1, k3, sel).value
             worst = max(worst, _rel_gap(ana, num))
     # worked point: n = 2 with lambda_2 = 2 at unit parameters
@@ -83,7 +81,7 @@ def test_criterion_2_dpiac_agreement():
                 and abs(point[2] - 0.8) <= 1e-12)
     g = GainSchedule.analytic(1.0, 1.0)
     for sel, expect in zip((OM, U, SP), point):
-        num = h2_numeric(deflate_zero_mode(assemble_dpiac(net, comm, g, selector=sel)))
+        num = h2_norms(assemble_dpiac(net, comm, g), [sel])[0]
         worst = max(worst, _rel_gap(expect, num))
     ok = worst <= 1e-8 and point_ok
     _report(2, ok, f"50 cases x 3 outputs + worked point "
@@ -107,11 +105,11 @@ def test_criterion_3_modal_oracle_equivalence():
                                ("dpiac", (OM, U, SP, US))):
             for sel in selectors:
                 if law == "gbpiac":
-                    sys = assemble_gbpiac(net, g, selector=sel)
+                    sys = assemble_gbpiac(net, g)
                 else:
-                    sys = assemble_dpiac(net, comm, g, selector=sel)
-                dense = h2_numeric(deflate_zero_mode(sys))
-                modal, _ = h2_modal(sys, spec)
+                    sys = assemble_dpiac(net, comm, g)
+                dense = h2_norms(sys, [sel])[0]
+                modal, _ = h2_modal(sys, spec, sel)
                 worst = max(worst, abs(modal - dense) / max(1.0, abs(dense)))
                 checked += 1
     ok = worst <= 1e-9
@@ -172,10 +170,10 @@ def test_criterion_5_bounds_general_B():
             for sel in (OM, U):
                 lo, hi = h2_bounds_general_B(base[(law, sel)], B)
                 if law == "gbpiac":
-                    sys = assemble_gbpiac(net, g, B_in=B, selector=sel)
+                    sys = assemble_gbpiac(net, g, B_in=B)
                 else:
-                    sys = assemble_dpiac(net, comm, g, B_in=B, selector=sel)
-                num = h2_numeric(deflate_zero_mode(sys))
+                    sys = assemble_dpiac(net, comm, g, B_in=B)
+                num = h2_norms(sys, [sel])[0]
                 ok = ok and (lo - 1e-9 * max(1, hi) <= num <= hi + 1e-9 * max(1, hi))
                 checked += 1
     _report(5, ok, f"{checked} (B, law, output) triples inside "
@@ -216,8 +214,8 @@ def test_criterion_7_stochastic_variance():
     g = GainSchedule.analytic(1.0, 1.0)
     ring_pred = sigma ** 2 * h2_dpiac_analytic(spec, 1.0, 1.0, 1.0, 1.0, OM).value
     net39, comm39, g39, _ = load_case(bundled_case_path("ieee39-like"))
-    ieee_pred = sigma ** 2 * h2_numeric(deflate_zero_mode(
-        assemble_dpiac(net39, comm39, g39, machine_bus_input(net39))))
+    ieee_pred = sigma ** 2 * h2_norms(
+        assemble_dpiac(net39, comm39, g39, machine_bus_input(net39)), [OM])[0]
     details, ok = [], True
     for name, net, comm, g, buses, pred in (
             ("ring5", net, comm, g, range(1, 6), ring_pred),

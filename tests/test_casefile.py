@@ -142,6 +142,15 @@ def test_noise_scenario():
     assert scen.paths == 4 and scen.seed == 7
 
 
+def test_negative_seed_is_format_error():
+    # numpy's SeedSequence takes no negative entropy
+    text = GOOD.replace(
+        "kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1",
+        "kind=noise\nsigma=3:0.002\nseed=-1")
+    with pytest.raises(CaseFormatError, match="seed must be non-negative, got -1"):
+        loads_case(text)
+
+
 @pytest.mark.parametrize("body, kind, t_end, h", [
     ("kind=step\nstep=2:-0.1", ScenarioKind.STEP, 60.0, 0.01),
     ("kind=noise\nsigma=3:0.002\nseed=7", ScenarioKind.NOISE, 250.0, 1e-3),

@@ -561,6 +561,60 @@ def test_simulate_stride_below_one_is_usage_error(capsys, stride):
     assert f"usage error: --stride must be at least 1, got {stride}" in err
 
 
+def test_simulate_negative_seed_is_usage_error(capsys, two_node_case):
+    code, out, err = run(capsys, "simulate", "--case", two_node_case,
+                         "--law", "dpiac", "--kind", "noise", "--seed", "-1",
+                         "--sigma", "1:0.01", "--t-end", "2", "--burn-in", "0.5")
+    assert code == 2
+    assert "usage error: seed must be non-negative, got -1" in err
+    assert out == ""
+
+
+def test_sweep_negative_seed_is_usage_error(capsys, tmp_path):
+    case = tmp_path / "noise.case"
+    case.write_text(TWO_NODE.replace(
+        "kind=step\nt_end=50.0\nh=0.01\nonset=2.0\nstep=1:-0.2",
+        "kind=noise\nt_end=5.0\nh=0.001\nsigma=1:0.01\npaths=2\nburn_in=1.0"))
+    code, out, err = run(capsys, "sweep", "--case", str(case), "--law", "dpiac",
+                         "--param", "k1", "--grid", "0.5", "--sim", "noise",
+                         "--seed", "-1")
+    assert code == 2
+    assert "usage error: seed must be non-negative, got -1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("stride", ["1", "5"])
+def test_simulate_noise_refuses_stride(capsys, two_node_case, tmp_path, stride):
+    # noise runs record every 0.1 s whatever the flag says
+    out_file = tmp_path / "a.csv"
+    code, out, err = run(capsys, "simulate", "--case", two_node_case,
+                         "--law", "dpiac", "--kind", "noise", "--seed", "1",
+                         "--sigma", "1:0.01", "--t-end", "2", "--burn-in", "0.5",
+                         "--stride", stride, "--out", str(out_file))
+    assert code == 2
+    assert "usage error: --stride applies to step studies" in err
+    assert out == "" and not out_file.exists()
+
+
+def test_parser_is_built_once(capsys, two_node_case):
+    # main reuses one parser across calls and subcommands, and prints what
+    # a freshly built one prints
+    argvs = (["validate", "--case", two_node_case],
+             ["analyze", "--case", two_node_case, "--law", "dpiac"],
+             ["sweep", "--case", two_node_case, "--law", "gbpiac",
+              "--param", "k3", "--grid", "1,4"],
+             ["validate", "--case", two_node_case])
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert all(code == 0 and out for code, out, _ in reused)
+
+
 @pytest.mark.parametrize("t0", ["0", "-1"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_t0_not_positive_is_usage_error(capsys, two_node_case, command, t0):

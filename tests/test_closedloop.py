@@ -5,8 +5,9 @@ from dataclasses import replace
 from piac import (LAWS, ControlLaw, DomainError, GainSchedule, OutputSelector,
                   ShapeError, UnstableSystem, UnsupportedForModalPath, assemble,
                   assemble_decpiac, assemble_dpiac, assemble_gbpiac,
-                  build_laplacian, deflate_zero_mode, h2_numeric, load_case,
-                  bundled_case_path, modal_decouple, spectral_decompose)
+                  build_laplacian, deflate_zero_mode, grammians, load_case,
+                  bundled_case_path, modal_decouple, output_matrix,
+                  spectral_decompose)
 from conftest import (machine_bus_input, machine_only_case, make_machine_net,
                       random_homogeneous, ring_net)
 
@@ -18,18 +19,19 @@ def test_assemble_refuses_omega_feedthrough():
     net, comm, gains, _ = load_case(bundled_case_path("ieee39-like"))
     freq = ", ".join(str(i) for i in net.freq_ids)
     for law in LAWS:
+        loop = assemble(net, comm, law, gains)
         with pytest.raises(DomainError, match=rf"bus\(es\) {freq};.*--b-diag"):
-            assemble(net, comm, law, gains)
+            output_matrix(loop, OutputSelector.FREQUENCY_DEVIATION)
         sys = assemble(net, comm, law, gains, machine_bus_input(net))
         theta = sys.labels["theta"]
         assert theta.stop == 29 and sys.labels["omega"] == slice(29, 39)
-        assert np.array_equal(sys.C, sys.A[theta])
+        assert np.array_equal(output_matrix(sys, OutputSelector.FREQUENCY_DEVIATION),
+                              sys.A[theta])
         assert not sys.B[theta].any()
         for sel in (OutputSelector.CONTROL_INPUT, OutputSelector.TOTAL_CONTROL_INPUT,
                     OutputSelector.MARGINAL_COST_SPREAD):
-            sys = assemble(net, comm, law, gains, selector=sel)
-            assert sys.C.shape == (1 if sel is OutputSelector.TOTAL_CONTROL_INPUT else 29,
-                                   sys.dim)
+            assert output_matrix(loop, sel).shape == (
+                1 if sel is OutputSelector.TOTAL_CONTROL_INPUT else 29, loop.dim)
 
 
 @pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
@@ -49,8 +51,9 @@ def test_output_matrix_matches_hand_written(case):
         u[:, xi] = ctrl.u(unit).T
         us[0, xi] = ctrl.u(unit).sum(axis=1)
         sp[:, xi] = ctrl.spread(unit).T
+        sys = assemble(net, comm, law, g)
         for sel, want in zip(OutputSelector, (om, u, us, sp)):
-            assert np.array_equal(assemble(net, comm, law, g, selector=sel).C, want)
+            assert np.array_equal(output_matrix(sys, sel), want)
 
 
 def test_default_input_matrix_is_identity():
@@ -130,32 +133,35 @@ def test_dpiac_k3_zero_equals_decpiac():
     b = assemble_decpiac(net, g, comm=comm)
     assert np.array_equal(a.A, b.A)
     assert np.array_equal(a.B, b.B)
-    assert np.array_equal(a.C, b.C)
+    for sel in OutputSelector:
+        assert np.array_equal(output_matrix(a, sel), output_matrix(b, sel))
 
 
 def test_selector_matrices():
     net, comm = ring_net(3)
     g = GainSchedule.analytic(1.0, 2.0)
-    sys = assemble_gbpiac(net, g, selector=OutputSelector.TOTAL_CONTROL_INPUT)
-    assert np.array_equal(sys.C, [[0, 0, 0, 0, 0, 0, 0, 4.0]])
-    sys_om = assemble_gbpiac(net, g, selector=OutputSelector.FREQUENCY_DEVIATION)
-    ctc = sys_om.C.T @ sys_om.C
+    gb = assemble_gbpiac(net, g)
+    assert np.array_equal(output_matrix(gb, OutputSelector.TOTAL_CONTROL_INPUT),
+                          [[0, 0, 0, 0, 0, 0, 0, 4.0]])
+    C_om = output_matrix(gb, OutputSelector.FREQUENCY_DEVIATION)
+    ctc = C_om.T @ C_om
     expected = np.zeros((8, 8))
     expected[3:6, 3:6] = np.eye(3)
     assert np.array_equal(ctc, expected)
-    sys_sp = assemble_dpiac(net, comm, g, selector=OutputSelector.MARGINAL_COST_SPREAD)
+    dp = assemble_dpiac(net, comm, g)
     L = build_laplacian(net)
-    assert np.allclose(sys_sp.C[:, 9:12], 4.0 * L)
-    sys_u = assemble_dpiac(net, comm, g, selector=OutputSelector.CONTROL_INPUT)
-    assert np.allclose(sys_u.C[:, 9:12], 4.0 * np.eye(3))
+    assert np.allclose(output_matrix(dp, OutputSelector.MARGINAL_COST_SPREAD)[:, 9:12],
+                       4.0 * L)
+    assert np.allclose(output_matrix(dp, OutputSelector.CONTROL_INPUT)[:, 9:12],
+                       4.0 * np.eye(3))
 
 
 def test_gbpiac_control_input_shares_prices():
     net, _ = make_machine_net(2, alpha=[1.0, 4.0], edges=[(1, 2, 1.0)])
-    sys = assemble_gbpiac(net, GainSchedule.analytic(1.0),
-                          selector=OutputSelector.CONTROL_INPUT)
+    sys = assemble_gbpiac(net, GainSchedule.analytic(1.0))
     # alpha_s = 1/(1 + 1/4) = 0.8; rows scale with alpha_s/alpha_i * k2
-    assert np.allclose(sys.C[:, -1], [0.8 * 4.0, 0.2 * 4.0])
+    assert np.allclose(output_matrix(sys, OutputSelector.CONTROL_INPUT)[:, -1],
+                       [0.8 * 4.0, 0.2 * 4.0])
 
 
 def test_deflation_dimension_and_stability():
@@ -175,15 +181,15 @@ def test_deflation_dimension_and_stability():
                           (assemble_decpiac(net, g), n)):
             defl = deflate_zero_mode(sys)
             assert defl.dim == sys.dim - lost
-            assert defl.deflated
+            assert defl.basis is not None
             assert defl.labels == {}
             assert defl.spectral_abscissa() < 0
             # idempotent
             assert deflate_zero_mode(defl) is defl
 
 
-def _transfer(sys, s):
-    return sys.C @ np.linalg.solve(s * np.eye(sys.dim) - sys.A, sys.B)
+def _transfer(sys, C, s):
+    return C @ np.linalg.solve(s * np.eye(sys.dim) - sys.A, sys.B)
 
 
 @pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
@@ -197,12 +203,13 @@ def test_deflation_keeps_transfer_function(case, law):
                                      edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5),
                                             (1, 4, 1.0)])
         g = GainSchedule.analytic(0.7, 1.5)
+    sys = assemble(net, comm, law, g)
+    defl = deflate_zero_mode(sys)
     for sel in OutputSelector:
-        sys = assemble(net, comm, law, g, selector=sel)
-        defl = deflate_zero_mode(sys)
+        C = output_matrix(sys, sel)
         for s in (0.3, 1.0j, 2.0 + 0.5j, -0.1 + 3.0j):
-            want = _transfer(sys, s)
-            got = _transfer(defl, s)
+            want = _transfer(sys, C, s)
+            got = _transfer(defl, C @ defl.basis, s)
             assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
@@ -211,8 +218,7 @@ def test_deflation_kron_reduced_ieee39_is_hurwitz():
     # balance: heterogeneous, with frequency-dependent and passive buses
     net, comm, g, _ = load_case(bundled_case_path("ieee39-like"))
     for law, dim in (("gbpiac", 40), ("dpiac", 96), ("decpiac", 68)):
-        sys = assemble(net, comm, law, g, selector=OutputSelector.CONTROL_INPUT)
-        defl = deflate_zero_mode(sys)
+        defl = deflate_zero_mode(assemble(net, comm, law, g))
         assert defl.dim == dim
         assert defl.spectral_abscissa() < 0
 
@@ -238,8 +244,9 @@ def test_deflation_lets_output_read_one_phase():
     C_blind[0, sys.labels["theta"]] = -1.0 / n
     C_blind[0, 0] += 1.0
     C_blind[0, sys.labels["eta"]] = 1.0 / (n * d)
-    phase = h2_numeric(deflate_zero_mode(replace(sys, C=C_phase)))
-    blind = h2_numeric(deflate_zero_mode(replace(sys, C=C_blind)))
+    defl = deflate_zero_mode(sys)
+    g = grammians(defl, [C_phase @ defl.basis, C_blind @ defl.basis])
+    phase, blind = (np.trace(defl.B.T @ Qo @ defl.B) for Qo in g.observabilities)
     assert np.isfinite(phase)
     assert phase == pytest.approx(blind, rel=1e-10)
 
@@ -254,7 +261,7 @@ def test_deflation_keeps_a_reached_marginal_mode():
     defl = deflate_zero_mode(replace(sys, B=B))
     assert defl.dim == sys.dim
     with pytest.raises(UnstableSystem):
-        h2_numeric(defl)
+        grammians(defl, [output_matrix(sys, OutputSelector.CONTROL_INPUT) @ defl.basis])
 
 
 def test_dpiac_deflated_hurwitz_n3():
@@ -269,7 +276,7 @@ def test_modal_blocks_gbpiac():
     g = GainSchedule.analytic(0.8)
     sys = assemble_gbpiac(net, g)
     spec = spectral_decompose(build_laplacian(net))
-    blocks = modal_decouple(sys, spec)
+    blocks = modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
     assert len(blocks) == 4
     assert blocks[0].dim == 4 and all(b.dim == 2 for b in blocks[1:])
     m, d = 2.0, 0.5
@@ -290,9 +297,9 @@ def test_modal_blocks_gbpiac():
 def test_modal_blocks_dpiac_shapes():
     net, comm = ring_net(5, k=0.7)
     g = GainSchedule.analytic(1.1, 2.0)
-    sys = assemble_dpiac(net, comm, g, selector=OutputSelector.MARGINAL_COST_SPREAD)
+    sys = assemble_dpiac(net, comm, g)
     spec = spectral_decompose(build_laplacian(net))
-    blocks = modal_decouple(sys, spec)
+    blocks = modal_decouple(sys, spec, OutputSelector.MARGINAL_COST_SPREAD)
     assert len(blocks) == 5 and all(b.dim == 4 for b in blocks)
     for b in blocks:
         assert b.A[2, 3] == pytest.approx(4 * 1.1 * 2.0 * b.eigenvalue)
@@ -304,7 +311,7 @@ def test_modal_single_node_equals_full():
     g = GainSchedule.analytic(0.6)
     sys = assemble_gbpiac(net, g)
     spec = spectral_decompose(np.zeros((1, 1)))
-    blocks = modal_decouple(sys, spec)
+    blocks = modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
     assert len(blocks) == 1
     assert np.allclose(blocks[0].A, sys.A, atol=1e-15)
 
@@ -316,7 +323,7 @@ def test_modal_refuses_heterogeneous():
     sys = assemble_gbpiac(net, g)
     spec = spectral_decompose(build_laplacian(net))
     with pytest.raises(UnsupportedForModalPath):
-        modal_decouple(sys, spec)
+        modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
 
 
 def test_modal_refuses_deflated():
@@ -324,7 +331,7 @@ def test_modal_refuses_deflated():
     sys = deflate_zero_mode(assemble_gbpiac(net, GainSchedule.analytic(1.0)))
     spec = spectral_decompose(build_laplacian(net))
     with pytest.raises(UnsupportedForModalPath):
-        modal_decouple(sys, spec)
+        modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
 
 
 def test_modal_refuses_wrong_spectral():
@@ -332,7 +339,8 @@ def test_modal_refuses_wrong_spectral():
     other, _ = ring_net(3)
     sys = assemble_gbpiac(net, GainSchedule.analytic(1.0))
     with pytest.raises(ShapeError):
-        modal_decouple(sys, spectral_decompose(build_laplacian(other)))
+        modal_decouple(sys, spectral_decompose(build_laplacian(other)),
+                       OutputSelector.FREQUENCY_DEVIATION)
 
 
 def test_heterogeneous_accepted_for_numeric_assembly():
@@ -340,6 +348,8 @@ def test_heterogeneous_accepted_for_numeric_assembly():
                                  alpha=[1.0, 2.0, 0.5],
                                  edges=[(1, 2, 1.0), (2, 3, 2.0)])
     g = GainSchedule.analytic(1.0, 1.0)
+    spec = spectral_decompose(build_laplacian(net))
     for sys in (assemble_gbpiac(net, g), assemble_dpiac(net, comm, g)):
-        assert sys.hom is None
+        with pytest.raises(UnsupportedForModalPath):
+            modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
         assert deflate_zero_mode(sys).spectral_abscissa() < 0

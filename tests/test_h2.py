@@ -9,7 +9,7 @@ from piac import (LAWS, DomainError, DpiacModeCoefficients, GainSchedule,
                   build_laplacian, bundled_case_path, compare_laws,
                   deflate_zero_mode, grammians, h2_bounds_general_B,
                   h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_norms,
-                  h2_numeric, limit_k1_infinity, load_case, lyapunov_solve,
+                  limit_k1_infinity, load_case, lyapunov_solve, output_matrix,
                   spectral_decompose)
 from piac.h2 import _SchurForm
 from conftest import (machine_bus_input, make_machine_net, random_homogeneous,
@@ -150,42 +150,68 @@ def test_one_schur_factorization_per_loop(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     net, comm = ring_net(6, k=1.3, m=0.7, d=2.0)
     for law in LAWS:
-        sys = deflate_zero_mode(assemble(net, comm, law, GainSchedule.analytic(1.5, 0.5)))
+        loop = assemble(net, comm, law, GainSchedule.analytic(1.5, 0.5))
+        sys = deflate_zero_mode(loop)
         calls.clear()
-        h2_numeric(sys)
+        grammians(sys, [output_matrix(loop, OM) @ sys.basis])
         assert len(calls) == 1, law
         calls.clear()
-        h2_norms(assemble(net, comm, law, GainSchedule.analytic(1.5, 0.5)), SELECTORS)
+        h2_norms(loop, SELECTORS)
         assert len(calls) == 1, law
 
 
 @pytest.mark.parametrize("law", LAWS)
 def test_h2_norms_match_one_loop_per_selector(law):
-    # the shared route gives each selector the number of its own loop, on a
-    # homogeneous ring and, through the machine buses, on ieee39-like
+    # one call with every selector gives each the number of a call with that
+    # selector alone, on a homogeneous ring and, through the machine buses,
+    # on ieee39-like
     net, comm, _, _ = load_case(bundled_case_path("ieee39-like"))
     ring, ring_comm = ring_net(5, k=1.3)
     g = GainSchedule(k1=0.8, k2=3.2, k3=2.0)
     for net, comm, B_in in ((ring, ring_comm, None), (net, comm, machine_bus_input(net))):
         got = h2_norms(assemble(net, comm, law, g, B_in), SELECTORS)
         for sel, value in zip(SELECTORS, got):
-            want = h2_numeric(deflate_zero_mode(assemble(net, comm, law, g, B_in, sel)))
+            want, = h2_norms(assemble(net, comm, law, g, B_in), [sel])
             assert value == pytest.approx(want, rel=1e-12, abs=1e-14), sel
 
 
-def test_h2_numeric_requires_deflation():
+@pytest.mark.parametrize("law", LAWS)
+def test_h2_norms_reads_any_output_of_the_default_loop(law, monkeypatch):
+    # the loop under the default input carries no output: the outputs that
+    # exist are read off it, and the infinite omega norm is refused by name
+    # before the loop is deflated
+    net, comm, g, _ = load_case(bundled_case_path("ieee39-like"))
+    loop = assemble(net, comm, law, g)
+    got = h2_norms(loop, [U, US, SP])
+    assert got == [analyze(net, comm, g, law, sel).numeric for sel in (U, US, SP)]
+    freq = ", ".join(str(i) for i in net.freq_ids)
+    assert len(net.freq_ids) == 19
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refused output is read before the deflation")
+
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    for selectors in ([OM], [U, OM]):
+        with pytest.raises(DomainError, match=rf"bus\(es\) {freq};"):
+            h2_norms(loop, selectors)
+
+
+def test_grammians_require_deflation():
     net, _ = ring_net(3)
     sys = assemble_gbpiac(net, GainSchedule.analytic(1.0))
     with pytest.raises(UnstableSystem):
-        h2_numeric(sys)   # undeflated: the phase mode is marginal
+        # undeflated: the phase mode is marginal
+        grammians(sys, [output_matrix(sys, OM)])
 
 
 def test_decpiac_spread_needs_comm():
     from piac import assemble_decpiac
     net, _ = ring_net(3)
+    sys = assemble_decpiac(net, GainSchedule.analytic(1.0))
     with pytest.raises(DomainError):
-        assemble_decpiac(net, GainSchedule.analytic(1.0),
-                         selector=SP)
+        output_matrix(sys, SP)
+    with pytest.raises(DomainError):
+        h2_modal(sys, spectral_decompose(build_laplacian(net)), SP)
 
 
 # --- numeric norms against frozen closed-form values ---------------------------
@@ -195,33 +221,31 @@ def test_gbpiac_omega_frozen():
     # (n-1)/(2 m d) + (d + 5 m k1)/(2 m (2 k1 m + d)^2) at n=3, m=2, d=3,
     # k1=0.5 evaluates to 1/6 + 2/25 = 37/150
     net, _ = ring_net(3, m=2.0, d=3.0)
-    sys = deflate_zero_mode(assemble_gbpiac(net, GainSchedule.analytic(0.5)))
-    val = h2_numeric(sys)
+    val, = h2_norms(assemble_gbpiac(net, GainSchedule.analytic(0.5)), [OM])
     assert val == pytest.approx(37.0 / 150.0, abs=1e-8)
 
 
 def test_gbpiac_u_frozen():
     for n in (2, 5):
         net, _ = ring_net(n)
-        sys = deflate_zero_mode(assemble_gbpiac(net, GainSchedule.analytic(0.5),
-                                                selector=U))
-        assert h2_numeric(sys) == pytest.approx(0.25, abs=1e-8)
+        sys = assemble_gbpiac(net, GainSchedule.analytic(0.5))
+        assert h2_norms(sys, [U])[0] == pytest.approx(0.25, abs=1e-8)
 
 
 def test_gbpiac_us_frozen():
     net, _ = ring_net(4)
-    sys = deflate_zero_mode(assemble_gbpiac(net, GainSchedule.analytic(1.0),
-                                            selector=US))
-    assert h2_numeric(sys) == pytest.approx(2.0, abs=1e-8)
+    sys = assemble_gbpiac(net, GainSchedule.analytic(1.0))
+    assert h2_norms(sys, [US])[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_grammian_duality():
     net, comm = ring_net(4, k=1.3, m=0.7, d=2.0)
-    sys = deflate_zero_mode(assemble_dpiac(net, comm,
-                                           GainSchedule.analytic(1.5, 0.5)))
-    g = grammians(sys)
-    via_o = np.trace(sys.B.T @ g.observability @ sys.B)
-    via_c = np.trace(sys.C @ g.controllability @ sys.C.T)
+    loop = assemble_dpiac(net, comm, GainSchedule.analytic(1.5, 0.5))
+    sys = deflate_zero_mode(loop)
+    C = output_matrix(loop, OM) @ sys.basis
+    g = grammians(sys, [C])
+    via_o = np.trace(sys.B.T @ g.observabilities[0] @ sys.B)
+    via_c = np.trace(C @ g.controllability @ C.T)
     assert abs(via_o - via_c) <= 1e-8 * max(1.0, abs(via_o))
 
 
@@ -282,11 +306,10 @@ def test_analytic_matches_numeric_sampled():
         spec = spectral_decompose(build_laplacian(net))
         n = net.n_nodes
         for sel in (OM, U, US, SP):
-            gb_num = h2_numeric(deflate_zero_mode(assemble_gbpiac(net, g, selector=sel)))
+            gb_num = h2_norms(assemble_gbpiac(net, g), [sel])[0]
             gb_ana = h2_gbpiac_analytic(n, m, d, k1, sel).value
             assert abs(gb_num - gb_ana) <= 1e-8 * max(1.0, abs(gb_num))
-            dp_num = h2_numeric(deflate_zero_mode(
-                assemble_dpiac(net, comm, g, selector=sel)))
+            dp_num = h2_norms(assemble_dpiac(net, comm, g), [sel])[0]
             dp_ana = h2_dpiac_analytic(spec, m, d, k1, k3, sel).value
             assert abs(dp_num - dp_ana) <= 1e-8 * max(1.0, abs(dp_num))
 
@@ -299,9 +322,9 @@ def test_modal_matches_dense():
                                   float(rng.uniform(0, 10)))
         spec = spectral_decompose(build_laplacian(net))
         for sel in (OM, U, US, SP):
-            sys = assemble_dpiac(net, comm, g, selector=sel)
-            dense = h2_numeric(deflate_zero_mode(sys))
-            modal, per_mode = h2_modal(sys, spec)
+            sys = assemble_dpiac(net, comm, g)
+            dense = h2_norms(sys, [sel])[0]
+            modal, per_mode = h2_modal(sys, spec, sel)
             assert abs(modal - dense) <= 1e-9 * max(1.0, abs(dense))
             assert len(per_mode) == net.n_nodes
 
@@ -311,8 +334,8 @@ def test_modal_per_mode_matches_analytic():
     g = GainSchedule.analytic(0.7, 3.0)
     spec = spectral_decompose(build_laplacian(net))
     for sel in (OM, U, SP):
-        sys = assemble_dpiac(net, comm, g, selector=sel)
-        _, per_mode = h2_modal(sys, spec)
+        sys = assemble_dpiac(net, comm, g)
+        _, per_mode = h2_modal(sys, spec, sel)
         ana = h2_dpiac_analytic(spec, 1.2, 0.8, 0.7, 3.0, sel)
         assert np.allclose(per_mode, ana.per_mode, rtol=1e-8, atol=1e-12)
 
@@ -325,8 +348,8 @@ def test_deflation_preserves_norm():
     g = GainSchedule.analytic(1.3, 0.9)
     spec = spectral_decompose(build_laplacian(net))
     sys = assemble_gbpiac(net, g)
-    dense = h2_numeric(deflate_zero_mode(sys))
-    modal, _ = h2_modal(sys, spec)
+    dense = h2_norms(sys, [OM])[0]
+    modal, _ = h2_modal(sys, spec, OM)
     assert abs(dense - modal) <= 1e-9 * max(1.0, abs(dense))
 
 
@@ -337,7 +360,7 @@ def test_topology_independence_gbpiac():
                                 edges=[(1, k, 3.0) for k in range(2, 7)] +
                                       [(2, 5, 0.2)])
     g = GainSchedule.analytic(0.9)
-    vals = [h2_numeric(deflate_zero_mode(assemble_gbpiac(net, g)))
+    vals = [h2_norms(assemble_gbpiac(net, g), [OM])[0]
             for net in (net_a, net_b)]
     assert abs(vals[0] - vals[1]) <= 1e-10 * max(1.0, abs(vals[0]))
 
@@ -349,9 +372,9 @@ def test_bounds_identity_and_scaling():
     assert lo == pytest.approx(4 * g_val) and hi == pytest.approx(4 * g_val)
     net, _ = ring_net(3)
     g = GainSchedule.analytic(1.0)
-    sys = deflate_zero_mode(assemble_gbpiac(net, g, B_in=2.0 * np.eye(3)))
+    sys = assemble_gbpiac(net, g, B_in=2.0 * np.eye(3))
     base = h2_gbpiac_analytic(3, 1.0, 1.0, 1.0, OM).value
-    assert h2_numeric(sys) == pytest.approx(4 * base, rel=1e-9)
+    assert h2_norms(sys, [OM])[0] == pytest.approx(4 * base, rel=1e-9)
 
 
 def test_bounds_contain_numeric_random_diag():
@@ -362,7 +385,7 @@ def test_bounds_contain_numeric_random_diag():
     for _ in range(5):
         B = np.diag(rng.uniform(0.5, 2.0, size=4))
         lo, hi = h2_bounds_general_B(base, B)
-        num = h2_numeric(deflate_zero_mode(assemble_gbpiac(net, g, B_in=B)))
+        num = h2_norms(assemble_gbpiac(net, g, B_in=B), [OM])[0]
         assert lo - 1e-10 <= num <= hi + 1e-10
 
 
@@ -380,8 +403,7 @@ def test_bounds_hold_for_every_selector():
         for sel in (OM, U, SP, US):
             base = h2_dpiac_analytic(spec, 1.0, 1.0, 1.1, 0.7, sel).value
             lo, hi = h2_bounds_general_B(base, B)
-            num = h2_numeric(deflate_zero_mode(
-                assemble_dpiac(net, comm, g, B_in=B, selector=sel)))
+            num = h2_norms(assemble_dpiac(net, comm, g, B_in=B), [sel])[0]
             assert lo - 1e-9 * max(1, hi) <= num <= hi + 1e-9 * max(1, hi)
 
 
@@ -394,9 +416,9 @@ def test_modal_matches_dense_with_general_B():
     B = Q @ np.diag(rng.uniform(0.5, 2.0, size=4)) @ Q.T
     B = 0.5 * (B + B.T)
     for sel in (OM, U, SP, US):
-        sys = assemble_dpiac(net, comm, g, B_in=B, selector=sel)
-        dense = h2_numeric(deflate_zero_mode(sys))
-        modal, _ = h2_modal(sys, spec)
+        sys = assemble_dpiac(net, comm, g, B_in=B)
+        dense = h2_norms(sys, [sel])[0]
+        modal, _ = h2_modal(sys, spec, sel)
         assert abs(modal - dense) <= 1e-9 * max(1.0, abs(dense))
 
 
