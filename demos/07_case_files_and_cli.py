@@ -37,19 +37,19 @@ with tempfile.TemporaryDirectory(prefix="piac-demo-") as tmp:
     # exit code; nonzero codes classify the failure (format, connectivity,
     # gains, analysis, numerics).
     print("$ piac validate")
-    main(["validate", "--case", str(case)])
+    assert main(["validate", "--case", str(case)]) == 0
 
     print("\n$ piac analyze --law dpiac --selector omega --limits")
-    main(["analyze", "--case", str(case), "--law", "dpiac",
-          "--selector", "omega", "--limits"])
+    assert main(["analyze", "--case", str(case), "--law", "dpiac",
+                 "--selector", "omega", "--limits"]) == 0
 
     print("\n$ piac sweep --param k3 --grid 1,4,16,64")
-    main(["sweep", "--case", str(case), "--law", "dpiac",
-          "--param", "k3", "--grid", "1,4,16,64"])
+    assert main(["sweep", "--case", str(case), "--law", "dpiac",
+                 "--param", "k3", "--grid", "1,4,16,64"]) == 0
 
     print("\n$ piac simulate  (writes the trace, prints the metrics)")
     trace_file = workdir / "trace.csv"
-    main(["simulate", "--case", str(case), "--law", "dpiac",
-          "--out", str(trace_file)])
+    assert main(["simulate", "--case", str(case), "--law", "dpiac",
+                 "--out", str(trace_file)]) == 0
     with open(trace_file) as fh:
         print(f"trace rows: {sum(1 for _ in fh) - 1}")

@@ -111,10 +111,23 @@ def _b_in(args, net):
     return np.diag(diag)
 
 
-def _check_t0(t0: float) -> None:
+def _refuse_unread(args, flags, mode: str) -> None:
+    """A flag of ``flags`` given on the command line is a usage error: the
+    commands in ``mode`` never read it."""
+    given = [flag for flag in flags
+             if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if given:
+        raise _Usage(f"{mode} do not read {', '.join(given)}")
+
+
+def _t0(args) -> float:
+    """``--t0``, the end of the metrics window [0, t0]; 40 s when not given."""
+    if args.t0 is None:
+        return 40.0
     # the metrics integrate over [0, t0]; an empty window would read 0
-    if not t0 > 0:
-        raise _Usage(f"--t0 must be positive, got {t0:g}")
+    if not args.t0 > 0:
+        raise _Usage(f"--t0 must be positive, got {args.t0:g}")
+    return args.t0
 
 
 # --- validate ------------------------------------------------------------------
@@ -197,7 +210,6 @@ class SweepSpec:
             raise _Usage("sweep grid values must be positive")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise _Usage("sweep grid must be strictly increasing")
-        _check_t0(self.t0)
 
     def gains_at(self, value: float) -> GainSchedule:
         g = self.base_gains
@@ -211,12 +223,20 @@ _SWEPT = (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
           OutputSelector.MARGINAL_COST_SPREAD)
 
 
+# flags of sweep that each --sim choice never reads
+_SWEEP_UNREAD = {None: ("--seed", "--model", "--t0"), "step": ("--seed",),
+                 "noise": ("--t0",)}
+
+
 def cmd_sweep(args) -> int:
+    _refuse_unread(args, _SWEEP_UNREAD[args.sim],
+                   "sweeps " + (f"with --sim {args.sim}" if args.sim else "without --sim"))
     net, comm, file_gains, scenario = load_case(args.case)
     base = _gains_from(args, file_gains)
     grid = tuple(_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip())
     spec = SweepSpec(parameter=args.param, grid=grid, law=args.law,
-                     base_gains=base, sim_kind=args.sim, t0=args.t0)
+                     base_gains=base, sim_kind=args.sim, t0=_t0(args))
+    model = args.model or "sin"
     B_in = _b_in(args, net)
     if spec.sim_kind is not None:
         if scenario is None:
@@ -240,12 +260,12 @@ def cmd_sweep(args) -> int:
         row = [value, *h2_norms(loop, _SWEPT)]
         if spec.sim_kind == "step":
             trace = simulate_deterministic(net, comm, spec.law, gains, scenario,
-                                           model=args.model)
+                                           model=model)
             met = compute_metrics(trace, net.prices, t0=spec.t0)
             row += [met.S, met.C]
         elif spec.sim_kind == "noise":
             _, met = simulate_stochastic(net, comm, spec.law, gains, scenario,
-                                         model=args.model)
+                                         model=model)
             row += [met.E_S, met.E_C]
         return row
 
@@ -287,6 +307,11 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
     if kind_tok is None:
         raise _Usage("no scenario: case file has no [scenario] section, pass --kind")
     kind = ScenarioKind(kind_tok)
+    if kind is ScenarioKind.STEP:
+        _refuse_unread(args, ("--seed", "--paths", "--sigma", "--burn-in"),
+                       "step studies")
+    else:
+        _refuse_unread(args, ("--step", "--onset", "--t0"), "noise runs")
     base = file_scenario if (file_scenario and file_scenario.kind is kind) else None
 
     def pick(flag, attr):
@@ -318,7 +343,7 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
 
 
 def cmd_simulate(args) -> int:
-    _check_t0(args.t0)
+    t0 = _t0(args)
     if args.stride is not None and args.stride < 1:
         raise _Usage(f"--stride must be at least 1, got {args.stride}")
     net, comm, file_gains, file_scenario = load_case(args.case)
@@ -328,7 +353,7 @@ def cmd_simulate(args) -> int:
         stride = 1 if args.stride is None else args.stride
         trace = simulate_deterministic(net, comm, args.law, gains, scenario,
                                        model=args.model, stride=stride)
-        met = compute_metrics(trace, net.prices, t0=args.t0)
+        met = compute_metrics(trace, net.prices, t0=t0)
         if args.out:
             _atomic_write(args.out, lambda fh: write_trace_csv(fh, trace))
         print(f"S={_fmt(met.S)} C={_fmt(met.C)} (t0={_fmt(met.t0)})")
@@ -389,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", choices=("step", "noise"),
                    help="also simulate at each grid point")
     p.add_argument("--seed", type=int)
-    p.add_argument("--t0", type=float, default=40.0)
-    p.add_argument("--model", default="sin", choices=("sin", "linear"))
+    p.add_argument("--t0", type=float, help="end of the S/C window (default 40)")
+    p.add_argument("--model", choices=("sin", "linear"), help="default: sin")
     p.add_argument("--b-diag", help="diagonal disturbance matrix of the norms, comma floats")
     p.add_argument("--svg", help="write an SVG chart of the norm columns")
     p.set_defaults(fn=cmd_sweep)
@@ -406,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int)
     p.add_argument("--burn-in", dest="burn_in", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--t0", type=float, default=40.0)
+    p.add_argument("--t0", type=float, help="end of the S/C window (default 40)")
     p.add_argument("--stride", type=int, help="record every n-th step (step studies)")
     p.add_argument("--model", default="sin", choices=("sin", "linear"))
     p.set_defaults(fn=cmd_simulate)

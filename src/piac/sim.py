@@ -27,6 +27,11 @@ states reduces to the standard Euler-Maruyama increment and for algebraic
 states is the frozen-over-the-step reading of white noise in the power
 balance. Traces rebuild the algebraic states of the recorded rows in
 batched solves.
+
+SciPy's ODE stack (``scipy.integrate`` and the optimize, sparse, spatial,
+special and fft packages it loads) is imported on the first call of
+:func:`solve_ivp`, not with this module: only step studies integrate with
+it, and loading it would cost every other command a third of its start-up.
 """
 
 import logging
@@ -34,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .closedloop import _damped_newton, _SimModel, _weighted_gram
 # kept importable here: the benchmark's tracer test checks that a wrapped
@@ -67,6 +71,12 @@ _TRACE_BLOCK = 64
 # chunking, so neither do the outputs; the budget bounds the stepper's
 # largest temporary whatever the number of paths.
 _NOISE_CHUNK_BYTES = 1 << 22
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """:func:`scipy.integrate.solve_ivp`, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def _note_gain_ratio(gains: GainSchedule) -> None:
@@ -240,19 +250,30 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
                         jac=lambda t, x: model_obj.jacobian(x, p_eff))
         if not sol.success:
             raise NumericalBlowup(f"integration failed: {sol.message}")
-        if sol.y.size and not np.all(np.isfinite(sol.y)):
-            raise NumericalBlowup("non-finite state during integration")
+        blowup = _first_blowup(sol.y.T)
+        if blowup:
+            k, size = blowup
+            what = ("non-finite state" if not math.isfinite(size) else
+                    f"state beyond the blow-up limit {_BLOWUP_LIMIT:g}")
+            raise NumericalBlowup(f"{what} at t = {sol.t[k]:g} s "
+                                  f"(max |x| = {size:g})")
         x_start = sol.y[:, -1]
         keep = len(t_eval) if ends_on_grid else len(t_eval) - 1
         ts.append(sol.t[:keep])
         xs.append(sol.y[:, :keep].T)
     t = np.concatenate(ts)
     X = np.vstack(xs)
-    if np.abs(X).max() > _BLOWUP_LIMIT:
-        raise NumericalBlowup("state magnitude exceeded blow-up limit")
     stepped = t >= onset - 1e-12
     P = np.where(stepped[:, None], p_post, p_pre)
     return _traces(model_obj, t, X[None], P[None])[0]
+
+
+def _first_blowup(X):
+    """The first row of ``X`` that is non-finite or beyond ``_BLOWUP_LIMIT``,
+    as (index, max |x| of the row), or None if there is none."""
+    size = np.abs(X).max(axis=1)
+    bad = np.flatnonzero(~(size <= _BLOWUP_LIMIT))
+    return (int(bad[0]), float(size[bad[0]])) if bad.size else None
 
 
 def _traces(model_obj, t, X, P) -> list[Trace]:
@@ -362,9 +383,12 @@ def _euler_maruyama(drift, x0, sig, scenario, paths, record_stride):
             step = start + k + 1
             if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
                 # checked where recorded: no other state reaches the output
-                if not np.abs(X).max() <= _BLOWUP_LIMIT:
-                    raise NumericalBlowup("stochastic ensemble diverged "
-                                          f"(by t = {step * h:g} s)")
+                blowup = _first_blowup(X)
+                if blowup:
+                    path, size = blowup
+                    raise NumericalBlowup(
+                        f"stochastic ensemble diverged by t = {step * h:g} s: "
+                        f"path {path}, max |x| = {size:g}")
                 X_rec[rec_pos] = X
                 W_rec[rec_pos] = W[k]
                 rec_pos += 1

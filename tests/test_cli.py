@@ -596,6 +596,101 @@ def test_simulate_noise_refuses_stride(capsys, two_node_case, tmp_path, stride):
     assert out == "" and not out_file.exists()
 
 
+HOM10_NOISE = ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01",
+               "--t-end", "1", "--burn-in", "0.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--kind", "step", "--t-end", "2", "--onset", "1", "--t0", "1.5",
+      "--seed", "-5", "--paths", "3", "--sigma", "1:0.1", "--burn-in", "7"],
+     "step studies do not read --seed, --paths, --sigma, --burn-in"),
+    (["simulate", "--kind", "step", "--t-end", "2", "--seed", "3"],
+     "step studies do not read --seed"),
+    (["simulate", *HOM10_NOISE, "--step", "2:-0.1", "--onset", "0.2", "--t0", "3"],
+     "noise runs do not read --step, --onset, --t0"),
+    (["simulate", *HOM10_NOISE, "--t0", "0.8"], "noise runs do not read --t0"),
+    (["sweep", "--param", "k1", "--grid", "1,4", "--seed", "-1",
+      "--model", "linear", "--t0", "3"],
+     "sweeps without --sim do not read --seed, --model, --t0"),
+    (["sweep", "--param", "k1", "--grid", "1", "--model", "sin"],
+     "sweeps without --sim do not read --model"),
+    (["sweep", "--param", "k1", "--grid", "1", "--sim", "step", "--seed", "4"],
+     "sweeps with --sim step do not read --seed"),
+], ids=["step-noise-flags", "step-seed", "noise-step-flags", "noise-t0",
+        "sweep-sim-flags", "sweep-model", "sweep-step-seed"])
+def test_flag_the_mode_never_reads_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--case", bundled_case_path("homogeneous10"),
+                         "--law", "dpiac", *argv[1:])
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
+
+
+def test_sweep_noise_refuses_t0(capsys, tmp_path):
+    case = tmp_path / "noise.case"
+    case.write_text(TWO_NODE.replace(
+        "kind=step\nt_end=50.0\nh=0.01\nonset=2.0\nstep=1:-0.2",
+        "kind=noise\nt_end=2.0\nh=0.001\nsigma=1:0.01\npaths=2\nburn_in=1.0"))
+    code, out, err = run(capsys, "sweep", "--case", str(case), "--law", "dpiac",
+                         "--param", "k1", "--grid", "0.5", "--sim", "noise",
+                         "--seed", "1", "--t0", "5")
+    assert code == 2
+    assert "usage error: sweeps with --sim noise do not read --t0" in err
+    assert out == ""
+
+
+def test_flags_without_defaults_read_as_before(capsys):
+    # --t0 and sweep's --model have no argparse default, so a given value can
+    # be told apart; left out, they read as 40 and sin
+    case = bundled_case_path("homogeneous10")
+    sweep = ["sweep", "--case", case, "--law", "dpiac", "--param", "k3",
+             "--grid", "2", "--sim", "step"]
+    assert run(capsys, *sweep) == run(capsys, *sweep, "--t0", "40", "--model", "sin")
+    simulate = ["simulate", "--case", case, "--law", "dpiac", "--kind", "step",
+                "--t-end", "41"]
+    code, out, _ = run(capsys, *simulate)
+    assert code == 0 and out.endswith("(t0=40)\n")
+    assert run(capsys, *simulate, "--t0", "40") == (code, out, "")
+
+
+def test_benchmark_commands_still_run(capsys, tmp_path):
+    # every flag the benchmark passes is read by the mode it runs in; the
+    # small builds pass the same flags as the full ones
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+
+    def flags(ops):
+        return {(op.argv[0], *(a for a in op.argv if a.startswith("--"))) for op in ops}
+
+    for workload in workloads.WORKLOADS:
+        dirs = tmp_path / f"{workload}-small", tmp_path / workload
+        for d in dirs:
+            d.mkdir()
+        small = workloads.build(workload, 3, dirs[0], tiny=True)
+        full = workloads.build(workload, 3, dirs[1])
+        assert flags(small) == flags(full)
+        for op in small:
+            code, _, err = run(capsys, *op.argv)
+            assert code == 0, (op.name, err)
+
+
+@pytest.mark.parametrize("case", [bundled_case_path("ieee39-like"), "missing.case"],
+                         ids=["bundled", "missing"])
+def test_python_m_piac_runs_the_cli(capsys, tmp_path, case):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "piac", "validate", "--case", case],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    code, out, err = run(capsys, "validate", "--case", case)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr == err
+
+
 def test_parser_is_built_once(capsys, two_node_case):
     # main reuses one parser across calls and subcommands, and prints what
     # a freshly built one prints

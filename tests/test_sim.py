@@ -1,6 +1,7 @@
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -534,6 +535,60 @@ def test_stochastic_blowup_detected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalBlowup):
             simulate_stochastic(net, comm, "dpiac", g, scen, model="linear")
+
+
+def _state_size(trace):
+    # homogeneous10 has machines only: theta, omega, eta and xi are its
+    # packed state, so this is max |x| per recorded row
+    return np.abs(np.hstack([trace.theta, trace.omega, trace.eta,
+                             trace.xi])).max(axis=1)
+
+
+def test_step_blowup_names_its_time_and_size(monkeypatch):
+    import piac.sim
+    from piac import NumericalBlowup
+
+    net, comm, gains, scen = load_case(bundled_case_path("homogeneous10"))
+    scen = replace(scen, t_end=2.0, onset=0.5)
+    trace = simulate_deterministic(net, comm, "dpiac", gains, scen)
+    size = _state_size(trace)
+    limit = 0.5 * size.max()
+    k = np.flatnonzero(size > limit)[0]
+    assert trace.t[k] > scen.onset
+    monkeypatch.setattr(piac.sim, "_BLOWUP_LIMIT", limit)
+    with pytest.raises(NumericalBlowup) as exc:
+        simulate_deterministic(net, comm, "dpiac", gains, scen)
+    got = re.fullmatch(r"state beyond the blow-up limit (\S+) at t = (\S+) s "
+                       r"\(max \|x\| = (\S+)\)", str(exc.value))
+    assert got, str(exc.value)
+    assert float(got[1]) == pytest.approx(limit, rel=1e-5)
+    assert float(got[2]) == pytest.approx(trace.t[k], rel=1e-5)
+    assert float(got[3]) == pytest.approx(size[k], rel=1e-5)
+
+
+def test_noise_blowup_names_its_time_path_and_size(monkeypatch):
+    import piac.sim
+    from piac import NumericalBlowup
+
+    net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
+    scen = Scenario(kind=ScenarioKind.NOISE, t_end=1.0, h=1e-3,
+                    sigma={1: 0.5, 4: 0.5, 7: 0.5}, paths=3, burn_in=0.5, seed=5)
+    traces, _ = simulate_stochastic(net, comm, "dpiac", gains, scen)
+    # checked at every recorded row after the start
+    size = np.array([_state_size(tr) for tr in traces])[:, 1:]
+    limit = 0.5 * size[:, 0].max()
+    k = np.flatnonzero((size > limit).any(axis=0))[0]
+    path = np.flatnonzero(size[:, k] > limit)[0]
+    assert path > 0
+    monkeypatch.setattr(piac.sim, "_BLOWUP_LIMIT", limit)
+    with pytest.raises(NumericalBlowup) as exc:
+        simulate_stochastic(net, comm, "dpiac", gains, scen)
+    got = re.fullmatch(r"stochastic ensemble diverged by t = (\S+) s: "
+                       r"path (\d+), max \|x\| = (\S+)", str(exc.value))
+    assert got, str(exc.value)
+    assert float(got[1]) == pytest.approx(traces[0].t[k + 1])
+    assert int(got[2]) == path
+    assert float(got[3]) == pytest.approx(size[path, k], rel=1e-5)
 
 
 def test_stochastic_requires_seed():
