@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
 from .h2 import analyze, h2_norms
 from .netmodel import check_homogeneous
 from .scenario import Scenario, ScenarioKind
-from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
-                  write_ensemble_csv, write_trace_csv)
+from .sim import (_RECORD_DT, compute_metrics, simulate_deterministic,
+                  simulate_stochastic, write_ensemble_csv, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,19 +68,26 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_k3(args, what: str) -> None:
+    """``what`` sets k3, which only the consensus term of dpiac reads: a
+    usage error under the other laws."""
+    if args.law != "dpiac":
+        raise _Usage(f"{what} sets the consensus gain k3 of dpiac; "
+                     f"{args.law} does not read it")
+
+
 def _gains_from(args, file_gains) -> GainSchedule:
+    if args.k3 is not None:
+        _refuse_k3(args, "--k3")
     k1 = args.k1 if args.k1 is not None else (file_gains.k1 if file_gains else None)
     k3 = args.k3 if args.k3 is not None else (file_gains.k3 if file_gains else 0.0)
     if k1 is None:
         raise _Usage("no gains: case file has no [gains] section, pass --k1 (and --k2)")
-    if args.k2 is not None:
-        k2 = args.k2
-    elif args.k1 is None:
-        k2 = file_gains.k2
-    else:
+    if args.k1 is not None and args.k2 is None:
         # the file's k2 belongs to the file's k1; a new k1 alone takes
         # k2 = 4 k1, as `sweep --param k1` does
-        k2 = 4.0 * k1
+        return GainSchedule.analytic(k1, k3)
+    k2 = args.k2 if args.k2 is not None else file_gains.k2
     return GainSchedule(k1=k1, k2=k2, k3=k3)
 
 
@@ -190,33 +197,16 @@ def cmd_analyze(args) -> int:
 # --- sweep ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep request: which gain moves, over which grid, for which law."""
-
-    parameter: str
-    grid: tuple[float, ...]
-    law: str
-    base_gains: GainSchedule
-    sim_kind: str | None = None
-    t0: float = 40.0
-
-    def __post_init__(self):
-        if self.parameter not in ("k1", "k3"):
-            raise _Usage(f"sweep parameter must be k1 or k3, got {self.parameter!r}")
-        if not self.grid:
-            raise _Usage("sweep grid is empty")
-        if any(not v > 0 for v in self.grid):
-            raise _Usage("sweep grid values must be positive")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise _Usage("sweep grid must be strictly increasing")
-
-    def gains_at(self, value: float) -> GainSchedule:
-        g = self.base_gains
-        if self.parameter == "k1":
-            # keep the analytic ratio while k1 moves
-            return GainSchedule(k1=value, k2=4.0 * value, k3=g.k3)
-        return GainSchedule(k1=g.k1, k2=g.k2, k3=value)
+def _grid(args) -> tuple[float, ...]:
+    """The ``--grid`` values, which must be positive and strictly increasing."""
+    grid = tuple(_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip())
+    if not grid:
+        raise _Usage("sweep grid is empty")
+    if any(not v > 0 for v in grid):
+        raise _Usage("sweep grid values must be positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise _Usage("sweep grid must be strictly increasing")
+    return grid
 
 
 _SWEPT = (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
@@ -231,20 +221,21 @@ _SWEEP_UNREAD = {None: ("--seed", "--model", "--t0"), "step": ("--seed",),
 def cmd_sweep(args) -> int:
     _refuse_unread(args, _SWEEP_UNREAD[args.sim],
                    "sweeps " + (f"with --sim {args.sim}" if args.sim else "without --sim"))
+    if args.param == "k3":
+        _refuse_k3(args, "--param k3")
     net, comm, file_gains, scenario = load_case(args.case)
     base = _gains_from(args, file_gains)
-    grid = tuple(_number(tok, "--grid") for tok in args.grid.split(",") if tok.strip())
-    spec = SweepSpec(parameter=args.param, grid=grid, law=args.law,
-                     base_gains=base, sim_kind=args.sim, t0=_t0(args))
+    grid = _grid(args)
+    t0 = _t0(args)
     model = args.model or "sin"
     B_in = _b_in(args, net)
-    if spec.sim_kind is not None:
+    if args.sim is not None:
         if scenario is None:
             raise _Usage("--sim needs a [scenario] section in the case file")
-        want = ScenarioKind.STEP if spec.sim_kind == "step" else ScenarioKind.NOISE
+        want = ScenarioKind.STEP if args.sim == "step" else ScenarioKind.NOISE
         if scenario.kind is not want:
             raise _Usage(f"case scenario kind is {scenario.kind.value}, "
-                         f"--sim asked for {spec.sim_kind}")
+                         f"--sim asked for {args.sim}")
         if want is ScenarioKind.NOISE and scenario.seed is None and args.seed is None:
             raise _Usage("stochastic sweep needs a seed (case file or --seed)")
         if args.seed is not None:
@@ -254,26 +245,28 @@ def cmd_sweep(args) -> int:
                 raise _Usage(str(exc)) from None
 
     def norms_at(value: float):
-        gains = spec.gains_at(value)
+        # k1 moves with k2 = 4 k1, the closed forms' ratio
+        gains = (GainSchedule.analytic(value, base.k3) if args.param == "k1"
+                 else replace(base, k3=value))
         # one loop, read through the three outputs the columns name
-        loop = assemble(net, comm, spec.law, gains, B_in)
+        loop = assemble(net, comm, args.law, gains, B_in)
         row = [value, *h2_norms(loop, _SWEPT)]
-        if spec.sim_kind == "step":
-            trace = simulate_deterministic(net, comm, spec.law, gains, scenario,
+        if args.sim == "step":
+            trace = simulate_deterministic(net, comm, args.law, gains, scenario,
                                            model=model)
-            met = compute_metrics(trace, net.prices, t0=spec.t0)
+            met = compute_metrics(trace, net.prices, t0=t0)
             row += [met.S, met.C]
-        elif spec.sim_kind == "noise":
-            _, met = simulate_stochastic(net, comm, spec.law, gains, scenario,
+        elif args.sim == "noise":
+            _, met = simulate_stochastic(net, comm, args.law, gains, scenario,
                                          model=model)
             row += [met.E_S, met.E_C]
         return row
 
-    rows = [norms_at(value) for value in spec.grid]
-    header = [spec.parameter, "omega_norm", "u_norm", "spread_norm"]
-    if spec.sim_kind == "step":
+    rows = [norms_at(value) for value in grid]
+    header = [args.param, "omega_norm", "u_norm", "spread_norm"]
+    if args.sim == "step":
         header += ["S", "C"]
-    elif spec.sim_kind == "noise":
+    elif args.sim == "noise":
         header += ["E_S", "E_C"]
     lines = [",".join(header)]
     for row in rows:
@@ -283,8 +276,8 @@ def cmd_sweep(args) -> int:
         series = {name: [row[k + 1] for row in rows]
                   for k, name in enumerate(header[1:4])}
         svgplot.svg_line_chart(args.svg, [row[0] for row in rows], series,
-                               title=f"{spec.law} norms vs {spec.parameter}",
-                               xlabel=spec.parameter, ylabel="squared H2 norm",
+                               title=f"{args.law} norms vs {args.param}",
+                               xlabel=args.param, ylabel="squared H2 norm",
                                logx=len(grid) > 2 and grid[-1] / grid[0] > 30)
     return EXIT_OK
 
@@ -359,9 +352,8 @@ def cmd_simulate(args) -> int:
         print(f"S={_fmt(met.S)} C={_fmt(met.C)} (t0={_fmt(met.t0)})")
     else:
         if args.stride is not None:
-            # noise runs record every 0.1 s, the grid of the stored ensembles
             raise _Usage("--stride applies to step studies; noise runs record "
-                         "every 0.1 s")
+                         f"every {_RECORD_DT:g} s")
         traces, met = simulate_stochastic(net, comm, args.law, gains, scenario,
                                           model=args.model)
         if args.out:

@@ -13,12 +13,15 @@ its ``model="linear"`` instance at unit vectors (:meth:`_SimModel.matrices`),
 which is exact because that model is affine (Kron-reduced where buses are
 passive).
 
-State ordering is fixed as (theta, omega, eta, xi) for every law: phases of
-the non-passive buses, machine frequencies, then the integrator pairs (one
-for the gather-broadcast law, one per controller for the local laws).
-Disturbances are the injections ``B_in w``, ``B_in`` the identity by default.
-A loop is one law under one gains and input; :func:`output_matrix` reads any
-output off it. The ``omega`` output, the frequency at every non-passive bus,
+The model owns the state layout, (theta, omega, eta, xi) for every law:
+phases of the non-passive buses, machine frequencies, then the integrator
+pairs (one for the gather-broadcast law, one per controller for the local
+laws); :meth:`_SimModel.unpack` splits a state, or the state indices, into
+those blocks. Disturbances are the injections ``B_in w``, ``B_in`` the
+identity by default. A loop is one law under one gains and input, and keeps
+only its matrices and the model they were read off; the law, its gains and
+the layout are read off that model, and :func:`output_matrix` reads any
+output. The ``omega`` output, the frequency at every non-passive bus,
 is the phase block of the rhs: rows of ``A``, with those rows of ``B`` as
 direct term. An input into a load bus's power balance feeds straight
 through, which makes the H2 norm infinite, and is refused.
@@ -43,7 +46,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .controllers import ControlLaw, GainSchedule, check_law, law_homogeneity
+from .controllers import ControlLaw, GainSchedule, law_homogeneity
 from .errors import (DAESolveError, DomainError, ShapeError,
                      UnsupportedForModalPath)
 from .netmodel import (CommunicationGraph, NodeKind, PowerNetwork,
@@ -81,27 +84,21 @@ class OutputSelector(Enum):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Closed-loop (A, B) of one law and gains, with labeled state blocks.
+    """Closed-loop (A, B) of one law, gains and input.
 
     The loop carries no output: :func:`output_matrix` reads the C of any
-    selector off it, so one loop serves every output.
-    ``labels`` maps block names to slices of the state: 'theta' (non-passive
-    buses), 'omega' (machines), 'eta' and 'xi' (integrator pairs); it is
-    empty once :func:`deflate_zero_mode` has mixed the coordinates. ``B_in``
-    is the physical disturbance matrix over all ``n`` buses; ``B`` is the
-    full state-space input matrix. ``model`` is the linear network model the
-    loop was read off. ``basis`` is set by :func:`deflate_zero_mode`: its
-    orthonormal columns span the kept states in the original coordinates, so
-    an output matrix ``C`` of the undeflated loop is ``C @ basis`` on the
-    deflated one.
+    selector off it, so one loop serves every output. ``B_in`` is the
+    physical disturbance matrix over all buses; ``B`` is the full
+    state-space input matrix. ``model`` is the linear network model the loop
+    was read off: its ``law`` holds the law and the gains it reads, and its
+    ``unpack`` gives the state layout. ``basis`` is set by
+    :func:`deflate_zero_mode`: its orthonormal columns span the kept states
+    in the original coordinates, so an output matrix ``C`` of the
+    undeflated loop is ``C @ basis`` on the deflated one.
     """
 
     A: np.ndarray
     B: np.ndarray
-    labels: dict[str, slice]
-    law: str
-    gains: GainSchedule
-    n: int
     B_in: np.ndarray
     model: "_SimModel" = field(repr=False)
     basis: np.ndarray | None = None
@@ -109,9 +106,6 @@ class StateSpace:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    def spectral_abscissa(self) -> float:
-        return float(np.max(np.linalg.eigvals(self.A).real))
 
 
 # --- network model -----------------------------------------------------------
@@ -397,13 +391,7 @@ def _assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
     model = _SimModel(net, comm, law, gains, "linear")
     B_in = _b_in(net, B_in)
     A, B = model.matrices(B_in)
-    a = model.n_mf
-    b = a + model.n_m
-    c = b + model.n_ctrl
-    labels = {"theta": slice(0, a), "omega": slice(a, b), "eta": slice(b, c),
-              "xi": slice(c, model.dim)}
-    return StateSpace(A=A, B=B, labels=labels, law=law, gains=gains, n=model.n,
-                      B_in=B_in, model=model)
+    return StateSpace(A=A, B=B, B_in=B_in, model=model)
 
 
 def assemble_gbpiac(net: PowerNetwork, gains: GainSchedule, B_in=None) -> StateSpace:
@@ -433,12 +421,13 @@ def assemble(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
     input ``B_in`` (the identity by default), through its ``assemble_*``
     function; the gather-broadcast law does not read ``comm``. Any output is
     read off the result by :func:`output_matrix`."""
-    check_law(law, comm)
     if law == "gbpiac":
         return assemble_gbpiac(net, gains, B_in)
     if law == "dpiac":
         return assemble_dpiac(net, comm, gains, B_in)
-    return assemble_decpiac(net, gains, B_in, comm=comm)
+    if law == "decpiac":
+        return assemble_decpiac(net, gains, B_in, comm=comm)
+    return _assemble(net, comm, law, gains, B_in)    # ControlLaw.build refuses it
 
 
 def output_matrix(sys: StateSpace, selector: OutputSelector) -> np.ndarray:
@@ -507,8 +496,7 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     The basis ``P`` of the complement is the identity on the coordinates
     outside the support of ``W`` and an orthonormal complement of ``W`` on
     its support. The result is ``(P^T A P, P^T B)`` with ``P`` as its
-    ``basis``, which maps every output ``C`` of the loop to ``C P``. The
-    mixed coordinates carry no block names, so the result has ``labels={}``.
+    ``basis``, which maps every output ``C`` of the loop to ``C P``.
     """
     if sys.basis is not None:
         return sys
@@ -525,7 +513,7 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     mixed = len(support) - k
     P[np.ix_(support, np.arange(mixed))] = Q_s[:, k:]
     P[rest, np.arange(mixed, N - k)] = 1.0
-    return replace(sys, A=P.T @ sys.A @ P, B=P.T @ sys.B, labels={}, basis=P)
+    return replace(sys, A=P.T @ sys.A @ P, B=P.T @ sys.B, basis=P)
 
 
 # --- modal decoupling --------------------------------------------------------
@@ -586,37 +574,36 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
     """
     if sys.basis is not None:
         raise UnsupportedForModalPath("modal decoupling expects the undeflated system")
+    model, law = sys.model, sys.model.law
     spread = selector is OutputSelector.MARGINAL_COST_SPREAD
-    if spread and sys.law != "gbpiac" and sys.model.comm is None:
+    if spread and not law.central and model.comm is None:
         raise DomainError("spread output needs a communication graph to difference over")
-    hom = law_homogeneity(sys.model.net, sys.model.comm, sys.law, spread)
+    hom = law_homogeneity(model.net, model.comm, law.name, spread)
     if not hom.passed:
         raise UnsupportedForModalPath(
             "modal decoupling needs homogeneous parameters (and a matching "
             "communication graph for the distributed law)")
     m, d = hom.m, hom.d
-    n = sys.n
+    n = model.n
     if spectral.n != n:
         raise ShapeError(f"spectral decomposition is for n={spectral.n}, system has n={n}")
     lam = spectral.eigenvalues
     Q = spectral.modal_matrix
-    k1, k2, k3 = sys.gains.k1, sys.gains.k2, sys.gains.k3
-    if sys.law != "dpiac":
-        k3 = 0.0
+    k1, k2, k3 = law.gains.k1, law.gains.k2, law.gains.k3
     blocks: list[ModeBlock] = []
     cols: list[np.ndarray] = []     # columns of T, original coordinates
     N = sys.dim
+    theta, omega, eta, xi = model.unpack(np.arange(N))
 
-    def col(block: str, i: int) -> np.ndarray:
+    def col(block: np.ndarray, i: int) -> np.ndarray:
         c = np.zeros(N)
-        sl = sys.labels[block]
-        if sl.stop - sl.start == n:
-            c[sl] = Q[:, i]
+        if len(block) == n:
+            c[block] = Q[:, i]
         else:                        # central scalar state
-            c[sl.start] = 1.0
+            c[block[0]] = 1.0
         return c
 
-    if sys.law == "gbpiac":
+    if law.central:
         rt_n = math.sqrt(n)
         A0 = np.array([
             [0.0, 1.0, 0.0, 0.0],
@@ -632,7 +619,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
         B0[1, :] = Q[:, 0] @ sys.B_in / m
         blocks.append(ModeBlock(0, float(lam[0]), A0, B0, np.array([C0]),
                                 ("x1", "x2", "eta", "xi")))
-        cols += [col("theta", 0), col("omega", 0), col("eta", 0), col("xi", 0)]
+        cols += [col(theta, 0), col(omega, 0), col(eta, 0), col(xi, 0)]
         for i in range(1, n):
             Ai = np.array([[0.0, 1.0], [-lam[i] / m, -d / m]])
             Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0]}.get(selector, [0.0, 0.0])
@@ -640,7 +627,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
             Bi[1, :] = Q[:, i] @ sys.B_in / m
             blocks.append(ModeBlock(i, float(lam[i]), Ai, Bi, np.array([Ci]),
                                     ("x1", "x2")))
-            cols += [col("theta", i), col("omega", i)]
+            cols += [col(theta, i), col(omega, i)]
     else:
         rt_n = math.sqrt(n)
         for i in range(n):
@@ -660,7 +647,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
             Bi[1, :] = Q[:, i] @ sys.B_in / m
             blocks.append(ModeBlock(i, li, Ai, Bi, np.array([Ci]),
                                     ("x1", "x2", "x3", "x4")))
-            cols += [col("theta", i), col("omega", i), col("eta", i), col("xi", i)]
+            cols += [col(theta, i), col(omega, i), col(eta, i), col(xi, i)]
 
     T = np.column_stack(cols)
     At = T.T @ sys.A @ T

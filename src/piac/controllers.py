@@ -18,7 +18,7 @@ trace builders read the inputs and marginal costs from them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "GainSchedule",
     "ControlLaw",
     "LAWS",
-    "check_law",
     "law_homogeneity",
     "optimal_dispatch",
     "synchronized_frequency",
@@ -79,15 +78,6 @@ class GainSchedule:
         return self.k2 == 4.0 * self.k1
 
 
-def check_law(law: str, comm: CommunicationGraph | None) -> None:
-    """Raise :class:`DomainError` for an unknown law, or for the distributed
-    law without the communication graph its consensus term runs over."""
-    if law not in LAWS:
-        raise DomainError(f"unknown law {law!r}")
-    if law == "dpiac" and comm is None:
-        raise DomainError("distributed law needs a communication graph")
-
-
 def law_homogeneity(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
                     spread: bool) -> HomogeneityReport:
     """Homogeneity report for one law and output.
@@ -114,14 +104,14 @@ class ControlLaw:
     ``gbpiac``, one per controller node (``net.controller_ids`` order) for
     the local laws. ``omega`` runs over the controller set. The maps take
     arrays and allow leading batch axes, so a map applied to identity
-    columns is its matrix.
+    columns is its matrix. ``gains`` are the gains the maps read: k3 is
+    zero except under ``dpiac``, the only law with a consensus term.
     """
 
     name: str
     gains: GainSchedule
     D: np.ndarray                 # damping per controller
     M: np.ndarray                 # inertia per controller, 0 at load buses
-    machines: np.ndarray          # controller positions of the machines
     alpha: np.ndarray             # price per controller
     alpha_s: float
     L_comm: np.ndarray | None     # communication Laplacian over the controllers
@@ -129,13 +119,19 @@ class ControlLaw:
     @classmethod
     def build(cls, net: PowerNetwork, comm: CommunicationGraph | None, law: str,
               gains: GainSchedule) -> "ControlLaw":
-        check_law(law, comm)
-        kinds = [net.node(i).kind for i in net.controller_ids]
-        M = np.array([net.node(i).inertia if kind is NodeKind.MACHINE else 0.0
-                      for i, kind in zip(net.controller_ids, kinds)])
-        machines = np.array([k for k, kind in enumerate(kinds)
-                             if kind is NodeKind.MACHINE], dtype=int)
-        return cls(name=law, gains=gains, D=net.dampings, M=M, machines=machines,
+        """The law named ``law`` on ``net``. An unknown law, or ``dpiac``
+        without the communication graph its consensus term runs over, raises
+        :class:`DomainError`."""
+        if law not in LAWS:
+            raise DomainError(f"unknown law {law!r}")
+        if law == "dpiac" and comm is None:
+            raise DomainError("distributed law needs a communication graph")
+        if law != "dpiac":
+            # only the distributed law has a consensus term to weigh
+            gains = replace(gains, k3=0.0)
+        M = np.array([node.inertia if node.kind is NodeKind.MACHINE else 0.0
+                      for node in map(net.node, net.controller_ids)])
+        return cls(name=law, gains=gains, D=net.dampings, M=M,
                    alpha=net.prices, alpha_s=net.alpha_s,
                    L_comm=comm.laplacian(net.controller_ids) if comm is not None else None)
 
@@ -146,11 +142,6 @@ class ControlLaw:
     @cached_property
     def pairs(self) -> int:
         return 1 if self.central else len(self.D)
-
-    @cached_property
-    def M_m(self) -> np.ndarray:
-        """Inertia per machine."""
-        return self.M[self.machines]
 
     @cached_property
     def share(self) -> np.ndarray:
@@ -164,15 +155,15 @@ class ControlLaw:
         return np.zeros(len(self.D), dtype=int) if self.central else np.arange(len(self.D))
 
     def d_eta(self, omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Imbalance estimate: damping power, plus for ``dpiac`` the
-        consensus term ``k3 L_comm mc``, which sums to zero over the network.
-        ``decpiac`` has no consensus term at any k3."""
+        """Imbalance estimate: damping power, plus the consensus term
+        ``k3 L_comm mc``, which sums to zero over the network. Only ``dpiac``
+        keeps a nonzero k3."""
         _check(omega, len(self.D), "omega")
         _check(xi, self.pairs, "xi")
         if self.central:
             return (omega @ self.D)[..., None]
         d_eta = self.D * omega
-        if self.name == "dpiac":
+        if self.gains.k3:
             d_eta = d_eta + self.gains.k3 * (self.mc(xi) @ self.L_comm.T)
         return d_eta
 
@@ -183,7 +174,7 @@ class ControlLaw:
         _check(xi, self.pairs, "xi")
         k1, k2 = self.gains.k1, self.gains.k2
         if self.central:
-            m_omega = (omega[..., self.machines] @ self.M_m)[..., None]
+            m_omega = (omega @ self.M)[..., None]
         else:
             m_omega = self.M * omega
         return -k1 * (m_omega + eta) - k2 * xi

@@ -476,20 +476,21 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
     with an explicit symmetric positive-definite ``B_in``, the sandwich
     bounds.
     """
-    numeric, = h2_norms(assemble(net, comm, law, gains, B_in), (selector,))
+    loop = assemble(net, comm, law, gains, B_in)
+    numeric, = h2_norms(loop, (selector,))
     hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
 
     analytic = rel_gap = None
     limit_k1 = limit_k3 = None
     bounds = None
     if hom.passed and gains.analytic_mode:
-        m, d, k1, k3 = hom.m, hom.d, gains.k1, gains.k3
+        # the k3 the law reads: zero but for dpiac
+        m, d, k1, k3 = hom.m, hom.d, gains.k1, loop.model.law.gains.k3
         spectral = spectral_decompose(build_laplacian(net))
         if law == "gbpiac":
             ana = h2_gbpiac_analytic(net.n_nodes, m, d, k1, selector)
         else:
-            k3_eff = 0.0 if law == "decpiac" else k3
-            ana = h2_dpiac_analytic(spectral, m, d, k1, k3_eff, selector)
+            ana = h2_dpiac_analytic(spectral, m, d, k1, k3, selector)
         if B_in is None:
             analytic = ana.value
             rel_gap = abs(analytic - numeric) / max(1.0, abs(numeric))

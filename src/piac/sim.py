@@ -71,6 +71,9 @@ _TRACE_BLOCK = 64
 # chunking, so neither do the outputs; the budget bounds the stepper's
 # largest temporary whatever the number of paths.
 _NOISE_CHUNK_BYTES = 1 << 22
+# recording interval of the Euler-Maruyama ensembles in s, rounded to whole
+# steps (at least one)
+_RECORD_DT = 0.1
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -302,8 +305,7 @@ def _traces(model_obj, t, X, P) -> list[Trace]:
 
 def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
                         law: str, gains: GainSchedule, scenario: Scenario,
-                        model: str = "sin", record_stride: int | None = None
-                        ) -> tuple[list[Trace], Metrics]:
+                        model: str = "sin") -> tuple[list[Trace], Metrics]:
     """Euler-Maruyama ensemble under white-noise load disturbances.
 
     All paths step together as one (paths, dim) state. Per-path noise
@@ -311,7 +313,8 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     does not depend on how many others run beside it. With
     ``model="linear"`` the drift is affine and is read as the model's
     matrices on every network, so no step solves the passive balance; the
-    sine model evaluates its right-hand side.
+    sine model evaluates its right-hand side. Rows are recorded every
+    ``_RECORD_DT`` s, rounded to whole steps.
     """
     if scenario.kind is not ScenarioKind.NOISE:
         raise DomainError("simulate_stochastic needs a noise scenario")
@@ -319,9 +322,6 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         raise DomainError("stochastic runs need a seed for reproducibility")
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
-    if record_stride is None:
-        record_stride = max(1, int(round(0.1 / scenario.h)))
-
     model_obj = _SimModel(net, comm, law, gains, model)
     x0 = model_obj.at_rest(_equilibrium(model_obj))
     p = net.injections
@@ -337,7 +337,8 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
             return model_obj.rhs(X, p + W)
 
     t, X, W = _euler_maruyama(drift, x0, _noise_matrix(net, scenario),
-                              scenario, scenario.paths, record_stride)
+                              scenario, scenario.paths,
+                              max(1, int(round(_RECORD_DT / scenario.h))))
     traces = _traces(model_obj, t, X, p + W)
     metrics = compute_metrics(traces, net.prices, burn_in=scenario.burn_in)
     return traces, metrics

@@ -522,6 +522,55 @@ def test_non_finite_number_is_refused(capsys, argv, code, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("law", ["gbpiac", "decpiac"])
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "--k3", "1"], "--k3"),
+    (["analyze", "--k3", "nan"], "--k3"),
+    (["sweep", "--param", "k1", "--grid", "1,2", "--k3", "100"], "--k3"),
+    (["sweep", "--param", "k3", "--grid", "1,100"], "--param k3"),
+    (["simulate", "--kind", "step", "--t-end", "2", "--k3", "1"], "--k3"),
+], ids=["analyze", "analyze-nan", "sweep", "sweep-param-k3", "simulate"])
+def test_k3_of_a_law_without_consensus_is_usage_error(capsys, law, argv, flag):
+    # only dpiac has a consensus term: the other laws printed the same rows
+    # at every k3. The flag is refused before its value is read, so nan is
+    # a usage error here and a gain constraint (exit 4) under dpiac
+    code, out, err = run(capsys, argv[0], "--case", bundled_case_path("homogeneous10"),
+                         "--law", law, *argv[1:])
+    assert code == 2
+    assert (f"usage error: {flag} sets the consensus gain k3 of dpiac; "
+            f"{law} does not read it") in err
+    assert out == ""
+
+
+def test_case_file_k3_is_valid_for_every_law(capsys, tmp_path):
+    # a case file's gains serve every law; only dpiac's norms move with k3
+    rows = {}
+    for k3 in ("1.0", "100.0"):
+        case = tmp_path / f"k3-{k3}.case"
+        case.write_text(TWO_NODE.replace("k3=1.0", f"k3={k3}"))
+        for law in LAWS:
+            code, out, err = run(capsys, "analyze", "--case", str(case), "--law", law,
+                                 "--selector", "spread")
+            assert code == 0, err
+            rows[law, k3] = out
+    assert rows["gbpiac", "1.0"] == rows["gbpiac", "100.0"]
+    assert rows["decpiac", "1.0"] == rows["decpiac", "100.0"]
+    assert rows["dpiac", "1.0"] != rows["dpiac", "100.0"]
+
+
+@pytest.mark.parametrize("grid, message", [
+    (",", "sweep grid is empty"),
+    ("0,1", "sweep grid values must be positive"),
+    ("2,1", "sweep grid must be strictly increasing"),
+], ids=["empty", "not-positive", "decreasing"])
+def test_bad_sweep_grid_is_usage_error(capsys, two_node_case, grid, message):
+    code, out, err = run(capsys, "sweep", "--case", two_node_case, "--law", "dpiac",
+                         "--param", "k1", "--grid", grid)
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
+
+
 def test_non_finite_step_is_refused_in_a_child():
     # an infinite load step sends the integrator into an endless search for
     # a step size, so the command runs in a child that a timeout stops
@@ -697,7 +746,7 @@ def test_parser_is_built_once(capsys, two_node_case):
     argvs = (["validate", "--case", two_node_case],
              ["analyze", "--case", two_node_case, "--law", "dpiac"],
              ["sweep", "--case", two_node_case, "--law", "gbpiac",
-              "--param", "k3", "--grid", "1,4"],
+              "--param", "k1", "--grid", "1,4"],
              ["validate", "--case", two_node_case])
     fresh = []
     for argv in argvs:

@@ -5,8 +5,8 @@ import pytest
 
 from piac import (LAWS, ControlLaw, DegenerateModel, DomainError,
                   GainConstraintError, GainSchedule, NoControllers, Node,
-                  NodeKind, PowerNetwork, ShapeError, optimal_dispatch,
-                  synchronized_frequency)
+                  NodeKind, PowerNetwork, ShapeError, assemble,
+                  optimal_dispatch, synchronized_frequency)
 from conftest import make_machine_net
 
 
@@ -112,13 +112,18 @@ def test_dpiac_k3_zero_equals_decpiac():
     net, comm = make_machine_net(4, m=[1.0, 2.0, 0.5, 1.5], d=[1.0, 0.3, 2.0, 1.0],
                                  alpha=[1.0, 2.0, 1.0, 0.5],
                                  edges=[(1, 2, 1.0), (2, 3, 2.0), (3, 4, 0.5)])
+    g = GainSchedule(k1=0.5, k2=2.0, k3=5.0)
     a = ControlLaw.build(net, comm, "dpiac", GainSchedule(k1=0.5, k2=2.0, k3=0.0))
-    b = ControlLaw.build(net, comm, "decpiac", GainSchedule(k1=0.5, k2=2.0, k3=5.0))
+    b = ControlLaw.build(net, comm, "decpiac", g)
     for _ in range(5):
         eta, xi, om = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
         assert np.array_equal(a.d_eta(om, xi), b.d_eta(om, xi))
         assert np.array_equal(a.d_xi(om, eta, xi), b.d_xi(om, eta, xi))
         assert np.array_equal(a.u(xi), b.u(xi))
+    # only dpiac keeps k3: the other laws have no consensus term to weigh
+    assert b.gains.k3 == 0.0
+    assert ControlLaw.build(net, comm, "gbpiac", g).gains.k3 == 0.0
+    assert ControlLaw.build(net, comm, "dpiac", g).gains.k3 == 5.0
 
 
 def test_rhs_shape_errors():
@@ -139,10 +144,11 @@ def test_rhs_shape_errors():
 def test_control_law_domain_errors():
     net, comm = two_node()
     g = GainSchedule.analytic(1.0)
-    with pytest.raises(DomainError):
-        ControlLaw.build(net, comm, "pid", g)
-    with pytest.raises(DomainError):
-        ControlLaw.build(net, None, "dpiac", g)
+    for build in (ControlLaw.build, assemble):
+        with pytest.raises(DomainError):
+            build(net, comm, "pid", g)
+        with pytest.raises(DomainError):
+            build(net, None, "dpiac", g)
     with pytest.raises(DomainError):   # nothing to difference over
         ControlLaw.build(net, None, "decpiac", g).spread(np.zeros(2))
 
