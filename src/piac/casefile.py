@@ -8,10 +8,10 @@ flat so files diff well::
     [nodes]
     # <id> <kind> key=value...      kind: machine | freq | passive
     # machine: M=, D=, alpha= required; freq: D=, alpha=; passive: none
-    # optional on any node: P= (default 0), V= (default 1)
+    # optional on any node: P= (default 0); V= is accepted only as 1
     1 machine M=1 D=1 P=0.1 alpha=1 V=1
     [edges]
-    # <i> <j> K=<susceptance>
+    # <i> <j> K=<susceptance>      (the effective one, voltages folded in)
     1 2 K=2.0
     [comm]
     # <i> <j> l=<weight>           (section optional)
@@ -26,14 +26,18 @@ flat so files diff well::
     h=0.01                         # default 0.01 (step) or 1e-3 (noise)
     onset=5                        # step only
     step=1:-0.1                    # step only, repeatable
-    sigma=2:0.002                  # noise only, repeatable
+    sigma=1:0.002                  # noise only, repeatable; machine buses
     paths=20                       # noise only
     burn_in=50                     # noise only
     seed=42                        # noise only
 
 ``save_case`` writes the canonical form: fixed section order, nodes sorted
 by id, edges sorted by pair, floats via ``repr`` so loading a saved file
-reproduces the exact same objects.
+reproduces the exact same objects. It writes ``V=1.0`` on every node.
+
+``t_end`` must be a whole number of steps ``h`` (and, for noise, of the
+0.1 s recording interval rounded to whole steps); :class:`Scenario` refuses
+it otherwise.
 """
 
 import math
@@ -135,11 +139,14 @@ def loads_case(text: str, path: str = "<string>"):
                 return (_parse_float(kv[key], f"field {key}", path, lineno)
                         if key in kv else default)
 
+            if fget("V", 1.0) != 1.0:
+                raise CaseFormatError(
+                    f"field V: {kv['V']!r} is not read; only V=1 is accepted, as "
+                    "the line's K= is already the effective susceptance", path, lineno)
             try:
                 nodes.append(Node(id=nid, kind=_KINDS[toks[1]],
                                   inertia=fget("M"), damping=fget("D"),
-                                  injection=fget("P", 0.0), price=fget("alpha"),
-                                  voltage=fget("V", 1.0)))
+                                  injection=fget("P", 0.0), price=fget("alpha")))
             except ValueError as exc:
                 raise CaseFormatError(str(exc), path, lineno) from None
         elif section in ("edges", "comm"):
@@ -278,7 +285,7 @@ def dumps_case(net: PowerNetwork, comm: CommunicationGraph | None = None,
         toks.append(f"P={node.injection!r}")
         if node.price is not None:
             toks.append(f"alpha={node.price!r}")
-        toks.append(f"V={node.voltage!r}")
+        toks.append("V=1.0")
         out.append(" ".join(toks))
     out.append("[edges]")
     for i, j, k in sorted(net.edges, key=lambda e: (min(e[0], e[1]), max(e[0], e[1]))):

@@ -29,8 +29,8 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
 from .h2 import analyze, h2_norms
 from .netmodel import check_homogeneous
 from .scenario import Scenario, ScenarioKind
-from .sim import (_RECORD_DT, compute_metrics, simulate_deterministic,
-                  simulate_stochastic, write_ensemble_csv, write_trace_csv)
+from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
+                  write_ensemble_csv, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -344,6 +344,10 @@ def cmd_simulate(args) -> int:
     scenario = _scenario_from(args, file_scenario, net)
     if scenario.kind is ScenarioKind.STEP:
         stride = 1 if args.stride is None else args.stride
+        try:
+            scenario.record_steps(stride)
+        except ValueError as exc:
+            raise _Usage(f"--stride {stride}: {exc}") from None
         trace = simulate_deterministic(net, comm, args.law, gains, scenario,
                                        model=args.model, stride=stride)
         met = compute_metrics(trace, net.prices, t0=t0)
@@ -352,14 +356,18 @@ def cmd_simulate(args) -> int:
         print(f"S={_fmt(met.S)} C={_fmt(met.C)} (t0={_fmt(met.t0)})")
     else:
         if args.stride is not None:
+            interval = scenario.record_steps().step * scenario.h
             raise _Usage("--stride applies to step studies; noise runs record "
-                         f"every {_RECORD_DT:g} s")
+                         f"every {interval:g} s")
         traces, met = simulate_stochastic(net, comm, args.law, gains, scenario,
                                           model=args.model)
         if args.out:
             _atomic_write(args.out, lambda fh: write_ensemble_csv(fh, traces))
-        print(f"E_S={_fmt(met.E_S)} (se {_fmt(met.E_S_se)}) "
-              f"E_C={_fmt(met.E_C)} (se {_fmt(met.E_C_se)}) "
+        # one path has no standard error
+        se_s, se_c = ("n/a" if se is None else _fmt(se)
+                      for se in (met.E_S_se, met.E_C_se))
+        print(f"E_S={_fmt(met.E_S)} (se {se_s}) "
+              f"E_C={_fmt(met.E_C)} (se {se_c}) "
               f"paths={len(traces)} burn_in={_fmt(met.burn_in)}")
     return EXIT_OK
 

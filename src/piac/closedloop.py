@@ -24,7 +24,8 @@ the layout are read off that model, and :func:`output_matrix` reads any
 output. The ``omega`` output, the frequency at every non-passive bus,
 is the phase block of the rhs: rows of ``A``, with those rows of ``B`` as
 direct term. An input into a load bus's power balance feeds straight
-through, which makes the H2 norm infinite, and is refused.
+through, which makes the H2 norm infinite; :func:`output_matrix` and the
+noise simulator refuse it.
 
 The raw closed-loop matrix is marginally stable: the integrators conserve
 damping-weighted phase sums that no disturbance can move.
@@ -444,16 +445,9 @@ def output_matrix(sys: StateSpace, selector: OutputSelector) -> np.ndarray:
     if sys.basis is not None:
         raise DomainError("output_matrix needs the undeflated loop from assemble")
     model = sys.model
-    a = model.n_mf
     if selector is OutputSelector.FREQUENCY_DEVIATION:
-        fed = np.flatnonzero(np.any(sys.B[:a] != 0, axis=1))
-        if len(fed):
-            ids = ", ".join(str(model.net.ids[i]) for i in model.mf[fed])
-            raise DomainError(
-                "the omega norm is infinite: the input feeds straight through to "
-                f"the frequency at bus(es) {ids}; use an input that reaches the "
-                "machine buses only (--b-diag with zeros off the machine buses)")
-        return sys.A[:a]
+        _refuse_feedthrough(model, sys.B, "--b-diag with zeros off the machine buses")
+        return sys.A[:model.n_mf]
     ctrl = model.law
     unit = np.eye(ctrl.pairs)
     if selector is OutputSelector.CONTROL_INPUT:
@@ -465,6 +459,20 @@ def output_matrix(sys: StateSpace, selector: OutputSelector) -> np.ndarray:
     C = np.zeros((len(rows), model.dim))
     C[:, model.dim - ctrl.pairs:] = rows
     return C
+
+
+def _refuse_feedthrough(model: _SimModel, B: np.ndarray, remedy: str) -> None:
+    """Raise :class:`DomainError` if the input matrix ``B`` of the packed
+    state of ``model`` reaches a frequency directly, naming the buses it
+    feeds: white noise there has infinite variance, and the omega norm is
+    infinite. ``remedy`` says how to keep the input off those buses."""
+    fed = np.flatnonzero(np.any(B[:model.n_mf] != 0, axis=1))
+    if len(fed):
+        ids = ", ".join(str(model.net.ids[i]) for i in model.mf[fed])
+        raise DomainError(
+            "the omega norm is infinite: the input feeds straight through to "
+            f"the frequency at bus(es) {ids}; use an input that reaches the "
+            f"machine buses only ({remedy})")
 
 
 # --- zero-mode deflation -----------------------------------------------------

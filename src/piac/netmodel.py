@@ -59,7 +59,6 @@ class Node:
     damping: float | None = None
     injection: float = 0.0
     price: float | None = None
-    voltage: float = 1.0
 
     def __post_init__(self):
         k = self.kind
@@ -81,8 +80,6 @@ class Node:
         if k is not NodeKind.PASSIVE:
             if self.price is None or self.price <= 0:
                 raise ValueError(f"node {self.id}: controller node needs price alpha > 0")
-        if self.voltage <= 0:
-            raise ValueError(f"node {self.id}: voltage must be positive")
 
     @property
     def is_controller(self) -> bool:

@@ -1,4 +1,8 @@
-"""Disturbance scenarios driving the time-domain simulations."""
+"""Disturbance scenarios driving the time-domain simulations.
+
+A scenario owns the time axis of both simulators: see
+:meth:`Scenario.record_steps`.
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -21,6 +25,9 @@ DEFAULTS = {
 }
 _STEP = DEFAULTS[ScenarioKind.STEP]
 _NOISE = DEFAULTS[ScenarioKind.NOISE]
+# recording interval of noise runs in s, taken as the whole number of steps
+# nearest to it (at least one)
+_RECORD_DT = 0.1
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,9 @@ class Scenario:
 
     ``h`` is the Euler-Maruyama step for noise runs and the output-grid
     spacing for deterministic runs (which integrate adaptively underneath).
+    ``t_end`` must be a whole number of steps ``h``, up to a relative slack
+    of 1e-9, and a noise run's recording interval must divide it, so the
+    last recorded row is at ``t_end``.
     ``seed`` is mandatory for noise runs so every ensemble is reproducible,
     and non-negative, as numpy's ``SeedSequence`` requires.
     A field left ``None`` takes its kind's value in :data:`DEFAULTS`.
@@ -60,6 +70,7 @@ class Scenario:
             raise ValueError(f"step h must be positive, got {self.h}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        self.record_steps()
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kind is ScenarioKind.STEP:
@@ -72,6 +83,32 @@ class Scenario:
                 raise ValueError("paths must be >= 1")
             if not 0 <= self.burn_in < self.t_end:
                 raise ValueError("burn_in must lie in [0, t_end)")
+
+    def record_steps(self, stride: int | None = None) -> range:
+        """The recorded steps 0, s, 2s, ..., n of the n steps to ``t_end``.
+
+        A step study records every ``stride``-th step, every step by
+        default. A noise run takes no stride: it records every
+        ``_RECORD_DT`` s, rounded to whole steps (at least one). A stride
+        that does not divide n raises :class:`ValueError`, as does a
+        ``t_end`` that is not a whole number of steps.
+        """
+        n = round(self.t_end / self.h)
+        if n < 1 or abs(n * self.h - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError(f"t_end {self.t_end:g} is not a whole number of "
+                             f"steps h = {self.h:g}")
+        if self.kind is ScenarioKind.NOISE:
+            if stride is not None:
+                raise ValueError("noise runs take no record stride")
+            stride = max(1, round(_RECORD_DT / self.h))
+        elif stride is None:
+            stride = 1
+        if stride < 1:
+            raise ValueError(f"record stride must be at least 1, got {stride}")
+        if n % stride:
+            raise ValueError(f"recording every {stride} steps ({stride * self.h:g} s) "
+                             f"does not end at t_end {self.t_end:g}: {n} steps")
+        return range(0, n + 1, stride)
 
     @classmethod
     def step(cls, steps: dict[int, float], onset: float = _STEP["onset"],

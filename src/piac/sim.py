@@ -25,7 +25,9 @@ fixed step. White-noise disturbances at any node kind are injected as
 per-step load jitter ``sigma * N(0,1) / sqrt(h)``, which for differential
 states reduces to the standard Euler-Maruyama increment and for algebraic
 states is the frozen-over-the-step reading of white noise in the power
-balance. Traces rebuild the algebraic states of the recorded rows in
+balance; noise that reaches a frequency that way is refused. Both
+simulators record the steps :meth:`Scenario.record_steps` names, the last
+at ``t_end``. Traces rebuild the algebraic states of the recorded rows in
 batched solves.
 
 SciPy's ODE stack (``scipy.integrate`` and the optimize, sparse, spatial,
@@ -40,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import _damped_newton, _SimModel, _weighted_gram
+from .closedloop import (_damped_newton, _refuse_feedthrough, _SimModel,
+                         _weighted_gram)
 # kept importable here: the benchmark's tracer test checks that a wrapped
 # function is also patched where another module imported it
 from .closedloop import assemble_dpiac  # noqa: F401
@@ -71,9 +74,6 @@ _TRACE_BLOCK = 64
 # chunking, so neither do the outputs; the budget bounds the stepper's
 # largest temporary whatever the number of paths.
 _NOISE_CHUNK_BYTES = 1 << 22
-# recording interval of the Euler-Maruyama ensembles in s, rounded to whole
-# steps (at least one)
-_RECORD_DT = 0.1
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -187,13 +187,6 @@ def _equilibrium(model_obj: _SimModel) -> Equilibrium:
     return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
 
 
-def _record_grid(t_end: float, h: float) -> np.ndarray:
-    n_rec = int(round(t_end / h))
-    if abs(n_rec * h - t_end) > 1e-9 * max(1.0, t_end):
-        n_rec = int(math.floor(t_end / h))
-    return np.linspace(0.0, n_rec * h, n_rec + 1)
-
-
 def _effective_injection(net, scenario, t_onset_passed: bool) -> np.ndarray:
     p = net.injections.copy()
     if t_onset_passed:
@@ -220,18 +213,21 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     one method for every network: its own
     stiffness detection takes Adams steps where the dynamics are not stiff.
     Integration restarts at the onset so the load step never straddles an
-    adaptive step. Output lands on the uniform grid ``scenario.h * stride``.
+    adaptive step. Output lands on every ``stride``-th step of
+    :meth:`Scenario.record_steps`, which ends at ``t_end``.
     """
     if scenario.kind is not ScenarioKind.STEP:
         raise DomainError("simulate_deterministic needs a step scenario")
-    if stride < 1:
-        raise DomainError(f"record stride must be at least 1, got {stride}")
+    try:
+        n_rec = len(scenario.record_steps(stride)) - 1
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
     x0 = model_obj.at_rest(_equilibrium(model_obj))
     onset = scenario.onset
-    grid = _record_grid(scenario.t_end, scenario.h * stride)
+    grid = np.linspace(0.0, n_rec * (scenario.h * stride), n_rec + 1)
     p_pre = _effective_injection(net, scenario, False)
     p_post = _effective_injection(net, scenario, True)
 
@@ -313,8 +309,11 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     does not depend on how many others run beside it. With
     ``model="linear"`` the drift is affine and is read as the model's
     matrices on every network, so no step solves the passive balance; the
-    sine model evaluates its right-hand side. Rows are recorded every
-    ``_RECORD_DT`` s, rounded to whole steps.
+    sine model evaluates its right-hand side. Rows are recorded at
+    :meth:`Scenario.record_steps`, the last at ``t_end``. Noise that
+    reaches a frequency directly, at a load bus or through a passive one,
+    would make ``E_S`` grow like ``1 / h``: it raises :class:`DomainError`
+    before any step.
     """
     if scenario.kind is not ScenarioKind.NOISE:
         raise DomainError("simulate_stochastic needs a noise scenario")
@@ -323,10 +322,13 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
+    linear = model_obj if model == "linear" else _SimModel(net, comm, law, gains, "linear")
+    A, B = linear.matrices(np.eye(net.n_nodes))
+    sig = _noise_matrix(net, scenario)
+    _refuse_feedthrough(linear, B * sig, "--sigma on machine buses")
     x0 = model_obj.at_rest(_equilibrium(model_obj))
     p = net.injections
     if model == "linear":
-        A, B = model_obj.matrices(np.eye(net.n_nodes))
         A_T, B_T = A.T, B.T
         b = model_obj.rhs(np.zeros(model_obj.dim), p)
 
@@ -336,9 +338,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         def drift(X, W):
             return model_obj.rhs(X, p + W)
 
-    t, X, W = _euler_maruyama(drift, x0, _noise_matrix(net, scenario),
-                              scenario, scenario.paths,
-                              max(1, int(round(_RECORD_DT / scenario.h))))
+    t, X, W = _euler_maruyama(drift, x0, sig, scenario)
     traces = _traces(model_obj, t, X, p + W)
     metrics = compute_metrics(traces, net.prices, burn_in=scenario.burn_in)
     return traces, metrics
@@ -351,25 +351,25 @@ def _noise_matrix(net, scenario):
     return sig
 
 
-def _euler_maruyama(drift, x0, sig, scenario, paths, record_stride):
-    """Step ``X + h * drift(X, W)`` from ``x0`` on every path, ``W`` being the
-    white-noise load jitter ``sig * N(0, 1) / sqrt(h)`` per node.
+def _euler_maruyama(drift, x0, sig, scenario):
+    """Step ``X + h * drift(X, W)`` from ``x0`` on each of the scenario's
+    paths, ``W`` being the white-noise load jitter ``sig * N(0, 1) / sqrt(h)``
+    per node, over the n steps to ``t_end``.
 
-    Returns the recording times and, with shapes (paths, T, .), the states
-    and the jitter of the step that led to each recorded row (zero on the
-    first).
+    Returns the times of :meth:`Scenario.record_steps` and, with shapes
+    (paths, T, .), the states and the jitter of the step that led to each
+    recorded row (zero on the first).
     """
-    h = scenario.h
+    h, paths = scenario.h, scenario.paths
     sqrt_h = math.sqrt(h)
-    n_steps = int(round(scenario.t_end / h))
+    rec = scenario.record_steps()
+    n_steps = rec[-1]
     rngs = [np.random.Generator(np.random.Philox(s))
             for s in np.random.SeedSequence(scenario.seed).spawn(paths)]
-    rec_idx = np.arange(0, n_steps + 1, record_stride)
-    X_rec = np.empty((len(rec_idx), paths, len(x0)))
-    W_rec = np.zeros((len(rec_idx), paths, len(sig)))
+    X_rec = np.empty((len(rec), paths, len(x0)))
+    W_rec = np.zeros((len(rec), paths, len(sig)))
     X = np.tile(x0, (paths, 1))
     X_rec[0] = X
-    rec_pos = 1
     chunk = max(1, _NOISE_CHUNK_BYTES // (8 * paths * len(sig)))
     for start in range(0, n_steps, chunk):
         this = min(chunk, n_steps - start)
@@ -382,7 +382,7 @@ def _euler_maruyama(drift, x0, sig, scenario, paths, record_stride):
         for k in range(this):
             X = X + h * drift(X, W[k])
             step = start + k + 1
-            if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
+            if step % rec.step == 0:
                 # checked where recorded: no other state reaches the output
                 blowup = _first_blowup(X)
                 if blowup:
@@ -390,10 +390,9 @@ def _euler_maruyama(drift, x0, sig, scenario, paths, record_stride):
                     raise NumericalBlowup(
                         f"stochastic ensemble diverged by t = {step * h:g} s: "
                         f"path {path}, max |x| = {size:g}")
-                X_rec[rec_pos] = X
-                W_rec[rec_pos] = W[k]
-                rec_pos += 1
-    return rec_idx * h, X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
+                X_rec[step // rec.step] = X
+                W_rec[step // rec.step] = W[k]
+    return np.array(rec) * h, X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
 
 
 def compute_metrics(traces, alpha, t0: float = 40.0,

@@ -164,6 +164,27 @@ def test_scenario_horizon_defaults_follow_the_kind(body, kind, t_end, h):
     assert (scen.t_end, scen.h) == (t_end, h)
 
 
+@pytest.mark.parametrize("body", [
+    "kind=step\nt_end=30.005\nh=0.01\nonset=2.0\nstep=2:-0.1",
+    "kind=noise\nt_end=1.0\nh=0.07\nsigma=1:0.002\nburn_in=0.5\nseed=7",
+], ids=["step", "noise"])
+def test_t_end_off_the_step_grid_is_format_error(body):
+    text = GOOD.replace("kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1", body)
+    with pytest.raises(CaseFormatError, match=r"\[scenario\]: t_end \S+ is not a "
+                       r"whole number of steps h"):
+        loads_case(text)
+
+
+def test_node_voltage_other_than_one_is_format_error():
+    # nothing reads V: the line's K= is the effective susceptance already
+    with pytest.raises(CaseFormatError, match=r"<string>:3: field V: '2' .*K= is "
+                       "already the effective susceptance"):
+        loads_case(GOOD.replace("alpha=1.0\n", "alpha=1.0 V=2\n", 1))
+    text = GOOD.replace("alpha=1.0\n", "alpha=1.0 V=1\n", 1)
+    assert loads_case(text) == loads_case(GOOD)
+    assert "1 machine M=1.0 D=1.0 P=0.2 alpha=1.0 V=1.0\n" in dumps_case(*loads_case(GOOD))
+
+
 def test_scenario_unknown_node():
     bad = GOOD.replace("step=2:-0.1", "step=99:-0.1")
     with pytest.raises(CaseFormatError):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -643,6 +644,79 @@ def test_simulate_noise_refuses_stride(capsys, two_node_case, tmp_path, stride):
     assert code == 2
     assert "usage error: --stride applies to step studies" in err
     assert out == "" and not out_file.exists()
+
+
+def test_simulate_noise_stride_refusal_states_the_real_interval(capsys):
+    # 0.1 s is not a whole number of 0.07 s steps: the run records every step
+    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
+                         "--law", "dpiac", "--kind", "noise", "--seed", "1",
+                         "--sigma", "1:0.01", "--t-end", "0.7", "--h", "0.07",
+                         "--burn-in", "0.5", "--stride", "2")
+    assert code == 2
+    assert err == ("usage error: --stride applies to step studies; noise runs "
+                   "record every 0.07 s\n")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "step", "--t-end", "1", "--h", "0.07", "--onset", "0.5", "--t0", "0.5"],
+    ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01", "--t-end", "1",
+     "--h", "0.07", "--burn-in", "0.5"],
+    # one step of 0.6 s past the horizon of 1 s
+    ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01", "--t-end", "1",
+     "--h", "0.6", "--burn-in", "0.5"],
+], ids=["step", "noise", "noise-past-horizon"])
+def test_simulate_t_end_off_the_step_grid_is_usage_error(capsys, tmp_path, argv):
+    out_file = tmp_path / "a.csv"
+    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
+                         "--law", "dpiac", *argv, "--out", str(out_file))
+    assert code == 2
+    assert "usage error: t_end 1 is not a whole number of steps h" in err
+    assert out == "" and not out_file.exists()
+
+
+def test_simulate_stride_not_dividing_the_steps_is_usage_error(capsys):
+    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
+                         "--law", "dpiac", "--kind", "step", "--t-end", "1",
+                         "--onset", "0.5", "--t0", "0.5", "--stride", "7")
+    assert code == 2
+    assert ("usage error: --stride 7: recording every 7 steps (0.07 s) does not "
+            "end at t_end 1: 100 steps") in err
+    assert out == ""
+
+
+def test_simulate_noise_records_t_end(capsys, tmp_path):
+    out_file = tmp_path / "a.csv"
+    code, _, _ = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
+                     "--law", "dpiac", "--kind", "noise", "--seed", "1",
+                     "--sigma", "1:0.01", "--t-end", "0.7", "--h", "0.07",
+                     "--burn-in", "0.5", "--paths", "2", "--out", str(out_file))
+    assert code == 0
+    last = out_file.read_text().splitlines()[-1].split(",")
+    assert (last[0], float(last[1])) == ("1", 0.7)
+
+
+def test_simulate_noise_one_path_names_the_missing_standard_error(capsys):
+    code, out, _ = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
+                       "--law", "dpiac", "--kind", "noise", "--seed", "1",
+                       "--sigma", "1:0.01", "--t-end", "1", "--burn-in", "0.5",
+                       "--paths", "1", "--model", "linear")
+    assert code == 0
+    assert re.fullmatch(r"E_S=\S+ \(se n/a\) E_C=\S+ \(se n/a\) paths=1 "
+                        r"burn_in=0.5\n", out), out
+
+
+@pytest.mark.parametrize("sigma, bus", [("2:0.01", "2"), ("1:0.01", "2")],
+                         ids=["load-bus", "passive-bus"])
+def test_simulate_noise_feeding_a_frequency_is_refused(capsys, sigma, bus):
+    # load bus 2 and passive bus 1 of ieee39-like feed bus 2's frequency
+    # directly; E_S would grow like 1/h. analyze refuses the same input.
+    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("ieee39-like"),
+                         "--law", "dpiac", "--kind", "noise", "--seed", "1",
+                         "--sigma", sigma, "--t-end", "2", "--burn-in", "0.5")
+    assert code == 5
+    assert f"the frequency at bus(es) {bus}; " in err and "--sigma" in err
+    assert out == ""
 
 
 HOM10_NOISE = ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01",

@@ -353,6 +353,66 @@ def test_record_stride_must_be_positive():
                                    quiet_step(t_end=2.0), stride=stride)
 
 
+@pytest.mark.parametrize("kind, fields", [
+    (ScenarioKind.STEP, dict(t_end=1.0, h=0.07)),
+    (ScenarioKind.NOISE, dict(t_end=1.0, h=0.07)),
+    # one step past the horizon: Euler-Maruyama used to run on to 1.2 s
+    (ScenarioKind.NOISE, dict(t_end=1.0, h=0.6)),
+    (ScenarioKind.STEP, dict(t_end=1e-12, h=1.0)),
+], ids=["step", "noise", "noise-past-horizon", "no-step"])
+def test_scenario_refuses_t_end_off_the_step_grid(kind, fields):
+    with pytest.raises(ValueError, match=r"is not a whole number of steps h"):
+        Scenario(kind=kind, burn_in=0.0 if kind is ScenarioKind.NOISE else None,
+                 **fields)
+
+
+def test_noise_recording_interval_must_end_at_t_end():
+    # 2050 steps of 1 ms, recorded every 100
+    with pytest.raises(ValueError, match=r"every 100 steps \(0.1 s\) does not end"):
+        Scenario.white_noise({1: 0.01}, seed=1, t_end=2.05, burn_in=0.5)
+
+
+def test_record_steps():
+    # noise: the whole number of steps nearest 0.1 s, at least one
+    assert Scenario.white_noise({}, seed=1, t_end=4.0, burn_in=1.0).record_steps() \
+        == range(0, 4001, 100)
+    assert Scenario.white_noise({}, seed=1, t_end=0.7, h=0.07,
+                                burn_in=0.0).record_steps() == range(0, 11)
+    assert Scenario.white_noise({}, seed=1, t_end=2.0, h=0.2,
+                                burn_in=0.0).record_steps() == range(0, 11)
+    with pytest.raises(ValueError, match="noise runs take no record stride"):
+        Scenario.white_noise({}, seed=1, t_end=2.0, burn_in=0.0).record_steps(1)
+    # steps: every stride-th step, which must divide the steps to t_end
+    scen = quiet_step(t_end=2.0, h=0.02)
+    assert scen.record_steps() == range(0, 101)
+    assert scen.record_steps(5) == range(0, 101, 5)
+    with pytest.raises(ValueError, match=r"every 7 steps \(0.14 s\) does not end"):
+        scen.record_steps(7)
+
+
+def test_record_stride_must_divide_the_steps():
+    net, comm = ring_net(3)
+    with pytest.raises(DomainError, match="every 3 steps"):
+        simulate_deterministic(net, comm, "dpiac", GainSchedule.analytic(1.0),
+                               quiet_step(t_end=2.0), stride=3)
+
+
+@pytest.mark.parametrize("model", ["sin", "linear"])
+def test_noise_feeding_a_frequency_is_refused(model, monkeypatch):
+    # noise at load bus 3, or at passive bus 5 next to it, reaches bus 3's
+    # frequency with no dynamics between: E_S would grow like 1/h. Refused
+    # before any step, as the omega norm is by the analysis.
+    import piac.sim
+
+    net, comm = mixed_net()
+    g = GainSchedule.analytic(1.0, 1.0)
+    monkeypatch.setattr(piac.sim, "_euler_maruyama", None)
+    for sigma in ({3: 0.01}, {1: 0.01, 5: 0.01}):
+        scen = Scenario.white_noise(sigma, seed=1, t_end=1.0, paths=1, burn_in=0.5)
+        with pytest.raises(DomainError, match=r"bus\(es\) 3;.*--sigma"):
+            simulate_stochastic(net, comm, "dpiac", g, scen, model=model)
+
+
 @pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
 def test_jacobian_matches_closed_loop(case):
     # on a machine-only network the linear model's Jacobian is A itself; the
@@ -600,9 +660,10 @@ def test_stochastic_requires_seed():
 
 
 def test_stochastic_nonlinear_mixed_network():
+    # noise at the machines; every step still solves the passive balance
     net, comm = mixed_net()
     g = GainSchedule.analytic(1.0, 1.0)
-    scen = Scenario.white_noise({5: 0.002, 3: 0.002}, seed=7, t_end=4.0,
+    scen = Scenario.white_noise({1: 0.002, 2: 0.002}, seed=7, t_end=4.0,
                                 h=1e-3, paths=2, burn_in=1.0)
     traces, met = simulate_stochastic(net, comm, "dpiac", g, scen)
     assert met.E_S >= 0.0 and np.isfinite(met.E_S)
@@ -616,8 +677,9 @@ def test_stochastic_nonlinear_mixed_network():
 def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
     # the linear model's matrices and its rhs drive the same Euler-Maruyama
     # loop from the same spawned streams; they must coincide up to
-    # floating-point accumulation, on a machine ring and on a mixed network
-    # with noise at passive and frequency-dependent buses
+    # floating-point accumulation, on a machine ring and on a mixed network,
+    # whose passive and frequency-dependent buses the noise at its machines
+    # reaches through the lines
     from piac.sim import _SimModel, _euler_maruyama, _noise_matrix, _traces
 
     ring, ring_comm = ring_net(3, k=3.0)
@@ -630,7 +692,7 @@ def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
         return rhs(self, x, p_eff)
 
     for net, comm, sigma in ((ring, ring_comm, {1: 0.005, 2: 0.002}),
-                             (mixed, mixed_comm, {5: 0.005, 3: 0.002, 1: 0.002})):
+                             (mixed, mixed_comm, {1: 0.005, 2: 0.002})):
         scen = Scenario.white_noise(sigma, seed=13, t_end=5.0, h=1e-3, paths=2,
                                     burn_in=1.0)
         calls.clear()
@@ -644,7 +706,7 @@ def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
         p = net.injections
         t, X, W = _euler_maruyama(lambda X, W: model_obj.rhs(X, p + W),
                                   model_obj.at_rest(eq), _noise_matrix(net, scen),
-                                  scen, paths=2, record_stride=100)
+                                  scen)
         slow = _traces(model_obj, t, X, p + W)
         for k in range(2):
             assert np.allclose(slow[k].omega, fast[k].omega, rtol=1e-8, atol=1e-12,
@@ -658,15 +720,16 @@ def test_noise_chunks_do_not_change_the_draws(monkeypatch):
     import piac.sim
     from piac.sim import _euler_maruyama
 
-    scen = Scenario.white_noise({1: 0.01, 3: 0.02}, seed=17, t_end=0.05,
-                                h=1e-3, paths=3, burn_in=0.0)
+    # 50 steps, recorded every 10
+    scen = Scenario.white_noise({1: 0.01, 3: 0.02}, seed=17, t_end=0.5,
+                                h=0.01, paths=3, burn_in=0.0)
     sig = np.array([0.01, 0.0, 0.02, 0.0])
     A = -np.eye(4) + 0.1 * np.eye(4, k=1)
     runs = []
     for budget in (1, 8 * 3 * 4 * 50):
         monkeypatch.setattr(piac.sim, "_NOISE_CHUNK_BYTES", budget)
         runs.append(_euler_maruyama(lambda X, W: X @ A.T + W, np.ones(4), sig,
-                                    scen, paths=3, record_stride=7))
+                                    scen))
     for one_step, whole in zip(*runs):
         assert np.array_equal(one_step, whole)
 
@@ -678,7 +741,7 @@ def test_sin_ensemble_path_independent_of_ensemble_size():
     g = GainSchedule.analytic(1.0, 1.0)
     runs = []
     for paths in (2, 3):
-        scen = Scenario.white_noise({1: 0.01, 5: 0.01, 3: 0.005}, seed=11,
+        scen = Scenario.white_noise({1: 0.01, 2: 0.005}, seed=11,
                                     t_end=1.0, h=1e-3, paths=paths, burn_in=0.5)
         runs.append(simulate_stochastic(net, comm, "dpiac", g, scen)[0][0])
     a, b = runs
