@@ -93,7 +93,8 @@ class Scenario:
         that does not divide n raises :class:`ValueError`, as does a
         ``t_end`` that is not a whole number of steps.
         """
-        n = round(self.t_end / self.h)
+        q = self.t_end / self.h
+        n = round(q) if math.isfinite(q) else 0
         if n < 1 or abs(n * self.h - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end {self.t_end:g} is not a whole number of "
                              f"steps h = {self.h:g}")

@@ -167,7 +167,8 @@ def test_scenario_horizon_defaults_follow_the_kind(body, kind, t_end, h):
 @pytest.mark.parametrize("body", [
     "kind=step\nt_end=30.005\nh=0.01\nonset=2.0\nstep=2:-0.1",
     "kind=noise\nt_end=1.0\nh=0.07\nsigma=1:0.002\nburn_in=0.5\nseed=7",
-], ids=["step", "noise"])
+    "kind=step\nt_end=1.0\nh=1e-310\nonset=0.5\nstep=2:-0.1",
+], ids=["step", "noise", "too-many-steps"])
 def test_t_end_off_the_step_grid_is_format_error(body):
     text = GOOD.replace("kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1", body)
     with pytest.raises(CaseFormatError, match=r"\[scenario\]: t_end \S+ is not a "

@@ -665,7 +665,9 @@ def test_simulate_noise_stride_refusal_states_the_real_interval(capsys):
     # one step of 0.6 s past the horizon of 1 s
     ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01", "--t-end", "1",
      "--h", "0.6", "--burn-in", "0.5"],
-], ids=["step", "noise", "noise-past-horizon"])
+    # t_end / h overflows to inf
+    ["--kind", "step", "--t-end", "1", "--h", "1e-310", "--onset", "0.5", "--t0", "0.5"],
+], ids=["step", "noise", "noise-past-horizon", "too-many-steps"])
 def test_simulate_t_end_off_the_step_grid_is_usage_error(capsys, tmp_path, argv):
     out_file = tmp_path / "a.csv"
     code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),

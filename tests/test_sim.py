@@ -359,7 +359,9 @@ def test_record_stride_must_be_positive():
     # one step past the horizon: Euler-Maruyama used to run on to 1.2 s
     (ScenarioKind.NOISE, dict(t_end=1.0, h=0.6)),
     (ScenarioKind.STEP, dict(t_end=1e-12, h=1.0)),
-], ids=["step", "noise", "noise-past-horizon", "no-step"])
+    # t_end / h overflows to inf
+    (ScenarioKind.STEP, dict(t_end=1.0, h=1e-310)),
+], ids=["step", "noise", "noise-past-horizon", "no-step", "too-many-steps"])
 def test_scenario_refuses_t_end_off_the_step_grid(kind, fields):
     with pytest.raises(ValueError, match=r"is not a whole number of steps h"):
         Scenario(kind=kind, burn_in=0.0 if kind is ScenarioKind.NOISE else None,
@@ -677,13 +679,15 @@ def test_stochastic_nonlinear_mixed_network():
 def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
     # the linear model's matrices and its rhs drive the same Euler-Maruyama
     # loop from the same spawned streams; they must coincide up to
-    # floating-point accumulation, on a machine ring and on a mixed network,
+    # floating-point accumulation, on a machine ring, on a mixed network,
     # whose passive and frequency-dependent buses the noise at its machines
-    # reaches through the lines
+    # reaches through the lines, and on a chain with noise at a passive bus
+    # that no load bus can be reached from, which the stepper accepts
     from piac.sim import _SimModel, _euler_maruyama, _noise_matrix, _traces
 
     ring, ring_comm = ring_net(3, k=3.0)
     mixed, mixed_comm = mixed_net()
+    chain, chain_comm = loaded_chain()
     g = GainSchedule.analytic(1.0, 1.0)
     rhs, calls = _SimModel.rhs, []
 
@@ -692,7 +696,8 @@ def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
         return rhs(self, x, p_eff)
 
     for net, comm, sigma in ((ring, ring_comm, {1: 0.005, 2: 0.002}),
-                             (mixed, mixed_comm, {1: 0.005, 2: 0.002})):
+                             (mixed, mixed_comm, {1: 0.005, 2: 0.002}),
+                             (chain, chain_comm, {2: 0.005, 1: 0.002})):
         scen = Scenario.white_noise(sigma, seed=13, t_end=5.0, h=1e-3, paths=2,
                                     burn_in=1.0)
         calls.clear()
