@@ -8,10 +8,10 @@ coupled through the signed incidence matrix, and the law's maps from
 is linear, so the model precomputes one affine map of the state, the
 injections and the line flows; an evaluation solves the passive balance,
 takes the flows at the resulting phase gaps and applies the map. The
-simulator integrates it, and the closed loops of every network are read off
-its ``model="linear"`` instance at unit vectors (:meth:`_SimModel.matrices`),
-which is exact because that model is affine (Kron-reduced where buses are
-passive).
+simulator integrates it. :meth:`_SimModel.linearize` is its one derivative,
+exact through the passive balance: the integrator's Jacobian, and, at the
+origin, where the sine and linear models coincide, the closed loop of every
+network (:meth:`_SimModel.matrices`, Kron-reduced where buses are passive).
 
 The model owns the state layout, (theta, omega, eta, xi) for every law:
 phases of the non-passive buses, machine frequencies, then the integrator
@@ -49,7 +49,7 @@ import scipy.linalg
 
 from .controllers import ControlLaw, GainSchedule, law_homogeneity
 from .errors import (DAESolveError, DomainError, ShapeError,
-                     UnsupportedForModalPath)
+                     SolverAccuracyError, UnsupportedForModalPath)
 from .netmodel import (CommunicationGraph, NodeKind, PowerNetwork,
                        SpectralDecomposition)
 
@@ -111,10 +111,6 @@ class StateSpace:
 
 # --- network model -----------------------------------------------------------
 
-# relative forward-difference step of the Jacobian, sqrt of the machine epsilon
-_FD_STEP = math.sqrt(np.finfo(float).eps)
-
-
 class _SimModel:
     """Index bookkeeping plus the right-hand side for one network.
 
@@ -164,8 +160,8 @@ class _SimModel:
         # columns of E: the gaps are E_mf theta_mf + E_p theta_p
         self.E_mf, self.E_p = self.E[:, self.mf], self.E[:, self.pas]
         self._passive_gram = _weighted_gram(self.E_p)
-        # last passive solve per state shape: the integrator's single states
-        # and the batched Jacobian rows each warm-start from their own
+        # last passive solve per state shape: single states, an ensemble's
+        # paths and the trace blocks each warm-start from their own
         self._theta_p_warm = {}
         # the equations have no constant term, so their values at the unit
         # vectors of (x, p, f) are the rows of the map; L_l = E L_f as the
@@ -256,36 +252,33 @@ class _SimModel:
     def rhs(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
         return self._evaluate(x, p_eff)[1]
 
-    def jacobian(self, x: np.ndarray, p_eff: np.ndarray) -> np.ndarray:
-        """Jacobian of :meth:`rhs` at the single state ``x``.
+    def linearize(self, x: np.ndarray, p_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exact ``(d rhs / dx, d rhs / dp)`` at the single state ``x``.
 
-        Only the phases move the gaps, so every other column is its row of
-        the affine map ``L_x``. The ``n_mf`` phase columns are forward
-        differences: the state and its phase perturbations go through one
-        batched :meth:`rhs` call of ``n_mf + 1`` rows."""
+        Only the line flows are nonlinear, in the gaps, which the phases
+        move and, through the passive balance, the passive injections. With
+        ``C`` the stiffness at the solved gaps and ``G = E_p^T C E_p``, the
+        passive phases move by ``G^-1 (dp_pas - E_p^T C E_mf dtheta_mf)``,
+        one solve with ``G``; the flows add ``L_l^T C dgap`` to those
+        columns of the affine map."""
         k = self.n_mf
-        h = _FD_STEP * np.maximum(1.0, np.abs(x[:k]))
-        h = (x[:k] + h) - x[:k]          # steps exact in floating point
-        shifted = np.tile(x, (k + 1, 1))
-        shifted[np.arange(1, k + 1), np.arange(k)] += h
-        F = self.rhs(shifted, p_eff)
-        J = self._L_x.T.copy()
-        J[:, :k] = (F[1:] - F[0]).T / h
-        return J
+        gap = self._balance(x[:k], p_eff[self.pas])[1]
+        c = self.stiffness(gap)
+        # rows: the gaps' derivative in theta_mf, then in p_pas
+        d_gap = np.vstack([self.E_mf.T, np.zeros((self.n_p, len(c)))])
+        if self.n_p:
+            cross = np.vstack([-(self.E_mf.T * c) @ self.E_p, np.eye(self.n_p)])
+            d_gap += _solve(self._passive_gram(c), cross.T, "passive-network").T @ self.E_p.T
+        L = np.vstack([self._L_x, self._L_p])
+        L[np.r_[:k, self.dim + self.pas]] += (d_gap * c) @ self._L_l
+        return L[:self.dim].T, L[self.dim:].T
 
     def matrices(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(A, B)`` of a ``model="linear"`` instance, ``dx/dt = A x + B w``
-        under the injections ``P w``: the rhs at zero injection applied to
-        the ``dim`` unit states, and at zero state applied to the columns of
-        ``P``.
-
-        Both are exact because the linear model is affine. Every evaluation
-        solves the passive balance, so on mixed networks they are the
-        Kron-reduced linearization.
-        """
-        A = self.rhs(np.eye(self.dim), np.zeros(self.n)).T
-        B = self.rhs(np.zeros((P.shape[1], self.dim)), P.T).T
-        return A, B
+        """``(A, B)`` of ``dx/dt = A x + B w`` under the injections ``P w``:
+        :meth:`linearize` at the origin, where the sine and linear models
+        coincide (cos 0 = 1); Kron-reduced on mixed networks."""
+        A, B = self.linearize(np.zeros(self.dim), np.zeros(self.n))
+        return A, B @ P
 
     def observables(self, x, p_eff):
         """Full theta and full omega (NaN on passive nodes). The frequencies
@@ -333,10 +326,7 @@ def _damped_newton(residual, jacobian, z0, tol, what):
         if not active.all():
             # frozen elements solve an identity system and are never updated
             J = np.where(active[..., None, None], J, eye)
-        try:
-            step = np.linalg.solve(J, g[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise DAESolveError(f"singular {what} jacobian: {exc}") from None
+        step = _solve(J, g[..., None], what)[..., 0]
         # an element leaves the search at its first improving step, so the
         # ones still searching share one step length
         alpha = 1.0
@@ -360,6 +350,15 @@ def _damped_newton(residual, jacobian, z0, tol, what):
             raise DAESolveError(_unconverged(f"{what} Newton stalled", gn, tol))
     raise DAESolveError(_unconverged(
         f"{what} Newton did not converge in 50 iterations", gn, tol))
+
+
+def _solve(J, b, what):
+    """``J^-1 b`` for the ``what`` Jacobian ``J``; a singular one raises
+    :class:`DAESolveError`."""
+    try:
+        return np.linalg.solve(J, b)
+    except np.linalg.LinAlgError as exc:
+        raise DAESolveError(f"singular {what} jacobian: {exc}") from None
 
 
 def _unconverged(message, gn, tol):
@@ -499,7 +498,10 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     and for the decentralized law (each ``eta_i - d_i theta_i`` is). The
     restricted matrix is then Hurwitz. A marginal mode that the input does
     reach stays, and :func:`~piac.h2.lyapunov_solve` raises
-    :class:`UnstableSystem` for it.
+    :class:`UnstableSystem` for it. A kernel wider than the law's
+    conserved quantities (``ControlLaw.conserved``) means the tolerance has
+    reached pivots of the dynamics, which large gains do; it raises
+    :class:`SolverAccuracyError`.
 
     The basis ``P`` of the complement is the identity on the coordinates
     outside the support of ``W`` and an orthonormal complement of ``W`` on
@@ -511,9 +513,18 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     M = np.hstack([sys.A, sys.B])
     Q, R, _ = scipy.linalg.qr(M, pivoting=True)
     pivots = np.abs(np.diag(R))
-    rank = int(np.count_nonzero(pivots > max(M.shape) * np.finfo(float).eps * pivots[0]))
+    tol = max(M.shape) * np.finfo(float).eps * pivots[0]
+    rank = int(np.count_nonzero(pivots > tol))
     W = Q[:, rank:]
     N, k = W.shape
+    law = sys.model.law
+    if k > law.conserved:
+        raise SolverAccuracyError(
+            f"zero-mode deflation found {k} unreachable directions where the "
+            f"{law.name} loop conserves {law.conserved}: the rank tolerance "
+            f"{tol:.1e} (max(shape) eps |R_00|) reaches pivots of the dynamics "
+            f"(largest dropped {pivots[rank]:.1e}): at gains this large the "
+            "loop's kernel cannot be told from round-off")
     on = np.linalg.norm(W, axis=1) > _SUPPORT_TOL
     support, rest = np.flatnonzero(on), np.flatnonzero(~on)
     Q_s, _ = np.linalg.qr(W[support], mode="complete")

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DegenerateModel, DomainError, GainConstraintError,
                      NoControllers, ShapeError)
 from .netmodel import (CommunicationGraph, HomogeneityReport, NodeKind,
-                       PowerNetwork, check_homogeneous)
+                       PowerNetwork, _components, check_homogeneous)
 
 __all__ = [
     "GainSchedule",
@@ -142,6 +142,20 @@ class ControlLaw:
     @cached_property
     def pairs(self) -> int:
         return 1 if self.central else len(self.D)
+
+    @cached_property
+    def conserved(self) -> int:
+        """Number of quantities the closed loop conserves: ``eta - D theta``
+        summed over each set of controllers that coordinate. That is one
+        under ``gbpiac``, one per connected component of the communication
+        graph under ``dpiac`` with k3 > 0, and one per controller
+        otherwise."""
+        if self.central:
+            return 1
+        if not self.gains.k3:
+            return self.pairs
+        links = zip(*np.nonzero(np.triu(self.L_comm, 1)))
+        return _components(range(self.pairs), links)
 
     @cached_property
     def share(self) -> np.ndarray:

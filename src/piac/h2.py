@@ -92,13 +92,15 @@ class _SchurForm:
             T, U = scipy.linalg.schur(self.M, output="real")
             # LAPACK leaves each complex pair in a standardized 2x2 block
             # [[a, b], [c, a]] with eigenvalues a +- i sqrt(-b c), and zeros
-            # below the diagonal everywhere else
+            # below the diagonal everywhere else; the moduli are taken
+            # without squaring, which would overflow at huge entries
             re = np.diag(T)
-            im2 = np.zeros(len(T))
+            im = np.zeros(len(T))
             pair = np.flatnonzero(np.diag(T, -1))
-            im2[pair] = im2[pair + 1] = np.abs(T[pair + 1, pair] * T[pair, pair + 1])
+            im[pair] = im[pair + 1] = (np.sqrt(np.abs(T[pair + 1, pair]))
+                                       * np.sqrt(np.abs(T[pair, pair + 1])))
             f.update(T=T, U=U, abscissa=float(re.max()),
-                     radius=float(np.sqrt(np.max(re ** 2 + im2))))
+                     radius=float(np.hypot(re, im).max()))
         return f
 
     @property
@@ -163,7 +165,8 @@ def lyapunov_solve(A, RHS, schur: _SchurForm | None = None) -> np.ndarray:
     margin = 1e-12 * max(1.0, schur.radius)
     if abscissa >= -margin:
         raise UnstableSystem(
-            f"spectral abscissa {abscissa:.3e} is not negative; deflate the "
+            f"spectral abscissa {abscissa:.3e} is not below -{margin:.3e}, "
+            "the rounding margin 1e-12 max(1, spectral radius); deflate the "
             "zero mode or fix the gains before solving")
 
     X = schur.solve(RHS)

@@ -241,22 +241,31 @@ def _laplacian(E: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _connected(ids, pairs) -> bool:
-    if len(ids) == 0:
-        return False
+    return _components(ids, pairs) == 1
+
+
+def _components(ids, pairs) -> int:
+    """Number of connected components of the graph on ``ids`` whose edges
+    are those of ``pairs`` with both ends in ``ids``."""
     adj = {i: [] for i in ids}
     for i, j in pairs:
         if i in adj and j in adj:
             adj[i].append(j)
             adj[j].append(i)
-    stack = [ids[0]]
-    seen = {ids[0]}
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(ids)
+    seen, count = set(), 0
+    for root in ids:
+        if root in seen:
+            continue
+        count += 1
+        stack = [root]
+        seen.add(root)
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return count
 
 
 # --- Laplacians and spectra ------------------------------------------------

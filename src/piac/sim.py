@@ -17,18 +17,17 @@ Adams and BDF methods as the problem's stiffness demands (Petzold, SIAM J.
 Sci. Stat. Comput. 4(1), 1983): low-damping load buses put closed-loop
 eigenvalues far into the left half-plane (down to about -235 on
 ``ieee39-like``), where an explicit scheme is held to tiny steps by
-stability, not accuracy. Its Jacobian is exact in every column but the
-phases, which alone move the line flows; those are forward differences,
-taken in one batched right-hand-side call. Stochastic runs
-step the whole ensemble as one (paths, dim) state with Euler-Maruyama at a
-fixed step. White-noise disturbances at any node kind are injected as
-per-step load jitter ``sigma * N(0,1) / sqrt(h)``, which for differential
-states reduces to the standard Euler-Maruyama increment and for algebraic
-states is the frozen-over-the-step reading of white noise in the power
-balance; noise that reaches a frequency that way is refused. Both
-simulators record the steps :meth:`Scenario.record_steps` names, the last
-at ``t_end``. Traces rebuild the algebraic states of the recorded rows in
-batched solves.
+stability, not accuracy. Its Jacobian is the model's exact derivative,
+:meth:`_SimModel.linearize`: one passive solve, and one linear solve for
+the passive phases' sensitivity. Stochastic runs step the whole ensemble
+as one (paths, dim) state with Euler-Maruyama at a fixed step. White-noise
+disturbances at any node kind are injected as per-step load jitter
+``sigma * N(0,1) / sqrt(h)``, which for differential states reduces to the
+standard Euler-Maruyama increment and for algebraic states is the
+frozen-over-the-step reading of white noise in the power balance; noise
+that reaches a frequency that way is refused. Both simulators record the
+steps :meth:`Scenario.record_steps` names, the last at ``t_end``. Traces
+rebuild the algebraic states of the recorded rows in batched solves.
 
 SciPy's ODE stack (``scipy.integrate`` and the optimize, sparse, spatial,
 special and fft packages it loads) is imported on the first call of
@@ -208,9 +207,8 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
                            model: str = "sin", stride: int = 1) -> Trace:
     """Step-load response from the pre-disturbance equilibrium.
 
-    LSODA integrates at rtol 1e-8, atol 1e-10 with
-    :meth:`_SimModel.jacobian` (forward differences in the phase columns),
-    one method for every network: its own
+    LSODA integrates at rtol 1e-8, atol 1e-10 with the exact Jacobian
+    :meth:`_SimModel.linearize`, one method for every network: its own
     stiffness detection takes Adams steps where the dynamics are not stiff.
     Integration restarts at the onset so the load step never straddles an
     adaptive step. Output lands on every ``stride``-th step of
@@ -246,7 +244,7 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
         sol = solve_ivp(lambda t, x: model_obj.rhs(x, p_eff), (seg_a, seg_b),
                         x_start, method="LSODA", rtol=_RTOL, atol=_ATOL,
                         t_eval=t_eval,
-                        jac=lambda t, x: model_obj.jacobian(x, p_eff))
+                        jac=lambda t, x: model_obj.linearize(x, p_eff)[0])
         if not sol.success:
             raise NumericalBlowup(f"integration failed: {sol.message}")
         blowup = _first_blowup(sol.y.T)
@@ -312,8 +310,8 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     sine model evaluates its right-hand side. Rows are recorded at
     :meth:`Scenario.record_steps`, the last at ``t_end``. Noise that
     reaches a frequency directly, at a load bus or through a passive one,
-    would make ``E_S`` grow like ``1 / h``: it raises :class:`DomainError`
-    before any step.
+    would make ``E_S`` grow like ``1 / h``: read off the stepped model's
+    matrices, it raises :class:`DomainError` before any step.
     """
     if scenario.kind is not ScenarioKind.NOISE:
         raise DomainError("simulate_stochastic needs a noise scenario")
@@ -322,10 +320,9 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     _check_scenario_nodes(net, scenario)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
-    linear = model_obj if model == "linear" else _SimModel(net, comm, law, gains, "linear")
-    A, B = linear.matrices(np.eye(net.n_nodes))
+    A, B = model_obj.matrices(np.eye(net.n_nodes))
     sig = _noise_matrix(net, scenario)
-    _refuse_feedthrough(linear, B * sig, "--sigma on machine buses")
+    _refuse_feedthrough(model_obj, B * sig, "--sigma on machine buses")
     x0 = model_obj.at_rest(_equilibrium(model_obj))
     p = net.injections
     if model == "linear":

@@ -176,6 +176,26 @@ def test_analyze_mixed_network_prints_numeric_norms(capsys):
             assert vals["analytic"] == ""
 
 
+@pytest.mark.parametrize("k1", ["1e13", "1e16"])
+@pytest.mark.parametrize("case", ["homogeneous10", "ieee39-like"])
+def test_analyze_refuses_gains_beyond_round_off(capsys, case, k1):
+    # at these gains the deflation's rank tolerance reaches pivots of the
+    # swing equations and drops directions the law does not conserve; the
+    # truncated loop's norm is refused (exit 5), never printed. gbpiac and
+    # decpiac on homogeneous10 at 1e13 keep a kernel and fail the margin
+    extra = []
+    if case == "ieee39-like":
+        extra = ["--b-diag", ",".join("1" if i >= 30 else "0" for i in range(1, 40))]
+    for law in LAWS:
+        code, out, err = run(capsys, "analyze", "--case", bundled_case_path(case),
+                             "--law", law, "--k1", k1, *extra)
+        assert code == 5 and out == "", (law, err)
+        if case == "homogeneous10" and k1 == "1e13" and law != "dpiac":
+            assert "rounding margin" in err, (law, err)
+        else:
+            assert "unreachable directions where the" in err, (law, err)
+
+
 def test_k1_without_k2_takes_4k1(capsys):
     # the bundled case has k1 = 0.8, k2 = 3.2; a k1 given alone must not be
     # paired with the file's k2

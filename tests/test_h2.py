@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,16 @@ def test_lyapunov_rejects_unstable():
         lyapunov_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
 
 
+def test_schur_moduli_do_not_overflow():
+    # a pair at -1 +- 1e300 i and a real mode at -1e300: the spectral radius
+    # is read without squaring, and sets the rounding margin the message names
+    A = scipy.linalg.block_diag([[-1.0, 1e300], [-1e300, -1.0]], [[-1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnstableSystem, match=r"not below -1\.000e\+288"):
+            lyapunov_solve(A, np.eye(3))
+
+
 def test_lyapunov_rejects_nonsymmetric_rhs():
     with pytest.raises(ShapeError):
         lyapunov_solve(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -110,7 +122,8 @@ def test_unstable_margin_read_off_the_schur_form(decay, unstable):
     A = Q @ scipy.linalg.block_diag([[-decay, 10.0], [-10.0, -decay]],
                                     [[-1.0]], [[-3.0]]) @ Q.T
     if unstable:
-        with pytest.raises(UnstableSystem):
+        with pytest.raises(UnstableSystem,
+                           match=r"is not below -1\.000e-11, the rounding margin"):
             lyapunov_solve(A, np.eye(4))
     else:
         try:

@@ -196,11 +196,12 @@ def test_rhs_matches_written_out_equations(case, law):
         assert np.abs(got - want).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("case, solves", [("ieee39-like", ["solve"]),
+@pytest.mark.parametrize("case, solves", [("ieee39-like", [("solve", 1)]),
                                           ("homogeneous10", [])])
 def test_one_passive_solve_per_evaluation(case, solves, monkeypatch):
-    # the hot path: an rhs call, and the Jacobian's batched one, make one
-    # passive solve and one flow evaluation after it, and no more
+    # the hot path: an rhs call makes one passive solve and one flow
+    # evaluation after it; the derivative makes the same passive solve, of
+    # the one state, and no flow evaluation. Events carry their batch rows
     import piac.closedloop
     from piac.closedloop import _SimModel
 
@@ -211,30 +212,47 @@ def test_one_passive_solve_per_evaluation(case, solves, monkeypatch):
     newton, line_flows = piac.closedloop._damped_newton, _SimModel.line_flows
     events, depth = [], [0]
 
-    def counting_newton(*args, **kwargs):
-        events.append("solve")
+    def counting_newton(residual, jacobian, z0, *args):
+        events.append(("solve", len(np.atleast_2d(z0))))
         depth[0] += 1
         try:
-            return newton(*args, **kwargs)
+            return newton(residual, jacobian, z0, *args)
         finally:
             depth[0] -= 1
 
     def counting_flows(self, gap):
         if not depth[0]:
-            events.append("flows")
-            rows.append(len(np.atleast_2d(gap)))
+            events.append(("flows", len(np.atleast_2d(gap))))
         return line_flows(self, gap)
 
     monkeypatch.setattr(piac.closedloop, "_damped_newton", counting_newton)
     monkeypatch.setattr(_SimModel, "line_flows", counting_flows)
-    # the Jacobian differences the phase columns only, one row per phase
-    # plus the state itself; the other columns are rows of the affine map
-    for evaluate, batch in ((mo.rhs, 1), (mo.jacobian, mo.n_mf + 1)):
+    for evaluate, after in ((mo.rhs, [("flows", 1)]), (mo.linearize, [])):
         events.clear()
-        rows = []
         evaluate(x, p)
-        assert events == solves + ["flows"], evaluate.__name__
-        assert rows == [batch], evaluate.__name__
+        assert events == solves + after, evaluate.__name__
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_linearize_matches_central_differences(law):
+    # the exact derivative in the state and the injections, through the
+    # passive balance, against central differences of the sine model's rhs
+    # 0.02 off the equilibrium; steps of 1e-4 leave about 2e-9 of the scale
+    from piac.closedloop import _SimModel
+
+    net, comm, gains, _ = load_case(bundled_case_path("ieee39-like"))
+    mo = _SimModel(net, comm, law, gains, "sin")
+    rng = np.random.default_rng(3)
+    x = (mo.at_rest(find_equilibrium(net, law, gains, comm))
+         + 0.02 * rng.uniform(-1, 1, mo.dim))
+    p = net.injections + 0.02 * rng.uniform(-1, 1, net.n_nodes)
+    A, B = mo.linearize(x, p)
+    h = 1e-4
+    dx, dp = h * np.eye(mo.dim), h * np.eye(net.n_nodes)
+    fd_A = (mo.rhs(x + dx, p) - mo.rhs(x - dx, p)).T / (2 * h)
+    fd_B = (mo.rhs(x, p + dp) - mo.rhs(x, p - dp)).T / (2 * h)
+    assert np.abs(A - fd_A).max() <= 1e-7 * np.abs(A).max()
+    assert np.abs(B - fd_B).max() <= 1e-7 * np.abs(B).max()
 
 
 def test_heavily_loaded_passive_chain():
@@ -417,8 +435,8 @@ def test_noise_feeding_a_frequency_is_refused(model, monkeypatch):
 
 @pytest.mark.parametrize("case", ["homogeneous10", "heterogeneous-prices"])
 def test_jacobian_matches_closed_loop(case):
-    # on a machine-only network the linear model's Jacobian is A itself; the
-    # forward differences leave round-off of eps / step relative to the scale
+    # on a machine-only network the linear model's derivative is A itself,
+    # at any state: the same exact formula, up to round-off
     from piac.sim import _SimModel
 
     net, comm = machine_only_case(case)
@@ -429,10 +447,10 @@ def test_jacobian_matches_closed_loop(case):
         mo = _SimModel(net, comm, law, g, "linear")
         x = rng.normal(size=sys.dim)
         p = rng.normal(size=net.n_nodes)
-        J = mo.jacobian(x, p)
+        J, _ = mo.linearize(x, p)
         assert J.shape == sys.A.shape
         scale = np.abs(sys.A).max()
-        assert np.allclose(J, sys.A, rtol=0, atol=1e-6 * scale), law
+        assert np.allclose(J, sys.A, rtol=0, atol=1e-12 * scale), law
 
 
 def ieee39_step_run():
@@ -453,7 +471,7 @@ def test_ieee39_load_buses_quiet_before_onset():
 
 def test_ieee39_step_rhs_budget(monkeypatch):
     # the step study is stiff: an explicit scheme needs ~30k evaluations,
-    # the stiff integrator with its batched Jacobian stays well below 5000
+    # the stiff integrator with its exact Jacobian stays well below 5000
     import piac.sim
 
     calls = []
@@ -470,8 +488,8 @@ def test_ieee39_step_rhs_budget(monkeypatch):
     assert sum(calls) <= 5000
 
 
-# S and C of the bundled step scenarios over [0, 40] s, from RK45 at
-# rtol 1e-8, atol 1e-10
+# S and C of the bundled step scenarios over [0, 40] s, first computed with
+# RK45 at rtol 1e-8, atol 1e-10; LSODA reproduces them to 1e-6
 STEP_STUDY_VALUES = {
     ("homogeneous10", "gbpiac"): (0.005290376724698222, 0.14976562500145874),
     ("homogeneous10", "dpiac"): (0.00517295599109121, 0.14978244631642665),
@@ -673,6 +691,26 @@ def test_stochastic_nonlinear_mixed_network():
         assert np.all(np.isfinite(tr.theta))
         passive_cols = [tr.node_ids.index(i) for i in net.passive_ids]
         assert np.all(np.isnan(tr.omega[:, passive_cols]))
+
+
+def test_sin_noise_run_builds_one_model(monkeypatch):
+    # the feedthrough refusal reads the stepped sine model's matrices at the
+    # origin, where they are the linear model's: no second model is built
+    import piac.sim
+    from piac.closedloop import _SimModel
+
+    net, comm = mixed_net()
+    built = []
+
+    def counting_model(*args, **kwargs):
+        built.append(_SimModel(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(piac.sim, "_SimModel", counting_model)
+    scen = Scenario.white_noise({1: 0.002, 2: 0.002}, seed=7, t_end=0.1,
+                                h=1e-2, paths=2, burn_in=0.0)
+    simulate_stochastic(net, comm, "dpiac", GainSchedule.analytic(1.0, 1.0), scen)
+    assert [model.model for model in built] == ["sin"]
 
 
 @pytest.mark.parametrize("law", LAWS)
