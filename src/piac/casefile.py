@@ -37,7 +37,9 @@ reproduces the exact same objects. It writes ``V=1.0`` on every node.
 
 ``t_end`` must be a whole number of steps ``h`` (and, for noise, of the
 0.1 s recording interval rounded to whole steps); :class:`Scenario` refuses
-it otherwise.
+it otherwise. It refuses the other kind's keys too: ``onset`` and ``step``
+in a noise scenario, ``sigma``, ``paths``, ``burn_in`` and ``seed`` in a
+step scenario.
 """
 
 import math

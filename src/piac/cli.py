@@ -137,6 +137,15 @@ def _t0(args) -> float:
     return args.t0
 
 
+def _refuse_t0_past(t0: float, scenario, stride: int = 1) -> None:
+    """A metrics window [0, t0] ending past the step study's last recorded
+    time is a usage error, found before the study runs; the slack is the
+    one :func:`compute_metrics` allows."""
+    last = scenario.record_times(stride)[-1]
+    if last < t0 - 1e-9:
+        raise _Usage(f"--t0 {t0:g} lies past the last recorded time {last:g} s")
+
+
 # --- validate ------------------------------------------------------------------
 
 
@@ -243,6 +252,8 @@ def cmd_sweep(args) -> int:
                 scenario = replace(scenario, seed=args.seed)
             except ValueError as exc:
                 raise _Usage(str(exc)) from None
+        if want is ScenarioKind.STEP:
+            _refuse_t0_past(t0, scenario)
 
     def norms_at(value: float):
         # k1 moves with k2 = 4 k1, the closed forms' ratio
@@ -285,12 +296,15 @@ def cmd_sweep(args) -> int:
 # --- simulate ------------------------------------------------------------------
 
 
-def _node_values(tokens, flag: str) -> dict[int, float]:
-    """``NODE:VALUE`` tokens of ``flag`` as a mapping."""
+def _node_values(tokens, flag: str, net) -> dict[int, float]:
+    """``NODE:VALUE`` tokens of ``flag`` as a mapping; a node that is not a
+    bus of ``net`` is a usage error."""
     values = {}
     for tok in tokens or []:
         nid, _, value = tok.partition(":")
         node = _number(nid, flag, int)
+        if node not in net.index_of:
+            raise _Usage(f"{flag} {tok}: the case has no bus {node}")
         values[node] = _number(value, flag)
     return values
 
@@ -312,9 +326,9 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
         return flag if flag is not None or base is None else getattr(base, attr)
 
     steps = dict(base.steps) if base else {}
-    steps.update(_node_values(args.step, "--step"))
+    steps.update(_node_values(args.step, "--step", net))
     sigma = dict(base.sigma) if base else {}
-    sigma.update(_node_values(args.sigma, "--sigma"))
+    sigma.update(_node_values(args.sigma, "--sigma", net))
 
     def scenario(**fields):
         try:
@@ -348,6 +362,7 @@ def cmd_simulate(args) -> int:
             scenario.record_steps(stride)
         except ValueError as exc:
             raise _Usage(f"--stride {stride}: {exc}") from None
+        _refuse_t0_past(t0, scenario, stride)
         trace = simulate_deterministic(net, comm, args.law, gains, scenario,
                                        model=args.model, stride=stride)
         met = compute_metrics(trace, net.prices, t0=t0)

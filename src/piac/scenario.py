@@ -1,12 +1,14 @@
 """Disturbance scenarios driving the time-domain simulations.
 
 A scenario owns the time axis of both simulators: see
-:meth:`Scenario.record_steps`.
+:meth:`Scenario.record_steps` and :meth:`Scenario.record_times`.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 __all__ = ["ScenarioKind", "Scenario", "DEFAULTS"]
 
@@ -25,6 +27,9 @@ DEFAULTS = {
 }
 _STEP = DEFAULTS[ScenarioKind.STEP]
 _NOISE = DEFAULTS[ScenarioKind.NOISE]
+# the fields only the other kind reads, which a scenario refuses
+_FOREIGN = {ScenarioKind.STEP: ("sigma", "paths", "burn_in", "seed"),
+            ScenarioKind.NOISE: ("steps", "onset")}
 # recording interval of noise runs in s, taken as the whole number of steps
 # nearest to it (at least one)
 _RECORD_DT = 0.1
@@ -38,10 +43,11 @@ class Scenario:
     spacing for deterministic runs (which integrate adaptively underneath).
     ``t_end`` must be a whole number of steps ``h``, up to a relative slack
     of 1e-9, and a noise run's recording interval must divide it, so the
-    last recorded row is at ``t_end``.
+    last recorded row is at ``n * h``, the end of the last of the n steps.
     ``seed`` is mandatory for noise runs so every ensemble is reproducible,
     and non-negative, as numpy's ``SeedSequence`` requires.
-    A field left ``None`` takes its kind's value in :data:`DEFAULTS`.
+    A field left ``None`` takes its kind's value in :data:`DEFAULTS`; a
+    field only the other kind reads must be left unset (``None``, or empty).
     """
 
     kind: ScenarioKind
@@ -55,6 +61,11 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self):
+        foreign = [name for name in _FOREIGN[self.kind]
+                   if getattr(self, name) not in (None, {})]
+        if foreign:
+            raise ValueError(f"{self.kind.value} scenarios take no "
+                             f"{', '.join(foreign)}")
         for name, value in DEFAULTS[self.kind].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
@@ -76,6 +87,10 @@ class Scenario:
         if self.kind is ScenarioKind.STEP:
             if self.onset < 0 or self.onset >= self.t_end:
                 raise ValueError(f"onset {self.onset} must lie in [0, t_end)")
+            # a span that short hangs the integrator of step studies
+            if self.onset and self.t_end - self.onset == self.t_end:
+                raise ValueError(f"onset {self.onset:g} is 0 at the precision of "
+                                 f"t_end {self.t_end:g}; give 0")
         else:
             if any(s < 0 for s in self.sigma.values()):
                 raise ValueError("noise strengths must be >= 0")
@@ -110,6 +125,10 @@ class Scenario:
             raise ValueError(f"recording every {stride} steps ({stride * self.h:g} s) "
                              f"does not end at t_end {self.t_end:g}: {n} steps")
         return range(0, n + 1, stride)
+
+    def record_times(self, stride: int | None = None) -> np.ndarray:
+        """The times ``k * h`` of :meth:`record_steps`, the last at ``n * h``."""
+        return np.array(self.record_steps(stride)) * self.h
 
     @classmethod
     def step(cls, steps: dict[int, float], onset: float = _STEP["onset"],

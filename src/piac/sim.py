@@ -25,9 +25,12 @@ disturbances at any node kind are injected as per-step load jitter
 ``sigma * N(0,1) / sqrt(h)``, which for differential states reduces to the
 standard Euler-Maruyama increment and for algebraic states is the
 frozen-over-the-step reading of white noise in the power balance; noise
-that reaches a frequency that way is refused. Both simulators record the
-steps :meth:`Scenario.record_steps` names, the last at ``t_end``. Traces
-rebuild the algebraic states of the recorded rows in batched solves.
+that reaches a frequency that way is refused. Both simulators record at
+:meth:`Scenario.record_times`, the times ``k * h`` of the steps
+:meth:`Scenario.record_steps` names, the last at ``n * h``, the whole
+number of steps nearest ``t_end``; a step study's segments end on that
+grid, or at the onset. Traces rebuild the algebraic states of the recorded
+rows in batched solves.
 
 SciPy's ODE stack (``scipy.integrate`` and the optimize, sparse, spatial,
 special and fft packages it loads) is imported on the first call of
@@ -186,20 +189,16 @@ def _equilibrium(model_obj: _SimModel) -> Equilibrium:
     return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
 
 
-def _effective_injection(net, scenario, t_onset_passed: bool) -> np.ndarray:
-    p = net.injections.copy()
-    if t_onset_passed:
-        idx = net.index_of
-        for nid, dp in scenario.steps.items():
-            p[idx[nid]] += dp
-    return p
-
-
-def _check_scenario_nodes(net, scenario):
-    known = set(net.ids)
-    bad = [i for i in list(scenario.steps) + list(scenario.sigma) if i not in known]
+def _node_vector(net, values: dict[int, float]) -> np.ndarray:
+    """``{node: value}`` as a vector over the nodes of ``net``, zero where
+    unnamed; a node ``net`` does not have raises :class:`DomainError`."""
+    bad = [nid for nid in values if nid not in net.index_of]
     if bad:
         raise DomainError(f"scenario references unknown node(s) {bad}")
+    v = np.zeros(net.n_nodes)
+    for nid, value in values.items():
+        v[net.index_of[nid]] = value
+    return v
 
 
 def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
@@ -210,59 +209,50 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     LSODA integrates at rtol 1e-8, atol 1e-10 with the exact Jacobian
     :meth:`_SimModel.linearize`, one method for every network: its own
     stiffness detection takes Adams steps where the dynamics are not stiff.
-    Integration restarts at the onset so the load step never straddles an
-    adaptive step. Output lands on every ``stride``-th step of
-    :meth:`Scenario.record_steps`, which ends at ``t_end``.
+    Rows land at :meth:`Scenario.record_times`, every ``stride``-th step
+    ``k * h`` up to the last, ``n * h``. Integration restarts at the onset,
+    so the load step never straddles an adaptive step: one segment runs
+    over (0, onset), the next over (onset, n * h], and each records the rows
+    up to its end that no earlier segment recorded. Rows at or after the
+    onset see the stepped injections.
     """
     if scenario.kind is not ScenarioKind.STEP:
         raise DomainError("simulate_deterministic needs a step scenario")
     try:
-        n_rec = len(scenario.record_steps(stride)) - 1
+        t = scenario.record_times(stride)
     except ValueError as exc:
         raise DomainError(str(exc)) from None
-    _check_scenario_nodes(net, scenario)
+    onset = scenario.onset
+    p_pre = net.injections
+    p_post = p_pre + _node_vector(net, scenario.steps)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
-    x0 = model_obj.at_rest(_equilibrium(model_obj))
-    onset = scenario.onset
-    grid = np.linspace(0.0, n_rec * (scenario.h * stride), n_rec + 1)
-    p_pre = _effective_injection(net, scenario, False)
-    p_post = _effective_injection(net, scenario, True)
-
-    ts, xs = [], []
-    segments = [(0.0, onset, p_pre), (onset, scenario.t_end, p_post)]
-    x_start = x0
-    for seg_a, seg_b, p_eff in segments:
-        if seg_b <= seg_a + 1e-15:
+    x_start = model_obj.at_rest(_equilibrium(model_obj))
+    # each segment's rows, stacked after the last solve: an output array
+    # allocated up front would add its size to the peak memory of that solve
+    parts, done = [], 0
+    for a, b, p_eff in ((0.0, onset, p_pre), (onset, t[-1], p_post)):
+        if not a < b:
             continue
-        pts = grid[(grid > seg_a + 1e-12) & (grid <= seg_b + 1e-12)]
-        if not ts:
-            pts = np.concatenate([[seg_a], pts])
-        # always land on the segment end so the next segment restarts exactly
-        ends_on_grid = len(pts) > 0 and abs(pts[-1] - seg_b) < 1e-12
-        t_eval = pts if ends_on_grid else np.concatenate([pts, [seg_b]])
-        sol = solve_ivp(lambda t, x: model_obj.rhs(x, p_eff), (seg_a, seg_b),
-                        x_start, method="LSODA", rtol=_RTOL, atol=_ATOL,
-                        t_eval=t_eval,
-                        jac=lambda t, x: model_obj.linearize(x, p_eff)[0])
+        k = int(np.searchsorted(t, b, side="right"))
+        # the segment's rows, and its end, where the next one starts
+        sol = solve_ivp(lambda _, x: model_obj.rhs(x, p_eff), (a, b), x_start,
+                        method="LSODA", rtol=_RTOL, atol=_ATOL,
+                        t_eval=np.union1d(t[done:k], b),
+                        jac=lambda _, x: model_obj.linearize(x, p_eff)[0])
         if not sol.success:
             raise NumericalBlowup(f"integration failed: {sol.message}")
         blowup = _first_blowup(sol.y.T)
         if blowup:
-            k, size = blowup
+            row, size = blowup
             what = ("non-finite state" if not math.isfinite(size) else
                     f"state beyond the blow-up limit {_BLOWUP_LIMIT:g}")
-            raise NumericalBlowup(f"{what} at t = {sol.t[k]:g} s "
+            raise NumericalBlowup(f"{what} at t = {sol.t[row]:g} s "
                                   f"(max |x| = {size:g})")
-        x_start = sol.y[:, -1]
-        keep = len(t_eval) if ends_on_grid else len(t_eval) - 1
-        ts.append(sol.t[:keep])
-        xs.append(sol.y[:, :keep].T)
-    t = np.concatenate(ts)
-    X = np.vstack(xs)
-    stepped = t >= onset - 1e-12
-    P = np.where(stepped[:, None], p_post, p_pre)
-    return _traces(model_obj, t, X[None], P[None])[0]
+        parts.append(sol.y.T[:k - done])
+        x_start, done = sol.y[:, -1], k
+    P = np.where((t >= onset)[:, None], p_post, p_pre)
+    return _traces(model_obj, t, np.concatenate(parts)[None], P[None])[0]
 
 
 def _first_blowup(X):
@@ -308,7 +298,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     ``model="linear"`` the drift is affine and is read as the model's
     matrices on every network, so no step solves the passive balance; the
     sine model evaluates its right-hand side. Rows are recorded at
-    :meth:`Scenario.record_steps`, the last at ``t_end``. Noise that
+    :meth:`Scenario.record_times`, the last at ``n * h``. Noise that
     reaches a frequency directly, at a load bus or through a passive one,
     would make ``E_S`` grow like ``1 / h``: read off the stepped model's
     matrices, it raises :class:`DomainError` before any step.
@@ -317,11 +307,10 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
         raise DomainError("simulate_stochastic needs a noise scenario")
     if scenario.seed is None:
         raise DomainError("stochastic runs need a seed for reproducibility")
-    _check_scenario_nodes(net, scenario)
+    sig = _node_vector(net, scenario.sigma)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
     A, B = model_obj.matrices(np.eye(net.n_nodes))
-    sig = _noise_matrix(net, scenario)
     _refuse_feedthrough(model_obj, B * sig, "--sigma on machine buses")
     x0 = model_obj.at_rest(_equilibrium(model_obj))
     p = net.injections
@@ -341,19 +330,12 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     return traces, metrics
 
 
-def _noise_matrix(net, scenario):
-    sig = np.zeros(net.n_nodes)
-    for nid, s in scenario.sigma.items():
-        sig[net.index_of[nid]] = s
-    return sig
-
-
 def _euler_maruyama(drift, x0, sig, scenario):
     """Step ``X + h * drift(X, W)`` from ``x0`` on each of the scenario's
     paths, ``W`` being the white-noise load jitter ``sig * N(0, 1) / sqrt(h)``
     per node, over the n steps to ``t_end``.
 
-    Returns the times of :meth:`Scenario.record_steps` and, with shapes
+    Returns :meth:`Scenario.record_times` and, with shapes
     (paths, T, .), the states and the jitter of the step that led to each
     recorded row (zero on the first).
     """
@@ -389,7 +371,7 @@ def _euler_maruyama(drift, x0, sig, scenario):
                         f"path {path}, max |x| = {size:g}")
                 X_rec[step // rec.step] = X
                 W_rec[step // rec.step] = W[k]
-    return np.array(rec) * h, X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
+    return scenario.record_times(), X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
 
 
 def compute_metrics(traces, alpha, t0: float = 40.0,

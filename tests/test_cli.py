@@ -868,6 +868,76 @@ def test_t0_not_positive_is_usage_error(capsys, two_node_case, command, t0):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the two-node study ends at 50 s
+    (["simulate", "--t0", "60"], "--t0 60 lies past the last recorded time 50 s"),
+    (["simulate", "--t-end", "30"], "--t0 40 lies past the last recorded time 30 s"),
+    (["simulate", "--t-end", "9", "--stride", "3", "--t0", "9.5"],
+     "--t0 9.5 lies past the last recorded time 9 s"),
+    (["sweep", "--param", "k1", "--grid", "1", "--sim", "step", "--t0", "100"],
+     "--t0 100 lies past the last recorded time 50 s"),
+], ids=["simulate", "simulate-default-t0", "simulate-stride", "sweep"])
+def test_t0_past_the_horizon_is_refused_before_simulating(capsys, monkeypatch,
+                                                          two_node_case, argv,
+                                                          message):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "simulate_deterministic", no_study)
+    code, out, err = run(capsys, argv[0], "--case", two_node_case,
+                         "--law", "dpiac", *argv[1:])
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
+
+
+def test_t0_within_the_slack_of_the_horizon_runs(capsys, two_node_case):
+    # compute_metrics reads a trace as reaching t0 up to 1e-9 s short of it
+    code, out, _ = run(capsys, "simulate", "--case", two_node_case, "--law",
+                       "dpiac", "--t-end", "3", "--onset", "1",
+                       "--t0", "3.0000000005")
+    assert code == 0
+    assert out.startswith("S=")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--step", "99:0.1"], "--step 99:0.1: the case has no bus 99"),
+    (["--step", "2:-0.1", "--step", "0:0.1"], "--step 0:0.1: the case has no bus 0"),
+    (["--kind", "noise", "--seed", "1", "--sigma", "12:0.01"],
+     "--sigma 12:0.01: the case has no bus 12"),
+], ids=["step", "second-step", "sigma"])
+def test_unknown_bus_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "simulate", "--case",
+                         bundled_case_path("homogeneous10"), "--law", "dpiac", *argv)
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("body, message", [
+    ("kind=step\nt_end=50.0\nh=0.01\nonset=2.0\nstep=1:-0.2\n"
+     "sigma=2:0.5\npaths=9\nseed=4", "step scenarios take no sigma, paths, seed"),
+    ("kind=step\nstep=1:-0.2\nburn_in=3", "step scenarios take no burn_in"),
+    ("kind=noise\nsigma=1:0.01\nseed=1\nonset=2.0",
+     "noise scenarios take no onset"),
+    ("kind=noise\nsigma=1:0.01\nseed=1\nstep=1:-0.2",
+     "noise scenarios take no steps"),
+], ids=["step-noise-keys", "step-burn_in", "noise-onset", "noise-step"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_case_scenario_with_the_other_kinds_keys_is_format_error(
+        capsys, tmp_path, command, body, message):
+    case = tmp_path / "mixed.case"
+    case.write_text(TWO_NODE.replace(
+        "kind=step\nt_end=50.0\nh=0.01\nonset=2.0\nstep=1:-0.2", body))
+    argv = [command, "--case", str(case)]
+    if command == "simulate":
+        argv += ["--law", "dpiac"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"case format error: {case}: [scenario]: {message}" in err
+    assert out == ""
+
+
 def test_simulate_noise_byte_identical(capsys, two_node_case, tmp_path):
     args = ["simulate", "--case", two_node_case, "--law", "dpiac",
             "--kind", "noise", "--sigma", "1:0.01", "--t-end", "2",

@@ -321,6 +321,28 @@ def test_scenario_refuses_non_finite(fields, message):
         Scenario(**fields)
 
 
+@pytest.mark.parametrize("fields, foreign", [
+    (dict(kind=ScenarioKind.STEP, sigma={1: 0.5}), "sigma"),
+    (dict(kind=ScenarioKind.STEP, paths=9, seed=4), "paths, seed"),
+    (dict(kind=ScenarioKind.STEP, burn_in=1.0), "burn_in"),
+    (dict(kind=ScenarioKind.NOISE, steps={1: -0.1}, seed=1), "steps"),
+    (dict(kind=ScenarioKind.NOISE, onset=1.0, seed=1), "onset"),
+], ids=["step-sigma", "step-paths-seed", "step-burn_in", "noise-steps",
+        "noise-onset"])
+def test_scenario_refuses_the_other_kinds_fields(fields, foreign):
+    kind = fields["kind"].value
+    with pytest.raises(ValueError, match=f"^{kind} scenarios take no {foreign}$"):
+        Scenario(t_end=10.0, h=0.1, **fields)
+
+
+@pytest.mark.parametrize("onset", [5e-324, 1e-200, 3e-15])
+def test_onset_the_horizon_cannot_tell_from_zero_is_refused(onset):
+    # an integration span that short never returned from LSODA
+    with pytest.raises(ValueError, match=r"is 0 at the precision of t_end 60; give 0"):
+        Scenario.step({1: -0.1}, onset=onset)
+    assert Scenario.step({1: -0.1}, onset=1e-14).onset == 1e-14
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(kind=ScenarioKind.STEP, t_end=10.0, h=-0.1, onset=1.0)
@@ -415,6 +437,54 @@ def test_record_stride_must_divide_the_steps():
     with pytest.raises(DomainError, match="every 3 steps"):
         simulate_deterministic(net, comm, "dpiac", GainSchedule.analytic(1.0),
                                quiet_step(t_end=2.0), stride=3)
+
+
+@pytest.mark.parametrize("t_end, h, stride, onset", [
+    # n * h lies one ulp past t_end: 2.3000000000000003 and 0.7000000000000001
+    (2.3, 0.01, 1, 1.0),
+    (0.7, 0.07, 1, 0.1),
+    (9.0, 0.01, 2, 5.0),
+    # within the 1e-9 slack of 6000 steps: the last row is at 60
+    (59.99999999, 0.01, 1, 5.0),
+    (2.0, 0.01, 1, 0.0),
+    (2.0, 0.02, 5, 0.5),
+    (2.0, 0.01, 4, 0.333),
+    (0.7, 0.07, 1, 0.65),
+    # past n * h = 1.0 but before t_end: no stepped segment runs
+    (1.00000000005, 0.01, 1, 1.00000000002),
+], ids=["t_n-past-t_end", "coarse-t_n-past-t_end", "stride-2", "t_end-below-t_n",
+        "onset-0", "onset-on-grid", "onset-off-grid", "onset-in-last-step",
+        "onset-past-t_n"])
+def test_step_study_records_its_grid(t_end, h, stride, onset, monkeypatch):
+    import piac.sim
+
+    net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
+    spans = []
+    solve_ivp = piac.sim.solve_ivp
+
+    def recording_solve_ivp(fun, t_span, y0, **options):
+        spans.append((t_span, options["t_eval"]))
+        return solve_ivp(fun, t_span, y0, **options)
+
+    monkeypatch.setattr(piac.sim, "solve_ivp", recording_solve_ivp)
+    scen = Scenario.step({1: -0.1, 4: -0.1}, onset=onset, t_end=t_end, h=h)
+    tr = simulate_deterministic(net, comm, "dpiac", gains, scen, stride=stride)
+    steps = scen.record_steps(stride)
+    n = round(t_end / h)
+    assert steps[-1] == n
+    assert len(tr.t) == len(steps)
+    assert np.array_equal(tr.t, np.array(steps) * h)
+    assert tr.t[-1] == n * h
+    # every segment runs forward and evaluates inside its span
+    for (a, b), t_eval in spans:
+        assert a < b and a <= t_eval[0] and t_eval[-1] == b
+    before = tr.t < onset
+    assert np.abs(tr.omega[before]).max(initial=0.0) <= 1e-12
+    assert np.abs(tr.theta[before] - tr.theta[0]).max(initial=0.0) <= 1e-12
+    # the first row after the onset has moved off the rest point
+    after = tr.t > onset
+    if after.any():
+        assert np.abs(tr.omega[after.argmax()]).max() > 1e-6
 
 
 @pytest.mark.parametrize("model", ["sin", "linear"])
@@ -721,7 +791,7 @@ def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
     # whose passive and frequency-dependent buses the noise at its machines
     # reaches through the lines, and on a chain with noise at a passive bus
     # that no load bus can be reached from, which the stepper accepts
-    from piac.sim import _SimModel, _euler_maruyama, _noise_matrix, _traces
+    from piac.sim import _SimModel, _euler_maruyama, _node_vector, _traces
 
     ring, ring_comm = ring_net(3, k=3.0)
     mixed, mixed_comm = mixed_net()
@@ -748,7 +818,7 @@ def test_stepper_paths_agree_on_linear_model(law, monkeypatch):
         eq = find_equilibrium(net, law, g, comm, "linear")
         p = net.injections
         t, X, W = _euler_maruyama(lambda X, W: model_obj.rhs(X, p + W),
-                                  model_obj.at_rest(eq), _noise_matrix(net, scen),
+                                  model_obj.at_rest(eq), _node_vector(net, scen.sigma),
                                   scen)
         slow = _traces(model_obj, t, X, p + W)
         for k in range(2):
