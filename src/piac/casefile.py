@@ -25,8 +25,9 @@ flat so files diff well::
     t_end=60                       # default 60 (step) or 250 (noise)
     h=0.01                         # default 0.01 (step) or 1e-3 (noise)
     onset=5                        # step only
-    step=1:-0.1                    # step only, repeatable
-    sigma=1:0.002                  # noise only, repeatable; machine buses
+    step=1:-0.1                    # step only, repeatable, each node once
+    sigma=1:0.002                  # noise only, repeatable, each node once;
+                                   # machine buses
     paths=20                       # noise only
     burn_in=50                     # noise only
     seed=42                        # noise only
@@ -39,7 +40,9 @@ reproduces the exact same objects. It writes ``V=1.0`` on every node.
 0.1 s recording interval rounded to whole steps); :class:`Scenario` refuses
 it otherwise. It refuses the other kind's keys too: ``onset`` and ``step``
 in a noise scenario, ``sigma``, ``paths``, ``burn_in`` and ``seed`` in a
-step scenario.
+step scenario, and a step onset within LSODA's resolution below the last
+recorded time. A node named twice in ``step=`` or ``sigma=`` lines, and a
+number that does not parse, are refused at their line.
 """
 
 import math
@@ -101,7 +104,7 @@ def loads_case(text: str, path: str = "<string>"):
     edges: list[tuple[int, int, float]] = []
     comm_edges: list[tuple[int, int, float]] = []
     gains_kv: dict[str, float] = {}
-    scen_kv: dict[str, str] = {}
+    scen_kv: dict[str, str | float | int] = {}
     steps: dict[int, float] = {}
     sigma: dict[int, float] = {}
     saw: set[str] = set()
@@ -174,17 +177,21 @@ def loads_case(text: str, path: str = "<string>"):
         elif section == "scenario":
             kv = _kv(toks, path, lineno)
             for key, val in kv.items():
-                if key == "step":
-                    nid, _, dp = val.partition(":")
-                    steps[_parse_int(nid, "step node", path, lineno)] = \
-                        _parse_float(dp, "step size", path, lineno)
-                elif key == "sigma":
-                    nid, _, s = val.partition(":")
-                    sigma[_parse_int(nid, "sigma node", path, lineno)] = \
-                        _parse_float(s, "sigma", path, lineno)
+                if key in ("step", "sigma"):
+                    values = steps if key == "step" else sigma
+                    nid, _, v = val.partition(":")
+                    nid = _parse_int(nid, f"{key} node", path, lineno)
+                    if nid in values:
+                        raise CaseFormatError(f"{key} names node {nid} twice", path, lineno)
+                    values[nid] = _parse_float(
+                        v, "step size" if key == "step" else "sigma", path, lineno)
                 elif key in ("kind", "t_end", "h", "onset", "paths", "burn_in", "seed"):
                     if key in scen_kv:
                         raise CaseFormatError(f"duplicate scenario key {key!r}", path, lineno)
+                    if key in ("paths", "seed"):
+                        val = _parse_int(val, f"scenario {key}", path, lineno)
+                    elif key != "kind":
+                        val = _parse_float(val, f"scenario {key}", path, lineno)
                     scen_kv[key] = val
                 else:
                     raise CaseFormatError(f"unknown scenario key {key!r}", path, lineno)
@@ -244,15 +251,12 @@ def loads_case(text: str, path: str = "<string>"):
         kind = ScenarioKind(kind_tok)
         try:
             scenario = Scenario(
-                kind=kind,
-                t_end=float(scen_kv["t_end"]) if "t_end" in scen_kv else None,
-                h=float(scen_kv["h"]) if "h" in scen_kv else None,
-                onset=float(scen_kv["onset"]) if "onset" in scen_kv else None,
+                kind=kind, t_end=scen_kv.get("t_end"), h=scen_kv.get("h"),
+                onset=scen_kv.get("onset"),
                 steps=dict(sorted(steps.items())),
                 sigma=dict(sorted(sigma.items())),
-                paths=int(scen_kv["paths"]) if "paths" in scen_kv else None,
-                burn_in=float(scen_kv["burn_in"]) if "burn_in" in scen_kv else None,
-                seed=int(scen_kv["seed"]) if "seed" in scen_kv else None,
+                paths=scen_kv.get("paths"), burn_in=scen_kv.get("burn_in"),
+                seed=scen_kv.get("seed"),
             )
         except (ValueError, TypeError) as exc:
             raise CaseFormatError(f"[scenario]: {exc}", path) from None

@@ -298,13 +298,15 @@ def cmd_sweep(args) -> int:
 
 def _node_values(tokens, flag: str, net) -> dict[int, float]:
     """``NODE:VALUE`` tokens of ``flag`` as a mapping; a node that is not a
-    bus of ``net`` is a usage error."""
+    bus of ``net``, or a bus named twice, is a usage error."""
     values = {}
     for tok in tokens or []:
         nid, _, value = tok.partition(":")
         node = _number(nid, flag, int)
         if node not in net.index_of:
             raise _Usage(f"{flag} {tok}: the case has no bus {node}")
+        if node in values:
+            raise _Usage(f"{flag} {tok}: bus {node} is named twice")
         values[node] = _number(value, flag)
     return values
 

@@ -476,12 +476,6 @@ def _refuse_feedthrough(model: _SimModel, B: np.ndarray, remedy: str) -> None:
 
 # --- zero-mode deflation -----------------------------------------------------
 
-# Row norms of the orthonormal kernel basis below this are round-off. On 747
-# loops (three laws, k1 from 1e-3 to 1e3, k3 from 0 to 1e3, on 12 machine-only
-# networks and the Kron-reduced ieee39-like) the rows on the support measured
-# at least 0.016 and the others at most 1.6e-12.
-_SUPPORT_TOL = math.sqrt(np.finfo(float).eps)
-
 
 def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     """Restrict ``sys`` to the states its input reaches, which removes every
@@ -503,9 +497,9 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     reached pivots of the dynamics, which large gains do; it raises
     :class:`SolverAccuracyError`.
 
-    The basis ``P`` of the complement is the identity on the coordinates
-    outside the support of ``W`` and an orthonormal complement of ``W`` on
-    its support. The result is ``(P^T A P, P^T B)`` with ``P`` as its
+    In that QR, ``[A B] Pi = Q R``, the trailing columns of ``Q`` span
+    ``W`` and its leading ``rank`` columns are an orthonormal basis ``P`` of
+    the complement. The result is ``(P^T A P, P^T B)`` with ``P`` as its
     ``basis``, which maps every output ``C`` of the loop to ``C P``.
     """
     if sys.basis is not None:
@@ -515,8 +509,7 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
     pivots = np.abs(np.diag(R))
     tol = max(M.shape) * np.finfo(float).eps * pivots[0]
     rank = int(np.count_nonzero(pivots > tol))
-    W = Q[:, rank:]
-    N, k = W.shape
+    k = len(Q) - rank
     law = sys.model.law
     if k > law.conserved:
         raise SolverAccuracyError(
@@ -525,13 +518,7 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
             f"{tol:.1e} (max(shape) eps |R_00|) reaches pivots of the dynamics "
             f"(largest dropped {pivots[rank]:.1e}): at gains this large the "
             "loop's kernel cannot be told from round-off")
-    on = np.linalg.norm(W, axis=1) > _SUPPORT_TOL
-    support, rest = np.flatnonzero(on), np.flatnonzero(~on)
-    Q_s, _ = np.linalg.qr(W[support], mode="complete")
-    P = np.zeros((N, N - k))
-    mixed = len(support) - k
-    P[np.ix_(support, np.arange(mixed))] = Q_s[:, k:]
-    P[rest, np.arange(mixed, N - k)] = 1.0
+    P = Q[:, :rank]
     return replace(sys, A=P.T @ sys.A @ P, B=P.T @ sys.B, basis=P)
 
 

@@ -35,8 +35,9 @@ output row in modal coordinates, so its norm contribution scales by
 lambda_i^2; anything else fails the Grammian cross-check.
 """
 
+import copy
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -71,56 +72,43 @@ log = logging.getLogger(__name__)
 _LYAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class _SchurForm:
-    """Real Schur form ``M = U T U^T`` of a square matrix, factored when a
-    solve first needs it, with the spectral abscissa and spectral radius
-    read off the diagonal blocks of ``T``.
+    """Real Schur form ``M = U T U^T`` of a square matrix, factored on
+    construction, with the spectral abscissa and spectral radius read off
+    the diagonal blocks of ``T``.
 
     With ``transposed`` set it serves the Lyapunov equations of
     ``M^T = U T^T U^T``; :meth:`dual` shares the factorization, so one
     factorization solves both Grammians of a loop.
     """
 
-    M: np.ndarray
-    transposed: bool = False
-    _factors: dict = field(default_factory=dict, repr=False)
-
-    def _factor(self) -> dict:
-        f = self._factors
-        if not f:
-            T, U = scipy.linalg.schur(self.M, output="real")
-            # LAPACK leaves each complex pair in a standardized 2x2 block
-            # [[a, b], [c, a]] with eigenvalues a +- i sqrt(-b c), and zeros
-            # below the diagonal everywhere else; the moduli are taken
-            # without squaring, which would overflow at huge entries
-            re = np.diag(T)
-            im = np.zeros(len(T))
-            pair = np.flatnonzero(np.diag(T, -1))
-            im[pair] = im[pair + 1] = (np.sqrt(np.abs(T[pair + 1, pair]))
-                                       * np.sqrt(np.abs(T[pair, pair + 1])))
-            f.update(T=T, U=U, abscissa=float(re.max()),
-                     radius=float(np.hypot(re, im).max()))
-        return f
-
-    @property
-    def abscissa(self) -> float:
-        return self._factor()["abscissa"]
-
-    @property
-    def radius(self) -> float:
-        return self._factor()["radius"]
+    def __init__(self, M: np.ndarray):
+        T, U = scipy.linalg.schur(M, output="real")
+        # LAPACK leaves each complex pair in a standardized 2x2 block
+        # [[a, b], [c, a]] with eigenvalues a +- i sqrt(-b c), and zeros
+        # below the diagonal everywhere else; the moduli are taken
+        # without squaring, which would overflow at huge entries
+        re = np.diag(T)
+        im = np.zeros(len(T))
+        pair = np.flatnonzero(np.diag(T, -1))
+        im[pair] = im[pair + 1] = (np.sqrt(np.abs(T[pair + 1, pair]))
+                                   * np.sqrt(np.abs(T[pair, pair + 1])))
+        self.T, self.U = T, U
+        self.abscissa = float(re.max())
+        self.radius = float(np.hypot(re, im).max())
+        self.transposed = False
 
     def dual(self) -> "_SchurForm":
         """The same factorization, read as one of the transposed matrix."""
-        return replace(self, transposed=not self.transposed)
+        form = copy.copy(self)
+        form.transposed = not self.transposed
+        return form
 
     def solve(self, R: np.ndarray) -> np.ndarray:
         """``X`` with ``X A + A^T X + R = 0``, ``A`` the factored matrix (or
         its transpose): in Schur coordinates ``Y = U^T X U`` this is one
         triangular Sylvester equation."""
-        f = self._factor()
-        T, U = f["T"], f["U"]
+        T, U = self.T, self.U
         F = U.T @ R @ U
         if self.transposed:        # T Y + Y T^T = -F
             Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -F, tranb="T")
@@ -209,9 +197,8 @@ def grammians(sys: StateSpace, outputs) -> Grammians:
     """The Grammians of ``sys``; requires a deflated (Hurwitz) system.
 
     ``outputs`` are output matrices in the coordinates of ``sys``, one
-    observability Grammian each. ``A`` is factored once, by the first solve
-    with a nonzero right-hand side; every solve, the controllability one
-    included, runs on that factorization.
+    observability Grammian each. ``A`` is factored once, and every solve,
+    the controllability one included, runs on that factorization.
     """
     schur = _SchurForm(sys.A)
     Qo = tuple(lyapunov_solve(sys.A, C.T @ C, schur) for C in outputs)

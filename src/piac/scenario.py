@@ -44,6 +44,9 @@ class Scenario:
     ``t_end`` must be a whole number of steps ``h``, up to a relative slack
     of 1e-9, and a noise run's recording interval must divide it, so the
     last recorded row is at ``n * h``, the end of the last of the n steps.
+    A step's ``onset`` lies in [0, t_end), and neither a positive value
+    that ``t_end`` cannot tell from 0 nor within ``2 eps t_n`` below the
+    last recorded time ``t_n``: LSODA steps no span that short.
     ``seed`` is mandatory for noise runs so every ensemble is reproducible,
     and non-negative, as numpy's ``SeedSequence`` requires.
     A field left ``None`` takes its kind's value in :data:`DEFAULTS`; a
@@ -81,7 +84,7 @@ class Scenario:
             raise ValueError(f"step h must be positive, got {self.h}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        self.record_steps()
+        t_n = self.record_steps()[-1] * self.h
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kind is ScenarioKind.STEP:
@@ -91,6 +94,12 @@ class Scenario:
             if self.onset and self.t_end - self.onset == self.t_end:
                 raise ValueError(f"onset {self.onset:g} is 0 at the precision of "
                                  f"t_end {self.t_end:g}; give 0")
+            # LSODA refuses a span under 2 eps max(|t|, |tout|)
+            if 0 < t_n - self.onset < 2 * np.finfo(float).eps * t_n:
+                raise ValueError(f"onset {self.onset!r} lies less than 2 eps t_n "
+                                 f"below the last recorded time t_n = {t_n!r}: "
+                                 "the integrator cannot step a span that short; "
+                                 "give an earlier onset")
         else:
             if any(s < 0 for s in self.sigma.values()):
                 raise ValueError("noise strengths must be >= 0")

@@ -176,6 +176,41 @@ def test_t_end_off_the_step_grid_is_format_error(body):
         loads_case(text)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("kind=step\nstep=2:-0.1\nstep=2:-0.3", "step names node 2 twice"),
+    ("kind=noise\nsigma=1:0.002\nsigma=1:0.004\nseed=7", "sigma names node 1 twice"),
+], ids=["step", "sigma"])
+def test_node_named_twice_in_the_scenario_is_format_error(body, message):
+    # the repeated line is refused; the last value used to win silently
+    text = GOOD.replace("kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1", body)
+    with pytest.raises(CaseFormatError, match=f"^bad.case:18: {message}$"):
+        loads_case(text, path="bad.case")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("t_end", "abc", "not a number: 'abc'"),
+    ("h", "inf", "not a finite number: 'inf'"),
+    ("onset", "2s", "not a number: '2s'"),
+    ("burn_in", "x", "not a number: 'x'"),
+    ("paths", "2.5", "not an integer: '2.5'"),
+    ("seed", "2.5", "not an integer: '2.5'"),
+])
+def test_scenario_number_is_parsed_at_its_line(key, value, message):
+    text = GOOD.replace("kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1",
+                        f"kind=step\n{key}={value}\nstep=2:-0.1")
+    with pytest.raises(CaseFormatError, match=f"^bad.case:17: scenario {key}: {message}$"):
+        loads_case(text, path="bad.case")
+
+
+def test_onset_within_the_integrators_resolution_of_t_n_is_format_error():
+    text = GOOD.replace("t_end=30.0\nh=0.01\nonset=2.0",
+                        "t_end=2.0\nh=0.01\nonset=1.9999999999999998")
+    with pytest.raises(CaseFormatError, match=r"\[scenario\]: onset 1\.9999999999999998 "
+                       r"lies less than 2 eps t_n below the last recorded time "
+                       r"t_n = 2\.0"):
+        loads_case(text)
+
+
 def test_node_voltage_other_than_one_is_format_error():
     # nothing reads V: the line's K= is the effective susceptance already
     with pytest.raises(CaseFormatError, match=r"<string>:3: field V: '2' .*K= is "

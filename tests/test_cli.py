@@ -914,6 +914,47 @@ def test_unknown_bus_is_usage_error(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--step", "2:0.1", "--step", "2:0.5"], "--step 2:0.5: bus 2 is named twice"),
+    (["--kind", "noise", "--seed", "1", "--sigma", "1:0.01", "--sigma", "1:0.02"],
+     "--sigma 1:0.02: bus 1 is named twice"),
+], ids=["step", "sigma"])
+def test_bus_named_twice_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "simulate", "--case",
+                         bundled_case_path("homogeneous10"), "--law", "dpiac", *argv)
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
+
+
+def test_step_flag_overrides_the_case_files_bus(monkeypatch):
+    # homogeneous10 steps buses 1, 4 and 7 by -0.1; --step 1:-0.3 replaces one
+    seen = []
+
+    def study(net, comm, law, gains, scenario, **kwargs):
+        seen.append(scenario.steps)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "simulate_deterministic", study)
+    with pytest.raises(RuntimeError, match="stop"):
+        main(["simulate", "--case", bundled_case_path("homogeneous10"), "--law",
+              "dpiac", "--step", "1:-0.3"])
+    assert seen == [{1: -0.3, 4: -0.1, 7: -0.1}]
+
+
+def test_onset_within_the_integrators_resolution_of_t_n_is_usage_error(capsys):
+    # LSODA used to refuse the 2.2e-16 s stepped span: exit 7 after a scipy
+    # warning on stderr
+    code, out, err = run(capsys, "simulate", "--case",
+                         bundled_case_path("homogeneous10"), "--law", "dpiac",
+                         "--kind", "step", "--t-end", "2",
+                         "--onset", "1.9999999999999998", "--t0", "2")
+    assert code == 2
+    assert ("usage error: onset 1.9999999999999998 lies less than 2 eps t_n "
+            "below the last recorded time t_n = 2.0") in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("body, message", [
     ("kind=step\nt_end=50.0\nh=0.01\nonset=2.0\nstep=1:-0.2\n"
      "sigma=2:0.5\npaths=9\nseed=4", "step scenarios take no sigma, paths, seed"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from dataclasses import replace
 
 from piac import (LAWS, ControlLaw, DomainError, GainSchedule, OutputSelector,
@@ -187,6 +188,33 @@ def test_deflation_dimension_and_stability():
             assert np.linalg.eigvals(defl.A).real.max() < 0
             # idempotent
             assert deflate_zero_mode(defl) is defl
+
+
+def test_deflation_basis_comes_from_the_kernel_qr(monkeypatch):
+    # one pivoted QR of [A B]: its trailing columns span the kernel, its
+    # leading ones are the basis, which holds the ranges of A and B
+    calls = []
+    real = scipy.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel's QR already holds the basis")
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    net, comm = ring_net(5, k=1.3)
+    for law in LAWS:
+        sys = assemble(net, comm, law, GainSchedule.analytic(0.7, 0.5))
+        calls.clear()
+        defl = deflate_zero_mode(sys)
+        assert len(calls) == 1, law
+        P = defl.basis
+        assert np.abs(P.T @ P - np.eye(defl.dim)).max() <= 1e-14
+        M = np.hstack([sys.A, sys.B])
+        assert np.abs(M - P @ (P.T @ M)).max() <= 1e-13 * np.abs(M).max()
 
 
 def _transfer(sys, C, s):

@@ -343,6 +343,26 @@ def test_onset_the_horizon_cannot_tell_from_zero_is_refused(onset):
     assert Scenario.step({1: -0.1}, onset=1e-14).onset == 1e-14
 
 
+@pytest.mark.parametrize("t_n", [2.0, 60.0])
+@pytest.mark.parametrize("ulps", [3, 4])
+def test_onset_within_lsodas_resolution_of_t_n_is_refused(t_n, ulps):
+    # LSODA refuses a span under 2 eps max(|t|, |tout|): 3 ulps below t_n
+    # are less than 2 eps t_n at both horizons, 4 ulps are not
+    onset = t_n
+    for _ in range(ulps):
+        onset = math.nextafter(onset, 0.0)
+    if ulps == 3:
+        with pytest.raises(ValueError, match=re.escape(
+                f"onset {onset!r} lies less than 2 eps t_n below the last "
+                f"recorded time t_n = {t_n!r}")):
+            Scenario.step({1: -0.1}, onset=onset, t_end=t_n)
+        return
+    net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
+    tr = simulate_deterministic(net, comm, "dpiac", gains,
+                                Scenario.step({1: -0.1}, onset=onset, t_end=t_n))
+    assert tr.t[-1] == t_n
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(kind=ScenarioKind.STEP, t_end=10.0, h=-0.1, onset=1.0)
