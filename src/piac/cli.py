@@ -137,11 +137,11 @@ def _t0(args) -> float:
     return args.t0
 
 
-def _refuse_t0_past(t0: float, scenario, stride: int = 1) -> None:
+def _refuse_t0_past(t0: float, scenario) -> None:
     """A metrics window [0, t0] ending past the step study's last recorded
     time is a usage error, found before the study runs; the slack is the
     one :func:`compute_metrics` allows."""
-    last = scenario.record_times(stride)[-1]
+    last = scenario.record_times()[-1]
     if last < t0 - 1e-9:
         raise _Usage(f"--t0 {t0:g} lies past the last recorded time {last:g} s")
 
@@ -353,29 +353,18 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
 
 def cmd_simulate(args) -> int:
     t0 = _t0(args)
-    if args.stride is not None and args.stride < 1:
-        raise _Usage(f"--stride must be at least 1, got {args.stride}")
     net, comm, file_gains, file_scenario = load_case(args.case)
     gains = _gains_from(args, file_gains)
     scenario = _scenario_from(args, file_scenario, net)
     if scenario.kind is ScenarioKind.STEP:
-        stride = 1 if args.stride is None else args.stride
-        try:
-            scenario.record_steps(stride)
-        except ValueError as exc:
-            raise _Usage(f"--stride {stride}: {exc}") from None
-        _refuse_t0_past(t0, scenario, stride)
+        _refuse_t0_past(t0, scenario)
         trace = simulate_deterministic(net, comm, args.law, gains, scenario,
-                                       model=args.model, stride=stride)
+                                       model=args.model)
         met = compute_metrics(trace, net.prices, t0=t0)
         if args.out:
             _atomic_write(args.out, lambda fh: write_trace_csv(fh, trace))
         print(f"S={_fmt(met.S)} C={_fmt(met.C)} (t0={_fmt(met.t0)})")
     else:
-        if args.stride is not None:
-            interval = scenario.record_steps().step * scenario.h
-            raise _Usage("--stride applies to step studies; noise runs record "
-                         f"every {interval:g} s")
         traces, met = simulate_stochastic(net, comm, args.law, gains, scenario,
                                           model=args.model)
         if args.out:
@@ -441,7 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", choices=("step", "noise"))
     p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--h", type=float)
+    p.add_argument("--h", type=float,
+                   help="Euler-Maruyama step (noise); recorded grid (step)")
     p.add_argument("--onset", type=float)
     p.add_argument("--step", action="append", metavar="NODE:DP")
     p.add_argument("--sigma", action="append", metavar="NODE:SIGMA")
@@ -449,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--t0", type=float, help="end of the S/C window (default 40)")
-    p.add_argument("--stride", type=int, help="record every n-th step (step studies)")
     p.add_argument("--model", default="sin", choices=("sin", "linear"))
     p.set_defaults(fn=cmd_simulate)
     return ap

@@ -108,36 +108,30 @@ class Scenario:
             if not 0 <= self.burn_in < self.t_end:
                 raise ValueError("burn_in must lie in [0, t_end)")
 
-    def record_steps(self, stride: int | None = None) -> range:
+    def record_steps(self) -> range:
         """The recorded steps 0, s, 2s, ..., n of the n steps to ``t_end``.
 
-        A step study records every ``stride``-th step, every step by
-        default. A noise run takes no stride: it records every
-        ``_RECORD_DT`` s, rounded to whole steps (at least one). A stride
-        that does not divide n raises :class:`ValueError`, as does a
-        ``t_end`` that is not a whole number of steps.
+        A step study records every step (s = 1): ``h`` alone sets its grid.
+        A noise run records every ``_RECORD_DT`` s, rounded to whole steps
+        (at least one), which must divide n. A ``t_end`` that is not a whole
+        number of steps, or a recording interval that does not end at it,
+        raises :class:`ValueError`.
         """
         q = self.t_end / self.h
         n = round(q) if math.isfinite(q) else 0
         if n < 1 or abs(n * self.h - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end {self.t_end:g} is not a whole number of "
                              f"steps h = {self.h:g}")
-        if self.kind is ScenarioKind.NOISE:
-            if stride is not None:
-                raise ValueError("noise runs take no record stride")
-            stride = max(1, round(_RECORD_DT / self.h))
-        elif stride is None:
-            stride = 1
-        if stride < 1:
-            raise ValueError(f"record stride must be at least 1, got {stride}")
+        stride = (max(1, round(_RECORD_DT / self.h))
+                  if self.kind is ScenarioKind.NOISE else 1)
         if n % stride:
             raise ValueError(f"recording every {stride} steps ({stride * self.h:g} s) "
                              f"does not end at t_end {self.t_end:g}: {n} steps")
         return range(0, n + 1, stride)
 
-    def record_times(self, stride: int | None = None) -> np.ndarray:
+    def record_times(self) -> np.ndarray:
         """The times ``k * h`` of :meth:`record_steps`, the last at ``n * h``."""
-        return np.array(self.record_steps(stride)) * self.h
+        return np.array(self.record_steps()) * self.h
 
     @classmethod
     def step(cls, steps: dict[int, float], onset: float = _STEP["onset"],

@@ -203,25 +203,23 @@ def _node_vector(net, values: dict[int, float]) -> np.ndarray:
 
 def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
                            law: str, gains: GainSchedule, scenario: Scenario,
-                           model: str = "sin", stride: int = 1) -> Trace:
+                           model: str = "sin") -> Trace:
     """Step-load response from the pre-disturbance equilibrium.
 
     LSODA integrates at rtol 1e-8, atol 1e-10 with the exact Jacobian
     :meth:`_SimModel.linearize`, one method for every network: its own
     stiffness detection takes Adams steps where the dynamics are not stiff.
-    Rows land at :meth:`Scenario.record_times`, every ``stride``-th step
-    ``k * h`` up to the last, ``n * h``. Integration restarts at the onset,
-    so the load step never straddles an adaptive step: one segment runs
+    ``h`` sets only the output grid: rows land at
+    :meth:`Scenario.record_times`, every step ``k * h`` up to the last,
+    ``n * h``, so a coarser grid is a larger ``h``. Integration restarts at
+    the onset, so the load step never straddles an adaptive step: one segment runs
     over (0, onset), the next over (onset, n * h], and each records the rows
     up to its end that no earlier segment recorded. Rows at or after the
     onset see the stepped injections.
     """
     if scenario.kind is not ScenarioKind.STEP:
         raise DomainError("simulate_deterministic needs a step scenario")
-    try:
-        t = scenario.record_times(stride)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    t = scenario.record_times()
     onset = scenario.onset
     p_pre = net.injections
     p_post = p_pre + _node_vector(net, scenario.steps)
@@ -326,8 +324,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
 
     t, X, W = _euler_maruyama(drift, x0, sig, scenario)
     traces = _traces(model_obj, t, X, p + W)
-    metrics = compute_metrics(traces, net.prices, burn_in=scenario.burn_in)
-    return traces, metrics
+    return traces, _ensemble_metrics(traces, net.prices, scenario.burn_in)
 
 
 def _euler_maruyama(drift, x0, sig, scenario):
@@ -374,34 +371,35 @@ def _euler_maruyama(drift, x0, sig, scenario):
     return scenario.record_times(), X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
 
 
-def compute_metrics(traces, alpha, t0: float = 40.0,
-                    burn_in: float | None = None) -> Metrics:
-    """Transient metrics from recorded traces.
+def compute_metrics(trace: Trace, alpha, t0: float = 40.0) -> Metrics:
+    """The windowed quadratic costs of a step study's trace: S integrates
+    the squared frequency deviations and C half the price-weighted squared
+    inputs over [0, t0], by the trapezoid rule on the trace's grid.
 
-    A single trace gives the windowed quadratic costs: S integrates the
-    squared frequency deviations and C half the price-weighted squared
-    inputs over [0, t0], trapezoid rule on the trace grid. A list of traces
-    gives the stationary expectations E_S and E_C by averaging over time
-    (after ``burn_in``) and paths, with path-spread standard errors.
+    A trace ending more than 1e-9 s short of ``t0`` raises
+    :class:`InsufficientHorizon`.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if isinstance(traces, Trace):
-        tr = traces
-        if tr.t[-1] < t0 - 1e-9:
-            raise InsufficientHorizon(f"trace ends at {tr.t[-1]}, needs t0={t0}")
-        mask = tr.t <= t0 + 1e-12
-        om = tr.omega_controllers[mask]
-        uu = tr.u[mask]
-        t = tr.t[mask]
-        s_val = float(np.trapezoid((om ** 2).sum(axis=1), t))
-        c_val = 0.5 * float(np.trapezoid((uu ** 2 * alpha[None, :]).sum(axis=1), t))
-        return Metrics(S=s_val, C=c_val, t0=t0)
+    if trace.t[-1] < t0 - 1e-9:
+        raise InsufficientHorizon(f"trace ends at {trace.t[-1]}, needs t0={t0}")
+    mask = trace.t <= t0 + 1e-12
+    om = trace.omega_controllers[mask]
+    uu = trace.u[mask]
+    t = trace.t[mask]
+    s_val = float(np.trapezoid((om ** 2).sum(axis=1), t))
+    c_val = 0.5 * float(np.trapezoid((uu ** 2 * alpha[None, :]).sum(axis=1), t))
+    return Metrics(S=s_val, C=c_val, t0=t0)
 
-    if burn_in is None:
-        raise InsufficientHorizon("ensemble metrics need the burn-in time")
+
+def _ensemble_metrics(traces, alpha, burn_in: float) -> Metrics:
+    """The stationary expectations E_S and E_C of a noise run, averaged over
+    the recorded rows from ``burn_in`` on and over the paths, with
+    path-spread standard errors (None for one path)."""
+    alpha = np.asarray(alpha, dtype=float)
     per_path_s, per_path_c = [], []
     for tr in traces:
         mask = tr.t >= burn_in - 1e-12
+        # the last recorded row, n * h, may lie before a burn-in below t_end
         if not mask.any():
             raise InsufficientHorizon("burn-in leaves no samples to average")
         om = tr.omega_controllers[mask]

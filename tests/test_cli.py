@@ -621,16 +621,6 @@ def test_non_finite_case_number_is_format_error(capsys, tmp_path, old, new, mess
     assert out == ""
 
 
-@pytest.mark.parametrize("stride", ["0", "-1"])
-def test_simulate_stride_below_one_is_usage_error(capsys, stride):
-    code, _, err = run(capsys, "simulate", "--case",
-                       bundled_case_path("homogeneous10"), "--law", "dpiac",
-                       "--kind", "step", "--t-end", "2", "--onset", "1",
-                       "--stride", stride)
-    assert code == 2
-    assert f"usage error: --stride must be at least 1, got {stride}" in err
-
-
 def test_simulate_negative_seed_is_usage_error(capsys, two_node_case):
     code, out, err = run(capsys, "simulate", "--case", two_node_case,
                          "--law", "dpiac", "--kind", "noise", "--seed", "-1",
@@ -653,29 +643,20 @@ def test_sweep_negative_seed_is_usage_error(capsys, tmp_path):
     assert out == ""
 
 
-@pytest.mark.parametrize("stride", ["1", "5"])
-def test_simulate_noise_refuses_stride(capsys, two_node_case, tmp_path, stride):
-    # noise runs record every 0.1 s whatever the flag says
+@pytest.mark.parametrize("argv", [
+    ["--kind", "step", "--t-end", "2", "--onset", "1", "--t0", "2"],
+    ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01", "--t-end", "2",
+     "--burn-in", "0.5"],
+], ids=["step", "noise"])
+def test_simulate_refuses_stride(capsys, two_node_case, tmp_path, argv):
+    # --h alone sets a step study's grid: --stride 5 is --h 5h
     out_file = tmp_path / "a.csv"
-    code, out, err = run(capsys, "simulate", "--case", two_node_case,
-                         "--law", "dpiac", "--kind", "noise", "--seed", "1",
-                         "--sigma", "1:0.01", "--t-end", "2", "--burn-in", "0.5",
-                         "--stride", stride, "--out", str(out_file))
-    assert code == 2
-    assert "usage error: --stride applies to step studies" in err
-    assert out == "" and not out_file.exists()
-
-
-def test_simulate_noise_stride_refusal_states_the_real_interval(capsys):
-    # 0.1 s is not a whole number of 0.07 s steps: the run records every step
-    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
-                         "--law", "dpiac", "--kind", "noise", "--seed", "1",
-                         "--sigma", "1:0.01", "--t-end", "0.7", "--h", "0.07",
-                         "--burn-in", "0.5", "--stride", "2")
-    assert code == 2
-    assert err == ("usage error: --stride applies to step studies; noise runs "
-                   "record every 0.07 s\n")
-    assert out == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--case", two_node_case, "--law", "dpiac", *argv,
+                  "--stride", "5", "--out", str(out_file)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stride 5" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -695,16 +676,6 @@ def test_simulate_t_end_off_the_step_grid_is_usage_error(capsys, tmp_path, argv)
     assert code == 2
     assert "usage error: t_end 1 is not a whole number of steps h" in err
     assert out == "" and not out_file.exists()
-
-
-def test_simulate_stride_not_dividing_the_steps_is_usage_error(capsys):
-    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
-                         "--law", "dpiac", "--kind", "step", "--t-end", "1",
-                         "--onset", "0.5", "--t0", "0.5", "--stride", "7")
-    assert code == 2
-    assert ("usage error: --stride 7: recording every 7 steps (0.07 s) does not "
-            "end at t_end 1: 100 steps") in err
-    assert out == ""
 
 
 def test_simulate_noise_records_t_end(capsys, tmp_path):
@@ -872,11 +843,9 @@ def test_t0_not_positive_is_usage_error(capsys, two_node_case, command, t0):
     # the two-node study ends at 50 s
     (["simulate", "--t0", "60"], "--t0 60 lies past the last recorded time 50 s"),
     (["simulate", "--t-end", "30"], "--t0 40 lies past the last recorded time 30 s"),
-    (["simulate", "--t-end", "9", "--stride", "3", "--t0", "9.5"],
-     "--t0 9.5 lies past the last recorded time 9 s"),
     (["sweep", "--param", "k1", "--grid", "1", "--sim", "step", "--t0", "100"],
      "--t0 100 lies past the last recorded time 50 s"),
-], ids=["simulate", "simulate-default-t0", "simulate-stride", "sweep"])
+], ids=["simulate", "simulate-default-t0", "sweep"])
 def test_t0_past_the_horizon_is_refused_before_simulating(capsys, monkeypatch,
                                                           two_node_case, argv,
                                                           message):

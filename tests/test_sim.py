@@ -405,14 +405,6 @@ def test_step_size_convergence():
     assert abs(c1 - c2) <= 1e-3 * abs(c2)
 
 
-def test_record_stride_must_be_positive():
-    net, comm = ring_net(3)
-    for stride in (0, -1):
-        with pytest.raises(DomainError):
-            simulate_deterministic(net, comm, "dpiac", GainSchedule.analytic(1.0),
-                                   quiet_step(t_end=2.0), stride=stride)
-
-
 @pytest.mark.parametrize("kind, fields", [
     (ScenarioKind.STEP, dict(t_end=1.0, h=0.07)),
     (ScenarioKind.NOISE, dict(t_end=1.0, h=0.07)),
@@ -442,40 +434,28 @@ def test_record_steps():
                                 burn_in=0.0).record_steps() == range(0, 11)
     assert Scenario.white_noise({}, seed=1, t_end=2.0, h=0.2,
                                 burn_in=0.0).record_steps() == range(0, 11)
-    with pytest.raises(ValueError, match="noise runs take no record stride"):
-        Scenario.white_noise({}, seed=1, t_end=2.0, burn_in=0.0).record_steps(1)
-    # steps: every stride-th step, which must divide the steps to t_end
-    scen = quiet_step(t_end=2.0, h=0.02)
-    assert scen.record_steps() == range(0, 101)
-    assert scen.record_steps(5) == range(0, 101, 5)
-    with pytest.raises(ValueError, match=r"every 7 steps \(0.14 s\) does not end"):
-        scen.record_steps(7)
+    # steps: every step, whatever h
+    assert quiet_step(t_end=2.0, h=0.02).record_steps() == range(0, 101)
+    assert quiet_step(t_end=2.0, h=0.1).record_steps() == range(0, 21)
 
 
-def test_record_stride_must_divide_the_steps():
-    net, comm = ring_net(3)
-    with pytest.raises(DomainError, match="every 3 steps"):
-        simulate_deterministic(net, comm, "dpiac", GainSchedule.analytic(1.0),
-                               quiet_step(t_end=2.0), stride=3)
-
-
-@pytest.mark.parametrize("t_end, h, stride, onset", [
+@pytest.mark.parametrize("t_end, h, onset", [
     # n * h lies one ulp past t_end: 2.3000000000000003 and 0.7000000000000001
-    (2.3, 0.01, 1, 1.0),
-    (0.7, 0.07, 1, 0.1),
-    (9.0, 0.01, 2, 5.0),
+    (2.3, 0.01, 1.0),
+    (0.7, 0.07, 0.1),
+    (9.0, 0.02, 5.0),
     # within the 1e-9 slack of 6000 steps: the last row is at 60
-    (59.99999999, 0.01, 1, 5.0),
-    (2.0, 0.01, 1, 0.0),
-    (2.0, 0.02, 5, 0.5),
-    (2.0, 0.01, 4, 0.333),
-    (0.7, 0.07, 1, 0.65),
+    (59.99999999, 0.01, 5.0),
+    (2.0, 0.01, 0.0),
+    (2.0, 0.1, 0.5),
+    (2.0, 0.04, 0.333),
+    (0.7, 0.07, 0.65),
     # past n * h = 1.0 but before t_end: no stepped segment runs
-    (1.00000000005, 0.01, 1, 1.00000000002),
-], ids=["t_n-past-t_end", "coarse-t_n-past-t_end", "stride-2", "t_end-below-t_n",
+    (1.00000000005, 0.01, 1.00000000002),
+], ids=["t_n-past-t_end", "coarse-t_n-past-t_end", "h-0.02", "t_end-below-t_n",
         "onset-0", "onset-on-grid", "onset-off-grid", "onset-in-last-step",
         "onset-past-t_n"])
-def test_step_study_records_its_grid(t_end, h, stride, onset, monkeypatch):
+def test_step_study_records_its_grid(t_end, h, onset, monkeypatch):
     import piac.sim
 
     net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
@@ -488,12 +468,10 @@ def test_step_study_records_its_grid(t_end, h, stride, onset, monkeypatch):
 
     monkeypatch.setattr(piac.sim, "solve_ivp", recording_solve_ivp)
     scen = Scenario.step({1: -0.1, 4: -0.1}, onset=onset, t_end=t_end, h=h)
-    tr = simulate_deterministic(net, comm, "dpiac", gains, scen, stride=stride)
-    steps = scen.record_steps(stride)
+    tr = simulate_deterministic(net, comm, "dpiac", gains, scen)
     n = round(t_end / h)
-    assert steps[-1] == n
-    assert len(tr.t) == len(steps)
-    assert np.array_equal(tr.t, np.array(steps) * h)
+    assert scen.record_steps() == range(0, n + 1)
+    assert np.array_equal(tr.t, np.arange(n + 1) * h)
     assert tr.t[-1] == n * h
     # every segment runs forward and evaluates inside its span
     for (a, b), t_eval in spans:
