@@ -107,6 +107,9 @@ def loads_case(text: str, path: str = "<string>"):
     scen_kv: dict[str, str | float | int] = {}
     steps: dict[int, float] = {}
     sigma: dict[int, float] = {}
+    # (line, key, node) of every step=/sigma= entry, checked against the
+    # nodes once every section is read
+    node_refs: list[tuple[int, str, int]] = []
     saw: set[str] = set()
     section = None
 
@@ -183,6 +186,7 @@ def loads_case(text: str, path: str = "<string>"):
                     nid = _parse_int(nid, f"{key} node", path, lineno)
                     if nid in values:
                         raise CaseFormatError(f"{key} names node {nid} twice", path, lineno)
+                    node_refs.append((lineno, key, nid))
                     values[nid] = _parse_float(
                         v, "step size" if key == "step" else "sigma", path, lineno)
                 elif key in ("kind", "t_end", "h", "onset", "paths", "burn_in", "seed"):
@@ -244,10 +248,10 @@ def loads_case(text: str, path: str = "<string>"):
         kind_tok = scen_kv["kind"]
         if kind_tok not in ("step", "noise"):
             raise CaseFormatError(f"unknown scenario kind {kind_tok!r}", path)
-        known = set(net.ids)
-        for nid in list(steps) + list(sigma):
-            if nid not in known:
-                raise CaseFormatError(f"scenario references unknown node {nid}", path)
+        for lineno, key, nid in node_refs:
+            if nid not in net.index_of:
+                raise CaseFormatError(f"{key} references unknown node {nid}",
+                                      path, lineno)
         kind = ScenarioKind(kind_tok)
         try:
             scenario = Scenario(

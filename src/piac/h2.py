@@ -174,13 +174,16 @@ def lyapunov_solve(A, RHS, schur: _SchurForm | None = None) -> np.ndarray:
                      "%.3e (relative), condition estimate %.3e", res / rhs_scale, kappa)
         else:
             a_scale = float(np.abs(A).max())
-            floor = np.finfo(float).eps * a_scale * float(np.abs(X).max())
+            x_scale = float(np.abs(X).max())
+            floor = np.finfo(float).eps * a_scale * x_scale
+            # the floor is a product: a large A (large gains) or a large X
+            # (a badly damped loop) can each raise it
             raise SolverAccuracyError(
                 f"lyapunov residual {res / rhs_scale:.3e} relative exceeds "
-                f"{_LYAP_TOL:.1e} (condition estimate {kappa:.2e}, scale "
-                f"max|A| {a_scale:.2e}): gains this large put the round-off "
-                "floor of the residual, about eps*|A|*|X| (here "
-                f"{floor / rhs_scale:.1e} relative), above the bound")
+                f"{_LYAP_TOL:.1e} (condition estimate {kappa:.2e}); round-off "
+                "in the residual scales with eps*max|A|*max|X| "
+                f"= {floor / rhs_scale:.1e} relative, with max|A| "
+                f"{a_scale:.2e} and max|X| {x_scale:.2e}")
     return X
 
 

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (_damped_newton, _refuse_feedthrough, _SimModel,
-                         _weighted_gram)
+from .closedloop import (StateSpace, _damped_newton, _refuse_feedthrough,
+                         _SimModel, _weighted_gram, deflate_zero_mode)
 # kept importable here: the benchmark's tracer test checks that a wrapped
 # function is also patched where another module imported it
 from .closedloop import assemble_dpiac  # noqa: F401
@@ -299,7 +299,8 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     :meth:`Scenario.record_times`, the last at ``n * h``. Noise that
     reaches a frequency directly, at a load bus or through a passive one,
     would make ``E_S`` grow like ``1 / h``: read off the stepped model's
-    matrices, it raises :class:`DomainError` before any step.
+    matrices, it raises :class:`DomainError` before any step, as does a step
+    ``h`` the stepper cannot resolve (:func:`_refuse_unstable_step`).
     """
     if scenario.kind is not ScenarioKind.NOISE:
         raise DomainError("simulate_stochastic needs a noise scenario")
@@ -310,6 +311,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     model_obj = _SimModel(net, comm, law, gains, model)
     A, B = model_obj.matrices(np.eye(net.n_nodes))
     _refuse_feedthrough(model_obj, B * sig, "--sigma on machine buses")
+    _refuse_unstable_step(model_obj, A, B, scenario.h)
     x0 = model_obj.at_rest(_equilibrium(model_obj))
     p = net.injections
     if model == "linear":
@@ -325,6 +327,31 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     t, X, W = _euler_maruyama(drift, x0, sig, scenario)
     traces = _traces(model_obj, t, X, p + W)
     return traces, _ensemble_metrics(traces, net.prices, scenario.burn_in)
+
+
+def _refuse_unstable_step(model_obj, A, B, h) -> None:
+    """Raise :class:`DomainError` unless Euler-Maruyama at step ``h`` is
+    mean-square stable on the loop ``(A, B)`` of ``model_obj``, every bus an
+    input: |1 + h lambda| < 1 for every eigenvalue lambda of the deflated
+    ``A``. The conserved modes the deflation drops are never excited. The
+    sine model's linearization at rest is that ``A``, so the refusal holds
+    for both models. The message names the largest stable step, the least
+    ``-2 Re lambda / |lambda|^2``."""
+    loop = deflate_zero_mode(StateSpace(A=A, B=B, B_in=np.eye(model_obj.n),
+                                        model=model_obj))
+    lam = np.linalg.eigvals(loop.A)
+    growth = np.abs(1.0 + h * lam)
+    k = int(growth.argmax())
+    if growth[k] < 1.0:
+        return
+    if lam.real.max() < 0:
+        bound = f"the largest stable step is {np.min(-2.0 * lam.real / np.abs(lam) ** 2):.3g}"
+    else:
+        bound = "no step is stable on a loop that is not asymptotically stable"
+    raise DomainError(
+        f"Euler-Maruyama step h = {h:g} does not resolve the loop: "
+        f"max |1 + h lambda| = {growth[k]:.4g} >= 1 at lambda = {lam[k]:.4g}, "
+        f"so the ensemble diverges; {bound}")
 
 
 def _euler_maruyama(drift, x0, sig, scenario):

@@ -222,9 +222,24 @@ def test_node_voltage_other_than_one_is_format_error():
 
 
 def test_scenario_unknown_node():
-    bad = GOOD.replace("step=2:-0.1", "step=99:-0.1")
-    with pytest.raises(CaseFormatError):
-        loads_case(bad)
+    # checked once every section is read, but named at its own line
+    scenario = "kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1"
+    for body, message in (
+            ("kind=step\nstep=2:-0.1\nstep=99:-0.1", "18: step references unknown node 99"),
+            ("kind=noise\nsigma=99:0.002\nsigma=1:0.002\nseed=7",
+             "17: sigma references unknown node 99")):
+        with pytest.raises(CaseFormatError, match=f"^bad.case:{message}$"):
+            loads_case(GOOD.replace(scenario, body), path="bad.case")
+
+
+def test_roundtrip_noise_scenario():
+    noise = ("kind=noise\nt_end=100.0\nh=0.001\nsigma=1:0.002\nsigma=2:0.003\n"
+             "paths=4\nburn_in=10.0\nseed=7")
+    loaded = loads_case(GOOD.replace(
+        "kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1", noise))
+    text = dumps_case(*loaded)
+    assert text.endswith("[scenario]\n" + noise + "\n")
+    assert loads_case(text) == loaded
 
 
 def test_missing_sections():

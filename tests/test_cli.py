@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -320,6 +322,31 @@ def test_sweep_step_metrics_follow_the_model(capsys):
                        "--k3", "2", "--kind", "step", "--model", "linear")
     assert code == 0
     assert out.split() == [f"S={S}", f"C={C}", "(t0=40)"]
+
+
+def test_simulate_step_off_the_closed_form_ratio(capsys, caplog, tmp_path):
+    # k2 > 4 k1 simulates (only the closed forms need k2 = 4 k1), says so
+    # at INFO, and ends at the optimal steady state of criterion 9
+    case = bundled_case_path("homogeneous10")
+    net, _, _, scen = load_case(case)
+    out_file = tmp_path / "a.csv"
+    with caplog.at_level(logging.INFO, logger="piac.sim"):
+        code, out, _ = run(capsys, "simulate", "--case", case, "--law", "dpiac",
+                           "--k1", "0.8", "--k2", "4", "--kind", "step",
+                           "--out", str(out_file))
+    assert code == 0 and out.startswith("S=")
+    assert [(r.levelno, r.getMessage()) for r in caplog.records
+            if r.name == "piac.sim"] == [
+        (logging.INFO, "simulating with k2 = 4 != 4*k1 = 3.2; closed-form "
+                       "comparisons are unavailable at this schedule")]
+    last = [row.split(",") for row in
+            out_file.read_text().splitlines()[-net.n_nodes:]]
+    u = np.array([float(row[6]) for row in last])
+    mc = np.array([float(row[7]) for row in last])
+    p_post = net.injections.sum() + sum(scen.steps.values())
+    assert abs((p_post + u.sum()) / net.dampings.sum()) <= 1e-5
+    assert abs(u.sum() + p_post) <= 1e-4
+    assert mc.max() - mc.min() <= 1e-3
 
 
 def test_step_case_without_onset_steps_at_the_default_onset(capsys, tmp_path):
@@ -679,9 +706,10 @@ def test_simulate_t_end_off_the_step_grid_is_usage_error(capsys, tmp_path, argv)
 
 
 def test_simulate_noise_records_t_end(capsys, tmp_path):
+    # decpiac: Euler-Maruyama does not resolve dpiac's loop at h = 0.07
     out_file = tmp_path / "a.csv"
     code, _, _ = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
-                     "--law", "dpiac", "--kind", "noise", "--seed", "1",
+                     "--law", "decpiac", "--kind", "noise", "--seed", "1",
                      "--sigma", "1:0.01", "--t-end", "0.7", "--h", "0.07",
                      "--burn-in", "0.5", "--paths", "2", "--out", str(out_file))
     assert code == 0
@@ -710,6 +738,42 @@ def test_simulate_noise_feeding_a_frequency_is_refused(capsys, sigma, bus):
     assert code == 5
     assert f"the frequency at bus(es) {bus}; " in err and "--sigma" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("model", ["sin", "linear"])
+def test_simulate_noise_step_the_loop_cannot_resolve_is_refused(capsys, monkeypatch,
+                                                                model):
+    # dpiac's fastest mode on ieee39-like, lambda = -235.1, is resolved by
+    # Euler-Maruyama only below h = 0.00851; at h = 0.01 the sine model's
+    # bounded flows used to hide the divergence behind E_S = 6.4e4
+    import piac.sim
+
+    argv = ["simulate", "--case", bundled_case_path("ieee39-like"), "--law", "dpiac",
+            "--kind", "noise", "--seed", "1", "--sigma", "30:0.01", "--sigma",
+            "35:0.01", "--t-end", "1", "--burn-in", "0.5", "--paths", "2",
+            "--model", model]
+    with monkeypatch.context() as m:
+        m.setattr(piac.sim, "_euler_maruyama", None)
+        code, out, err = run(capsys, *argv, "--h", "0.01")
+    assert code == 5 and out == ""
+    assert err.startswith("analysis error: Euler-Maruyama step h = 0.01 does not "
+                          "resolve the loop: max |1 + h lambda| = 1.351 >= 1 at "
+                          "lambda = -235.1")
+    assert err.endswith("the largest stable step is 0.00851\n")
+    code, out, _ = run(capsys, *argv, "--h", "0.005")
+    assert code == 0 and out.startswith("E_S=")
+
+
+def test_sweep_noise_step_the_loop_cannot_resolve_is_refused(capsys, tmp_path):
+    case = tmp_path / "noise.case"
+    case.write_text(TWO_NODE.replace(
+        "kind=step\nt_end=50.0\nh=0.01\nonset=2.0\nstep=1:-0.2",
+        "kind=noise\nt_end=5.0\nh=0.5\nsigma=1:0.01\npaths=2\nburn_in=1.0"))
+    code, out, err = run(capsys, "sweep", "--case", str(case), "--law", "dpiac",
+                         "--param", "k1", "--grid", "0.5,1.0", "--sim", "noise",
+                         "--seed", "11")
+    assert code == 5 and out == ""
+    assert "Euler-Maruyama step h = 0.5 does not resolve the loop" in err
 
 
 HOM10_NOISE = ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01",
@@ -793,8 +857,9 @@ def test_benchmark_commands_still_run(capsys, tmp_path):
             assert code == 0, (op.name, err)
 
 
-@pytest.mark.parametrize("case", [bundled_case_path("ieee39-like"), "missing.case"],
-                         ids=["bundled", "missing"])
+@pytest.mark.parametrize("case", [bundled_case_path("ieee39-like"), "missing.case",
+                                  bundled_case_path("homogeneous10")],
+                         ids=["bundled", "missing", "homogeneous10"])
 def test_python_m_piac_runs_the_cli(capsys, tmp_path, case):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -805,6 +870,7 @@ def test_python_m_piac_runs_the_cli(capsys, tmp_path, case):
     code, out, err = run(capsys, "validate", "--case", case)
     assert (proc.returncode, proc.stdout) == (code, out)
     assert proc.stderr == err
+    assert code == (2 if case == "missing.case" else 0)
 
 
 def test_parser_is_built_once(capsys, two_node_case):

@@ -161,6 +161,27 @@ def test_relaxed_tolerance_needs_a_large_condition_estimate():
     assert 1e-9 < residual <= 1e-6
 
 
+@pytest.mark.parametrize("case, k1, k3, factors", [
+    # tiny gains, small A: the floor is large because X is
+    ("ring3", 1e-7, 0.5, "= 1.6e-09 relative, with max|A| 1.74e+00 and max|X| 4.17e+06"),
+    # large gains, large A
+    ("ieee39-like", 1e4, 1e4, "= 3.3e-07 relative, with max|A| 3.47e+09 and max|X| 5.88e-01"),
+])
+def test_refused_solve_names_both_factors_of_the_round_off(case, k1, k3, factors):
+    if case == "ring3":
+        net, comm = ring_net(3)
+        B_in = None
+    else:
+        net, comm, _, _ = load_case(bundled_case_path(case))
+        B_in = machine_bus_input(net)
+    with pytest.raises(SolverAccuracyError) as err:
+        analyze(net, comm, GainSchedule.analytic(k1, k3), "dpiac", OM, B_in=B_in)
+    message = str(err.value)
+    assert message.endswith("round-off in the residual scales with "
+                            f"eps*max|A|*max|X| {factors}")
+    assert "gains" not in message
+
+
 def test_dual_solve_on_non_normal_matrix():
     # one factorization of A also solves A X + X A^T + R = 0
     rng = np.random.default_rng(8)
@@ -369,6 +390,25 @@ def test_modal_matches_dense():
             modal, per_mode = h2_modal(sys, spec, sel)
             assert abs(modal - dense) <= 1e-9 * max(1.0, abs(dense))
             assert len(per_mode) == net.n_nodes
+
+
+@pytest.mark.parametrize("law", ["decpiac", "dpiac"])
+def test_modal_matches_dense_without_consensus(law):
+    # decpiac, and dpiac at k3 = 0, leave each nonzero mode a 4-state block
+    # with one unreachable marginal direction, which the modal route
+    # projects out on its own
+    from piac.closedloop import modal_decouple
+
+    net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
+    spec = spectral_decompose(build_laplacian(net))
+    sys = assemble(net, comm, law, GainSchedule.analytic(gains.k1, 0.0))
+    selectors = (OM, U, US, SP)
+    for sel, dense in zip(selectors, h2_norms(sys, selectors)):
+        blocks = modal_decouple(sys, spec, sel)
+        assert sum(b.eigenvalue != 0.0 and b.dim == 4 and b.A[2, 3] == 0.0
+                   for b in blocks) == net.n_nodes - 1
+        modal, _ = h2_modal(sys, spec, sel)
+        assert abs(modal - dense) <= 1e-9 * max(1.0, abs(dense))
 
 
 def test_modal_per_mode_matches_analytic():

@@ -671,18 +671,26 @@ def test_stochastic_seed_reproducible():
     assert np.array_equal(a[0].omega, c[0].omega)
 
 
-def test_stochastic_blowup_detected():
-    # a one-second Euler-Maruyama step on a stiff ring is unstable; the
-    # divergence must surface as an error, not NaNs in the trace
+def test_stochastic_blowup_detected(monkeypatch):
+    # a one-second Euler-Maruyama step on a stiff ring is unstable: refused
+    # before any step. On a stable step, a state past the blow-up limit must
+    # still surface as an error, not as NaNs in the trace
+    import piac.sim
     from piac import NumericalBlowup
 
     net, comm = ring_net(3, k=5.0)
     g = GainSchedule.analytic(1.0, 1.0)
     scen = Scenario(kind=ScenarioKind.NOISE, t_end=400.0, h=1.0,
                     sigma={1: 0.01}, paths=1, burn_in=10.0, seed=3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalBlowup):
-            simulate_stochastic(net, comm, "dpiac", g, scen, model="linear")
+    monkeypatch.setattr(piac.sim, "_euler_maruyama", None)
+    with pytest.raises(DomainError, match=r"step h = 1 does not resolve the loop"):
+        simulate_stochastic(net, comm, "dpiac", g, scen, model="linear")
+    monkeypatch.undo()
+    monkeypatch.setattr(piac.sim, "_BLOWUP_LIMIT", 0.0)
+    with pytest.raises(NumericalBlowup, match=r"diverged by t = 0.1 s: path 0"):
+        simulate_stochastic(net, comm, "dpiac", g,
+                            replace(scen, t_end=1.0, h=1e-2, burn_in=0.5),
+                            model="linear")
 
 
 def _state_size(trace):
