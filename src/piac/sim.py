@@ -342,16 +342,12 @@ def _refuse_unstable_step(model_obj, A, B, h) -> None:
     lam = np.linalg.eigvals(loop.A)
     growth = np.abs(1.0 + h * lam)
     k = int(growth.argmax())
-    if growth[k] < 1.0:
-        return
-    if lam.real.max() < 0:
-        bound = f"the largest stable step is {np.min(-2.0 * lam.real / np.abs(lam) ** 2):.3g}"
-    else:
-        bound = "no step is stable on a loop that is not asymptotically stable"
-    raise DomainError(
-        f"Euler-Maruyama step h = {h:g} does not resolve the loop: "
-        f"max |1 + h lambda| = {growth[k]:.4g} >= 1 at lambda = {lam[k]:.4g}, "
-        f"so the ensemble diverges; {bound}")
+    if growth[k] >= 1.0:
+        h_max = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+        raise DomainError(
+            f"Euler-Maruyama step h = {h:g} does not resolve the loop: "
+            f"max |1 + h lambda| = {growth[k]:.4g} >= 1 at lambda = {lam[k]:.4g}, "
+            f"so the ensemble diverges; the largest stable step is {h_max:.3g}")
 
 
 def _euler_maruyama(drift, x0, sig, scenario):
