@@ -212,10 +212,10 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     ``h`` sets only the output grid: rows land at
     :meth:`Scenario.record_times`, every step ``k * h`` up to the last,
     ``n * h``, so a coarser grid is a larger ``h``. Integration restarts at
-    the onset, so the load step never straddles an adaptive step: one segment runs
-    over (0, onset), the next over (onset, n * h], and each records the rows
-    up to its end that no earlier segment recorded. Rows at or after the
-    onset see the stepped injections.
+    the onset, so the load step never straddles an adaptive step: one
+    segment runs over (0, onset), the next over (onset, n * h], and each
+    records the rows up to its end that no earlier segment recorded. Rows at
+    or after the onset see the stepped injections.
     """
     if scenario.kind is not ScenarioKind.STEP:
         raise DomainError("simulate_deterministic needs a step scenario")
