@@ -670,20 +670,28 @@ def test_sweep_negative_seed_is_usage_error(capsys, tmp_path):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["--kind", "step", "--t-end", "2", "--onset", "1", "--t0", "2"],
-    ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01", "--t-end", "2",
-     "--burn-in", "0.5"],
-], ids=["step", "noise"])
-def test_simulate_refuses_stride(capsys, two_node_case, tmp_path, argv):
+def assert_stride_refused(capsys, out_file, argv, stride):
     # --h alone sets a step study's grid: --stride 5 is --h 5h
-    out_file = tmp_path / "a.csv"
     with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", "--case", two_node_case, "--law", "dpiac", *argv,
-                  "--stride", "5", "--out", str(out_file)])
+        cli.main(["simulate", *argv, "--stride", stride, "--out", str(out_file)])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --stride 5" in capsys.readouterr().err
+    assert f"unrecognized arguments: --stride {stride}" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_simulate_stride_below_one_is_usage_error(capsys, tmp_path, stride):
+    assert_stride_refused(capsys, tmp_path / "a.csv",
+                          ["--case", bundled_case_path("homogeneous10"), "--law", "dpiac",
+                           "--kind", "step", "--t-end", "2", "--onset", "1"], stride)
+
+
+@pytest.mark.parametrize("stride", ["1", "5"])
+def test_simulate_noise_refuses_stride(capsys, two_node_case, tmp_path, stride):
+    assert_stride_refused(capsys, tmp_path / "a.csv",
+                          ["--case", two_node_case, "--law", "dpiac", "--kind", "noise",
+                           "--seed", "1", "--sigma", "1:0.01", "--t-end", "2",
+                           "--burn-in", "0.5"], stride)
 
 
 @pytest.mark.parametrize("argv", [
