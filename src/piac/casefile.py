@@ -36,13 +36,13 @@ flat so files diff well::
 by id, edges sorted by pair, floats via ``repr`` so loading a saved file
 reproduces the exact same objects. It writes ``V=1.0`` on every node.
 
-``t_end`` must be a whole number of steps ``h`` (and, for noise, of the
-0.1 s recording interval rounded to whole steps); :class:`Scenario` refuses
+``t_end`` must be a whole number of steps ``h``; :class:`Scenario` refuses
 it otherwise. It refuses the other kind's keys too: ``onset`` and ``step``
 in a noise scenario, ``sigma``, ``paths``, ``burn_in`` and ``seed`` in a
 step scenario, and a step onset within LSODA's resolution below the last
-recorded time. A node named twice in ``step=`` or ``sigma=`` lines, and a
-number that does not parse, are refused at their line.
+recorded time, or at or past it. A node named twice in ``step=`` or
+``sigma=`` lines, and a number that does not parse, are refused at their
+line.
 """
 
 import math

@@ -42,11 +42,10 @@ class Scenario:
     ``h`` is the Euler-Maruyama step for noise runs and the output-grid
     spacing for deterministic runs (which integrate adaptively underneath).
     ``t_end`` must be a whole number of steps ``h``, up to a relative slack
-    of 1e-9, and a noise run's recording interval must divide it, so the
-    last recorded row is at ``n * h``, the end of the last of the n steps.
-    A step's ``onset`` lies in [0, t_end), and neither a positive value
-    that ``t_end`` cannot tell from 0 nor within ``2 eps t_n`` below the
-    last recorded time ``t_n``: LSODA steps no span that short.
+    of 1e-9, so the last recorded row is at ``n * h``, the end of the last
+    of the n steps. A step's ``onset`` lies in [0, t_end) and at least
+    ``2 eps t_n`` below the last recorded time ``t_n``: the study integrates
+    from the onset to ``t_n``, and LSODA steps no shorter span.
     ``seed`` is mandatory for noise runs so every ensemble is reproducible,
     and non-negative, as numpy's ``SeedSequence`` requires.
     A field left ``None`` takes its kind's value in :data:`DEFAULTS`; a
@@ -90,12 +89,9 @@ class Scenario:
         if self.kind is ScenarioKind.STEP:
             if self.onset < 0 or self.onset >= self.t_end:
                 raise ValueError(f"onset {self.onset} must lie in [0, t_end)")
-            # a span that short hangs the integrator of step studies
-            if self.onset and self.t_end - self.onset == self.t_end:
-                raise ValueError(f"onset {self.onset:g} is 0 at the precision of "
-                                 f"t_end {self.t_end:g}; give 0")
-            # LSODA refuses a span under 2 eps max(|t|, |tout|)
-            if 0 < t_n - self.onset < 2 * np.finfo(float).eps * t_n:
+            # LSODA refuses a span under 2 eps max(|t|, |tout|); an onset at
+            # or past t_n would leave no span at all
+            if t_n - self.onset < 2 * np.finfo(float).eps * t_n:
                 raise ValueError(f"onset {self.onset!r} lies less than 2 eps t_n "
                                  f"below the last recorded time t_n = {t_n!r}: "
                                  "the integrator cannot step a span that short; "
@@ -109,12 +105,13 @@ class Scenario:
                 raise ValueError("burn_in must lie in [0, t_end)")
 
     def record_steps(self) -> range:
-        """The recorded steps 0, s, 2s, ..., n of the n steps to ``t_end``.
+        """The recorded steps ..., n - 2s, n - s, n of the n steps to
+        ``t_end``, counted back from n down to the least step >= 0.
 
         A step study records every step (s = 1): ``h`` alone sets its grid.
         A noise run records every ``_RECORD_DT`` s, rounded to whole steps
-        (at least one), which must divide n. A ``t_end`` that is not a whole
-        number of steps, or a recording interval that does not end at it,
+        (at least one); where s does not divide n, its first recorded step
+        is ``n % s``, not 0. A ``t_end`` that is not a whole number of steps
         raises :class:`ValueError`.
         """
         q = self.t_end / self.h
@@ -124,10 +121,7 @@ class Scenario:
                              f"steps h = {self.h:g}")
         stride = (max(1, round(_RECORD_DT / self.h))
                   if self.kind is ScenarioKind.NOISE else 1)
-        if n % stride:
-            raise ValueError(f"recording every {stride} steps ({stride * self.h:g} s) "
-                             f"does not end at t_end {self.t_end:g}: {n} steps")
-        return range(0, n + 1, stride)
+        return range(n % stride, n + 1, stride)
 
     def record_times(self) -> np.ndarray:
         """The times ``k * h`` of :meth:`record_steps`, the last at ``n * h``."""

@@ -28,9 +28,10 @@ frozen-over-the-step reading of white noise in the power balance; noise
 that reaches a frequency that way is refused. Both simulators record at
 :meth:`Scenario.record_times`, the times ``k * h`` of the steps
 :meth:`Scenario.record_steps` names, the last at ``n * h``, the whole
-number of steps nearest ``t_end``; a step study's segments end on that
-grid, or at the onset. Traces rebuild the algebraic states of the recorded
-rows in batched solves.
+number of steps nearest ``t_end``. A step study starts at rest, so it
+integrates once, from the onset to ``n * h``, and writes the rest state on
+the rows up to the onset. Traces rebuild the algebraic states of the
+recorded rows in batched solves.
 
 SciPy's ODE stack (``scipy.integrate`` and the optimize, sparse, spatial,
 special and fft packages it loads) is imported on the first call of
@@ -50,7 +51,7 @@ from .closedloop import (StateSpace, _damped_newton, _refuse_feedthrough,
 # function is also patched where another module imported it
 from .closedloop import assemble_dpiac  # noqa: F401
 from .controllers import GainSchedule, optimal_dispatch
-from .errors import DomainError, InsufficientHorizon, NumericalBlowup
+from .errors import DomainError, InsufficientHorizon, NumericalBlowup, ShapeError
 from .netmodel import CommunicationGraph, PowerNetwork
 from .scenario import Scenario, ScenarioKind
 
@@ -148,27 +149,7 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
     """Steady state with the secondary loop holding the synchronized
     frequency at zero: optimal inputs, matching controller offsets, and the
     zero-mean phase profile solving the (sine or linearized) power flow."""
-    return _equilibrium(_SimModel(net, comm, law, gains, model))
-
-
-def _phase_complement(n: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the uniform vector in R^n.
-
-    Columns 2..n of the Householder reflector mapping e_1 to 1/sqrt(n);
-    deterministic, so the power flow solved on it is reproducible.
-    """
-    v = np.full(n, 1.0 / math.sqrt(n))
-    w = v - np.eye(n)[:, 0]
-    H = np.eye(n)
-    wn = w @ w
-    if wn > 0:
-        H -= 2.0 * np.outer(w, w) / wn
-    return H[:, 1:]
-
-
-def _equilibrium(model_obj: _SimModel) -> Equilibrium:
-    """:func:`find_equilibrium` of the network ``model_obj`` was built on."""
-    net = model_obj.net
+    model_obj = _SimModel(net, comm, law, gains, model)
     u_eq = optimal_dispatch(net)
     inj = net.injections.copy()
     inj[model_obj.mf] += u_eq
@@ -187,6 +168,21 @@ def _equilibrium(model_obj: _SimModel) -> Equilibrium:
                           1e-12 * max(1.0, float(np.abs(inj).max())), "power-flow")
     eta, xi = model_obj.law.offsets(u_eq)
     return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
+
+
+def _phase_complement(n: int) -> np.ndarray:
+    """Orthonormal basis of the complement of the uniform vector in R^n.
+
+    Columns 2..n of the Householder reflector mapping e_1 to 1/sqrt(n);
+    deterministic, so the power flow solved on it is reproducible.
+    """
+    v = np.full(n, 1.0 / math.sqrt(n))
+    w = v - np.eye(n)[:, 0]
+    H = np.eye(n)
+    wn = w @ w
+    if wn > 0:
+        H -= 2.0 * np.outer(w, w) / wn
+    return H[:, 1:]
 
 
 def _node_vector(net, values: dict[int, float]) -> np.ndarray:
@@ -211,11 +207,10 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     stiffness detection takes Adams steps where the dynamics are not stiff.
     ``h`` sets only the output grid: rows land at
     :meth:`Scenario.record_times`, every step ``k * h`` up to the last,
-    ``n * h``, so a coarser grid is a larger ``h``. Integration restarts at
-    the onset, so the load step never straddles an adaptive step: one
-    segment runs over (0, onset), the next over (onset, n * h], and each
-    records the rows up to its end that no earlier segment recorded. Rows at
-    or after the onset see the stepped injections.
+    ``n * h``, so a coarser grid is a larger ``h``. Before the onset the
+    network rests at its equilibrium, so one solve runs over (onset, n * h]
+    and records the rows after the onset; the rows at and before it hold
+    the rest state. Rows at or after the onset see the stepped injections.
     """
     if scenario.kind is not ScenarioKind.STEP:
         raise DomainError("simulate_deterministic needs a step scenario")
@@ -225,32 +220,26 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     p_post = p_pre + _node_vector(net, scenario.steps)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
-    x_start = model_obj.at_rest(_equilibrium(model_obj))
-    # each segment's rows, stacked after the last solve: an output array
-    # allocated up front would add its size to the peak memory of that solve
-    parts, done = [], 0
-    for a, b, p_eff in ((0.0, onset, p_pre), (onset, t[-1], p_post)):
-        if not a < b:
-            continue
-        k = int(np.searchsorted(t, b, side="right"))
-        # the segment's rows, and its end, where the next one starts
-        sol = solve_ivp(lambda _, x: model_obj.rhs(x, p_eff), (a, b), x_start,
-                        method="LSODA", rtol=_RTOL, atol=_ATOL,
-                        t_eval=np.union1d(t[done:k], b),
-                        jac=lambda _, x: model_obj.linearize(x, p_eff)[0])
-        if not sol.success:
-            raise NumericalBlowup(f"integration failed: {sol.message}")
-        blowup = _first_blowup(sol.y.T)
-        if blowup:
-            row, size = blowup
-            what = ("non-finite state" if not math.isfinite(size) else
-                    f"state beyond the blow-up limit {_BLOWUP_LIMIT:g}")
-            raise NumericalBlowup(f"{what} at t = {sol.t[row]:g} s "
-                                  f"(max |x| = {size:g})")
-        parts.append(sol.y.T[:k - done])
-        x_start, done = sol.y[:, -1], k
+    x_start = model_obj.at_rest(find_equilibrium(net, law, gains, comm, model))
+    # Scenario keeps the onset far enough below t[-1] for LSODA to step
+    k = int(np.searchsorted(t, onset, side="right"))
+    sol = solve_ivp(lambda _, x: model_obj.rhs(x, p_post), (onset, t[-1]), x_start,
+                    method="LSODA", rtol=_RTOL, atol=_ATOL, t_eval=t[k:],
+                    jac=lambda _, x: model_obj.linearize(x, p_post)[0])
+    if not sol.success:
+        raise NumericalBlowup(f"integration failed: {sol.message}")
+    blowup = _first_blowup(sol.y.T)
+    if blowup:
+        row, size = blowup
+        what = ("non-finite state" if not math.isfinite(size) else
+                f"state beyond the blow-up limit {_BLOWUP_LIMIT:g}")
+        raise NumericalBlowup(f"{what} at t = {sol.t[row]:g} s "
+                              f"(max |x| = {size:g})")
+    # stacked after the solve: an output array allocated up front would add
+    # its size to the solve's peak memory
+    X = np.concatenate([np.tile(x_start, (k, 1)), sol.y.T])
     P = np.where((t >= onset)[:, None], p_post, p_pre)
-    return _traces(model_obj, t, np.concatenate(parts)[None], P[None])[0]
+    return _traces(model_obj, t, X[None], P[None])[0]
 
 
 def _first_blowup(X):
@@ -312,7 +301,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     A, B = model_obj.matrices(np.eye(net.n_nodes))
     _refuse_feedthrough(model_obj, B * sig, "--sigma on machine buses")
     _refuse_unstable_step(model_obj, A, B, scenario.h)
-    x0 = model_obj.at_rest(_equilibrium(model_obj))
+    x0 = model_obj.at_rest(find_equilibrium(net, law, gains, comm, model))
     p = net.injections
     if model == "linear":
         A_T, B_T = A.T, B.T
@@ -357,7 +346,7 @@ def _euler_maruyama(drift, x0, sig, scenario):
 
     Returns :meth:`Scenario.record_times` and, with shapes
     (paths, T, .), the states and the jitter of the step that led to each
-    recorded row (zero on the first).
+    recorded row (zero on a row at step 0).
     """
     h, paths = scenario.h, scenario.paths
     sqrt_h = math.sqrt(h)
@@ -368,7 +357,8 @@ def _euler_maruyama(drift, x0, sig, scenario):
     X_rec = np.empty((len(rec), paths, len(x0)))
     W_rec = np.zeros((len(rec), paths, len(sig)))
     X = np.tile(x0, (paths, 1))
-    X_rec[0] = X
+    if 0 in rec:
+        X_rec[0] = X
     chunk = max(1, _NOISE_CHUNK_BYTES // (8 * paths * len(sig)))
     for start in range(0, n_steps, chunk):
         this = min(chunk, n_steps - start)
@@ -381,7 +371,7 @@ def _euler_maruyama(drift, x0, sig, scenario):
         for k in range(this):
             X = X + h * drift(X, W[k])
             step = start + k + 1
-            if step % rec.step == 0:
+            if step in rec:
                 # checked where recorded: no other state reaches the output
                 blowup = _first_blowup(X)
                 if blowup:
@@ -389,8 +379,9 @@ def _euler_maruyama(drift, x0, sig, scenario):
                     raise NumericalBlowup(
                         f"stochastic ensemble diverged by t = {step * h:g} s: "
                         f"path {path}, max |x| = {size:g}")
-                X_rec[step // rec.step] = X
-                W_rec[step // rec.step] = W[k]
+                row = rec.index(step)
+                X_rec[row] = X
+                W_rec[row] = W[k]
     return scenario.record_times(), X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
 
 
@@ -399,10 +390,18 @@ def compute_metrics(trace: Trace, alpha, t0: float = 40.0) -> Metrics:
     the squared frequency deviations and C half the price-weighted squared
     inputs over [0, t0], by the trapezoid rule on the trace's grid.
 
-    A trace ending more than 1e-9 s short of ``t0`` raises
+    A ``t0`` that is not finite and positive raises :class:`DomainError`,
+    an ``alpha`` that is not one price per controller :class:`ShapeError`,
+    and a trace ending more than 1e-9 s short of ``t0``
     :class:`InsufficientHorizon`.
     """
     alpha = np.asarray(alpha, dtype=float)
+    # an empty or undefined window would read S = C = 0
+    if not 0 < t0 < math.inf:
+        raise DomainError(f"metrics window end t0 must be finite and positive, got {t0}")
+    if alpha.shape != (len(trace.controller_ids),):
+        raise ShapeError(f"alpha has shape {alpha.shape}, needs one price per "
+                         f"controller: ({len(trace.controller_ids)},)")
     if trace.t[-1] < t0 - 1e-9:
         raise InsufficientHorizon(f"trace ends at {trace.t[-1]}, needs t0={t0}")
     mask = trace.t <= t0 + 1e-12

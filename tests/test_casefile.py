@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from piac import (CaseFormatError, DisconnectedNetwork, ScenarioKind,
@@ -203,12 +205,14 @@ def test_scenario_number_is_parsed_at_its_line(key, value, message):
 
 
 def test_onset_within_the_integrators_resolution_of_t_n_is_format_error():
-    text = GOOD.replace("t_end=30.0\nh=0.01\nonset=2.0",
-                        "t_end=2.0\nh=0.01\nonset=1.9999999999999998")
-    with pytest.raises(CaseFormatError, match=r"\[scenario\]: onset 1\.9999999999999998 "
-                       r"lies less than 2 eps t_n below the last recorded time "
-                       r"t_n = 2\.0"):
-        loads_case(text)
+    # and an onset past t_n = 2, below a t_end within its slack
+    for t_end, onset in (("2.0", "1.9999999999999998"), ("2.000000001", "2.0000000005")):
+        text = GOOD.replace("t_end=30.0\nh=0.01\nonset=2.0",
+                            f"t_end={t_end}\nh=0.01\nonset={onset}")
+        with pytest.raises(CaseFormatError, match=rf"\[scenario\]: onset {re.escape(onset)} "
+                           r"lies less than 2 eps t_n below the last recorded time "
+                           r"t_n = 2\.0"):
+            loads_case(text)
 
 
 def test_node_voltage_other_than_one_is_format_error():

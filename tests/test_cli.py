@@ -725,6 +725,23 @@ def test_simulate_noise_records_t_end(capsys, tmp_path):
     assert (last[0], float(last[1])) == ("1", 0.7)
 
 
+def test_simulate_noise_records_back_from_t_end(capsys, tmp_path):
+    # every 3 steps (0.09 s) does not divide the 100 steps: the rows are
+    # counted back from t_end, the first at step 100 % 3 = 1
+    out_file = tmp_path / "a.csv"
+    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
+                         "--law", "decpiac", "--kind", "noise", "--h", "0.03",
+                         "--t-end", "3", "--paths", "2", "--burn-in", "1", "--seed", "1",
+                         "--sigma", "3:0.01", "--out", str(out_file))
+    assert code == 0, err
+    assert out.startswith("E_S=")
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    times = sorted({float(t) for path, t, *_ in rows if path == "0"})
+    assert len(times) == 34
+    assert times == pytest.approx([0.03 + 0.09 * k for k in range(34)], rel=0, abs=1e-12)
+    assert times[-1] == 3.0
+
+
 def test_simulate_noise_one_path_names_the_missing_standard_error(capsys):
     code, out, _ = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
                        "--law", "dpiac", "--kind", "noise", "--seed", "1",
@@ -987,15 +1004,17 @@ def test_step_flag_overrides_the_case_files_bus(monkeypatch):
 
 def test_onset_within_the_integrators_resolution_of_t_n_is_usage_error(capsys):
     # LSODA used to refuse the 2.2e-16 s stepped span: exit 7 after a scipy
-    # warning on stderr
-    code, out, err = run(capsys, "simulate", "--case",
-                         bundled_case_path("homogeneous10"), "--law", "dpiac",
-                         "--kind", "step", "--t-end", "2",
-                         "--onset", "1.9999999999999998", "--t0", "2")
-    assert code == 2
-    assert ("usage error: onset 1.9999999999999998 lies less than 2 eps t_n "
-            "below the last recorded time t_n = 2.0") in err
-    assert out == ""
+    # warning on stderr; an onset past t_n = 2, below a t_end within its
+    # slack, used to run and record nothing of the step
+    for t_end, onset in (("2", "1.9999999999999998"), ("2.000000001", "2.0000000005")):
+        code, out, err = run(capsys, "simulate", "--case",
+                             bundled_case_path("homogeneous10"), "--law", "dpiac",
+                             "--kind", "step", "--t-end", t_end,
+                             "--onset", onset, "--t0", "2")
+        assert code == 2
+        assert (f"usage error: onset {onset} lies less than 2 eps t_n "
+                "below the last recorded time t_n = 2.0") in err
+        assert out == ""
 
 
 @pytest.mark.parametrize("body, message", [

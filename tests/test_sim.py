@@ -8,10 +8,10 @@ import pytest
 
 from piac import (LAWS, CommunicationGraph, DomainError, GainSchedule,
                   InsufficientHorizon, Node, NodeKind, OutputSelector,
-                  PowerNetwork, Scenario, ScenarioKind, Trace, assemble,
-                  build_laplacian, bundled_case_path, compute_metrics,
-                  find_equilibrium, h2_dpiac_analytic, load_case,
-                  optimal_dispatch, simulate_deterministic,
+                  PowerNetwork, Scenario, ScenarioKind, ShapeError, Trace,
+                  assemble, build_laplacian, bundled_case_path,
+                  compute_metrics, find_equilibrium, h2_dpiac_analytic,
+                  load_case, optimal_dispatch, simulate_deterministic,
                   simulate_stochastic, spectral_decompose, write_ensemble_csv,
                   write_trace_csv)
 from conftest import machine_only_case, make_machine_net, ring_net
@@ -336,11 +336,16 @@ def test_scenario_refuses_the_other_kinds_fields(fields, foreign):
 
 
 @pytest.mark.parametrize("onset", [5e-324, 1e-200, 3e-15])
-def test_onset_the_horizon_cannot_tell_from_zero_is_refused(onset):
-    # an integration span that short never returned from LSODA
-    with pytest.raises(ValueError, match=r"is 0 at the precision of t_end 60; give 0"):
-        Scenario.step({1: -0.1}, onset=onset)
-    assert Scenario.step({1: -0.1}, onset=1e-14).onset == 1e-14
+def test_onset_the_horizon_cannot_tell_from_zero_runs(onset):
+    # a study used to integrate over (0, onset) first, a span LSODA never
+    # returned from; it now integrates once, from the onset
+    net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
+    scen = Scenario.step({1: -0.1}, onset=onset, t_end=60.0, h=0.1)
+    assert scen.t_end - onset == scen.t_end
+    tr = simulate_deterministic(net, comm, "dpiac", gains, scen)
+    assert tr.t[-1] == 60.0
+    assert np.abs(tr.omega[0]).max() <= 1e-12
+    assert np.abs(tr.omega[1]).max() > 1e-6
 
 
 @pytest.mark.parametrize("t_n", [2.0, 60.0])
@@ -352,10 +357,14 @@ def test_onset_within_lsodas_resolution_of_t_n_is_refused(t_n, ulps):
     for _ in range(ulps):
         onset = math.nextafter(onset, 0.0)
     if ulps == 3:
-        with pytest.raises(ValueError, match=re.escape(
-                f"onset {onset!r} lies less than 2 eps t_n below the last "
-                f"recorded time t_n = {t_n!r}")):
-            Scenario.step({1: -0.1}, onset=onset, t_end=t_n)
+        # so are an onset at t_n and one past it, below a t_end within the
+        # slack of t_n: the study would record nothing of the step
+        past = t_n * (1 + 1e-10)
+        for onset, t_end in ((onset, t_n), (t_n, past), ((t_n + past) / 2, past)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"onset {onset!r} lies less than 2 eps t_n below the last "
+                    f"recorded time t_n = {t_n!r}")):
+                Scenario.step({1: -0.1}, onset=onset, t_end=t_end)
         return
     net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
     tr = simulate_deterministic(net, comm, "dpiac", gains,
@@ -421,9 +430,10 @@ def test_scenario_refuses_t_end_off_the_step_grid(kind, fields):
 
 
 def test_noise_recording_interval_must_end_at_t_end():
-    # 2050 steps of 1 ms, recorded every 100
-    with pytest.raises(ValueError, match=r"every 100 steps \(0.1 s\) does not end"):
-        Scenario.white_noise({1: 0.01}, seed=1, t_end=2.05, burn_in=0.5)
+    # 2050 steps of 1 ms, recorded every 100: counted back from the last
+    scen = Scenario.white_noise({1: 0.01}, seed=1, t_end=2.05, burn_in=0.5)
+    assert scen.record_steps() == range(50, 2051, 100)
+    assert np.array_equal(scen.record_times(), np.arange(50, 2051, 100) * 1e-3)
 
 
 def test_record_steps():
@@ -450,11 +460,8 @@ def test_record_steps():
     (2.0, 0.1, 0.5),
     (2.0, 0.04, 0.333),
     (0.7, 0.07, 0.65),
-    # past n * h = 1.0 but before t_end: no stepped segment runs
-    (1.00000000005, 0.01, 1.00000000002),
 ], ids=["t_n-past-t_end", "coarse-t_n-past-t_end", "h-0.02", "t_end-below-t_n",
-        "onset-0", "onset-on-grid", "onset-off-grid", "onset-in-last-step",
-        "onset-past-t_n"])
+        "onset-0", "onset-on-grid", "onset-off-grid", "onset-in-last-step"])
 def test_step_study_records_its_grid(t_end, h, onset, monkeypatch):
     import piac.sim
 
@@ -473,9 +480,10 @@ def test_step_study_records_its_grid(t_end, h, onset, monkeypatch):
     assert scen.record_steps() == range(0, n + 1)
     assert np.array_equal(tr.t, np.arange(n + 1) * h)
     assert tr.t[-1] == n * h
-    # every segment runs forward and evaluates inside its span
-    for (a, b), t_eval in spans:
-        assert a < b and a <= t_eval[0] and t_eval[-1] == b
+    # one solve, from the onset, records the rows after it
+    [((a, b), t_eval)] = spans
+    assert (a, b) == (onset, tr.t[-1])
+    assert np.array_equal(t_eval, tr.t[tr.t > onset])
     before = tr.t < onset
     assert np.abs(tr.omega[before]).max(initial=0.0) <= 1e-12
     assert np.abs(tr.theta[before] - tr.theta[0]).max(initial=0.0) <= 1e-12
@@ -528,13 +536,13 @@ def ieee39_step_run():
 
 def test_ieee39_load_buses_quiet_before_onset():
     # a load-bus frequency is read as (p + u - f) / D with D = 0.2, so it
-    # shows the integrator's phase error amplified; before the step the
-    # network sits at its equilibrium and that error must stay small
+    # shows any phase error amplified; before the step the rows hold the
+    # equilibrium, where only the power flow's round-off remains
     net, scen, tr = ieee39_step_run()
     pre = tr.t < scen.onset - 1e-12
     freq = [tr.node_ids.index(i) for i in net.freq_ids]
     assert freq and pre.sum() > 100
-    assert np.abs(tr.omega[np.ix_(pre, freq)]).max() <= 1e-7
+    assert np.abs(tr.omega[np.ix_(pre, freq)]).max() <= 1e-12
 
 
 def test_ieee39_step_rhs_budget(monkeypatch):
@@ -552,8 +560,53 @@ def test_ieee39_step_rhs_budget(monkeypatch):
 
     monkeypatch.setattr(piac.sim, "solve_ivp", counting)
     ieee39_step_run()
-    assert len(calls) == 2              # before and after the onset
+    assert len(calls) == 1              # from the onset on
     assert sum(calls) <= 5000
+
+
+@pytest.mark.parametrize("case", ["homogeneous10", "ieee39-like"])
+def test_rows_up_to_the_onset_hold_the_rest_state(case, monkeypatch):
+    import piac.sim
+
+    net, comm, gains, scen = load_case(bundled_case_path(case))
+    scen = replace(scen, t_end=scen.onset + 1.0)
+    states = []
+    traces = piac.sim._traces
+
+    def recording_traces(model_obj, t, X, P):
+        states.append(X[0])
+        return traces(model_obj, t, X, P)
+
+    monkeypatch.setattr(piac.sim, "_traces", recording_traces)
+    tr = simulate_deterministic(net, comm, "dpiac", gains, scen)
+    x_rest = piac.sim._SimModel(net, comm, "dpiac", gains, "sin").at_rest(
+        find_equilibrium(net, "dpiac", gains, comm))
+    [X] = states
+    up_to = tr.t <= scen.onset
+    assert up_to.sum() > 100
+    assert np.array_equal(X[up_to], np.tile(x_rest, (up_to.sum(), 1)))
+    assert not np.array_equal(X[~up_to][0], x_rest)
+
+
+def test_simulators_take_the_public_equilibrium(monkeypatch):
+    import piac.sim
+
+    calls = []
+    real = piac.sim.find_equilibrium
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(piac.sim, "find_equilibrium", counting)
+    net, comm = ring_net(3, k=2.0)
+    g = GainSchedule.analytic(1.0, 1.0)
+    simulate_deterministic(net, comm, "dpiac", g,
+                           Scenario.step({1: -0.1}, onset=0.5, t_end=1.0))
+    assert len(calls) == 1
+    simulate_stochastic(net, comm, "dpiac", g, Scenario.white_noise(
+        {1: 0.01}, seed=1, t_end=0.5, paths=2, burn_in=0.1))
+    assert len(calls) == 2
 
 
 # S and C of the bundled step scenarios over [0, 40] s, first computed with
@@ -607,6 +660,22 @@ def test_metrics_horizon_check():
     tr = synthetic_trace(np.linspace(0, 30, 301))
     with pytest.raises(InsufficientHorizon):
         compute_metrics(tr, np.ones(1), t0=40.0)
+
+
+@pytest.mark.parametrize("t0", [math.nan, 0.0, -1.0, math.inf])
+def test_metrics_window_must_be_finite_and_positive(t0):
+    # each of these read S = C = 0 on a moving trace
+    tr = synthetic_trace(np.linspace(0, 50, 501), omega_val=0.1, u_val=0.3)
+    with pytest.raises(DomainError, match="t0 must be finite and positive"):
+        compute_metrics(tr, np.ones(1), t0=t0)
+
+
+@pytest.mark.parametrize("alpha", [np.ones(1), np.ones(4), np.ones((3, 1))])
+def test_metrics_need_one_price_per_controller(alpha):
+    # a length-1 alpha used to broadcast over the controllers
+    tr = synthetic_trace(np.linspace(0, 50, 501), u_val=0.3, n=3)
+    with pytest.raises(ShapeError, match=r"one price per controller: \(3,\)"):
+        compute_metrics(tr, alpha)
 
 
 def test_stochastic_zero_noise_collapses():
@@ -772,10 +841,14 @@ def test_stochastic_nonlinear_mixed_network():
 def test_sin_noise_run_builds_one_model(monkeypatch):
     # the feedthrough refusal reads the stepped sine model's matrices at the
     # origin, where they are the linear model's: no second model is built
+    # (find_equilibrium builds its own, for the power flow; it is taken out)
     import piac.sim
     from piac.closedloop import _SimModel
 
     net, comm = mixed_net()
+    g = GainSchedule.analytic(1.0, 1.0)
+    eq = find_equilibrium(net, "dpiac", g, comm)
+    monkeypatch.setattr(piac.sim, "find_equilibrium", lambda *args: eq)
     built = []
 
     def counting_model(*args, **kwargs):
@@ -785,7 +858,7 @@ def test_sin_noise_run_builds_one_model(monkeypatch):
     monkeypatch.setattr(piac.sim, "_SimModel", counting_model)
     scen = Scenario.white_noise({1: 0.002, 2: 0.002}, seed=7, t_end=0.1,
                                 h=1e-2, paths=2, burn_in=0.0)
-    simulate_stochastic(net, comm, "dpiac", GainSchedule.analytic(1.0, 1.0), scen)
+    simulate_stochastic(net, comm, "dpiac", g, scen)
     assert [model.model for model in built] == ["sin"]
 
 
