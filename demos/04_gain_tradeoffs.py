@@ -27,6 +27,12 @@ os.makedirs(os.path.join(os.path.dirname(__file__), "out"), exist_ok=True)
 def out(name):
     return os.path.join(os.path.dirname(__file__), "out", name)
 
+
+def save(name, chart):
+    with open(out(name), "w", encoding="utf-8") as fh:
+        fh.write(chart)
+
+
 # --- k1: frequency vs effort ---------------------------------------------
 k1_grid = np.geomspace(0.1, 10.0, 25)
 om = [h2_dpiac_analytic(spec, 1, 1, k1, 2.0,
@@ -37,10 +43,10 @@ uu = [h2_dpiac_analytic(spec, 1, 1, k1, 2.0,
 print("k1 sweep (k3 = 2):")
 print("  frequency norm falls  %0.4f -> %0.4f" % (om[0], om[-1]))
 print("  input norm rises      %0.4f -> %0.4f  (the trade-off)" % (uu[0], uu[-1]))
-svg_line_chart(out("tradeoff_k1.svg"), k1_grid,
-               {"frequency norm": om, "input norm": uu},
-               title="frequency/effort trade-off vs k1", xlabel="k1",
-               ylabel="squared H2 norm", logx=True)
+save("tradeoff_k1.svg",
+     svg_line_chart(k1_grid, {"frequency norm": om, "input norm": uu},
+                    title="frequency/effort trade-off vs k1", xlabel="k1",
+                    ylabel="squared H2 norm", logx=True))
 
 # The frequency norm saturates: its floor is the k1 -> inf limit, so past a
 # point extra gain only buys effort.
@@ -60,9 +66,10 @@ for row in rows[::6]:
 spread = [h2_dpiac_analytic(spec, 1, 1, 1.0, k3,
                             OutputSelector.MARGINAL_COST_SPREAD).value
           for k3 in k3_grid]
-svg_line_chart(out("convergence_k3.svg"), k3_grid,
-               {"input-norm gap to central": [r["u_gap"] for r in rows],
-                "marginal-cost spread norm": spread},
-               title="coordination closes the gap to central control",
-               xlabel="k3", ylabel="squared H2 norm", logx=True)
+save("convergence_k3.svg",
+     svg_line_chart(k3_grid,
+                    {"input-norm gap to central": [r["u_gap"] for r in rows],
+                     "marginal-cost spread norm": spread},
+                    title="coordination closes the gap to central control",
+                    xlabel="k3", ylabel="squared H2 norm", logx=True))
 print("\nwrote", out("tradeoff_k1.svg"), "and", out("convergence_k3.svg"))

@@ -47,6 +47,7 @@ line.
 
 import math
 import os
+from dataclasses import MISSING, fields
 
 from .controllers import GainSchedule
 from .errors import CaseFormatError, DisconnectedNetwork
@@ -55,9 +56,10 @@ from .scenario import Scenario, ScenarioKind
 
 __all__ = ["load_case", "save_case", "loads_case", "dumps_case", "bundled_case_path"]
 
-_KINDS = {"machine": NodeKind.MACHINE, "freq": NodeKind.FREQ_DEPENDENT,
-          "passive": NodeKind.PASSIVE}
 _SECTIONS = ("nodes", "edges", "comm", "gains", "scenario")
+_NODE_KINDS = [kind.value for kind in NodeKind]
+# the [gains] keys: GainSchedule's fields, each with whether a file must give it
+_GAINS = {f.name: f.default is MISSING for f in fields(GainSchedule)}
 
 
 def bundled_case_path(name: str) -> str:
@@ -134,9 +136,9 @@ def loads_case(text: str, path: str = "<string>"):
             if len(toks) < 2:
                 raise CaseFormatError("node line needs '<id> <kind> ...'", path, lineno)
             nid = _parse_int(toks[0], "node id", path, lineno)
-            if toks[1] not in _KINDS:
+            if toks[1] not in _NODE_KINDS:
                 raise CaseFormatError(
-                    f"unknown node kind {toks[1]!r} (machine|freq|passive)", path, lineno)
+                    f"unknown node kind {toks[1]!r} ({'|'.join(_NODE_KINDS)})", path, lineno)
             kv = _kv(toks[2:], path, lineno)
             allowed = {"M", "D", "P", "alpha", "V"}
             for key in kv:
@@ -152,16 +154,16 @@ def loads_case(text: str, path: str = "<string>"):
                     f"field V: {kv['V']!r} is not read; only V=1 is accepted, as "
                     "the line's K= is already the effective susceptance", path, lineno)
             try:
-                nodes.append(Node(id=nid, kind=_KINDS[toks[1]],
+                nodes.append(Node(id=nid, kind=NodeKind(toks[1]),
                                   inertia=fget("M"), damping=fget("D"),
                                   injection=fget("P", 0.0), price=fget("alpha")))
             except ValueError as exc:
                 raise CaseFormatError(str(exc), path, lineno) from None
         elif section in ("edges", "comm"):
-            field = "K" if section == "edges" else "l"
+            field, what = ("K", "edge") if section == "edges" else ("l", "comm")
             if len(toks) != 3:
                 raise CaseFormatError(
-                    f"{section[:-1]} line needs '<i> <j> {field}=<value>'", path, lineno)
+                    f"{what} line needs '<i> <j> {field}=<value>'", path, lineno)
             i = _parse_int(toks[0], "node id", path, lineno)
             j = _parse_int(toks[1], "node id", path, lineno)
             kv = _kv(toks[2:], path, lineno)
@@ -172,7 +174,7 @@ def loads_case(text: str, path: str = "<string>"):
         elif section == "gains":
             kv = _kv(toks, path, lineno)
             for key, val in kv.items():
-                if key not in ("k1", "k2", "k3"):
+                if key not in _GAINS:
                     raise CaseFormatError(f"unknown gain {key!r}", path, lineno)
                 if key in gains_kv:
                     raise CaseFormatError(f"duplicate gain {key!r}", path, lineno)
@@ -235,33 +237,26 @@ def loads_case(text: str, path: str = "<string>"):
 
     gains = None
     if "gains" in saw:
-        missing = {"k1", "k2"} - set(gains_kv)
+        missing = {key for key, required in _GAINS.items() if required} - set(gains_kv)
         if missing:
             raise CaseFormatError(f"[gains] missing {sorted(missing)}", path)
-        gains = GainSchedule(k1=gains_kv["k1"], k2=gains_kv["k2"],
-                             k3=gains_kv.get("k3", 0.0))
+        gains = GainSchedule(**gains_kv)
 
     scenario = None
     if "scenario" in saw:
         if "kind" not in scen_kv:
             raise CaseFormatError("[scenario] missing kind=", path)
-        kind_tok = scen_kv["kind"]
-        if kind_tok not in ("step", "noise"):
+        kind_tok = scen_kv.pop("kind")
+        if kind_tok not in [kind.value for kind in ScenarioKind]:
             raise CaseFormatError(f"unknown scenario kind {kind_tok!r}", path)
         for lineno, key, nid in node_refs:
             if nid not in net.index_of:
                 raise CaseFormatError(f"{key} references unknown node {nid}",
                                       path, lineno)
-        kind = ScenarioKind(kind_tok)
         try:
-            scenario = Scenario(
-                kind=kind, t_end=scen_kv.get("t_end"), h=scen_kv.get("h"),
-                onset=scen_kv.get("onset"),
-                steps=dict(sorted(steps.items())),
-                sigma=dict(sorted(sigma.items())),
-                paths=scen_kv.get("paths"), burn_in=scen_kv.get("burn_in"),
-                seed=scen_kv.get("seed"),
-            )
+            scenario = Scenario(kind=ScenarioKind(kind_tok),
+                                steps=dict(sorted(steps.items())),
+                                sigma=dict(sorted(sigma.items())), **scen_kv)
         except (ValueError, TypeError) as exc:
             raise CaseFormatError(f"[scenario]: {exc}", path) from None
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import svgplot
 from .casefile import load_case
-from .closedloop import OutputSelector, assemble
-from .controllers import GainSchedule, law_homogeneity
+from .closedloop import MODELS, OutputSelector, assemble
+from .controllers import LAWS, GainSchedule, law_homogeneity
 from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      DomainError, GainConstraintError, InsufficientHorizon,
                      NumericalBlowup, PiacError, ShapeError,
@@ -28,7 +28,7 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      UnsupportedForModalPath)
 from .h2 import analyze, h2_norms
 from .netmodel import check_homogeneous
-from .scenario import Scenario, ScenarioKind
+from .scenario import DEFAULTS, Scenario, ScenarioKind
 from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
                   write_ensemble_csv, write_trace_csv)
 
@@ -184,10 +184,15 @@ def cmd_analyze(args) -> int:
         return EXIT_ANALYTIC_REFUSED
     rep = analyze(net, comm, gains, args.law, selector, B_in=_b_in(args, net),
                   with_limits=args.limits)
+    # the values as printed: round-off below the 12th digit moves neither
+    # them nor their gap
+    analytic, numeric = (v if v is None else float(_fmt(v))
+                         for v in (rep.analytic, rep.numeric))
     fields = {
         "law": rep.law, "selector": rep.selector,
-        "numeric": rep.numeric, "analytic": rep.analytic,
-        "rel_gap": rep.rel_gap,
+        "numeric": numeric, "analytic": analytic,
+        "rel_gap": (None if analytic is None
+                    else abs(analytic - numeric) / max(1.0, abs(numeric))),
         "bound_lo": rep.bounds[0] if rep.bounds else None,
         "bound_hi": rep.bounds[1] if rep.bounds else None,
         "limit_k1_inf": rep.limit_k1, "limit_k3_inf": rep.limit_k3,
@@ -241,7 +246,7 @@ def cmd_sweep(args) -> int:
     if args.sim is not None:
         if scenario is None:
             raise _Usage("--sim needs a [scenario] section in the case file")
-        want = ScenarioKind.STEP if args.sim == "step" else ScenarioKind.NOISE
+        want = ScenarioKind(args.sim)
         if scenario.kind is not want:
             raise _Usage(f"case scenario kind is {scenario.kind.value}, "
                          f"--sim asked for {args.sim}")
@@ -274,7 +279,7 @@ def cmd_sweep(args) -> int:
         return row
 
     rows = [norms_at(value) for value in grid]
-    header = [args.param, "omega_norm", "u_norm", "spread_norm"]
+    header = [args.param, *(f"{sel.value}_norm" for sel in _SWEPT)]
     if args.sim == "step":
         header += ["S", "C"]
     elif args.sim == "noise":
@@ -286,10 +291,11 @@ def cmd_sweep(args) -> int:
     if args.svg:
         series = {name: [row[k + 1] for row in rows]
                   for k, name in enumerate(header[1:4])}
-        svgplot.svg_line_chart(args.svg, [row[0] for row in rows], series,
-                               title=f"{args.law} norms vs {args.param}",
-                               xlabel=args.param, ylabel="squared H2 norm",
-                               logx=len(grid) > 2 and grid[-1] / grid[0] > 30)
+        chart = svgplot.svg_line_chart([row[0] for row in rows], series,
+                                       title=f"{args.law} norms vs {args.param}",
+                                       xlabel=args.param, ylabel="squared H2 norm",
+                                       logx=len(grid) > 2 and grid[-1] / grid[0] > 30)
+        _emit(chart, args.svg)
     return EXIT_OK
 
 
@@ -322,33 +328,22 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
     else:
         _refuse_unread(args, ("--step", "--onset", "--t0"), "noise runs")
     base = file_scenario if (file_scenario and file_scenario.kind is kind) else None
-
-    def pick(flag, attr):
-        # a field left None here takes the kind's default in Scenario
-        return flag if flag is not None or base is None else getattr(base, attr)
-
+    # a flag given wins over the case file's field; a field left None here
+    # takes the kind's default in Scenario
+    fields = {name: getattr(args, name) for name in (*DEFAULTS[kind], "seed")}
+    if base is not None:
+        fields = {name: getattr(base, name) if flag is None else flag
+                  for name, flag in fields.items()}
     steps = dict(base.steps) if base else {}
     steps.update(_node_values(args.step, "--step", net))
     sigma = dict(base.sigma) if base else {}
     sigma.update(_node_values(args.sigma, "--sigma", net))
-
-    def scenario(**fields):
-        try:
-            return Scenario(**fields)
-        except ValueError as exc:
-            raise _Usage(str(exc)) from None
-
-    if kind is ScenarioKind.STEP:
-        return scenario(kind=kind, t_end=pick(args.t_end, "t_end"),
-                        h=pick(args.h, "h"), onset=pick(args.onset, "onset"),
-                        steps=steps)
-    seed = args.seed if args.seed is not None else (base.seed if base else None)
-    if seed is None:
+    if kind is ScenarioKind.NOISE and fields["seed"] is None:
         raise _Usage("stochastic simulation needs --seed (or seed= in the case file)")
-    return scenario(kind=kind, t_end=pick(args.t_end, "t_end"),
-                    h=pick(args.h, "h"), sigma=sigma,
-                    paths=pick(args.paths, "paths"),
-                    burn_in=pick(args.burn_in, "burn_in"), seed=seed)
+    try:
+        return Scenario(kind=kind, steps=steps, sigma=sigma, **fields)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
@@ -388,12 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="piac",
         description="Secondary frequency control: H2 analysis and simulation.")
     sub = ap.add_subparsers(dest="command", required=True)
+    kinds = [kind.value for kind in ScenarioKind]
 
     def common(p, law=True):
         p.add_argument("--case", required=True, help="case file path")
         if law:
-            p.add_argument("--law", required=True,
-                           choices=("gbpiac", "dpiac", "decpiac"))
+            p.add_argument("--law", required=True, choices=LAWS)
             p.add_argument("--k1", type=float)
             p.add_argument("--k2", type=float)
             p.add_argument("--k3", type=float)
@@ -405,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="squared H2 norms for one law/selector")
     common(p)
-    p.add_argument("--selector", default="omega", choices=("omega", "u", "us", "spread"))
+    p.add_argument("--selector", default=OutputSelector.FREQUENCY_DEVIATION.value,
+                   choices=[sel.value for sel in OutputSelector])
     p.add_argument("--analytic", action="store_true",
                    help="require the closed-form path (refuse otherwise)")
     p.add_argument("--limits", action="store_true", help="include k1/k3 limits")
@@ -417,18 +413,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--param", required=True, choices=("k1", "k3"))
     p.add_argument("--grid", required=True, help="comma-separated grid values")
-    p.add_argument("--sim", choices=("step", "noise"),
+    p.add_argument("--sim", choices=kinds,
                    help="also simulate at each grid point")
     p.add_argument("--seed", type=int)
     p.add_argument("--t0", type=float, help="end of the S/C window (default 40)")
-    p.add_argument("--model", choices=("sin", "linear"), help="default: sin")
+    p.add_argument("--model", choices=MODELS, help="default: sin")
     p.add_argument("--b-diag", help="diagonal disturbance matrix of the norms, comma floats")
     p.add_argument("--svg", help="write an SVG chart of the norm columns")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("simulate", help="time-domain simulation")
     common(p)
-    p.add_argument("--kind", choices=("step", "noise"))
+    p.add_argument("--kind", choices=kinds)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--h", type=float,
                    help="Euler-Maruyama step (noise); recorded grid (step)")
@@ -439,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--t0", type=float, help="end of the S/C window (default 40)")
-    p.add_argument("--model", default="sin", choices=("sin", "linear"))
+    p.add_argument("--model", default="sin", choices=MODELS)
     p.set_defaults(fn=cmd_simulate)
     return ap
 

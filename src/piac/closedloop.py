@@ -54,6 +54,7 @@ from .netmodel import (CommunicationGraph, NodeKind, PowerNetwork,
                        SpectralDecomposition)
 
 __all__ = [
+    "MODELS",
     "OutputSelector",
     "StateSpace",
     "ModeBlock",
@@ -65,6 +66,9 @@ __all__ = [
     "deflate_zero_mode",
     "output_matrix",
 ]
+
+# the line-flow models of _SimModel: sin(E theta), or E theta at the origin
+MODELS = ("sin", "linear")
 
 
 class OutputSelector(Enum):
@@ -80,7 +84,7 @@ class OutputSelector(Enum):
         for sel in cls:
             if sel.value == token:
                 return sel
-        raise DomainError(f"unknown selector {token!r} (omega|u|us|spread)")
+        raise DomainError(f"unknown selector {token!r} ({'|'.join(s.value for s in cls)})")
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,8 @@ class _SimModel:
 
     def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
                  law: str, gains: GainSchedule, model: str):
-        if model not in ("sin", "linear"):
-            raise DomainError(f"unknown model {model!r} (sin|linear)")
+        if model not in MODELS:
+            raise DomainError(f"unknown model {model!r} ({'|'.join(MODELS)})")
         self.law = ControlLaw.build(net, comm, law, gains)
         self.net, self.comm = net, comm
         self.model = model

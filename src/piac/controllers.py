@@ -121,9 +121,12 @@ class ControlLaw:
               gains: GainSchedule) -> "ControlLaw":
         """The law named ``law`` on ``net``. An unknown law, or ``dpiac``
         without the communication graph its consensus term runs over, raises
-        :class:`DomainError`."""
+        :class:`DomainError`; a network without controllers raises
+        :class:`NoControllers`."""
         if law not in LAWS:
             raise DomainError(f"unknown law {law!r}")
+        if not net.controller_ids:
+            raise NoControllers("network has no controller nodes: every bus is passive")
         if law == "dpiac" and comm is None:
             raise DomainError("distributed law needs a communication graph")
         if law != "dpiac":

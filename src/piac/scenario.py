@@ -25,8 +25,6 @@ DEFAULTS = {
     ScenarioKind.STEP: {"t_end": 60.0, "h": 0.01, "onset": 5.0},
     ScenarioKind.NOISE: {"t_end": 250.0, "h": 1e-3, "paths": 20, "burn_in": 50.0},
 }
-_STEP = DEFAULTS[ScenarioKind.STEP]
-_NOISE = DEFAULTS[ScenarioKind.NOISE]
 # the fields only the other kind reads, which a scenario refuses
 _FOREIGN = {ScenarioKind.STEP: ("sigma", "paths", "burn_in", "seed"),
             ScenarioKind.NOISE: ("steps", "onset")}
@@ -48,13 +46,14 @@ class Scenario:
     from the onset to ``t_n``, and LSODA steps no shorter span.
     ``seed`` is mandatory for noise runs so every ensemble is reproducible,
     and non-negative, as numpy's ``SeedSequence`` requires.
-    A field left ``None`` takes its kind's value in :data:`DEFAULTS`; a
-    field only the other kind reads must be left unset (``None``, or empty).
+    A field left ``None``, ``t_end`` and ``h`` included, takes its kind's
+    value in :data:`DEFAULTS`; a field only the other kind reads must be
+    left unset (``None``, or empty).
     """
 
     kind: ScenarioKind
-    t_end: float
-    h: float
+    t_end: float | None = None
+    h: float | None = None
     onset: float | None = None
     steps: dict[int, float] = field(default_factory=dict)
     sigma: dict[int, float] = field(default_factory=dict)
@@ -128,15 +127,15 @@ class Scenario:
         return np.array(self.record_steps()) * self.h
 
     @classmethod
-    def step(cls, steps: dict[int, float], onset: float = _STEP["onset"],
-             t_end: float = _STEP["t_end"], h: float = _STEP["h"]) -> "Scenario":
+    def step(cls, steps: dict[int, float], onset: float | None = None,
+             t_end: float | None = None, h: float | None = None) -> "Scenario":
         return cls(kind=ScenarioKind.STEP, t_end=t_end, h=h, onset=onset,
                    steps=dict(steps))
 
     @classmethod
     def white_noise(cls, sigma: dict[int, float], seed: int,
-                    t_end: float = _NOISE["t_end"], h: float = _NOISE["h"],
-                    paths: int = _NOISE["paths"],
-                    burn_in: float = _NOISE["burn_in"]) -> "Scenario":
+                    t_end: float | None = None, h: float | None = None,
+                    paths: int | None = None,
+                    burn_in: float | None = None) -> "Scenario":
         return cls(kind=ScenarioKind.NOISE, t_end=t_end, h=h, sigma=dict(sigma),
                    paths=paths, burn_in=burn_in, seed=seed)

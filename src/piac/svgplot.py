@@ -1,6 +1,6 @@
 """Minimal dependency-free SVG line charts for quick inspection of sweeps
 and traces. Data export stays CSV; this is a convenience, not a plotting
-library."""
+library. A chart is returned as text, for the caller to write."""
 
 import math
 
@@ -24,10 +24,10 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
-def svg_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
+def svg_line_chart(x, series: dict, title: str = "", xlabel: str = "",
                    ylabel: str = "", width: int = 640, height: int = 400,
-                   logx: bool = False) -> None:
-    """Write one SVG with a polyline per entry of ``series`` (label -> ys)."""
+                   logx: bool = False) -> str:
+    """One SVG, as text, with a polyline per entry of ``series`` (label -> ys)."""
     xs = [math.log10(v) for v in x] if logx else list(map(float, x))
     all_y = [float(v) for ys in series.values() for v in ys]
     x_lo, x_hi = min(xs), max(xs)
@@ -77,5 +77,4 @@ def svg_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
     parts.append(f'<text x="16" y="{height / 2}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {height / 2})">{ylabel}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

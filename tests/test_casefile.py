@@ -274,3 +274,46 @@ k1=0.5 k2=2.0
         "k2=2.0\n"
         "k3=0.0\n")
     assert dumps_case(*loads_case(text)) == expected
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("alpha=1.0\n", "alpha=1.0 alpha=1.0\n", "3: duplicate key 'alpha'"),
+    ("[edges]", "[edges", "6: unterminated section header"),
+    ("[scenario]", "[comm]\n[scenario]", "15: duplicate section [comm]"),
+    ("3 passive P=0.0", "3", "5: node line needs '<id> <kind> ...'"),
+    ("3 passive P=0.0", "3 turbine P=0.0",
+     "5: unknown node kind 'turbine' (machine|freq|passive)"),
+    ("3 passive P=0.0", "3 passive Q=0.0", "5: unknown node field 'Q'"),
+    ("3 passive P=0.0", "3 passive D=1.0",
+     "5: node 3: passive node carries no inertia/damping"),
+    ("1 2 K=1.5", "1 2", "7: edge line needs '<i> <j> K=<value>'"),
+    ("1 2 l=1.0", "1 2", "10: comm line needs '<i> <j> l=<value>'"),
+    ("1 2 K=1.5", "1 2 X=1.5", "7: missing field 'K'"),
+    ("k3=1.0", "k4=1.0", "14: unknown gain 'k4'"),
+    ("k3=1.0", "k3=1.0\nk1=0.5", "15: duplicate gain 'k1'"),
+    ("onset=2.0", "onset=2.0\nt_end=30.0", "20: duplicate scenario key 't_end'"),
+    ("onset=2.0", "onset=2.0 ramp=1", "19: unknown scenario key 'ramp'"),
+    # found once the sections are read, so named at the file alone
+    ("1 2 l=1.0", "1 2 l=-1.0", " communication weight (1,2) must be >= 0"),
+    ("k2=2.0\n", "", " [gains] missing ['k2']"),
+    ("kind=step\n", "", " [scenario] missing kind="),
+    ("kind=step", "kind=ramp", " unknown scenario kind 'ramp'"),
+], ids=["node-key", "header", "section", "node-line", "node-kind", "node-field",
+        "node", "edge-line", "comm-line", "edge-field", "gain", "gain-twice",
+        "scenario-key-twice", "scenario-key", "comm-weight",
+        "gains-missing", "kind-missing", "scenario-kind"])
+def test_format_error_names_the_file_and_its_line(old, new, message):
+    assert old in GOOD
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(GOOD.replace(old, new, 1), path="bad.case")
+    assert str(err.value) == f"bad.case:{message}"
+
+
+def test_missing_nodes_section_is_named():
+    with pytest.raises(CaseFormatError, match=r"^bad\.case: missing \[nodes\] section$"):
+        loads_case("[edges]\n1 2 K=1.0\n", path="bad.case")
+
+
+def test_unknown_bundled_case():
+    with pytest.raises(FileNotFoundError, match="no bundled case named 'nope'"):
+        bundled_case_path("nope")

@@ -1140,3 +1140,111 @@ def test_simulate_decpiac_without_comm(capsys, tmp_path):
                        "--law", "decpiac", "--t-end", "45")
     assert code == 0
     assert "S=" in out
+
+
+NO_CONTROLLERS = """
+[nodes]
+1 passive P=0.1
+2 passive P=-0.1
+[edges]
+1 2 K=1.0
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--law", "gbpiac", "--selector", "u", "--k1", "1"],
+    ["simulate", "--law", "decpiac", "--kind", "step", "--t-end", "2",
+     "--step", "1:0.1", "--onset", "1", "--t0", "2", "--k1", "1"],
+], ids=["analyze", "simulate"])
+def test_case_without_controllers_is_refused(capsys, tmp_path, argv):
+    # the case itself is well formed; no law has a bus to act through
+    case = tmp_path / "passive.case"
+    case.write_text(NO_CONTROLLERS)
+    assert run(capsys, "validate", "--case", str(case))[0] == 0
+    code, out, err = run(capsys, argv[0], "--case", str(case), *argv[1:])
+    assert code == 5 and out == ""
+    assert err == "error: network has no controller nodes: every bus is passive\n"
+
+
+@pytest.mark.parametrize("failure", ["no-directory", "write"])
+def test_svg_failure_leaves_no_partial_chart(capsys, monkeypatch, two_node_case,
+                                              tmp_path, failure):
+    # the chart is written like every output file: through a temporary file
+    # renamed over the target only once it is whole
+    target = tmp_path / "chart.svg"
+    argv = ["sweep", "--case", two_node_case, "--law", "dpiac", "--param", "k3",
+            "--grid", "1,4", "--svg"]
+    if failure == "no-directory":
+        target = tmp_path / "nodir" / "chart.svg"
+        code, _, err = run(capsys, *argv, str(target))
+        assert code == 2 and "io error" in err
+        assert not target.exists()
+    else:
+        target.write_text("old chart\n")
+        chart = cli.svgplot.svg_line_chart
+        # a lone surrogate fails to encode part way through the write
+        monkeypatch.setattr(cli.svgplot, "svg_line_chart",
+                            lambda *a, **kw: chart(*a, **kw) + "\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            main([*argv, str(target)])
+        assert target.read_text() == "old chart\n"
+    assert list(target.parent.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("numeric, analytic, rel_gap", [
+    (0.1, math.nextafter(0.1, 1.0), "0"),
+    (2.0, 3.0, "0.5"),
+], ids=["one-ulp", "visible"])
+def test_analyze_rel_gap_is_the_gap_between_the_printed_values(
+        capsys, monkeypatch, two_node_case, numeric, analytic, rel_gap):
+    # round-off below the 12th digit moves neither the printed norms nor
+    # their gap; the report keeps the exact one
+    report = piac.h2.H2Report(law="dpiac", selector="omega", numeric=numeric,
+                              analytic=analytic,
+                              rel_gap=abs(analytic - numeric) / max(1.0, numeric))
+    assert report.rel_gap > 0
+    monkeypatch.setattr(cli, "analyze", lambda *a, **kw: report)
+    argv = ["analyze", "--case", two_node_case, "--law", "dpiac"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["rel_gap"] == rel_gap
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["rel_gap"] == float(rel_gap)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--law", "dpiac"],
+     "no gains: case file has no [gains] section, pass --k1 (and --k2)"),
+    (["sweep", "--law", "dpiac", "--k1", "1", "--param", "k3", "--grid", "1",
+      "--sim", "step"], "--sim needs a [scenario] section in the case file"),
+    (["simulate", "--law", "dpiac", "--k1", "1"],
+     "no scenario: case file has no [scenario] section, pass --kind"),
+], ids=["gains", "sweep-scenario", "simulate-scenario"])
+def test_missing_section_is_usage_error(capsys, tmp_path, argv, message):
+    case = tmp_path / "bare.case"
+    case.write_text(TWO_NODE.split("[gains]")[0])
+    code, out, err = run(capsys, argv[0], "--case", str(case), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_sweep_sim_of_the_other_kind_is_usage_error(capsys, two_node_case):
+    code, out, err = run(capsys, "sweep", "--case", two_node_case, "--law", "dpiac",
+                         "--param", "k3", "--grid", "1", "--sim", "noise",
+                         "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "usage error: case scenario kind is step, --sim asked for noise\n"
+
+
+def test_stalled_passive_newton_exits_7(capsys, tmp_path):
+    # a load of 2 pu on a passive leaf behind a line of K = 1: no phase
+    # carries it
+    case = tmp_path / "leaf.case"
+    case.write_text(TWO_NODE.split("[edges]")[0] + "3 passive P=0.0\n"
+                    "[edges]\n1 2 K=1.0\n2 3 K=1.0\n[gains]\nk1=1.0\nk2=4.0\n")
+    code, out, err = run(capsys, "simulate", "--case", str(case), "--law", "gbpiac",
+                         "--kind", "step", "--step", "3:2", "--t-end", "2",
+                         "--onset", "1", "--t0", "2")
+    assert code == 7 and out == ""
+    assert err.startswith("numerical failure: passive-network Newton stalled")

@@ -3,12 +3,13 @@ import pytest
 import scipy.linalg
 from dataclasses import replace
 
-from piac import (LAWS, ControlLaw, DomainError, GainSchedule, OutputSelector,
-                  ShapeError, UnstableSystem, UnsupportedForModalPath, assemble,
+from piac import (LAWS, ControlLaw, DomainError, GainSchedule, NoControllers,
+                  Node, NodeKind, OutputSelector, PowerNetwork, ShapeError,
+                  UnstableSystem, UnsupportedForModalPath, assemble,
                   assemble_decpiac, assemble_dpiac, assemble_gbpiac,
-                  build_laplacian, deflate_zero_mode, grammians, load_case,
-                  bundled_case_path, modal_decouple, output_matrix,
-                  spectral_decompose)
+                  build_laplacian, deflate_zero_mode, find_equilibrium,
+                  grammians, load_case, bundled_case_path, modal_decouple,
+                  output_matrix, spectral_decompose)
 from conftest import (machine_bus_input, machine_only_case, make_machine_net,
                       random_homogeneous, ring_net)
 
@@ -386,3 +387,23 @@ def test_heterogeneous_accepted_for_numeric_assembly():
         with pytest.raises(UnsupportedForModalPath):
             modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
         assert np.linalg.eigvals(deflate_zero_mode(sys).A).real.max() < 0
+
+
+def test_unknown_selector_and_model_name_their_choices():
+    with pytest.raises(DomainError,
+                       match=r"^unknown selector 'bar' \(omega\|u\|us\|spread\)$"):
+        OutputSelector.from_token("bar")
+    net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
+    with pytest.raises(DomainError, match=r"^unknown model 'cos' \(sin\|linear\)$"):
+        find_equilibrium(net, "dpiac", gains, comm, model="cos")
+
+
+def test_network_without_controllers_is_refused():
+    # every bus passive: no law has a bus to act through, and the harmonic
+    # price aggregate alpha_s would divide by zero
+    net = PowerNetwork(nodes=(Node(1, NodeKind.PASSIVE, injection=0.1),
+                              Node(2, NodeKind.PASSIVE, injection=-0.1)),
+                       edges=((1, 2, 1.0),))
+    for law in LAWS:
+        with pytest.raises(NoControllers, match="no controller nodes"):
+            assemble(net, None, law, GainSchedule.analytic(1.0))

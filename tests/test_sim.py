@@ -14,6 +14,7 @@ from piac import (LAWS, CommunicationGraph, DomainError, GainSchedule,
                   load_case, optimal_dispatch, simulate_deterministic,
                   simulate_stochastic, spectral_decompose, write_ensemble_csv,
                   write_trace_csv)
+from piac.scenario import DEFAULTS
 from conftest import machine_only_case, make_machine_net, ring_net
 
 
@@ -379,10 +380,26 @@ def test_scenario_validation():
         Scenario(kind=ScenarioKind.STEP, t_end=10.0, h=0.1, onset=20.0)
     with pytest.raises(ValueError):
         Scenario(kind=ScenarioKind.NOISE, t_end=10.0, h=0.1, sigma={1: -0.1})
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^t_end must be positive, got {t_end}$"):
+            Scenario(kind=ScenarioKind.STEP, t_end=t_end, h=0.1, onset=0.0)
+    with pytest.raises(ValueError, match="^paths must be >= 1$"):
+        Scenario(kind=ScenarioKind.NOISE, t_end=10.0, h=0.1, paths=0, seed=1)
     net, comm = ring_net(3)
     bad = Scenario.step({99: -0.1}, onset=1.0, t_end=10.0)
     with pytest.raises(DomainError):
         simulate_deterministic(net, comm, "dpiac", GainSchedule.analytic(1.0), bad)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_scenario_horizon_and_step_default_per_kind(kind):
+    # the constructor, the case files and the CLI all leave t_end and h to
+    # DEFAULTS; the named constructors agree with it
+    scen = Scenario(kind=kind, seed=1 if kind is ScenarioKind.NOISE else None)
+    assert {name: getattr(scen, name) for name in DEFAULTS[kind]} == DEFAULTS[kind]
+    named = (Scenario.step({}) if kind is ScenarioKind.STEP
+             else Scenario.white_noise({}, seed=1))
+    assert named == scen
 
 
 def test_linear_matches_nonlinear_for_small_angles():
