@@ -6,7 +6,7 @@ flat so files diff well::
 
     # comments start with '#', blank lines are ignored
     [nodes]
-    # <id> <kind> key=value...      kind: machine | freq | passive
+    # <id> <kind> key=value...      kind: machine | freq | passive (NodeKind)
     # machine: M=, D=, alpha= required; freq: D=, alpha=; passive: none
     # optional on any node: P= (default 0); V= is accepted only as 1
     1 machine M=1 D=1 P=0.1 alpha=1 V=1
@@ -16,38 +16,42 @@ flat so files diff well::
     [comm]
     # <i> <j> l=<weight>           (section optional)
     1 2 l=2.0
-    [gains]
+    [gains]                        # GainSchedule's fields (section optional)
     k1=0.5
     k2=2.0
-    k3=1.0
-    [scenario]
-    kind=step                      # step | noise   (section optional)
-    t_end=60                       # default 60 (step) or 250 (noise)
-    h=0.01                         # default 0.01 (step) or 1e-3 (noise)
+    k3=1.0                         # optional, default 0
+    [scenario]                     # Scenario's fields (section optional)
+    kind=step                      # step | noise (ScenarioKind)
+    t_end=60                       # t_end, h, onset, paths, burn_in:
+    h=0.01                         #   default per kind in scenario.DEFAULTS
     onset=5                        # step only
-    step=1:-0.1                    # step only, repeatable, each node once
+    step=1:-0.1                    # step only (steps), repeatable, each node once
     sigma=1:0.002                  # noise only, repeatable, each node once;
                                    # machine buses
-    paths=20                       # noise only
+    paths=20                       # noise only, an integer
     burn_in=50                     # noise only
-    seed=42                        # noise only
+    seed=42                        # noise only, an integer
+
+The reader and the writer walk one key table per section, in file order:
+the node keys set :class:`Node`'s ``inertia``, ``damping``, ``injection``
+and ``price``, and the ``[gains]`` and ``[scenario]`` keys are the fields
+of :class:`GainSchedule` and :class:`Scenario`, each read as its field's
+type says: a node map as repeatable ``NODE:VALUE`` entries, an ``int`` as
+an integer, a ``float`` as a finite number.
 
 ``save_case`` writes the canonical form: fixed section order, nodes sorted
 by id, edges sorted by pair, floats via ``repr`` so loading a saved file
 reproduces the exact same objects. It writes ``V=1.0`` on every node.
 
-``t_end`` must be a whole number of steps ``h``; :class:`Scenario` refuses
-it otherwise. It refuses the other kind's keys too: ``onset`` and ``step``
-in a noise scenario, ``sigma``, ``paths``, ``burn_in`` and ``seed`` in a
-step scenario, and a step onset within LSODA's resolution below the last
-recorded time, or at or past it. A node named twice in ``step=`` or
-``sigma=`` lines, and a number that does not parse, are refused at their
-line.
+A node named twice in ``step=`` or ``sigma=`` lines, and a number that does
+not parse, are refused at their line; :class:`Scenario` refuses the rest,
+such as a ``t_end`` off the step grid or the other kind's fields.
 """
 
 import math
 import os
 from dataclasses import MISSING, fields
+from typing import get_args, get_origin
 
 from .controllers import GainSchedule
 from .errors import CaseFormatError, DisconnectedNetwork
@@ -58,8 +62,14 @@ __all__ = ["load_case", "save_case", "loads_case", "dumps_case", "bundled_case_p
 
 _SECTIONS = ("nodes", "edges", "comm", "gains", "scenario")
 _NODE_KINDS = [kind.value for kind in NodeKind]
+# the node keys and the Node fields they set; V= is read only to refuse a
+# value other than 1
+_NODE_KEYS = {"M": "inertia", "D": "damping", "P": "injection", "alpha": "price"}
 # the [gains] keys: GainSchedule's fields, each with whether a file must give it
 _GAINS = {f.name: f.default is MISSING for f in fields(GainSchedule)}
+# the [scenario] keys: Scenario's fields, step= for steps; the kind is kept
+# as its token until the file is read
+_SCENARIO = {"step" if f.name == "steps" else f.name: f for f in fields(Scenario)}
 
 
 def bundled_case_path(name: str) -> str:
@@ -88,6 +98,11 @@ def _parse_int(tok: str, what: str, path, lineno) -> int:
         raise CaseFormatError(f"{what}: not an integer: {tok!r}", path, lineno) from None
 
 
+def _by_pair(edges) -> list[tuple[int, int, float]]:
+    """Undirected ``(i, j, w)`` edges as (low, high, w), sorted by pair."""
+    return sorted((min(i, j), max(i, j), w) for i, j, w in edges)
+
+
 def _kv(tokens, path, lineno) -> dict[str, str]:
     out = {}
     for tok in tokens:
@@ -106,9 +121,7 @@ def loads_case(text: str, path: str = "<string>"):
     edges: list[tuple[int, int, float]] = []
     comm_edges: list[tuple[int, int, float]] = []
     gains_kv: dict[str, float] = {}
-    scen_kv: dict[str, str | float | int] = {}
-    steps: dict[int, float] = {}
-    sigma: dict[int, float] = {}
+    scen_kv: dict[str, str | float | int | dict[int, float]] = {}
     # (line, key, node) of every step=/sigma= entry, checked against the
     # nodes once every section is read
     node_refs: list[tuple[int, str, int]] = []
@@ -140,23 +153,17 @@ def loads_case(text: str, path: str = "<string>"):
                 raise CaseFormatError(
                     f"unknown node kind {toks[1]!r} ({'|'.join(_NODE_KINDS)})", path, lineno)
             kv = _kv(toks[2:], path, lineno)
-            allowed = {"M", "D", "P", "alpha", "V"}
             for key in kv:
-                if key not in allowed:
+                if key not in _NODE_KEYS and key != "V":
                     raise CaseFormatError(f"unknown node field {key!r}", path, lineno)
-
-            def fget(key, default=None):
-                return (_parse_float(kv[key], f"field {key}", path, lineno)
-                        if key in kv else default)
-
-            if fget("V", 1.0) != 1.0:
+            if "V" in kv and _parse_float(kv["V"], "field V", path, lineno) != 1.0:
                 raise CaseFormatError(
                     f"field V: {kv['V']!r} is not read; only V=1 is accepted, as "
                     "the line's K= is already the effective susceptance", path, lineno)
+            values = {name: _parse_float(kv[key], f"field {key}", path, lineno)
+                      for key, name in _NODE_KEYS.items() if key in kv}
             try:
-                nodes.append(Node(id=nid, kind=NodeKind(toks[1]),
-                                  inertia=fget("M"), damping=fget("D"),
-                                  injection=fget("P", 0.0), price=fget("alpha")))
+                nodes.append(Node(id=nid, kind=NodeKind(toks[1]), **values))
             except ValueError as exc:
                 raise CaseFormatError(str(exc), path, lineno) from None
         elif section in ("edges", "comm"):
@@ -172,35 +179,34 @@ def loads_case(text: str, path: str = "<string>"):
             w = _parse_float(kv[field], f"field {field}", path, lineno)
             (edges if section == "edges" else comm_edges).append((i, j, w))
         elif section == "gains":
-            kv = _kv(toks, path, lineno)
-            for key, val in kv.items():
+            for key, val in _kv(toks, path, lineno).items():
                 if key not in _GAINS:
                     raise CaseFormatError(f"unknown gain {key!r}", path, lineno)
                 if key in gains_kv:
                     raise CaseFormatError(f"duplicate gain {key!r}", path, lineno)
                 gains_kv[key] = _parse_float(val, f"gain {key}", path, lineno)
         elif section == "scenario":
-            kv = _kv(toks, path, lineno)
-            for key, val in kv.items():
-                if key in ("step", "sigma"):
-                    values = steps if key == "step" else sigma
+            for key, val in _kv(toks, path, lineno).items():
+                if key not in _SCENARIO:
+                    raise CaseFormatError(f"unknown scenario key {key!r}", path, lineno)
+                name, tp = _SCENARIO[key].name, _SCENARIO[key].type
+                if get_origin(tp) is dict:
+                    values = scen_kv.setdefault(name, {})
                     nid, _, v = val.partition(":")
                     nid = _parse_int(nid, f"{key} node", path, lineno)
                     if nid in values:
                         raise CaseFormatError(f"{key} names node {nid} twice", path, lineno)
                     node_refs.append((lineno, key, nid))
                     values[nid] = _parse_float(
-                        v, "step size" if key == "step" else "sigma", path, lineno)
-                elif key in ("kind", "t_end", "h", "onset", "paths", "burn_in", "seed"):
-                    if key in scen_kv:
-                        raise CaseFormatError(f"duplicate scenario key {key!r}", path, lineno)
-                    if key in ("paths", "seed"):
-                        val = _parse_int(val, f"scenario {key}", path, lineno)
-                    elif key != "kind":
-                        val = _parse_float(val, f"scenario {key}", path, lineno)
-                    scen_kv[key] = val
+                        v, "step size" if key == "step" else key, path, lineno)
+                elif name in scen_kv:
+                    raise CaseFormatError(f"duplicate scenario key {key!r}", path, lineno)
+                elif int in get_args(tp):
+                    scen_kv[name] = _parse_int(val, f"scenario {key}", path, lineno)
+                elif float in get_args(tp):
+                    scen_kv[name] = _parse_float(val, f"scenario {key}", path, lineno)
                 else:
-                    raise CaseFormatError(f"unknown scenario key {key!r}", path, lineno)
+                    scen_kv[name] = val
 
     if "nodes" not in saw:
         raise CaseFormatError("missing [nodes] section", path)
@@ -209,8 +215,7 @@ def loads_case(text: str, path: str = "<string>"):
     # canonical in-memory form: nodes by id, undirected pairs (low, high) sorted,
     # so loading a saved case reproduces identical objects
     nodes.sort(key=lambda n: n.id)
-    edges = sorted((min(i, j), max(i, j), k) for i, j, k in edges)
-    comm_edges = sorted((min(i, j), max(i, j), w) for i, j, w in comm_edges)
+    edges, comm_edges = _by_pair(edges), _by_pair(comm_edges)
     try:
         net = PowerNetwork(nodes=tuple(nodes), edges=tuple(edges))
     except ValueError as exc:
@@ -253,10 +258,11 @@ def loads_case(text: str, path: str = "<string>"):
             if nid not in net.index_of:
                 raise CaseFormatError(f"{key} references unknown node {nid}",
                                       path, lineno)
+        # node maps in node order, as the writer lists them
+        scen_kv = {name: dict(sorted(v.items())) if isinstance(v, dict) else v
+                   for name, v in scen_kv.items()}
         try:
-            scenario = Scenario(kind=ScenarioKind(kind_tok),
-                                steps=dict(sorted(steps.items())),
-                                sigma=dict(sorted(sigma.items())), **scen_kv)
+            scenario = Scenario(kind=ScenarioKind(kind_tok), **scen_kv)
         except (ValueError, TypeError) as exc:
             raise CaseFormatError(f"[scenario]: {exc}", path) from None
 
@@ -283,46 +289,28 @@ def dumps_case(net: PowerNetwork, comm: CommunicationGraph | None = None,
     out = ["[nodes]"]
     for node in sorted(net.nodes, key=lambda n: n.id):
         toks = [str(node.id), node.kind.value]
-        if node.inertia is not None:
-            toks.append(f"M={node.inertia!r}")
-        if node.damping is not None:
-            toks.append(f"D={node.damping!r}")
-        toks.append(f"P={node.injection!r}")
-        if node.price is not None:
-            toks.append(f"alpha={node.price!r}")
+        toks += [f"{key}={getattr(node, name)!r}" for key, name in _NODE_KEYS.items()
+                 if getattr(node, name) is not None]
         toks.append("V=1.0")
         out.append(" ".join(toks))
     out.append("[edges]")
-    for i, j, k in sorted(net.edges, key=lambda e: (min(e[0], e[1]), max(e[0], e[1]))):
-        a, b = (i, j) if i < j else (j, i)
-        out.append(f"{a} {b} K={k!r}")
+    out += [f"{i} {j} K={k!r}" for i, j, k in _by_pair(net.edges)]
     if comm is not None:
         out.append("[comm]")
-        for i, j, w in sorted(comm.weights, key=lambda e: (min(e[0], e[1]), max(e[0], e[1]))):
-            a, b = (i, j) if i < j else (j, i)
-            out.append(f"{a} {b} l={w!r}")
+        out += [f"{i} {j} l={w!r}" for i, j, w in _by_pair(comm.weights)]
     if gains is not None:
         out.append("[gains]")
-        out.append(f"k1={gains.k1!r}")
-        out.append(f"k2={gains.k2!r}")
-        out.append(f"k3={gains.k3!r}")
+        out += [f"{key}={getattr(gains, key)!r}" for key in _GAINS]
     if scenario is not None:
         out.append("[scenario]")
-        out.append(f"kind={scenario.kind.value}")
-        out.append(f"t_end={scenario.t_end!r}")
-        out.append(f"h={scenario.h!r}")
-        if scenario.onset is not None:
-            out.append(f"onset={scenario.onset!r}")
-        for nid, dp in scenario.steps.items():
-            out.append(f"step={nid}:{dp!r}")
-        for nid, s in scenario.sigma.items():
-            out.append(f"sigma={nid}:{s!r}")
-        if scenario.paths is not None:
-            out.append(f"paths={scenario.paths}")
-        if scenario.burn_in is not None:
-            out.append(f"burn_in={scenario.burn_in!r}")
-        if scenario.seed is not None:
-            out.append(f"seed={scenario.seed}")
+        for key, f in _SCENARIO.items():
+            value = getattr(scenario, f.name)
+            if isinstance(value, dict):
+                out += [f"{key}={nid}:{v!r}" for nid, v in value.items()]
+            elif isinstance(value, ScenarioKind):
+                out.append(f"{key}={value.value}")
+            elif value is not None:
+                out.append(f"{key}={value!r}")
     return "\n".join(out) + "\n"
 
 

@@ -27,10 +27,10 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
                      SolverAccuracyError, UnstableSystem,
                      UnsupportedForModalPath)
 from .h2 import analyze, h2_norms
-from .netmodel import check_homogeneous
-from .scenario import DEFAULTS, Scenario, ScenarioKind
-from .sim import (compute_metrics, simulate_deterministic, simulate_stochastic,
-                  write_ensemble_csv, write_trace_csv)
+from .netmodel import NodeKind, check_homogeneous
+from .scenario import _FOREIGN, DEFAULTS, Scenario, ScenarioKind
+from .sim import (METRICS_T0, compute_metrics, simulate_deterministic,
+                  simulate_stochastic, write_ensemble_csv, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -119,18 +119,27 @@ def _b_in(args, net):
 
 
 def _refuse_unread(args, flags, mode: str) -> None:
-    """A flag of ``flags`` given on the command line is a usage error: the
-    commands in ``mode`` never read it."""
+    """A flag of ``flags`` that the command has and was given is a usage
+    error: the commands in ``mode`` never read it."""
     given = [flag for flag in flags
-             if getattr(args, flag[2:].replace("-", "_")) is not None]
+             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
     if given:
         raise _Usage(f"{mode} do not read {', '.join(given)}")
 
 
+def _foreign_flags(kind: ScenarioKind) -> list[str]:
+    """The flags a ``kind`` study never reads: those of the fields a
+    ``kind`` scenario refuses (``--step`` sets ``steps``), and for noise the
+    step study's metrics window ``--t0``."""
+    names = _FOREIGN[kind] + (("t0",) if kind is ScenarioKind.NOISE else ())
+    return ["--step" if name == "steps" else "--" + name.replace("_", "-")
+            for name in names]
+
+
 def _t0(args) -> float:
-    """``--t0``, the end of the metrics window [0, t0]; 40 s when not given."""
+    """``--t0``, the end of the metrics window [0, t0]; METRICS_T0 if not given."""
     if args.t0 is None:
-        return 40.0
+        return METRICS_T0
     # the metrics integrate over [0, t0]; an empty window would read 0
     if not args.t0 > 0:
         raise _Usage(f"--t0 must be positive, got {args.t0:g}")
@@ -153,9 +162,9 @@ def cmd_validate(args) -> int:
     net, comm, gains, scenario = load_case(args.case)
     rep = check_homogeneous(net, comm)
     print(f"case: {args.case}")
-    print(f"nodes: {net.n_nodes} ({len(net.machine_ids)} machine, "
-          f"{len(net.freq_ids)} freq, {len(net.passive_ids)} passive), "
-          f"edges: {len(net.edges)}")
+    kinds = ", ".join(f"{sum(node.kind is kind for node in net.nodes)} {kind.value}"
+                      for kind in NodeKind)
+    print(f"nodes: {net.n_nodes} ({kinds}), edges: {len(net.edges)}")
     print("connectivity: ok" + ("" if comm is None else " (power and communication)"))
     if gains is not None:
         mode = "analytic (k2 = 4 k1)" if gains.analytic_mode else "permitted (k2 >= 4 k1)"
@@ -227,13 +236,11 @@ _SWEPT = (OutputSelector.FREQUENCY_DEVIATION, OutputSelector.CONTROL_INPUT,
           OutputSelector.MARGINAL_COST_SPREAD)
 
 
-# flags of sweep that each --sim choice never reads
-_SWEEP_UNREAD = {None: ("--seed", "--model", "--t0"), "step": ("--seed",),
-                 "noise": ("--t0",)}
-
-
 def cmd_sweep(args) -> int:
-    _refuse_unread(args, _SWEEP_UNREAD[args.sim],
+    unread = (_foreign_flags(ScenarioKind(args.sim)) if args.sim else
+              [*_foreign_flags(ScenarioKind.STEP), "--model",
+               *_foreign_flags(ScenarioKind.NOISE)])
+    _refuse_unread(args, unread,
                    "sweeps " + (f"with --sim {args.sim}" if args.sim else "without --sim"))
     if args.param == "k3":
         _refuse_k3(args, "--param k3")
@@ -241,7 +248,7 @@ def cmd_sweep(args) -> int:
     base = _gains_from(args, file_gains)
     grid = _grid(args)
     t0 = _t0(args)
-    model = args.model or "sin"
+    model = args.model or MODELS[0]
     B_in = _b_in(args, net)
     if args.sim is not None:
         if scenario is None:
@@ -322,11 +329,8 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
     if kind_tok is None:
         raise _Usage("no scenario: case file has no [scenario] section, pass --kind")
     kind = ScenarioKind(kind_tok)
-    if kind is ScenarioKind.STEP:
-        _refuse_unread(args, ("--seed", "--paths", "--sigma", "--burn-in"),
-                       "step studies")
-    else:
-        _refuse_unread(args, ("--step", "--onset", "--t0"), "noise runs")
+    _refuse_unread(args, _foreign_flags(kind),
+                   "step studies" if kind is ScenarioKind.STEP else "noise runs")
     base = file_scenario if (file_scenario and file_scenario.kind is kind) else None
     # a flag given wins over the case file's field; a field left None here
     # takes the kind's default in Scenario
@@ -334,10 +338,8 @@ def _scenario_from(args, file_scenario, net) -> Scenario:
     if base is not None:
         fields = {name: getattr(base, name) if flag is None else flag
                   for name, flag in fields.items()}
-    steps = dict(base.steps) if base else {}
-    steps.update(_node_values(args.step, "--step", net))
-    sigma = dict(base.sigma) if base else {}
-    sigma.update(_node_values(args.sigma, "--sigma", net))
+    steps = {**(base.steps if base else {}), **_node_values(args.step, "--step", net)}
+    sigma = {**(base.sigma if base else {}), **_node_values(args.sigma, "--sigma", net)}
     if kind is ScenarioKind.NOISE and fields["seed"] is None:
         raise _Usage("stochastic simulation needs --seed (or seed= in the case file)")
     try:
@@ -384,6 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Secondary frequency control: H2 analysis and simulation.")
     sub = ap.add_subparsers(dest="command", required=True)
     kinds = [kind.value for kind in ScenarioKind]
+    window = f"end of the S/C window (default {METRICS_T0:g})"
 
     def common(p, law=True):
         p.add_argument("--case", required=True, help="case file path")
@@ -416,8 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", choices=kinds,
                    help="also simulate at each grid point")
     p.add_argument("--seed", type=int)
-    p.add_argument("--t0", type=float, help="end of the S/C window (default 40)")
-    p.add_argument("--model", choices=MODELS, help="default: sin")
+    p.add_argument("--t0", type=float, help=window)
+    p.add_argument("--model", choices=MODELS, help=f"default: {MODELS[0]}")
     p.add_argument("--b-diag", help="diagonal disturbance matrix of the norms, comma floats")
     p.add_argument("--svg", help="write an SVG chart of the norm columns")
     p.set_defaults(fn=cmd_sweep)
@@ -434,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int)
     p.add_argument("--burn-in", dest="burn_in", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--t0", type=float, help="end of the S/C window (default 40)")
-    p.add_argument("--model", default="sin", choices=MODELS)
+    p.add_argument("--t0", type=float, help=window)
+    p.add_argument("--model", default=MODELS[0], choices=MODELS)
     p.set_defaults(fn=cmd_simulate)
     return ap
 

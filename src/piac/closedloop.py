@@ -67,7 +67,7 @@ __all__ = [
     "output_matrix",
 ]
 
-# the line-flow models of _SimModel: sin(E theta), or E theta at the origin
+# _SimModel's line flows, the default first: sin(E theta), or E theta at the origin
 MODELS = ("sin", "linear")
 
 

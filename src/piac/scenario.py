@@ -5,7 +5,7 @@ A scenario owns the time axis of both simulators: see
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -25,8 +25,8 @@ DEFAULTS = {
     ScenarioKind.STEP: {"t_end": 60.0, "h": 0.01, "onset": 5.0},
     ScenarioKind.NOISE: {"t_end": 250.0, "h": 1e-3, "paths": 20, "burn_in": 50.0},
 }
-# the fields only the other kind reads, which a scenario refuses
-_FOREIGN = {ScenarioKind.STEP: ("sigma", "paths", "burn_in", "seed"),
+# the fields only the other kind reads, which a scenario refuses, in the CLI's flag order
+_FOREIGN = {ScenarioKind.STEP: ("seed", "paths", "sigma", "burn_in"),
             ScenarioKind.NOISE: ("steps", "onset")}
 # recording interval of noise runs in s, taken as the whole number of steps
 # nearest to it (at least one)
@@ -45,7 +45,8 @@ class Scenario:
     ``2 eps t_n`` below the last recorded time ``t_n``: the study integrates
     from the onset to ``t_n``, and LSODA steps no shorter span.
     ``seed`` is mandatory for noise runs so every ensemble is reproducible,
-    and non-negative, as numpy's ``SeedSequence`` requires.
+    and non-negative, as numpy's ``SeedSequence`` requires. ``paths`` and
+    ``seed`` are integers: a float or a bool is refused.
     A field left ``None``, ``t_end`` and ``h`` included, takes its kind's
     value in :data:`DEFAULTS`; a field only the other kind reads must be
     left unset (``None``, or empty).
@@ -62,14 +63,18 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self):
-        foreign = [name for name in _FOREIGN[self.kind]
-                   if getattr(self, name) not in (None, {})]
+        foreign = [f.name for f in fields(self) if f.name in _FOREIGN[self.kind]
+                   and getattr(self, f.name) not in (None, {})]
         if foreign:
             raise ValueError(f"{self.kind.value} scenarios take no "
                              f"{', '.join(foreign)}")
         for name, value in DEFAULTS[self.kind].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
+        for name in ("paths", "seed"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("t_end", "h", "onset", "burn_in"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

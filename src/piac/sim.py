@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (StateSpace, _damped_newton, _refuse_feedthrough,
+from .closedloop import (MODELS, StateSpace, _damped_newton, _refuse_feedthrough,
                          _SimModel, _weighted_gram, deflate_zero_mode)
 # kept importable here: the benchmark's tracer test checks that a wrapped
 # function is also patched where another module imported it
@@ -58,12 +58,14 @@ from .scenario import Scenario, ScenarioKind
 __all__ = [
     "Scenario", "ScenarioKind", "Trace", "Metrics", "Equilibrium",
     "find_equilibrium", "simulate_deterministic", "simulate_stochastic",
-    "compute_metrics", "write_trace_csv", "write_ensemble_csv",
+    "compute_metrics", "write_trace_csv", "write_ensemble_csv", "METRICS_T0",
 ]
 
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
+# end in s of the window [0, t0] of a step study's metrics S and C
+METRICS_T0 = 40.0
 # LSODA tolerances of the step studies
 _RTOL = 1e-8
 _ATOL = 1e-10
@@ -145,7 +147,7 @@ class Equilibrium:
 
 def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
                      comm: CommunicationGraph | None = None,
-                     model: str = "sin") -> Equilibrium:
+                     model: str = MODELS[0]) -> Equilibrium:
     """Steady state with the secondary loop holding the synchronized
     frequency at zero: optimal inputs, matching controller offsets, and the
     zero-mean phase profile solving the (sine or linearized) power flow."""
@@ -199,7 +201,7 @@ def _node_vector(net, values: dict[int, float]) -> np.ndarray:
 
 def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
                            law: str, gains: GainSchedule, scenario: Scenario,
-                           model: str = "sin") -> Trace:
+                           model: str = MODELS[0]) -> Trace:
     """Step-load response from the pre-disturbance equilibrium.
 
     LSODA integrates at rtol 1e-8, atol 1e-10 with the exact Jacobian
@@ -276,7 +278,7 @@ def _traces(model_obj, t, X, P) -> list[Trace]:
 
 def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
                         law: str, gains: GainSchedule, scenario: Scenario,
-                        model: str = "sin") -> tuple[list[Trace], Metrics]:
+                        model: str = MODELS[0]) -> tuple[list[Trace], Metrics]:
     """Euler-Maruyama ensemble under white-noise load disturbances.
 
     All paths step together as one (paths, dim) state. Per-path noise
@@ -385,7 +387,7 @@ def _euler_maruyama(drift, x0, sig, scenario):
     return scenario.record_times(), X_rec.transpose(1, 0, 2), W_rec.transpose(1, 0, 2)
 
 
-def compute_metrics(trace: Trace, alpha, t0: float = 40.0) -> Metrics:
+def compute_metrics(trace: Trace, alpha, t0: float = METRICS_T0) -> Metrics:
     """The windowed quadratic costs of a step study's trace: S integrates
     the squared frequency deviations and C half the price-weighted squared
     inputs over [0, t0], by the trapezoid rule on the trace's grid.

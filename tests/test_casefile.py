@@ -1,10 +1,13 @@
 import re
+from dataclasses import fields
 
 import pytest
 
-from piac import (CaseFormatError, DisconnectedNetwork, ScenarioKind,
-                  bundled_case_path, dumps_case, load_case, loads_case,
-                  save_case)
+import piac.casefile as casefile
+from piac import (CaseFormatError, DisconnectedNetwork, GainSchedule, NodeKind,
+                  Scenario, ScenarioKind, bundled_case_path, dumps_case,
+                  load_case, loads_case, save_case)
+from piac.scenario import _FOREIGN
 
 GOOD = """
 [nodes]
@@ -244,6 +247,35 @@ def test_roundtrip_noise_scenario():
     text = dumps_case(*loaded)
     assert text.endswith("[scenario]\n" + noise + "\n")
     assert loads_case(text) == loaded
+
+
+def test_the_key_tables_cover_every_field():
+    # a field the tables miss would be neither read nor written
+    assert ([f.name for f in casefile._SCENARIO.values()]
+            == [f.name for f in fields(Scenario)])
+    assert list(casefile._GAINS) == [f.name for f in fields(GainSchedule)]
+
+
+@pytest.mark.parametrize("scenario, full", [
+    (Scenario.step({3: 0.05, 1: -0.1}, onset=1.5, t_end=20.0, h=0.02), True),
+    (Scenario.white_noise({2: 0.003, 1: 0.002}, seed=7, t_end=100.0, h=0.001,
+                          paths=4, burn_in=10.0), True),
+    (Scenario(kind=ScenarioKind.STEP), False),
+    (Scenario(kind=ScenarioKind.NOISE), False),
+], ids=["step-full", "noise-full", "step-unset", "noise-unset"])
+def test_every_field_round_trips_through_the_key_tables(scenario, full):
+    net, comm, _, _ = loads_case(GOOD)
+    gains = GainSchedule(k1=0.5, k2=3.0, k3=0.25)
+    assert {node.kind for node in net.nodes} == set(NodeKind)
+    assert not gains.analytic_mode
+    text = dumps_case(net, comm, gains, scenario)
+    assert loads_case(text) == (net, comm, gains, scenario)
+    if full:
+        # every field the kind reads is written
+        written = {line.split("=", 1)[0]
+                   for line in text.split("[scenario]\n", 1)[1].splitlines()}
+        assert written == {key for key, f in casefile._SCENARIO.items()
+                           if f.name not in _FOREIGN[scenario.kind]}
 
 
 def test_missing_sections():

@@ -19,6 +19,8 @@ from piac import (LAWS, GainSchedule, OutputSelector, analyze, build_laplacian,
 import piac.cli as cli
 import piac.h2
 from piac.cli import main
+from piac.closedloop import MODELS
+from piac.sim import METRICS_T0
 from conftest import ring_net
 
 TWO_NODE = """
@@ -1015,6 +1017,21 @@ def test_onset_within_the_integrators_resolution_of_t_n_is_usage_error(capsys):
         assert (f"usage error: onset {onset} lies less than 2 eps t_n "
                 "below the last recorded time t_n = 2.0") in err
         assert out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_help_prints_the_library_defaults(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--t0 T0 end of the S/C window (default {METRICS_T0:g})" in text
+    if command == "sweep":
+        assert f"--model {{{','.join(MODELS)}}} default: {MODELS[0]}" in text
+    else:
+        args = cli._build_parser().parse_args(
+            ["simulate", "--case", "c", "--law", "dpiac"])
+        assert args.model == MODELS[0]
 
 
 @pytest.mark.parametrize("body, message", [

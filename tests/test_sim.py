@@ -385,6 +385,14 @@ def test_scenario_validation():
             Scenario(kind=ScenarioKind.STEP, t_end=t_end, h=0.1, onset=0.0)
     with pytest.raises(ValueError, match="^paths must be >= 1$"):
         Scenario(kind=ScenarioKind.NOISE, t_end=10.0, h=0.1, paths=0, seed=1)
+    # a float or a bool fails late, in the stepper or in SeedSequence, and
+    # seed=True would run as seed 1
+    for name, value in (("paths", 2.5), ("paths", True), ("seed", 1.5),
+                        ("seed", True)):
+        fields = {"paths": 2, "seed": 1, name: value}
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got {value!r}$"):
+            Scenario(kind=ScenarioKind.NOISE, t_end=10.0, h=0.1, **fields)
     net, comm = ring_net(3)
     bad = Scenario.step({99: -0.1}, onset=1.0, t_end=10.0)
     with pytest.raises(DomainError):
