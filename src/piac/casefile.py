@@ -43,8 +43,9 @@ an integer, a ``float`` as a finite number.
 by id, edges sorted by pair, floats via ``repr`` so loading a saved file
 reproduces the exact same objects. It writes ``V=1.0`` on every node.
 
-A node named twice in ``step=`` or ``sigma=`` lines, and a number that does
-not parse, are refused at their line; :class:`Scenario` refuses the rest,
+A node named twice in ``step=`` or ``sigma=`` lines, an unknown ``kind=``
+and a number that does not parse are refused at their line, a missing
+``kind=`` at the ``[scenario]`` header; :class:`Scenario` refuses the rest,
 such as a ``t_end`` off the step grid or the other kind's fields.
 """
 
@@ -70,6 +71,7 @@ _GAINS = {f.name: f.default is MISSING for f in fields(GainSchedule)}
 # the [scenario] keys: Scenario's fields, step= for steps; the kind is kept
 # as its token until the file is read
 _SCENARIO = {"step" if f.name == "steps" else f.name: f for f in fields(Scenario)}
+_SCENARIO_KINDS = [kind.value for kind in ScenarioKind]
 
 
 def bundled_case_path(name: str) -> str:
@@ -125,7 +127,8 @@ def loads_case(text: str, path: str = "<string>"):
     # (line, key, node) of every step=/sigma= entry, checked against the
     # nodes once every section is read
     node_refs: list[tuple[int, str, int]] = []
-    saw: set[str] = set()
+    # the line of each section's header
+    saw: dict[str, int] = {}
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,7 +143,7 @@ def loads_case(text: str, path: str = "<string>"):
                 raise CaseFormatError(f"unknown section [{section}]", path, lineno)
             if section in saw:
                 raise CaseFormatError(f"duplicate section [{section}]", path, lineno)
-            saw.add(section)
+            saw[section] = lineno
             continue
         if section is None:
             raise CaseFormatError("content before the first section header", path, lineno)
@@ -190,6 +193,8 @@ def loads_case(text: str, path: str = "<string>"):
                 if key not in _SCENARIO:
                     raise CaseFormatError(f"unknown scenario key {key!r}", path, lineno)
                 name, tp = _SCENARIO[key].name, _SCENARIO[key].type
+                if name == "kind" and val not in _SCENARIO_KINDS:
+                    raise CaseFormatError(f"unknown scenario kind {val!r}", path, lineno)
                 if get_origin(tp) is dict:
                     values = scen_kv.setdefault(name, {})
                     nid, _, v = val.partition(":")
@@ -250,10 +255,8 @@ def loads_case(text: str, path: str = "<string>"):
     scenario = None
     if "scenario" in saw:
         if "kind" not in scen_kv:
-            raise CaseFormatError("[scenario] missing kind=", path)
+            raise CaseFormatError("[scenario] missing kind=", path, saw["scenario"])
         kind_tok = scen_kv.pop("kind")
-        if kind_tok not in [kind.value for kind in ScenarioKind]:
-            raise CaseFormatError(f"unknown scenario kind {kind_tok!r}", path)
         for lineno, key, nid in node_refs:
             if nid not in net.index_of:
                 raise CaseFormatError(f"{key} references unknown node {nid}",

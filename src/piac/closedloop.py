@@ -128,7 +128,9 @@ class _SimModel:
     the model is built, which makes the right-hand side the product
     ``x L_x + p L_p + l L_l``. Passive phases are solved by damped Newton
     inside every evaluation, warm-started from the previous solve of the
-    same shape, which is per path in an ensemble.
+    same shape, which is per path in an ensemble, and entered through chord
+    steps on that solve's inverse Jacobian while each step halves the
+    mismatch (:func:`_damped_newton`).
     """
 
     def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
@@ -164,8 +166,9 @@ class _SimModel:
         # columns of E: the gaps are E_mf theta_mf + E_p theta_p
         self.E_mf, self.E_p = self.E[:, self.mf], self.E[:, self.pas]
         self._passive_gram = _weighted_gram(self.E_p)
-        # last passive solve per state shape: single states, an ensemble's
-        # paths and the trace blocks each warm-start from their own
+        # last passive solve per state shape, with its inverse Jacobian:
+        # single states, an ensemble's paths and the trace blocks each
+        # warm-start from their own
         self._theta_p_warm = {}
         # the equations have no constant term, so their values at the unit
         # vectors of (x, p, f) are the rows of the map; L_l = E L_f as the
@@ -196,7 +199,13 @@ class _SimModel:
 
     def _balance(self, theta_mf, p_pas):
         """:meth:`solve_passive`, and the phase gaps of the lines at the
-        solution."""
+        solution.
+
+        The solve starts from the last solution of the same shape and takes
+        chord steps with its inverse Jacobian while each step halves the
+        mismatch; an element whose step does not goes on with Newton, and
+        its inverse is refreshed at its solution. Both are kept for the
+        next solve of that shape; the first one starts cold, at zero."""
         shape = theta_mf.shape[:-1] + (self.n_p,)
         gap_mf = theta_mf @ self.E_mf.T
         if self.n_p == 0:
@@ -207,12 +216,11 @@ class _SimModel:
             gap = gap_mf + z @ E_p.T
             return p_pas - self.line_flows(gap) @ E_p, gap
 
-        warm = self._theta_p_warm.get(shape)
-        theta_p, gap = _damped_newton(
-            mismatch, lambda gap: self._passive_gram(self.stiffness(gap)),
-            np.zeros(shape) if warm is None else warm,
-            1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network")
-        self._theta_p_warm[shape] = theta_p
+        theta_p, K = self._theta_p_warm.get(shape) or (np.zeros(shape), None)
+        theta_p, gap, K = _damped_newton(
+            mismatch, lambda gap: self._passive_gram(self.stiffness(gap)), theta_p,
+            1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network", K)
+        self._theta_p_warm[shape] = theta_p, K
         return theta_p, gap
 
     # -- packed state ----------------------------------------------------------
@@ -305,27 +313,52 @@ def _weighted_gram(F: np.ndarray):
     return lambda c: (c @ outer).reshape(c.shape[:-1] + (k, k))
 
 
-def _damped_newton(residual, jacobian, z0, tol, what):
+def _damped_newton(residual, jacobian, z0, tol, what, K=None):
     """Solve the power mismatch ``g(z) = 0`` by Newton steps ``J^-1 g(z)``.
 
     ``residual(z)`` returns ``g(z)`` and the phase gaps at ``z``;
     ``jacobian(gaps)`` is ``J``, the derivative of the flows, i.e. of
-    ``-g``, so the two share one gap evaluation. Returns the solution and
-    its gaps.
+    ``-g``, so the two share one gap evaluation. Returns the solution, its
+    gaps and ``K``, the inverse of ``J`` per element.
+
+    ``K``, an inverse Jacobian from an earlier solve, first drives chord
+    steps ``z + K g(z)``: one product each, with no Jacobian and no linear
+    solve. An element takes them while each one at least halves its max
+    mismatch. Its first step that does not is dropped, and the element goes
+    on with Newton steps on fresh Jacobians; the inverse Jacobian at its
+    solution becomes its ``K``. Without ``K`` every element runs Newton
+    from ``z0`` and has ``K`` taken at its solution.
 
     Works over the leading axes of ``z0``. An element is done once the max
     norm of its mismatch is at most ``tol`` (broadcast over the leading
-    axes) and is frozen from then on; each element halves its own step until
-    its mismatch falls. So no element's iterates depend on the others.
+    axes) and is frozen from then on; each element halves its own Newton
+    step until its mismatch falls. So no element's iterates depend on the
+    others.
     """
     z = np.array(z0, dtype=float)
     g, gap = residual(z)
     gn = np.abs(g).max(axis=-1, initial=0.0)
+    if K is None:
+        fresh = np.ones(gn.shape, dtype=bool)
+    else:
+        # a mismatch that is not finite is left to Newton, which reports it
+        chord = (gn > tol) & (gn < np.inf)
+        while _any(chord):
+            cand = z + (K @ g[..., None])[..., 0]
+            g_new, gap_new = residual(cand)
+            gn_new = np.abs(g_new).max(axis=-1, initial=0.0)
+            halved = chord & (gn_new <= 0.5 * gn)
+            z, g, gap, gn = _pick(halved, (cand, g_new, gap_new, gn_new), (z, g, gap, gn))
+            chord = halved & (gn > tol)
+        # the elements the chord steps left unsolved go on with Newton
+        fresh = ~(gn <= tol)
+        if not _any(fresh):
+            return z, gap, K
     eye = np.eye(z.shape[-1])
     for _ in range(50):
         active = ~(gn <= tol)
         if not active.any():
-            return z, gap
+            break
         J = jacobian(gap)
         if not active.all():
             # frozen elements solve an identity system and are never updated
@@ -339,21 +372,42 @@ def _damped_newton(residual, jacobian, z0, tol, what):
             g_new, gap_new = residual(cand)
             gn_new = np.abs(g_new).max(axis=-1, initial=0.0)
             better = active & (gn_new < gn)
-            if better.all():
-                z, g, gap, gn = cand, g_new, gap_new, gn_new
-                break
-            z = np.where(better[..., None], cand, z)
-            g = np.where(better[..., None], g_new, g)
-            gap = np.where(better[..., None], gap_new, gap)
-            gn = np.where(better, gn_new, gn)
+            z, g, gap, gn = _pick(better, (cand, g_new, gap_new, gn_new), (z, g, gap, gn))
             active = active & ~better
             if not active.any():
                 break
             alpha *= 0.5
         else:
             raise DAESolveError(_unconverged(f"{what} Newton stalled", gn, tol))
-    raise DAESolveError(_unconverged(
-        f"{what} Newton did not converge in 50 iterations", gn, tol))
+    else:
+        raise DAESolveError(_unconverged(
+            f"{what} Newton did not converge in 50 iterations", gn, tol))
+    J = jacobian(gap)
+    if not fresh.all():
+        # only the fresh elements' inverse is kept
+        J = np.where(fresh[..., None, None], J, eye)
+    K = _pick(fresh, (_solve(J, eye, what),), (K,))[0]
+    return z, gap, K
+
+
+def _any(mask):
+    """``mask.any()``; ``bool`` of an unbatched solve's scalar mask is far
+    cheaper than a reduction."""
+    return bool(mask) if mask.ndim == 0 else mask.any()
+
+
+def _pick(mask, new, old):
+    """The arrays of ``new`` on the elements where ``mask`` holds and those
+    of ``old`` elsewhere; the arrays run over the leading axes of ``mask``
+    and may have trailing axes of their own."""
+    if mask.ndim == 0:
+        return new if mask else old
+    if mask.all():
+        return new
+    if not mask.any():
+        return old
+    return tuple(np.where(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), a, b)
+                 for a, b in zip(new, old))
 
 
 def _solve(J, b, what):

@@ -12,12 +12,15 @@ the closed-loop matrices off it; this module integrates it, rebuilds traces
 and exports them. The model, coupled through the grid's signed incidence
 matrix, takes states with leading (path, row) axes, and one damped Newton,
 element by element, solves both the equilibrium power flow and the passive
-balance. Deterministic runs integrate with LSODA, which switches between
-Adams and BDF methods as the problem's stiffness demands (Petzold, SIAM J.
-Sci. Stat. Comput. 4(1), 1983): low-damping load buses put closed-loop
-eigenvalues far into the left half-plane (down to about -235 on
-``ieee39-like``), where an explicit scheme is held to tiny steps by
-stability, not accuracy. Its Jacobian is the model's exact derivative,
+balance. A passive solve starts from the model's previous one, its solution
+and its inverse Jacobian, and takes chord steps with that inverse while
+each step at least halves the mismatch, so consecutive evaluations rarely
+build a Jacobian; the equilibrium starts cold. Deterministic runs integrate
+with LSODA, which switches between Adams and BDF methods as the problem's
+stiffness demands (Petzold, SIAM J. Sci. Stat. Comput. 4(1), 1983):
+low-damping load buses put closed-loop eigenvalues far into the left
+half-plane (down to about -235 on ``ieee39-like``), where an explicit
+scheme is held to tiny steps by stability, not accuracy. Its Jacobian is the model's exact derivative,
 :meth:`_SimModel.linearize`: one passive solve, and one linear solve for
 the passive phases' sensitivity. Stochastic runs step the whole ensemble
 as one (paths, dim) state with Euler-Maruyama at a fixed step. White-noise
@@ -165,9 +168,9 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
         gap = z @ F.T
         return target - model_obj.line_flows(gap) @ F, gap
 
-    z, _ = _damped_newton(mismatch, lambda gap: jacobian(model_obj.stiffness(gap)),
-                          np.zeros(net.n_nodes - 1),
-                          1e-12 * max(1.0, float(np.abs(inj).max())), "power-flow")
+    z, _, _ = _damped_newton(mismatch, lambda gap: jacobian(model_obj.stiffness(gap)),
+                             np.zeros(net.n_nodes - 1),
+                             1e-12 * max(1.0, float(np.abs(inj).max())), "power-flow")
     eta, xi = model_obj.law.offsets(u_eq)
     return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
 
@@ -258,7 +261,9 @@ def _traces(model_obj, t, X, P) -> list[Trace]:
 
     The algebraic node states are rebuilt for all paths at once, in blocks
     of ``_TRACE_BLOCK`` rows: one batched solve per block, warm-started from
-    the block before. The blocks bound the memory the batched Newton takes.
+    the block before, row by row, with its solution and inverse Jacobian
+    (chord steps while each halves the mismatch, then Newton). The blocks
+    bound the memory the batched Newton takes.
     """
     net, law = model_obj.net, model_obj.law
     theta = np.empty(X.shape[:-1] + (model_obj.n,))
@@ -448,35 +453,46 @@ def _write_rows(fh, trace: Trace, prefix: str = "") -> None:
     """Write the rows of ``trace``, each starting with ``prefix``, in blocks
     of ``_TRACE_BLOCK`` time steps.
 
-    One ``%``-template covers a time step: node ids, the prefix and the
-    empty controller fields of nodes without a controller are literal text,
-    every number is ``%.12g``, and ``t``, formatted once per time step,
-    takes the place of each ``"\\0"``. A NaN in any column is written as an
-    empty field: ``%`` prints NaN of either sign as ``nan``, a word no other
-    field can contain.
+    One ``%``-template covers a time step: node ids, the prefix, the empty
+    controller fields of nodes without a controller and the empty ``omega``
+    of a node whose ``omega`` is NaN throughout (a passive node's) are
+    literal text, every other number is ``%.12g``, and ``t``, formatted
+    once per time step, takes the place of each ``"\\0"``. Any other NaN is
+    written as an empty field too: a NaN time as it is formatted, and a NaN
+    value by dropping ``nan`` from the text of a block holding one, as
+    ``%`` prints NaN of either sign as ``nan``, a word no other field can
+    contain.
     """
     n, c = len(trace.node_ids), len(trace.controller_ids)
     ctrl = {nid: k for k, nid in enumerate(trace.controller_ids)}
+    no_omega = np.isnan(trace.omega).all(axis=0)
     # positions of a step's values in the template, in the stacked columns
     # theta | omega | eta | xi | u | mc
     order, rows = [], []
     for col, nid in enumerate(trace.node_ids):
-        order += [col, n + col]
+        order.append(col)
+        row = f"{prefix}\0,{nid},%.12g"
+        if no_omega[col]:
+            row += ","
+        else:
+            order.append(n + col)
+            row += ",%.12g"
         k = ctrl.get(nid)
         if k is None:
-            rows.append(f"{prefix}\0,{nid},%.12g,%.12g,,,,\n")
+            row += ",,,,"
         else:
             order += [2 * n + j * c + k for j in range(4)]
-            rows.append(f"{prefix}\0,{nid}" + ",%.12g" * 6 + "\n")
+            row += ",%.12g" * 4
+        rows.append(row + "\n")
     step = "".join(rows)
     columns = (trace.theta, trace.omega, trace.eta, trace.xi, trace.u, trace.mc)
-    times = ["%.12g" % t for t in trace.t.tolist()]
+    times = ["" if math.isnan(t) else "%.12g" % t for t in trace.t.tolist()]
     for a in range(0, len(times), _TRACE_BLOCK):
         block = slice(a, a + _TRACE_BLOCK)
         template = "".join([step.replace("\0", t) for t in times[block]])
         values = np.column_stack([col[block] for col in columns])[:, order]
         text = template % tuple(values.ravel().tolist())
-        fh.write(text.replace("nan", ""))
+        fh.write(text.replace("nan", "") if np.isnan(values).any() else text)
 
 
 def write_trace_csv(fh, trace: Trace) -> None:

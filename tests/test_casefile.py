@@ -325,15 +325,16 @@ k1=0.5 k2=2.0
     ("k3=1.0", "k3=1.0\nk1=0.5", "15: duplicate gain 'k1'"),
     ("onset=2.0", "onset=2.0\nt_end=30.0", "20: duplicate scenario key 't_end'"),
     ("onset=2.0", "onset=2.0 ramp=1", "19: unknown scenario key 'ramp'"),
+    ("kind=step", "kind=ramp", "16: unknown scenario kind 'ramp'"),
+    # a missing kind= is named at the [scenario] header
+    ("kind=step\n", "", "15: [scenario] missing kind="),
     # found once the sections are read, so named at the file alone
     ("1 2 l=1.0", "1 2 l=-1.0", " communication weight (1,2) must be >= 0"),
     ("k2=2.0\n", "", " [gains] missing ['k2']"),
-    ("kind=step\n", "", " [scenario] missing kind="),
-    ("kind=step", "kind=ramp", " unknown scenario kind 'ramp'"),
 ], ids=["node-key", "header", "section", "node-line", "node-kind", "node-field",
         "node", "edge-line", "comm-line", "edge-field", "gain", "gain-twice",
-        "scenario-key-twice", "scenario-key", "comm-weight",
-        "gains-missing", "kind-missing", "scenario-kind"])
+        "scenario-key-twice", "scenario-key", "scenario-kind", "kind-missing",
+        "comm-weight", "gains-missing"])
 def test_format_error_names_the_file_and_its_line(old, new, message):
     assert old in GOOD
     with pytest.raises(CaseFormatError) as err:

@@ -995,6 +995,107 @@ def test_batched_passive_newton_matches_unbatched():
         assert np.allclose(batched[k], alone, rtol=0, atol=1e-14)
 
 
+def passive_mismatch(mo, theta_mf, p_pas):
+    """Solve the passive balance of ``mo`` and return the solution, its max
+    mismatch as the damped Newton measures it, and that Newton's tolerance."""
+    theta_p, gap = mo._balance(theta_mf, p_pas)
+    g = np.abs(p_pas - mo.line_flows(gap) @ mo.E_p).max(axis=-1)
+    return theta_p, g, 1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1))
+
+
+def counting_linear_algebra(mo, monkeypatch):
+    """Record each passive Jacobian ``mo`` builds and each ``_solve`` call."""
+    import piac.closedloop
+
+    calls = []
+    gram, solve = mo._passive_gram, piac.closedloop._solve
+
+    def counting_gram(c):
+        calls.append("jacobian")
+        return gram(c)
+
+    def counting_solve(*args):
+        calls.append("solve")
+        return solve(*args)
+
+    monkeypatch.setattr(mo, "_passive_gram", counting_gram)
+    monkeypatch.setattr(piac.closedloop, "_solve", counting_solve)
+    return calls
+
+
+def test_nearby_passive_solve_takes_only_chord_steps(monkeypatch):
+    # the inverse Jacobian of one solve carries the next, at phases moved
+    # by 1e-4, to the tolerance: no Jacobian is built and nothing is solved
+    from piac.closedloop import _SimModel
+
+    net, comm, gains, _ = load_case(bundled_case_path("ieee39-like"))
+    mo = _SimModel(net, comm, "dpiac", gains, "sin")
+    theta_mf = mo.at_rest(find_equilibrium(net, "dpiac", gains, comm))[:mo.n_mf]
+    p_pas = net.injections[mo.pas]
+    before = mo.solve_passive(theta_mf, p_pas)
+    calls = counting_linear_algebra(mo, monkeypatch)
+    moved = theta_mf + 1e-4 * np.random.default_rng(7).uniform(-1, 1, mo.n_mf)
+    theta_p, g, tol = passive_mismatch(mo, moved, p_pas)
+    assert calls == []
+    assert g <= tol
+    assert np.abs(theta_p - before).max() > 1e-6
+    cold = _SimModel(net, comm, "dpiac", gains, "sin").solve_passive(moved, p_pas)
+    assert np.allclose(theta_p, cold, rtol=0, atol=1e-12)
+
+
+def test_stale_passive_inverse_falls_back_to_newton(monkeypatch):
+    # the inverse Jacobian kept where the corridor's gaps are 1 rad does not
+    # halve the mismatch where they are 1/6 rad; the solve goes on with
+    # Newton, meets the tolerance and finds the cold start's solution
+    from piac.closedloop import _SimModel
+
+    net, comm = loaded_chain()
+    g = GainSchedule.analytic(1.0, 1.0)
+    model = lambda: _SimModel(net, comm, "dpiac", g, "sin")
+    mo, p_pas, now = model(), np.zeros(2), np.array([0.25, -0.25])
+    mo.solve_passive(np.array([1.5, -1.5]), p_pas)
+    # precondition: the stale chord step does not halve the mismatch
+    z, K = mo._theta_p_warm[(2,)]
+    mismatch = lambda z: p_pas - mo.flows(np.insert(now, [1, 1], z))[mo.pas]
+    g0 = mismatch(z)
+    assert np.abs(mismatch(z + K @ g0)).max() > 0.5 * np.abs(g0).max()
+    calls = counting_linear_algebra(mo, monkeypatch)
+    theta_p, gn, tol = passive_mismatch(mo, now, p_pas)
+    assert "jacobian" in calls and "solve" in calls
+    assert gn <= tol
+    assert np.allclose(theta_p, model().solve_passive(now, p_pas), rtol=0, atol=1e-12)
+
+
+def test_batched_chord_and_fallback_match_unbatched():
+    # one element's kept inverse is stale and falls back to Newton, the
+    # other's carries it by chord steps: each solves, and keeps an inverse
+    # for the next solve, as it would alone
+    from piac.closedloop import _SimModel
+
+    net, comm = loaded_chain()
+    g = GainSchedule.analytic(1.0, 1.0)
+    model = lambda: _SimModel(net, comm, "dpiac", g, "sin")
+    before = np.array([[1.5, -1.5], [0.0, 0.0]])
+    now = np.array([[0.25, -0.25], [0.25, -0.25]])
+    p_pas = np.zeros((2, 2))
+    mo = model()
+    mo.solve_passive(before, p_pas)
+    batched, gn, tol = passive_mismatch(mo, now, p_pas)
+    assert np.all(gn <= tol)
+    built = []
+    for k in range(2):
+        alone = model()
+        alone.solve_passive(before[k], p_pas[k])
+        gram = alone._passive_gram
+        alone._passive_gram = lambda c: built.append(k) or gram(c)
+        assert np.allclose(batched[k], alone.solve_passive(now[k], p_pas[k]),
+                           rtol=0, atol=1e-14)
+        assert np.allclose(mo._theta_p_warm[(2, 2)][1][k],
+                           alone._theta_p_warm[(2,)][1], rtol=0, atol=1e-14)
+    # precondition: alone, the first element builds Jacobians, the second none
+    assert set(built) == {0}
+
+
 def node_flows(net, theta):
     """Net sine flow out of each node, edge by edge."""
     idx = net.index_of
@@ -1106,3 +1207,35 @@ def test_csv_edge_values_literal():
     assert buf.getvalue() == ("path,t,node,theta,omega,eta,xi,u,mc\n"
                               + "".join("0," + r for r in rows)
                               + "".join("1," + r for r in rows))
+
+
+def plain_csv(trace):
+    """The trace CSV written row by row, each number ``%.12g`` and each NaN
+    an empty field."""
+    fmt = lambda v: "" if math.isnan(v) else "%.12g" % v
+    ctrl = {nid: k for k, nid in enumerate(trace.controller_ids)}
+    out = ["t,node,theta,omega,eta,xi,u,mc\n"]
+    for r, t in enumerate(trace.t):
+        for col, nid in enumerate(trace.node_ids):
+            k = ctrl.get(nid)
+            pairs = [] if k is None else [getattr(trace, f)[r, k]
+                                          for f in ("eta", "xi", "u", "mc")]
+            fields = [fmt(v) for v in [trace.theta[r, col], trace.omega[r, col]] + pairs]
+            out.append(",".join([fmt(t), str(nid)] + fields + [""] * (6 - len(fields))) + "\n")
+    return "".join(out)
+
+
+def test_csv_writer_matches_a_row_by_row_formatter():
+    # the block writer leaves a passive node's omega, NaN throughout, out of
+    # its template; a NaN elsewhere, here in u, still reads as an empty field
+    net, comm, gains, _ = load_case(bundled_case_path("ieee39-like"))
+    scen = Scenario.step({4: -0.5, 12: -0.3}, onset=0.5, t_end=1.5, h=0.01)
+    tr = simulate_deterministic(net, comm, "dpiac", gains, scen)
+    passive = [tr.node_ids.index(i) for i in net.passive_ids]
+    assert passive and np.isnan(tr.omega[:, passive]).all()
+    u = tr.u.copy()
+    u[70, 3] = np.nan
+    for trace in (tr, replace(tr, u=u)):
+        buf = io.StringIO()
+        write_trace_csv(buf, trace)
+        assert buf.getvalue() == plain_csv(trace)
