@@ -29,8 +29,9 @@ from .errors import (CaseFormatError, DAESolveError, DisconnectedNetwork,
 from .h2 import analyze, h2_norms
 from .netmodel import NodeKind, check_homogeneous
 from .scenario import _FOREIGN, DEFAULTS, Scenario, ScenarioKind
-from .sim import (METRICS_T0, compute_metrics, simulate_deterministic,
-                  simulate_stochastic, write_ensemble_csv, write_trace_csv)
+from .sim import (METRICS_T0, METRICS_T0_SLACK, compute_metrics,
+                  simulate_deterministic, simulate_stochastic, write_ensemble_csv,
+                  write_trace_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -151,7 +152,7 @@ def _refuse_t0_past(t0: float, scenario) -> None:
     time is a usage error, found before the study runs; the slack is the
     one :func:`compute_metrics` allows."""
     last = scenario.record_times()[-1]
-    if last < t0 - 1e-9:
+    if last < t0 - METRICS_T0_SLACK:
         raise _Usage(f"--t0 {t0:g} lies past the last recorded time {last:g} s")
 
 

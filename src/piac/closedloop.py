@@ -140,25 +140,19 @@ class _SimModel:
         self.law = ControlLaw.build(net, comm, law, gains)
         self.net, self.comm = net, comm
         self.model = model
-        idx = net.index_of
         self.n = net.n_nodes
-        self.mf = np.array([idx[i] for i in net.ids
-                            if net.node(i).kind is not NodeKind.PASSIVE], dtype=int)
-        self.pas = np.array([idx[i] for i in net.passive_ids], dtype=int)
-        self.mach_in_mf = np.array([k for k, node_i in enumerate(self.mf)
-                                    if net.nodes[node_i].kind is NodeKind.MACHINE],
-                                   dtype=int)
-        self.n_mf = len(self.mf)
-        self.n_m = len(self.mach_in_mf)
-        self.n_p = len(self.pas)
-        freq_mask = np.ones(self.n_mf, dtype=bool)
-        freq_mask[self.mach_in_mf] = False
-        self.freq_in_mf = np.flatnonzero(freq_mask)
+        kind = np.array([node.kind for node in net.nodes])
+        self.mf = np.flatnonzero(kind != NodeKind.PASSIVE)
+        self.pas = np.flatnonzero(kind == NodeKind.PASSIVE)
+        self.mach_in_mf = np.flatnonzero(kind[self.mf] == NodeKind.MACHINE)
+        self.freq_in_mf = np.flatnonzero(kind[self.mf] == NodeKind.FREQ_DEPENDENT)
+        self.n_mf, self.n_m, self.n_p = len(self.mf), len(self.mach_in_mf), len(self.pas)
         self.mach_nodes = self.mf[self.mach_in_mf]
         self.freq_nodes = self.mf[self.freq_in_mf]
-        self.M_m = net.inertias            # machines, node order
-        self.D_m = net.dampings[self.mach_in_mf]   # controller set == MF set
-        self.D_f = net.dampings[self.freq_in_mf]
+        # the controller set is the non-passive set: the law's D and M run over it
+        self.M_m = self.law.M[self.mach_in_mf]
+        self.D_m = self.law.D[self.mach_in_mf]
+        self.D_f = self.law.D[self.freq_in_mf]
         self.E = net.incidence
         self.w = net.susceptances
         self.n_ctrl = self.law.pairs
@@ -640,7 +634,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
         raise UnsupportedForModalPath("modal decoupling expects the undeflated system")
     model, law = sys.model, sys.model.law
     spread = selector is OutputSelector.MARGINAL_COST_SPREAD
-    if spread and not law.central and model.comm is None:
+    if spread and law.L_comm is None:
         raise DomainError("spread output needs a communication graph to difference over")
     hom = law_homogeneity(model.net, model.comm, law.name, spread)
     if not hom.passed:

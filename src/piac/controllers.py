@@ -10,11 +10,13 @@ estimated power imbalance is allocated:
 * decentralized (``decpiac``): one pair per controller node, no
   coordination at any k3.
 
-Every law is linear in the frequencies and its own states. Each is written
-once, as the maps of a :class:`ControlLaw` built per (network, comm, law,
-gains). The network model of :mod:`piac.closedloop` evaluates them, so the
-simulator and the closed-loop matrices both read this one copy, and the
-trace builders read the inputs and marginal costs from them.
+Every law is linear in the frequencies and its own states. A
+:class:`ControlLaw`, built per (network, comm, law, gains), holds that
+difference as one map: ``pair_of``, the pair each controller reads, and
+``pair_price``, the price of each pair. So the maps are written once for
+all three laws. The network model of :mod:`piac.closedloop` evaluates them,
+so the simulator and the closed-loop matrices both read this one copy, and
+the trace builders read the inputs and marginal costs from them.
 """
 
 import math
@@ -100,12 +102,16 @@ def _check(x: np.ndarray, n: int, what: str) -> None:
 class ControlLaw:
     """One law's integrator pairs on one network, as linear maps.
 
-    There are ``pairs`` integrator pairs ``(eta, xi)``: one central pair for
-    ``gbpiac``, one per controller node (``net.controller_ids`` order) for
-    the local laws. ``omega`` runs over the controller set. The maps take
-    arrays and allow leading batch axes, so a map applied to identity
-    columns is its matrix. ``gains`` are the gains the maps read: k3 is
-    zero except under ``dpiac``, the only law with a consensus term.
+    Controller ``i`` (``net.controller_ids`` order) reads the integrator
+    pair ``(eta, xi)`` number ``pair_of[i]``, priced at ``pair_price``:
+    the one central pair at ``alpha_s`` under ``gbpiac``, its own at its
+    ``alpha`` under the local laws. :meth:`build` sets this map and
+    ``gbpiac``'s zero ``L_comm``; past it, only the central sums of
+    ``omega`` and :meth:`offsets` read the law. ``omega`` runs over the
+    controller set. The maps take arrays and allow leading batch axes, so
+    a map applied to identity columns is its matrix. ``gains`` are the
+    gains the maps read: k3 is zero except under ``dpiac``, the only law
+    with a consensus term.
     """
 
     name: str
@@ -113,7 +119,8 @@ class ControlLaw:
     D: np.ndarray                 # damping per controller
     M: np.ndarray                 # inertia per controller, 0 at load buses
     alpha: np.ndarray             # price per controller
-    alpha_s: float
+    pair_of: np.ndarray           # pair each controller reads
+    pair_price: np.ndarray        # price per pair
     L_comm: np.ndarray | None     # communication Laplacian over the controllers
 
     @classmethod
@@ -134,9 +141,17 @@ class ControlLaw:
             gains = replace(gains, k3=0.0)
         M = np.array([node.inertia if node.kind is NodeKind.MACHINE else 0.0
                       for node in map(net.node, net.controller_ids)])
-        return cls(name=law, gains=gains, D=net.dampings, M=M,
-                   alpha=net.prices, alpha_s=net.alpha_s,
-                   L_comm=comm.laplacian(net.controller_ids) if comm is not None else None)
+        n = len(M)
+        if law == "gbpiac":
+            # one central pair at the aggregate price; equal marginal costs
+            # leave nothing to spread
+            pair_of, pair_price = np.zeros(n, dtype=int), np.array([net.alpha_s])
+            L_comm = np.zeros((n, n))
+        else:
+            pair_of, pair_price = np.arange(n), net.prices
+            L_comm = comm.laplacian(net.controller_ids) if comm is not None else None
+        return cls(name=law, gains=gains, D=net.dampings, M=M, alpha=net.prices,
+                   pair_of=pair_of, pair_price=pair_price, L_comm=L_comm)
 
     @cached_property
     def central(self) -> bool:
@@ -144,32 +159,24 @@ class ControlLaw:
 
     @cached_property
     def pairs(self) -> int:
-        return 1 if self.central else len(self.D)
+        return len(self.pair_price)
 
     @cached_property
     def conserved(self) -> int:
         """Number of quantities the closed loop conserves: ``eta - D theta``
-        summed over each set of controllers that coordinate. That is one
+        summed over each set of pairs that the k3 links join. That is one
         under ``gbpiac``, one per connected component of the communication
         graph under ``dpiac`` with k3 > 0, and one per controller
         otherwise."""
-        if self.central:
-            return 1
-        if not self.gains.k3:
-            return self.pairs
-        links = zip(*np.nonzero(np.triu(self.L_comm, 1)))
+        links = zip(*np.nonzero(np.triu(self.L_comm, 1))) if self.gains.k3 else ()
         return _components(range(self.pairs), links)
 
-    @cached_property
-    def share(self) -> np.ndarray:
-        """Input per unit of the central ``xi_s``: ``k2 alpha_s / alpha_i``."""
-        return (self.alpha_s / self.alpha) * self.gains.k2
-
-    @property
-    def pair_of(self) -> np.ndarray:
-        """Index of the pair each controller reads: the central one under
-        ``gbpiac``, its own under the local laws."""
-        return np.zeros(len(self.D), dtype=int) if self.central else np.arange(len(self.D))
+    def _gather(self, weight: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """``weight * omega`` summed into each pair: the central sum under
+        ``gbpiac``, per controller otherwise."""
+        if self.central:
+            return (omega @ weight)[..., None]
+        return weight * omega
 
     def d_eta(self, omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Imbalance estimate: damping power, plus the consensus term
@@ -177,11 +184,9 @@ class ControlLaw:
         keeps a nonzero k3."""
         _check(omega, len(self.D), "omega")
         _check(xi, self.pairs, "xi")
-        if self.central:
-            return (omega @ self.D)[..., None]
-        d_eta = self.D * omega
+        d_eta = self._gather(self.D, omega)
         if self.gains.k3:
-            d_eta = d_eta + self.gains.k3 * (self.mc(xi) @ self.L_comm.T)
+            d_eta = d_eta + self.gains.k3 * self.spread(xi)
         return d_eta
 
     def d_xi(self, omega: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -190,32 +195,24 @@ class ControlLaw:
         _check(eta, self.pairs, "eta")
         _check(xi, self.pairs, "xi")
         k1, k2 = self.gains.k1, self.gains.k2
-        if self.central:
-            m_omega = (omega @ self.M)[..., None]
-        else:
-            m_omega = self.M * omega
-        return -k1 * (m_omega + eta) - k2 * xi
+        return -k1 * (self._gather(self.M, omega) + eta) - k2 * xi
 
     def u(self, xi: np.ndarray) -> np.ndarray:
-        """Control input per controller. ``gbpiac`` broadcasts ``k2 xi_s`` by
-        inverse price, which equalizes the marginal costs by construction."""
+        """Control input per controller, ``k2 xi`` of its pair by the price
+        ratio: ``gbpiac`` broadcasts ``k2 xi_s`` by inverse price, which
+        equalizes the marginal costs by construction."""
         _check(xi, self.pairs, "xi")
-        if self.central:
-            return self.share * xi[..., :1]
-        return self.gains.k2 * xi
+        ratio = self.pair_price[self.pair_of] / self.alpha
+        return ratio * self.gains.k2 * xi[..., self.pair_of]
 
     def mc(self, xi: np.ndarray) -> np.ndarray:
         """Marginal cost ``alpha_i u_i`` per controller."""
         _check(xi, self.pairs, "xi")
-        if self.central:
-            return self.gains.k2 * self.alpha_s * np.ones(len(self.D)) * xi[..., :1]
-        return self.gains.k2 * self.alpha * xi
+        return (self.gains.k2 * self.pair_price)[self.pair_of] * xi[..., self.pair_of]
 
     def spread(self, xi: np.ndarray) -> np.ndarray:
         """Marginal-cost spread ``L_comm mc``; identically zero for ``gbpiac``."""
         _check(xi, self.pairs, "xi")
-        if self.central:
-            return np.zeros(xi.shape[:-1] + (len(self.D),))
         if self.L_comm is None:
             raise DomainError("spread output needs a communication graph to difference over")
         return self.mc(xi) @ self.L_comm.T

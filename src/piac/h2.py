@@ -47,7 +47,7 @@ from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble,
 from .controllers import GainSchedule, law_homogeneity
 from .errors import DomainError, ShapeError, SolverAccuracyError, UnstableSystem
 from .netmodel import (CommunicationGraph, PowerNetwork, SpectralDecomposition,
-                       build_laplacian, spectral_decompose)
+                       _is_symmetric, build_laplacian, spectral_decompose)
 
 __all__ = [
     "Grammians",
@@ -75,11 +75,9 @@ _LYAP_TOL = 1e-9
 class _SchurForm:
     """Real Schur form ``M = U T U^T`` of a square matrix, factored on
     construction, with the spectral abscissa and spectral radius read off
-    the diagonal blocks of ``T``.
-
-    With ``transposed`` set it serves the Lyapunov equations of
-    ``M^T = U T^T U^T``; :meth:`dual` shares the factorization, so one
-    factorization solves both Grammians of a loop.
+    the diagonal blocks of ``T``. :meth:`dual` reads the form of ``M^T``
+    off the same factorization, so one factorization solves both
+    Grammians of a loop.
     """
 
     def __init__(self, M: np.ndarray):
@@ -96,24 +94,23 @@ class _SchurForm:
         self.T, self.U = T, U
         self.abscissa = float(re.max())
         self.radius = float(np.hypot(re, im).max())
-        self.transposed = False
 
     def dual(self) -> "_SchurForm":
-        """The same factorization, read as one of the transposed matrix."""
+        """The form of the transposed matrix, from the same factorization:
+        with ``J`` the order-reversing permutation, ``M^T = (U J) (J T^T J)
+        (U J)^T``, and ``J T^T J`` is upper quasi-triangular again."""
         form = copy.copy(self)
-        form.transposed = not self.transposed
+        form.T = np.asfortranarray(self.T[::-1, ::-1].T)
+        form.U = np.asfortranarray(self.U[:, ::-1])
         return form
 
     def solve(self, R: np.ndarray) -> np.ndarray:
-        """``X`` with ``X A + A^T X + R = 0``, ``A`` the factored matrix (or
-        its transpose): in Schur coordinates ``Y = U^T X U`` this is one
-        triangular Sylvester equation."""
+        """``X`` with ``X A + A^T X + R = 0``, ``A`` the factored matrix: in
+        Schur coordinates ``Y = U^T X U`` this is the triangular Sylvester
+        equation ``T^T Y + Y T = -F``."""
         T, U = self.T, self.U
         F = U.T @ R @ U
-        if self.transposed:        # T Y + Y T^T = -F
-            Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -F, tranb="T")
-        else:                      # T^T Y + Y T = -F
-            Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -F, trana="T")
+        Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -F, trana="T")
         if info < 0:
             raise ValueError(f"dtrsyl: illegal value in argument {-info}")
         return U @ (Y / scale) @ U.T
@@ -141,10 +138,10 @@ def lyapunov_solve(A, RHS, schur: _SchurForm | None = None) -> np.ndarray:
     if RHS.shape != A.shape:
         raise ShapeError(f"RHS must match A: {RHS.shape} vs {A.shape}")
     rhs_scale = float(np.abs(RHS).max()) if RHS.size else 0.0
-    if not np.allclose(RHS, RHS.T, rtol=0, atol=1e-12 * max(rhs_scale, 1.0)):
-        raise ShapeError("RHS must be symmetric")
     if rhs_scale == 0.0:
         return np.zeros_like(A)
+    if not _is_symmetric(RHS):
+        raise ShapeError("RHS must be symmetric")
 
     if schur is None:
         schur = _SchurForm(A)
@@ -387,8 +384,7 @@ def h2_bounds_general_B(analytic_value_at_identity: float, B) -> tuple[float, fl
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DomainError(f"B must be square, got {B.shape}")
-    scale = max(float(np.abs(B).max()), 1.0)
-    if not np.allclose(B, B.T, rtol=0, atol=1e-12 * scale):
+    if not _is_symmetric(B):
         raise DomainError("B must be symmetric")
     gam = np.linalg.eigvalsh(B)
     if gam[0] <= 0:

@@ -240,6 +240,13 @@ def _laplacian(E: np.ndarray, w: np.ndarray) -> np.ndarray:
     return E.T @ (w[:, None] * E)
 
 
+def _is_symmetric(M: np.ndarray) -> bool:
+    """Whether the square ``M`` equals its transpose to 1e-12 max(1, max |M|)
+    absolute; a NaN anywhere fails."""
+    scale = float(np.abs(M).max())
+    return bool(np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, scale)))
+
+
 def _connected(ids, pairs) -> bool:
     return _components(ids, pairs) == 1
 
@@ -319,7 +326,7 @@ def spectral_decompose(L: np.ndarray) -> SpectralDecomposition:
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ShapeError(f"Laplacian must be square, got shape {L.shape}")
-    if not np.allclose(L, L.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(L).max()))):
+    if not _is_symmetric(L):
         raise ShapeError("Laplacian must be symmetric")
     lam, Q = np.linalg.eigh(L)
     scale = max(float(lam[-1]), 0.0)

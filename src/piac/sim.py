@@ -62,13 +62,16 @@ __all__ = [
     "Scenario", "ScenarioKind", "Trace", "Metrics", "Equilibrium",
     "find_equilibrium", "simulate_deterministic", "simulate_stochastic",
     "compute_metrics", "write_trace_csv", "write_ensemble_csv", "METRICS_T0",
+    "METRICS_T0_SLACK",
 ]
 
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
-# end in s of the window [0, t0] of a step study's metrics S and C
+# end in s of the window [0, t0] of a step study's metrics S and C, and how
+# far past a trace's last row t0 may lie; such a window ends at that row
 METRICS_T0 = 40.0
+METRICS_T0_SLACK = 1e-9
 # LSODA tolerances of the step studies
 _RTOL = 1e-8
 _ATOL = 1e-10
@@ -395,12 +398,15 @@ def _euler_maruyama(drift, x0, sig, scenario):
 def compute_metrics(trace: Trace, alpha, t0: float = METRICS_T0) -> Metrics:
     """The windowed quadratic costs of a step study's trace: S integrates
     the squared frequency deviations and C half the price-weighted squared
-    inputs over [0, t0], by the trapezoid rule on the trace's grid.
+    inputs over [0, t0], by the trapezoid rule on the trace's grid. A
+    ``t0`` between two rows ends inside their panel, where the integrand
+    is the rule's own linear interpolant; one at most ``METRICS_T0_SLACK``
+    past the last row is read at that row, and that row's time is the
+    ``t0`` returned.
 
     A ``t0`` that is not finite and positive raises :class:`DomainError`,
     an ``alpha`` that is not one price per controller :class:`ShapeError`,
-    and a trace ending more than 1e-9 s short of ``t0``
-    :class:`InsufficientHorizon`.
+    and one further past the last row :class:`InsufficientHorizon`.
     """
     alpha = np.asarray(alpha, dtype=float)
     # an empty or undefined window would read S = C = 0
@@ -409,15 +415,32 @@ def compute_metrics(trace: Trace, alpha, t0: float = METRICS_T0) -> Metrics:
     if alpha.shape != (len(trace.controller_ids),):
         raise ShapeError(f"alpha has shape {alpha.shape}, needs one price per "
                          f"controller: ({len(trace.controller_ids)},)")
-    if trace.t[-1] < t0 - 1e-9:
-        raise InsufficientHorizon(f"trace ends at {trace.t[-1]}, needs t0={t0}")
-    mask = trace.t <= t0 + 1e-12
-    om = trace.omega_controllers[mask]
-    uu = trace.u[mask]
-    t = trace.t[mask]
-    s_val = float(np.trapezoid((om ** 2).sum(axis=1), t))
-    c_val = 0.5 * float(np.trapezoid((uu ** 2 * alpha[None, :]).sum(axis=1), t))
+    t = trace.t
+    if t[-1] < t0 - METRICS_T0_SLACK:
+        raise InsufficientHorizon(f"trace ends at {t[-1]}, needs t0={t0}")
+    t0 = min(t0, float(t[-1]))
+    # whole panels up to t0, a row within 1e-12 of it counting as at t0,
+    # and the row after them, which ends the partial panel. Indexing copies
+    # the rows in row-major order, on which the last bit of a row sum depends.
+    k = int(np.searchsorted(t, t0 + 1e-12, side="right"))
+    rows = np.arange(min(k + 1, len(t)))
+    s_val = _window_integral((trace.omega_controllers[rows] ** 2).sum(axis=1), t, k, t0)
+    c_val = 0.5 * _window_integral((trace.u[rows] ** 2 * alpha[None, :]).sum(axis=1),
+                                   t, k, t0)
     return Metrics(S=s_val, C=c_val, t0=t0)
+
+
+def _window_integral(f, t, k, t0) -> float:
+    """Integral over [0, t0] of the linear interpolant of ``f`` at the
+    times ``t``: the trapezoid rule over the first ``k`` rows, plus the
+    part of the next panel up to ``t0``, if ``t0`` lies more than 1e-12
+    past row ``k - 1``."""
+    whole = float(np.trapezoid(f[:k], t[:k]))
+    if k == len(t) or t0 - t[k - 1] <= 1e-12:
+        return whole
+    width = t0 - t[k - 1]
+    f_t0 = f[k - 1] + (f[k] - f[k - 1]) * (width / (t[k] - t[k - 1]))
+    return whole + float(0.5 * (f[k - 1] + f_t0) * width)
 
 
 def _ensemble_metrics(traces, alpha, burn_in: float) -> Metrics:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from piac import (LAWS, ControlLaw, DegenerateModel, DomainError,
-                  GainConstraintError, GainSchedule, NoControllers, Node,
-                  NodeKind, PowerNetwork, ShapeError, assemble,
+from piac import (LAWS, CommunicationGraph, ControlLaw, DegenerateModel,
+                  DomainError, GainConstraintError, GainSchedule, NoControllers,
+                  Node, NodeKind, PowerNetwork, ShapeError, assemble,
+                  bundled_case_path, deflate_zero_mode, load_case,
                   optimal_dispatch, synchronized_frequency)
-from conftest import make_machine_net
+from conftest import make_machine_net, ring_net
 
 
 def two_node(alpha=(1.0, 1.0), injections=None):
@@ -233,3 +234,46 @@ def test_marginal_costs():
                        [4.0, 0.0])
     with pytest.raises(ShapeError):
         law.mc(np.zeros(3))
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("case", ["homogeneous10", "ieee39-like"])
+def test_conserved_is_the_deflated_kernel(case, law):
+    net, comm, gains, _ = load_case(bundled_case_path(case))
+    loop = assemble(net, comm, law, gains)
+    assert loop.model.law.conserved == loop.dim - deflate_zero_mode(loop).dim
+
+
+@pytest.mark.parametrize("law, conserved", [("gbpiac", 1), ("dpiac", 2), ("decpiac", 4)])
+def test_conserved_counts_the_communication_components(law, conserved):
+    # a 4-machine ring whose controllers talk in two pairs, {1, 2} and {3, 4}
+    net, _ = ring_net(4, m=[1.0, 2.0, 0.5, 1.5], alpha=[1.0, 3.0, 0.5, 2.0])
+    comm = CommunicationGraph(weights=((1, 2, 1.0), (3, 4, 2.0)))
+    loop = assemble(net, comm, law, GainSchedule(k1=0.5, k2=2.0, k3=1.5))
+    assert loop.model.law.conserved == conserved
+    assert loop.dim - deflate_zero_mode(loop).dim == conserved
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_marginal_costs_are_the_priced_inputs(law):
+    rng = np.random.default_rng(11)
+    net, comm = make_machine_net(4, alpha=[1.0, 3.0, 0.7, 2.0])
+    ctrl = ControlLaw.build(net, comm, law, GainSchedule(k1=0.5, k2=2.5, k3=1.0))
+    xi = rng.normal(size=(5, ctrl.pairs))
+    mc = ctrl.mc(xi)
+    # every controller reading one pair quotes one marginal cost, exactly
+    for pair in range(ctrl.pairs):
+        readers = mc[:, ctrl.pair_of == pair]
+        assert np.array_equal(readers, np.repeat(readers[:, :1], readers.shape[1], axis=1))
+    priced = net.prices * ctrl.u(xi)
+    assert np.all(np.abs(mc - priced) <= 4 * np.spacing(np.abs(mc)))
+
+
+def test_gbpiac_spread_is_exactly_zero():
+    rng = np.random.default_rng(12)
+    net, comm = make_machine_net(3, alpha=[1.0, 2.0, 0.5])
+    xi = rng.normal(size=(4, 1))
+    for graph in (comm, None):
+        spread = ControlLaw.build(net, graph, "gbpiac", GainSchedule.analytic(1.0)).spread(xi)
+        assert spread.shape == (4, 3)
+        assert np.all(spread == 0.0)

@@ -687,6 +687,58 @@ def test_metrics_horizon_check():
         compute_metrics(tr, np.ones(1), t0=40.0)
 
 
+@pytest.fixture(scope="module")
+def homogeneous10_dpiac_trace():
+    net, comm, gains, scen = load_case(bundled_case_path("homogeneous10"))
+    return simulate_deterministic(net, comm, "dpiac", gains, scen), net.prices
+
+
+def trapezoid_to(trace, alpha, t0):
+    """S and C by the trapezoid rule on the rows before ``t0`` and a row at
+    ``t0`` interpolated linearly, as the rule's integrand is."""
+    keep = trace.t < t0
+    t = np.append(trace.t[keep], t0)
+    out = []
+    for f in ((trace.omega_controllers ** 2).sum(axis=1),
+              (trace.u ** 2 * alpha).sum(axis=1)):
+        out.append(float(np.trapezoid(np.append(f[keep], np.interp(t0, trace.t, f)), t)))
+    return out[0], 0.5 * out[1]
+
+
+@pytest.mark.parametrize("t0", [40.00999, 39.995, 39.9999999995])
+def test_metrics_window_ends_inside_its_panel(homogeneous10_dpiac_trace, t0):
+    # each t0 ends inside a panel of the 0.01 s grid; the last lies within
+    # the 1e-9 s horizon slack of a row, yet short of it
+    tr, alpha = homogeneous10_dpiac_trace
+    met = compute_metrics(tr, alpha, t0=t0)
+    S, C = trapezoid_to(tr, alpha, t0)
+    assert met.S == pytest.approx(S, rel=1e-13, abs=0)
+    assert met.C == pytest.approx(C, rel=1e-13, abs=0)
+    assert met.t0 == t0
+    below, above = (compute_metrics(tr, alpha, t0=np.floor(t0 * 100) / 100),
+                    compute_metrics(tr, alpha, t0=np.ceil(t0 * 100) / 100))
+    assert below.C < met.C < above.C
+
+
+def test_metrics_on_the_grid_integrate_whole_panels(homogeneous10_dpiac_trace):
+    tr, alpha = homogeneous10_dpiac_trace
+    rows = tr.t <= 40.0 + 1e-12
+    met = compute_metrics(tr, alpha, t0=40.0)
+    assert met.S == float(np.trapezoid((tr.omega_controllers[rows] ** 2).sum(axis=1),
+                                       tr.t[rows]))
+    assert met.C == 0.5 * float(np.trapezoid((tr.u[rows] ** 2 * alpha).sum(axis=1),
+                                             tr.t[rows]))
+
+
+def test_metrics_window_in_the_slack_ends_at_the_last_row(homogeneous10_dpiac_trace):
+    tr, alpha = homogeneous10_dpiac_trace
+    last = compute_metrics(tr, alpha, t0=tr.t[-1])
+    met = compute_metrics(tr, alpha, t0=tr.t[-1] + 5e-10)
+    assert (met.S, met.C, met.t0) == (last.S, last.C, tr.t[-1])
+    with pytest.raises(InsufficientHorizon):
+        compute_metrics(tr, alpha, t0=tr.t[-1] + 2e-9)
+
+
 @pytest.mark.parametrize("t0", [math.nan, 0.0, -1.0, math.inf])
 def test_metrics_window_must_be_finite_and_positive(t0):
     # each of these read S = C = 0 on a moving trace
