@@ -153,7 +153,7 @@ def _refuse_t0_past(t0: float, scenario) -> None:
     one :func:`compute_metrics` allows."""
     last = scenario.record_times()[-1]
     if last < t0 - METRICS_T0_SLACK:
-        raise _Usage(f"--t0 {t0:g} lies past the last recorded time {last:g} s")
+        raise _Usage(f"--t0 {_fmt(t0)} lies past the last recorded time {_fmt(last)} s")
 
 
 # --- validate ------------------------------------------------------------------

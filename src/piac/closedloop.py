@@ -7,8 +7,9 @@ coupled through the signed incidence matrix, and the law's maps from
 :class:`~piac.controllers.ControlLaw`. Apart from the line flows, all of it
 is linear, so the model precomputes one affine map of the state, the
 injections and the line flows; an evaluation solves the passive balance,
-takes the flows at the resulting phase gaps and applies the map. The
-simulator integrates it. :meth:`_SimModel.linearize` is its one derivative,
+takes the flows at the resulting phase gaps and applies the map. The same
+Newton solves its equilibrium power flow. The simulator integrates it.
+:meth:`_SimModel.linearize` is its one derivative,
 exact through the passive balance: the integrator's Jacobian, and, at the
 origin, where the sine and linear models coincide, the closed loop of every
 network (:meth:`_SimModel.matrices`, Kron-reduced where buses are passive).
@@ -47,7 +48,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .controllers import ControlLaw, GainSchedule, law_homogeneity
+from .controllers import ControlLaw, GainSchedule, law_homogeneity, optimal_dispatch
 from .errors import (DAESolveError, DomainError, ShapeError,
                      SolverAccuracyError, UnsupportedForModalPath)
 from .netmodel import (CommunicationGraph, NodeKind, PowerNetwork,
@@ -130,7 +131,7 @@ class _SimModel:
     inside every evaluation, warm-started from the previous solve of the
     same shape, which is per path in an ensemble, and entered through chord
     steps on that solve's inverse Jacobian while each step halves the
-    mismatch (:func:`_damped_newton`).
+    mismatch, or else restarts cold (:func:`_damped_newton`).
     """
 
     def __init__(self, net: PowerNetwork, comm: CommunicationGraph | None,
@@ -197,25 +198,43 @@ class _SimModel:
 
         The solve starts from the last solution of the same shape and takes
         chord steps with its inverse Jacobian while each step halves the
-        mismatch; an element whose step does not goes on with Newton, and
-        its inverse is refreshed at its solution. Both are kept for the
-        next solve of that shape; the first one starts cold, at zero."""
+        mismatch; an element whose step does not restarts cold, at zero,
+        with Newton. The solution and its inverse Jacobian are kept for the
+        next solve of that shape."""
         shape = theta_mf.shape[:-1] + (self.n_p,)
         gap_mf = theta_mf @ self.E_mf.T
         if self.n_p == 0:
             return np.zeros(shape), gap_mf
-        E_p = self.E_p
-
-        def mismatch(z):
-            gap = gap_mf + z @ E_p.T
-            return p_pas - self.line_flows(gap) @ E_p, gap
-
         theta_p, K = self._theta_p_warm.get(shape) or (np.zeros(shape), None)
-        theta_p, gap, K = _damped_newton(
-            mismatch, lambda gap: self._passive_gram(self.stiffness(gap)), theta_p,
-            1e-12 * np.maximum(1.0, np.abs(p_pas).max(axis=-1)), "passive-network", K)
+        theta_p, gap, K = self._solve_flows(self.E_p, self._passive_gram, gap_mf, p_pas,
+                                            p_pas, theta_p, "passive-network", K)
         self._theta_p_warm[shape] = theta_p, K
         return theta_p, gap
+
+    def equilibrium(self):
+        """``(theta, eta, xi, u)`` at rest under the optimal dispatch ``u``:
+        the zero-mean phases of every bus solving the power flow, from zero,
+        and the pair offsets holding ``u``."""
+        u = optimal_dispatch(self.net)
+        inj = self.net.injections.copy()
+        inj[self.mf] += u
+        basis = _phase_complement(self.n)
+        F = self.E @ basis
+        z = self._solve_flows(F, _weighted_gram(F), 0.0, inj @ basis, inj,
+                              np.zeros(self.n - 1), "power-flow")[0]
+        return (basis @ z, *self.law.offsets(u), u)
+
+    def _solve_flows(self, F, gram, gap0, target, scale, z0, what, K=None):
+        """:func:`_damped_newton` for the ``z`` whose flows
+        ``line_flows(gap0 + z F^T) F`` meet ``target``, to 1e-12 of
+        ``max(1, max |scale|)``, with the Jacobian ``gram(stiffness)``."""
+        def mismatch(z):
+            gap = gap0 + z @ F.T
+            return target - self.line_flows(gap) @ F, gap
+
+        tol = 1e-12 * np.maximum(1.0, np.abs(scale).max(axis=-1))
+        return _damped_newton(mismatch, lambda gap: gram(self.stiffness(gap)), z0, tol,
+                              what, K)
 
     # -- packed state ----------------------------------------------------------
 
@@ -298,6 +317,16 @@ class _SimModel:
         return theta, omega
 
 
+def _phase_complement(n: int) -> np.ndarray:
+    """Orthonormal basis of the complement of the uniform vector in R^n:
+    columns 2..n of the Householder reflector mapping e_1 to it, so the
+    power flow solved on it is reproducible."""
+    w = np.full(n, 1.0 / math.sqrt(n))
+    w[0] -= 1.0
+    wn = w @ w
+    return (np.eye(n) - (2.0 * np.outer(w, w) / wn if wn > 0 else 0.0))[:, 1:]
+
+
 def _weighted_gram(F: np.ndarray):
     """The map ``c -> F^T diag(c) F`` over the leading axes of ``c``: one
     product with the outer products of the rows of ``F``, so a large batch
@@ -318,10 +347,12 @@ def _damped_newton(residual, jacobian, z0, tol, what, K=None):
     ``K``, an inverse Jacobian from an earlier solve, first drives chord
     steps ``z + K g(z)``: one product each, with no Jacobian and no linear
     solve. An element takes them while each one at least halves its max
-    mismatch. Its first step that does not is dropped, and the element goes
-    on with Newton steps on fresh Jacobians; the inverse Jacobian at its
-    solution becomes its ``K``. Without ``K`` every element runs Newton
-    from ``z0`` and has ``K`` taken at its solution.
+    mismatch. Its first step that does not is dropped, and the element
+    restarts cold, at zero, with Newton steps on fresh Jacobians, so it
+    lands where a cold solve does, whatever iterate the chord steps left;
+    the inverse Jacobian at its solution becomes its ``K``. Without ``K``
+    every element runs Newton from ``z0`` and has ``K`` taken at its
+    solution.
 
     Works over the leading axes of ``z0``. An element is done once the max
     norm of its mismatch is at most ``tol`` (broadcast over the leading
@@ -344,10 +375,13 @@ def _damped_newton(residual, jacobian, z0, tol, what, K=None):
             halved = chord & (gn_new <= 0.5 * gn)
             z, g, gap, gn = _pick(halved, (cand, g_new, gap_new, gn_new), (z, g, gap, gn))
             chord = halved & (gn > tol)
-        # the elements the chord steps left unsolved go on with Newton
+        # the elements the chord steps left unsolved go on with Newton, from zero
         fresh = ~(gn <= tol)
         if not _any(fresh):
             return z, gap, K
+        z = np.where(fresh[..., None], 0.0, z)
+        g, gap = residual(z)
+        gn = np.abs(g).max(axis=-1, initial=0.0)
     eye = np.eye(z.shape[-1])
     for _ in range(50):
         active = ~(gn <= tol)

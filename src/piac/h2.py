@@ -306,11 +306,18 @@ class AnalyticH2:
     per_mode: np.ndarray
     overall: float | None = None
     relative: float | None = None
-    coefficients: tuple[DpiacModeCoefficients, ...] | None = None
 
 
-def _overall_term(m: float, d: float, k1: float) -> float:
-    return (d + 5 * m * k1) / (2 * m * (2 * k1 * m + d) ** 2)
+def _zero_mode(n: int, m: float, d: float, k1: float, selector: OutputSelector) -> float:
+    """The zero mode's term of the ``selector`` norm: the same under every
+    law, as the aggregate dynamics cannot see the allocation."""
+    if selector is OutputSelector.FREQUENCY_DEVIATION:
+        return (d + 5 * m * k1) / (2 * m * (2 * k1 * m + d) ** 2)
+    if selector is OutputSelector.CONTROL_INPUT:
+        return k1 / 2
+    if selector is OutputSelector.TOTAL_CONTROL_INPUT:
+        return k1 * n / 2
+    return 0.0
 
 
 def h2_gbpiac_analytic(n: int, m: float, d: float, k1: float,
@@ -324,18 +331,12 @@ def h2_gbpiac_analytic(n: int, m: float, d: float, k1: float,
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n}")
     _require_positive(m=m, d=d, k1=k1)
-    overall = _overall_term(m, d, k1)
     per_mode = np.zeros(n)
+    per_mode[0] = zero = _zero_mode(n, m, d, k1, selector)
     if selector is OutputSelector.FREQUENCY_DEVIATION:
-        per_mode[0] = overall
         per_mode[1:] = 1.0 / (2 * m * d)
         return AnalyticH2(value=float(per_mode.sum()), per_mode=per_mode,
-                          overall=overall, relative=(n - 1) / (2 * m * d))
-    if selector is OutputSelector.CONTROL_INPUT:
-        per_mode[0] = k1 / 2
-    elif selector is OutputSelector.TOTAL_CONTROL_INPUT:
-        per_mode[0] = k1 * n / 2
-    # spread: identical marginal costs, all contributions stay zero
+                          overall=zero, relative=(n - 1) / (2 * m * d))
     return AnalyticH2(value=float(per_mode.sum()), per_mode=per_mode)
 
 
@@ -357,21 +358,17 @@ def h2_dpiac_analytic(spectral: SpectralDecomposition, m: float, d: float,
     coeffs = tuple(DpiacModeCoefficients.from_params(float(li), m, d, k1, k3)
                    for li in lam[1:])
     per_mode = np.zeros(n)
+    per_mode[0] = zero = _zero_mode(n, m, d, k1, selector)
     overall = relative = None
     if selector is OutputSelector.FREQUENCY_DEVIATION:
-        overall = _overall_term(m, d, k1)
-        per_mode[0] = overall
         per_mode[1:] = [c.b1 / c.e / (2 * m) for c in coeffs]
-        relative = float(per_mode[1:].sum())
+        overall, relative = zero, float(per_mode[1:].sum())
     elif selector is OutputSelector.CONTROL_INPUT:
-        per_mode[0] = k1 / 2
         per_mode[1:] = [c.b2 / c.e for c in coeffs]
-    elif selector is OutputSelector.TOTAL_CONTROL_INPUT:
-        per_mode[0] = k1 * n / 2
-    else:  # marginal-cost spread
+    elif selector is OutputSelector.MARGINAL_COST_SPREAD:
         per_mode[1:] = [c.eigenvalue ** 2 * c.b2 / c.e for c in coeffs]
     return AnalyticH2(value=float(per_mode.sum()), per_mode=per_mode,
-                      overall=overall, relative=relative, coefficients=coeffs)
+                      overall=overall, relative=relative)
 
 
 def h2_bounds_general_B(analytic_value_at_identity: float, B) -> tuple[float, float]:
@@ -491,8 +488,9 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
         if with_limits:
             if law == "dpiac" and selector is OutputSelector.FREQUENCY_DEVIATION:
                 limit_k1 = limit_k1_infinity(spectral, m, d, k3)
-            if law == "gbpiac" and selector is OutputSelector.FREQUENCY_DEVIATION:
-                limit_k1 = (net.n_nodes - 1) / (2 * m * d)
+            if law == "gbpiac":
+                # the overall part vanishes as k1 grows; the relative one stays
+                limit_k1 = ana.relative
             if law == "dpiac":
                 limit_k3 = h2_gbpiac_analytic(net.n_nodes, m, d, k1, selector).value
 

@@ -151,10 +151,6 @@ class PowerNetwork:
     # --- parameter vectors (aligned with the stated id tuples) -------------
 
     @cached_property
-    def inertias(self) -> np.ndarray:
-        return np.array([n.inertia for n in self.nodes if n.kind is NodeKind.MACHINE])
-
-    @cached_property
     def dampings(self) -> np.ndarray:
         """Damping over the controller set (machines first is NOT implied;
         order follows node order restricted to controllers)."""

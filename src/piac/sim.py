@@ -9,18 +9,15 @@ linearization to expose the small-angle agreement directly.
 
 The network model is the one in :mod:`piac.closedloop`, which also reads
 the closed-loop matrices off it; this module integrates it, rebuilds traces
-and exports them. The model, coupled through the grid's signed incidence
-matrix, takes states with leading (path, row) axes, and one damped Newton,
-element by element, solves both the equilibrium power flow and the passive
-balance. A passive solve starts from the model's previous one, its solution
-and its inverse Jacobian, and takes chord steps with that inverse while
-each step at least halves the mismatch, so consecutive evaluations rarely
-build a Jacobian; the equilibrium starts cold. Deterministic runs integrate
-with LSODA, which switches between Adams and BDF methods as the problem's
-stiffness demands (Petzold, SIAM J. Sci. Stat. Comput. 4(1), 1983):
-low-damping load buses put closed-loop eigenvalues far into the left
-half-plane (down to about -235 on ``ieee39-like``), where an explicit
-scheme is held to tiny steps by stability, not accuracy. Its Jacobian is the model's exact derivative,
+and exports them. The model takes states with leading (path, row) axes,
+and one damped Newton, element by element, solves both its equilibrium
+power flow, which :func:`find_equilibrium` reads, and the passive balance.
+Deterministic runs integrate with LSODA, which switches between Adams and
+BDF methods as the problem's stiffness demands (Petzold, SIAM J. Sci.
+Stat. Comput. 4(1), 1983): low-damping load buses put closed-loop
+eigenvalues far into the left half-plane (down to about -235 on
+``ieee39-like``), where an explicit scheme is held to tiny steps by
+stability, not accuracy. Its Jacobian is the model's exact derivative,
 :meth:`_SimModel.linearize`: one passive solve, and one linear solve for
 the passive phases' sensitivity. Stochastic runs step the whole ensemble
 as one (paths, dim) state with Euler-Maruyama at a fixed step. White-noise
@@ -48,12 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (MODELS, StateSpace, _damped_newton, _refuse_feedthrough,
-                         _SimModel, _weighted_gram, deflate_zero_mode)
+from .closedloop import (MODELS, StateSpace, _refuse_feedthrough, _SimModel,
+                         deflate_zero_mode)
 # kept importable here: the benchmark's tracer test checks that a wrapped
 # function is also patched where another module imported it
 from .closedloop import assemble_dpiac  # noqa: F401
-from .controllers import GainSchedule, optimal_dispatch
+from .controllers import GainSchedule
 from .errors import DomainError, InsufficientHorizon, NumericalBlowup, ShapeError
 from .netmodel import CommunicationGraph, PowerNetwork
 from .scenario import Scenario, ScenarioKind
@@ -121,7 +118,6 @@ class Trace:
     xi: np.ndarray               # (T, n_controllers)
     u: np.ndarray                # (T, n_controllers)
     mc: np.ndarray               # (T, n_controllers)
-    law: str
 
     @property
     def omega_controllers(self) -> np.ndarray:
@@ -156,41 +152,9 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
                      model: str = MODELS[0]) -> Equilibrium:
     """Steady state with the secondary loop holding the synchronized
     frequency at zero: optimal inputs, matching controller offsets, and the
-    zero-mean phase profile solving the (sine or linearized) power flow."""
-    model_obj = _SimModel(net, comm, law, gains, model)
-    u_eq = optimal_dispatch(net)
-    inj = net.injections.copy()
-    inj[model_obj.mf] += u_eq
-    # reduced Newton on the zero-mean complement of the phase space
-    basis = _phase_complement(net.n_nodes)
-    F = model_obj.E @ basis
-    jacobian = _weighted_gram(F)
-    target = inj @ basis
-
-    def mismatch(z):
-        gap = z @ F.T
-        return target - model_obj.line_flows(gap) @ F, gap
-
-    z, _, _ = _damped_newton(mismatch, lambda gap: jacobian(model_obj.stiffness(gap)),
-                             np.zeros(net.n_nodes - 1),
-                             1e-12 * max(1.0, float(np.abs(inj).max())), "power-flow")
-    eta, xi = model_obj.law.offsets(u_eq)
-    return Equilibrium(theta=basis @ z, eta=eta, xi=xi, u=u_eq)
-
-
-def _phase_complement(n: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the uniform vector in R^n.
-
-    Columns 2..n of the Householder reflector mapping e_1 to 1/sqrt(n);
-    deterministic, so the power flow solved on it is reproducible.
-    """
-    v = np.full(n, 1.0 / math.sqrt(n))
-    w = v - np.eye(n)[:, 0]
-    H = np.eye(n)
-    wn = w @ w
-    if wn > 0:
-        H -= 2.0 * np.outer(w, w) / wn
-    return H[:, 1:]
+    zero-mean phases solving the power flow (:meth:`_SimModel.equilibrium`)."""
+    theta, eta, xi, u = _SimModel(net, comm, law, gains, model).equilibrium()
+    return Equilibrium(theta=theta, eta=eta, xi=xi, u=u)
 
 
 def _node_vector(net, values: dict[int, float]) -> np.ndarray:
@@ -280,7 +244,7 @@ def _traces(model_obj, t, X, P) -> list[Trace]:
     eta, xi = eta[..., law.pair_of], xi[..., law.pair_of]
     return [Trace(t=t, node_ids=net.ids, theta=theta[p], omega=omega[p],
                   controller_ids=net.controller_ids, eta=eta[p], xi=xi[p],
-                  u=u[p], mc=mc[p], law=law.name)
+                  u=u[p], mc=mc[p])
             for p in range(X.shape[0])]
 
 
@@ -297,9 +261,9 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     sine model evaluates its right-hand side. Rows are recorded at
     :meth:`Scenario.record_times`, the last at ``n * h``. Noise that
     reaches a frequency directly, at a load bus or through a passive one,
-    would make ``E_S`` grow like ``1 / h``: read off the stepped model's
-    matrices, it raises :class:`DomainError` before any step, as does a step
-    ``h`` the stepper cannot resolve (:func:`_refuse_unstable_step`).
+    would make ``E_S`` grow like ``1 / h``: read off the stepped model
+    linearized at rest, it raises :class:`DomainError` before any step, as
+    does a step ``h`` the stepper cannot resolve (:func:`_refuse_unstable_step`).
     """
     if scenario.kind is not ScenarioKind.NOISE:
         raise DomainError("simulate_stochastic needs a noise scenario")
@@ -308,14 +272,16 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     sig = _node_vector(net, scenario.sigma)
     _note_gain_ratio(gains)
     model_obj = _SimModel(net, comm, law, gains, model)
-    A, B = model_obj.matrices(np.eye(net.n_nodes))
-    _refuse_feedthrough(model_obj, B * sig, "--sigma on machine buses")
-    _refuse_unstable_step(model_obj, A, B, scenario.h)
     x0 = model_obj.at_rest(find_equilibrium(net, law, gains, comm, model))
     p = net.injections
-    if model == "linear":
+    # the linear drift's constant term, the rhs at the origin: solved first,
+    # cold, as the linearization would warm-start it at the rest state
+    b = model_obj.rhs(np.zeros(model_obj.dim), p) if model == "linear" else None
+    A, B = model_obj.linearize(x0, p)
+    _refuse_feedthrough(model_obj, B * sig, "--sigma on machine buses")
+    _refuse_unstable_step(model_obj, A, B, scenario.h)
+    if b is not None:
         A_T, B_T = A.T, B.T
-        b = model_obj.rhs(np.zeros(model_obj.dim), p)
 
         def drift(X, W):
             return X @ A_T + (W @ B_T + b)
@@ -330,11 +296,10 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
 
 def _refuse_unstable_step(model_obj, A, B, h) -> None:
     """Raise :class:`DomainError` unless Euler-Maruyama at step ``h`` is
-    mean-square stable on the loop ``(A, B)`` of ``model_obj``, every bus an
-    input: |1 + h lambda| < 1 for every eigenvalue lambda of the deflated
-    ``A``. The conserved modes the deflation drops are never excited. The
-    sine model's linearization at rest is that ``A``, so the refusal holds
-    for both models. The message names the largest stable step, the least
+    mean-square stable on the loop ``(A, B)`` of ``model_obj`` at rest,
+    every bus an input: |1 + h lambda| < 1 for every eigenvalue lambda of
+    the deflated ``A``. The conserved modes the deflation drops are never
+    excited. The message names the largest stable step, the least
     ``-2 Re lambda / |lambda|^2``."""
     loop = deflate_zero_mode(StateSpace(A=A, B=B, B_in=np.eye(model_obj.n),
                                         model=model_obj))
@@ -423,11 +388,16 @@ def compute_metrics(trace: Trace, alpha, t0: float = METRICS_T0) -> Metrics:
     # and the row after them, which ends the partial panel. Indexing copies
     # the rows in row-major order, on which the last bit of a row sum depends.
     k = int(np.searchsorted(t, t0 + 1e-12, side="right"))
-    rows = np.arange(min(k + 1, len(t)))
-    s_val = _window_integral((trace.omega_controllers[rows] ** 2).sum(axis=1), t, k, t0)
-    c_val = 0.5 * _window_integral((trace.u[rows] ** 2 * alpha[None, :]).sum(axis=1),
-                                   t, k, t0)
-    return Metrics(S=s_val, C=c_val, t0=t0)
+    s_rows, c_rows = _row_costs(trace, np.arange(min(k + 1, len(t))), alpha)
+    return Metrics(S=_window_integral(s_rows, t, k, t0),
+                   C=0.5 * _window_integral(c_rows, t, k, t0), t0=t0)
+
+
+def _row_costs(trace: Trace, rows, alpha):
+    """Per row ``rows`` of ``trace``, the two costs' integrands: the sum
+    over the controllers of omega^2, and of alpha u^2."""
+    return ((trace.omega_controllers[rows] ** 2).sum(axis=1),
+            (trace.u[rows] ** 2 * alpha).sum(axis=1))
 
 
 def _window_integral(f, t, k, t0) -> float:
@@ -454,10 +424,9 @@ def _ensemble_metrics(traces, alpha, burn_in: float) -> Metrics:
         # the last recorded row, n * h, may lie before a burn-in below t_end
         if not mask.any():
             raise InsufficientHorizon("burn-in leaves no samples to average")
-        om = tr.omega_controllers[mask]
-        uu = tr.u[mask]
-        per_path_s.append(float(np.mean((om ** 2).sum(axis=1))))
-        per_path_c.append(0.5 * float(np.mean((uu ** 2 * alpha[None, :]).sum(axis=1))))
+        s_rows, c_rows = _row_costs(tr, mask, alpha)
+        per_path_s.append(float(np.mean(s_rows)))
+        per_path_c.append(0.5 * float(np.mean(c_rows)))
     ps = np.array(per_path_s)
     pc = np.array(per_path_c)
     k = len(ps)

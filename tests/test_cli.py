@@ -767,12 +767,18 @@ def test_simulate_noise_feeding_a_frequency_is_refused(capsys, sigma, bus):
     assert out == ""
 
 
-@pytest.mark.parametrize("model", ["sin", "linear"])
+@pytest.mark.parametrize("model, growth, lam, h_max", [
+    ("sin", "1.349", "-234.9", "0.00852"),
+    ("linear", "1.351", "-235.1", "0.00851"),
+], ids=["sin", "linear"])
 def test_simulate_noise_step_the_loop_cannot_resolve_is_refused(capsys, monkeypatch,
-                                                                model):
-    # dpiac's fastest mode on ieee39-like, lambda = -235.1, is resolved by
-    # Euler-Maruyama only below h = 0.00851; at h = 0.01 the sine model's
-    # bounded flows used to hide the divergence behind E_S = 6.4e4
+                                                                model, growth, lam,
+                                                                h_max):
+    # dpiac's fastest mode on ieee39-like, lambda = -235.1 at the origin, is
+    # resolved by Euler-Maruyama only below h = 0.00851; at h = 0.01 the sine
+    # model's bounded flows used to hide the divergence behind E_S = 6.4e4.
+    # The loop is read at rest, where the sine model's line stiffnesses are
+    # cos(gap) of the equilibrium's gaps: there lambda = -234.9
     import piac.sim
 
     argv = ["simulate", "--case", bundled_case_path("ieee39-like"), "--law", "dpiac",
@@ -784,9 +790,9 @@ def test_simulate_noise_step_the_loop_cannot_resolve_is_refused(capsys, monkeypa
         code, out, err = run(capsys, *argv, "--h", "0.01")
     assert code == 5 and out == ""
     assert err.startswith("analysis error: Euler-Maruyama step h = 0.01 does not "
-                          "resolve the loop: max |1 + h lambda| = 1.351 >= 1 at "
-                          "lambda = -235.1")
-    assert err.endswith("the largest stable step is 0.00851\n")
+                          f"resolve the loop: max |1 + h lambda| = {growth} >= 1 at "
+                          f"lambda = {lam}")
+    assert err.endswith(f"the largest stable step is {h_max}\n")
     code, out, _ = run(capsys, *argv, "--h", "0.005")
     assert code == 0 and out.startswith("E_S=")
 
@@ -938,7 +944,10 @@ def test_t0_not_positive_is_usage_error(capsys, two_node_case, command, t0):
     (["simulate", "--t-end", "30"], "--t0 40 lies past the last recorded time 30 s"),
     (["sweep", "--param", "k1", "--grid", "1", "--sim", "step", "--t0", "100"],
      "--t0 100 lies past the last recorded time 50 s"),
-], ids=["simulate", "simulate-default-t0", "sweep"])
+    # past the 1e-9 s slack, by less than %g shows
+    (["simulate", "--t-end", "60", "--t0", "60.000000002"],
+     "--t0 60.000000002 lies past the last recorded time 60 s"),
+], ids=["simulate", "simulate-default-t0", "sweep", "simulate-just-past"])
 def test_t0_past_the_horizon_is_refused_before_simulating(capsys, monkeypatch,
                                                           two_node_case, argv,
                                                           message):

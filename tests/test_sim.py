@@ -663,7 +663,7 @@ def synthetic_trace(t, omega_val=0.0, u_val=0.0, n=1):
                  theta=np.zeros((T, n)), omega=np.full((T, n), omega_val),
                  controller_ids=ids, eta=np.zeros((T, n)),
                  xi=np.zeros((T, n)), u=np.full((T, n), u_val),
-                 mc=np.full((T, n), u_val), law="dpiac")
+                 mc=np.full((T, n), u_val))
 
 
 def test_metrics_zero_frequency():
@@ -1118,6 +1118,27 @@ def test_stale_passive_inverse_falls_back_to_newton(monkeypatch):
     assert np.allclose(theta_p, model().solve_passive(now, p_pas), rtol=0, atol=1e-12)
 
 
+def test_passive_solve_that_falls_back_restarts_cold():
+    # where the corridor is 3 rad across, the kept iterate and inverse are
+    # far from the next solve's: its first chord step raises the mismatch,
+    # and Newton from that iterate would find another root of the flows,
+    # (2.64, 3.64), than the one a fresh model finds, (1/6, -1/6)
+    from piac.closedloop import _SimModel
+
+    net, comm = loaded_chain()
+    g = GainSchedule.analytic(1.0, 1.0)
+    model = lambda: _SimModel(net, comm, "dpiac", g, "sin")
+    mo, p_pas, now = model(), np.zeros(2), np.array([0.5, -0.5])
+    mo.solve_passive(np.array([1.0, -2.0]), p_pas)
+    # precondition: the chord step from the kept solve does not halve the mismatch
+    z, K = mo._theta_p_warm[(2,)]
+    mismatch = lambda z: p_pas - mo.flows(np.insert(now, [1, 1], z))[mo.pas]
+    assert np.abs(mismatch(z + K @ mismatch(z))).max() > 0.5 * np.abs(mismatch(z)).max()
+    fresh = model().solve_passive(now, p_pas)
+    assert np.allclose(fresh, [1 / 6, -1 / 6], rtol=0, atol=1e-14)
+    assert np.allclose(mo.solve_passive(now, p_pas), fresh, rtol=0, atol=1e-14)
+
+
 def test_batched_chord_and_fallback_match_unbatched():
     # one element's kept inverse is stale and falls back to Newton, the
     # other's carries it by chord steps: each solves, and keeps an inverse
@@ -1249,7 +1270,7 @@ def test_csv_edge_values_literal():
     assert np.signbit(cols[1, 0]) and np.isnan(cols[1, 0])
     tr = Trace(t=cols[:, 0], node_ids=(1, 2), theta=cols[:, 1:3],
                omega=cols[:, 3:5], controller_ids=(1,), eta=cols[:, 5:6],
-               xi=cols[:, 6:7], u=cols[:, 7:8], mc=cols[:, 8:9], law="dpiac")
+               xi=cols[:, 6:7], u=cols[:, 7:8], mc=cols[:, 8:9])
     buf = io.StringIO()
     write_trace_csv(buf, tr)
     assert buf.getvalue() == "t,node,theta,omega,eta,xi,u,mc\n" + EDGE_ROWS
