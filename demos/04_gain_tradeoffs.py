@@ -45,8 +45,7 @@ print("  frequency norm falls  %0.4f -> %0.4f" % (om[0], om[-1]))
 print("  input norm rises      %0.4f -> %0.4f  (the trade-off)" % (uu[0], uu[-1]))
 save("tradeoff_k1.svg",
      svg_line_chart(k1_grid, {"frequency norm": om, "input norm": uu},
-                    title="frequency/effort trade-off vs k1", xlabel="k1",
-                    ylabel="squared H2 norm", logx=True))
+                    title="frequency/effort trade-off vs k1", xlabel="k1", logx=True))
 
 # The frequency norm saturates: its floor is the k1 -> inf limit, so past a
 # point extra gain only buys effort.
@@ -71,5 +70,5 @@ save("convergence_k3.svg",
                     {"input-norm gap to central": [r["u_gap"] for r in rows],
                      "marginal-cost spread norm": spread},
                     title="coordination closes the gap to central control",
-                    xlabel="k3", ylabel="squared H2 norm", logx=True))
+                    xlabel="k3", logx=True))
 print("\nwrote", out("tradeoff_k1.svg"), "and", out("convergence_k3.svg"))

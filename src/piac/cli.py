@@ -1,4 +1,6 @@
 """Command-line front end: validate / analyze / sweep / simulate.
+``simulate`` and ``sweep --sim`` run a study through one path, :func:`_study`:
+a step study's trace and its S and C, or a noise run's ensemble and E_S, E_C.
 
 Exit codes: 0 ok, 2 usage or case-format problem, 3 connectivity,
 4 gain constraints, 5 analysis failure, 6 closed-form analysis refused
@@ -77,11 +79,17 @@ def _refuse_k3(args, what: str) -> None:
                      f"{args.law} does not read it")
 
 
+def _k3_from(args, file_gains) -> float:
+    """``--k3``, which only dpiac reads, else the case file's k3, else 0."""
+    if args.k3 is None:
+        return file_gains.k3 if file_gains else 0.0
+    _refuse_k3(args, "--k3")
+    return args.k3
+
+
 def _gains_from(args, file_gains) -> GainSchedule:
-    if args.k3 is not None:
-        _refuse_k3(args, "--k3")
+    k3 = _k3_from(args, file_gains)
     k1 = args.k1 if args.k1 is not None else (file_gains.k1 if file_gains else None)
-    k3 = args.k3 if args.k3 is not None else (file_gains.k3 if file_gains else 0.0)
     if k1 is None:
         raise _Usage("no gains: case file has no [gains] section, pass --k1 (and --k2)")
     if args.k1 is not None and args.k2 is None:
@@ -148,12 +156,27 @@ def _t0(args) -> float:
 
 
 def _refuse_t0_past(t0: float, scenario) -> None:
-    """A metrics window [0, t0] ending past the step study's last recorded
+    """A metrics window [0, t0] ending past a step study's last recorded
     time is a usage error, found before the study runs; the slack is the
-    one :func:`compute_metrics` allows."""
+    one :func:`compute_metrics` allows. Noise runs read no window."""
+    if scenario.kind is ScenarioKind.NOISE:
+        return
     last = scenario.record_times()[-1]
     if last < t0 - METRICS_T0_SLACK:
         raise _Usage(f"--t0 {_fmt(t0)} lies past the last recorded time {_fmt(last)} s")
+
+
+# the metrics a study's kind reports, as named in Metrics and in a sweep's columns
+_STUDY_METRICS = {ScenarioKind.STEP: ("S", "C"), ScenarioKind.NOISE: ("E_S", "E_C")}
+
+
+def _study(net, comm, law: str, gains, scenario, model: str, t0: float):
+    """The traces and metrics of the study ``scenario``: a step study's one
+    trace and its S and C over [0, t0], or a noise run's ensemble and E_S, E_C."""
+    if scenario.kind is ScenarioKind.NOISE:
+        return simulate_stochastic(net, comm, law, gains, scenario, model=model)
+    trace = simulate_deterministic(net, comm, law, gains, scenario, model=model)
+    return [trace], compute_metrics(trace, net.prices, t0)
 
 
 # --- validate ------------------------------------------------------------------
@@ -243,13 +266,18 @@ def cmd_sweep(args) -> int:
                *_foreign_flags(ScenarioKind.NOISE)])
     _refuse_unread(args, unread,
                    "sweeps " + (f"with --sim {args.sim}" if args.sim else "without --sim"))
+    # the grid sets the swept gain, and k2 with k1
+    _refuse_unread(args, ("--k1", "--k2") if args.param == "k1" else ("--k3",),
+                   f"sweeps over {args.param}")
     if args.param == "k3":
         _refuse_k3(args, "--param k3")
     net, comm, file_gains, scenario = load_case(args.case)
-    base = _gains_from(args, file_gains)
+    if args.param == "k1":
+        k3 = _k3_from(args, file_gains)
+    else:
+        base = _gains_from(args, file_gains)
     grid = _grid(args)
     t0 = _t0(args)
-    model = args.model or MODELS[0]
     B_in = _b_in(args, net)
     if args.sim is not None:
         if scenario is None:
@@ -265,43 +293,30 @@ def cmd_sweep(args) -> int:
                 scenario = replace(scenario, seed=args.seed)
             except ValueError as exc:
                 raise _Usage(str(exc)) from None
-        if want is ScenarioKind.STEP:
-            _refuse_t0_past(t0, scenario)
+        _refuse_t0_past(t0, scenario)
 
-    def norms_at(value: float):
+    metrics = _STUDY_METRICS[ScenarioKind(args.sim)] if args.sim else ()
+    rows = []
+    for value in grid:
         # k1 moves with k2 = 4 k1, the closed forms' ratio
-        gains = (GainSchedule.analytic(value, base.k3) if args.param == "k1"
+        gains = (GainSchedule.analytic(value, k3) if args.param == "k1"
                  else replace(base, k3=value))
         # one loop, read through the three outputs the columns name
-        loop = assemble(net, comm, args.law, gains, B_in)
-        row = [value, *h2_norms(loop, _SWEPT)]
-        if args.sim == "step":
-            trace = simulate_deterministic(net, comm, args.law, gains, scenario,
-                                           model=model)
-            met = compute_metrics(trace, net.prices, t0=t0)
-            row += [met.S, met.C]
-        elif args.sim == "noise":
-            _, met = simulate_stochastic(net, comm, args.law, gains, scenario,
-                                         model=model)
-            row += [met.E_S, met.E_C]
-        return row
-
-    rows = [norms_at(value) for value in grid]
-    header = [args.param, *(f"{sel.value}_norm" for sel in _SWEPT)]
-    if args.sim == "step":
-        header += ["S", "C"]
-    elif args.sim == "noise":
-        header += ["E_S", "E_C"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = [value, *h2_norms(assemble(net, comm, args.law, gains, B_in), _SWEPT)]
+        if args.sim:
+            _, met = _study(net, comm, args.law, gains, scenario,
+                            args.model or MODELS[0], t0)
+            row += [getattr(met, name) for name in metrics]
+        rows.append(row)
+    header = [args.param, *(f"{sel.value}_norm" for sel in _SWEPT), *metrics]
+    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
     _emit("\n".join(lines) + "\n", args.out)
     if args.svg:
         series = {name: [row[k + 1] for row in rows]
                   for k, name in enumerate(header[1:4])}
         chart = svgplot.svg_line_chart([row[0] for row in rows], series,
                                        title=f"{args.law} norms vs {args.param}",
-                                       xlabel=args.param, ylabel="squared H2 norm",
+                                       xlabel=args.param,
                                        logx=len(grid) > 2 and grid[-1] / grid[0] > 30)
         _emit(chart, args.svg)
     return EXIT_OK
@@ -354,17 +369,13 @@ def cmd_simulate(args) -> int:
     net, comm, file_gains, file_scenario = load_case(args.case)
     gains = _gains_from(args, file_gains)
     scenario = _scenario_from(args, file_scenario, net)
+    _refuse_t0_past(t0, scenario)
+    traces, met = _study(net, comm, args.law, gains, scenario, args.model, t0)
     if scenario.kind is ScenarioKind.STEP:
-        _refuse_t0_past(t0, scenario)
-        trace = simulate_deterministic(net, comm, args.law, gains, scenario,
-                                       model=args.model)
-        met = compute_metrics(trace, net.prices, t0=t0)
         if args.out:
-            _atomic_write(args.out, lambda fh: write_trace_csv(fh, trace))
+            _atomic_write(args.out, lambda fh: write_trace_csv(fh, traces[0]))
         print(f"S={_fmt(met.S)} C={_fmt(met.C)} (t0={_fmt(met.t0)})")
     else:
-        traces, met = simulate_stochastic(net, comm, args.law, gains, scenario,
-                                          model=args.model)
         if args.out:
             _atomic_write(args.out, lambda fh: write_ensemble_csv(fh, traces))
         # one path has no standard error
@@ -389,13 +400,12 @@ def _build_parser() -> argparse.ArgumentParser:
     kinds = [kind.value for kind in ScenarioKind]
     window = f"end of the S/C window (default {METRICS_T0:g})"
 
-    def common(p, law=True):
+    def common(p):
         p.add_argument("--case", required=True, help="case file path")
-        if law:
-            p.add_argument("--law", required=True, choices=LAWS)
-            p.add_argument("--k1", type=float)
-            p.add_argument("--k2", type=float)
-            p.add_argument("--k3", type=float)
+        p.add_argument("--law", required=True, choices=LAWS)
+        p.add_argument("--k1", type=float)
+        p.add_argument("--k2", type=float)
+        p.add_argument("--k3", type=float)
         p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("validate", help="check a case file")

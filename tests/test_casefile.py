@@ -218,6 +218,17 @@ def test_onset_within_the_integrators_resolution_of_t_n_is_format_error():
             loads_case(text)
 
 
+def test_burn_in_past_the_last_recorded_row_is_format_error():
+    # t_end = 1.0000000005 is 100 steps of 0.01 within its slack, so the last
+    # recorded row lies at t_n = 1, before the burn-in
+    text = GOOD.replace("kind=step\nt_end=30.0\nh=0.01\nonset=2.0\nstep=2:-0.1",
+                        "kind=noise\nt_end=1.0000000005\nh=0.01\nsigma=1:0.002\n"
+                        "burn_in=1.0000000004\nseed=7")
+    with pytest.raises(CaseFormatError, match=r"\[scenario\]: burn_in 1\.0000000004 "
+                       r"lies past the last recorded time t_n = 1\.0: no recorded row"):
+        loads_case(text)
+
+
 def test_node_voltage_other_than_one_is_format_error():
     # nothing reads V: the line's K= is the effective susceptance already
     with pytest.raises(CaseFormatError, match=r"<string>:3: field V: '2' .*K= is "

@@ -478,6 +478,68 @@ def test_sweep_svg(capsys, two_node_case, tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
+def test_sweep_chart_of_one_grid_point(capsys, two_node_case, tmp_path):
+    # one point spans no range: the x axis runs over [2, 3]
+    svg = tmp_path / "chart.svg"
+    code, _, _ = run(capsys, "sweep", "--case", two_node_case, "--law", "dpiac",
+                     "--param", "k3", "--grid", "2", "--svg", str(svg))
+    assert code == 0
+    text = svg.read_text()
+    assert re.findall(r'y="366" text-anchor="middle">([^<]*)<', text) == \
+        ["2", "2.2", "2.4", "2.6", "2.8", "3"]
+    points = re.findall(r'<polyline points="([^"]*)"', text)
+    assert len(points) == 3 and all(re.fullmatch(r"70\.00,[\d.]+", p) for p in points)
+
+
+def test_chart_of_a_flat_series():
+    # a series that does not move spans the y range [3, 4], padded by 5 %
+    text = cli.svgplot.svg_line_chart([1.0, 2.0], {"flat": [3.0, 3.0]}, "t", "x", False)
+    assert re.findall(r'dominant-baseline="middle">([^<]*)<', text) == ["3", "3.5", "4"]
+    (points,) = re.findall(r'<polyline points="([^"]*)"', text)
+    ys = {float(p.split(",")[1]) for p in points.split()}
+    assert len(ys) == 1 and 40 < ys.pop() < 350
+
+
+def test_sweep_chart_of_a_grid_one_ulp_wide_is_written_in_a_child(tmp_path):
+    # the two grid values are one ulp apart, so the tick step lies below the
+    # spacing of floats at 1. Accumulated ticks stalled there, and the tick
+    # list grew until memory ran out; the child has a bounded address space
+    # and a timeout, so such a loop fails fast
+    svg = tmp_path / "chart.svg"
+    argv = ["sweep", "--case", bundled_case_path("homogeneous10"), "--law", "dpiac",
+            "--param", "k1", "--grid", "1,1.0000000000000002", "--svg", str(svg)]
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from piac.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    text = svg.read_text()
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    labels = re.findall(r'y="366" text-anchor="middle">([^<]*)<', text)
+    assert 1 <= len(labels) <= 6 and set(labels) == {"1"}
+
+
+def test_noise_burn_in_past_the_last_row_is_refused_before_stepping(capsys,
+                                                                   monkeypatch):
+    # t_end admits the burn-in, but the last of the n = 100 steps ends at
+    # t_n = 1, before it: no recorded row would be left to average
+    import piac.sim
+
+    monkeypatch.setattr(piac.sim, "_euler_maruyama", None)
+    code, out, err = run(capsys, "simulate", "--case", bundled_case_path("homogeneous10"),
+                         "--law", "dpiac", "--kind", "noise", "--t-end", "1.0000000005",
+                         "--h", "0.01", "--burn-in", "1.0000000004", "--seed", "1",
+                         "--sigma", "1:0.01", "--paths", "2")
+    assert code == 2 and out == ""
+    assert err == ("usage error: burn_in 1.0000000004 lies past the last recorded "
+                   "time t_n = 1.0: no recorded row is left to average; give an "
+                   "earlier burn-in\n")
+
+
 def test_simulate_zero_disturbance(capsys, tmp_path):
     case = tmp_path / "quiet.case"
     case.write_text(TWO_NODE.replace("step=1:-0.2", "step=1:0.0"))
@@ -829,14 +891,37 @@ HOM10_NOISE = ["--kind", "noise", "--seed", "1", "--sigma", "1:0.01",
      "sweeps without --sim do not read --model"),
     (["sweep", "--param", "k1", "--grid", "1", "--sim", "step", "--seed", "4"],
      "sweeps with --sim step do not read --seed"),
+    # the grid sets k1, and k2 = 4 k1: the flags printed the same rows
+    (["sweep", "--param", "k1", "--grid", "1", "--k1", "7", "--k2", "40"],
+     "sweeps over k1 do not read --k1, --k2"),
+    # refused before its value is read, which was a gain constraint (exit 4)
+    (["sweep", "--param", "k1", "--grid", "1", "--k1", "-1"],
+     "sweeps over k1 do not read --k1"),
+    (["sweep", "--param", "k3", "--grid", "1", "--k3", "9"],
+     "sweeps over k3 do not read --k3"),
 ], ids=["step-noise-flags", "step-seed", "noise-step-flags", "noise-t0",
-        "sweep-sim-flags", "sweep-model", "sweep-step-seed"])
+        "sweep-sim-flags", "sweep-model", "sweep-step-seed", "sweep-k1-k2",
+        "sweep-k1-negative", "sweep-k3"])
 def test_flag_the_mode_never_reads_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, argv[0], "--case", bundled_case_path("homogeneous10"),
                          "--law", "dpiac", *argv[1:])
     assert code == 2
     assert f"usage error: {message}" in err
     assert out == ""
+
+
+def test_k1_sweep_reads_only_k3(capsys, tmp_path, two_node_case):
+    # every k1 and k2 of a k1 sweep comes from the grid, so a case without
+    # [gains] sweeps at k3 = 0; --k3 and the case file's k3 still count
+    bare = tmp_path / "bare.case"
+    bare.write_text(TWO_NODE.split("[gains]")[0])
+    sweep = ["sweep", "--law", "dpiac", "--param", "k1", "--grid", "0.5,2"]
+    code, out, err = run(capsys, *sweep, "--case", str(bare))
+    assert code == 0 and err == ""
+    assert run(capsys, *sweep, "--case", two_node_case, "--k3", "0") == (code, out, "")
+    at_file_k3 = run(capsys, *sweep, "--case", two_node_case)
+    assert at_file_k3 == run(capsys, *sweep, "--case", str(bare), "--k3", "1")
+    assert at_file_k3[1] != out
 
 
 def test_sweep_noise_refuses_t0(capsys, tmp_path):

@@ -121,7 +121,7 @@ def test_alpha_s():
 def test_check_homogeneous_pass():
     net, comm = ring_net(3)
     rep = check_homogeneous(net, comm)
-    assert rep.passed and rep
+    assert rep.passed
     assert rep.m == 1.0 and rep.d == 1.0
 
 

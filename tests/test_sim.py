@@ -454,6 +454,20 @@ def test_scenario_refuses_t_end_off_the_step_grid(kind, fields):
                  **fields)
 
 
+def test_noise_burn_in_needs_a_recorded_row_at_or_after_it():
+    # 100 steps of 0.01 end at t_n = 1, within the slack of t_end; the
+    # metrics average the rows at t >= burn_in - 1e-12
+    def noise(burn_in):
+        return Scenario.white_noise({1: 0.01}, seed=1, t_end=1.0000000005, h=0.01,
+                                    burn_in=burn_in)
+
+    for burn_in in (1.0, 1.0 + 5e-13):
+        assert noise(burn_in=burn_in).record_times()[-1] >= burn_in - 1e-12
+    with pytest.raises(ValueError, match=r"^burn_in 1\.000000000002 lies past the "
+                       r"last recorded time t_n = 1\.0: "):
+        noise(burn_in=1.0 + 2e-12)
+
+
 def test_noise_recording_interval_must_end_at_t_end():
     # 2050 steps of 1 ms, recorded every 100: counted back from the last
     scen = Scenario.white_noise({1: 0.01}, seed=1, t_end=2.05, burn_in=0.5)
