@@ -25,7 +25,7 @@ sys = assemble_dpiac(net, comm, gains)
 # Hurwitz loop share one factorization
 dense = h2_norms(sys, selectors)
 for sel, dense_value in zip(selectors, dense):
-    modal, per_mode = h2_modal(sys, spec, sel)        # 4x4 blocks, summed
+    modal, per_mode = h2_modal(sys, sel)      # 4x4 blocks, summed
     ana = h2_dpiac_analytic(spec, 1.0, 1.0, 1.0, 1.0, sel)
     print(f"{sel.value:>8}: dense {dense_value:.12f}  modal {modal:.12f}  "
           f"closed form {ana.value:.12f}")

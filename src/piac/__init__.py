@@ -19,10 +19,10 @@ from .errors import (CaseFormatError, DAESolveError, DegenerateModel,
                      InsufficientHorizon, NoControllers, NumericalBlowup,
                      PiacError, ShapeError, SolverAccuracyError,
                      UnstableSystem, UnsupportedForModalPath)
-from .h2 import (AnalyticH2, DpiacModeCoefficients, Grammians, H2Report,
-                 analyze, compare_laws, grammians, h2_bounds_general_B,
-                 h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_norms,
-                 limit_k1_infinity, lyapunov_solve)
+from .h2 import (AnalyticH2, Grammians, H2Report, analyze, compare_laws,
+                 grammians, h2_bounds_general_B, h2_dpiac_analytic,
+                 h2_gbpiac_analytic, h2_modal, h2_norms, limit_k1_infinity,
+                 lyapunov_solve)
 from .netmodel import (CommunicationGraph, HomogeneityReport, Node, NodeKind,
                        PowerNetwork, SpectralDecomposition, build_laplacian,
                        check_homogeneous, spectral_decompose)

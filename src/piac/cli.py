@@ -209,7 +209,7 @@ def cmd_analyze(args) -> int:
     net, comm, file_gains, _ = load_case(args.case)
     gains = _gains_from(args, file_gains)
     selector = OutputSelector.from_token(args.selector)
-    hom = law_homogeneity(net, comm, args.law,
+    hom = law_homogeneity(net, comm, args.law, gains,
                           selector is OutputSelector.MARGINAL_COST_SPREAD)
     if args.analytic and not (hom.passed and gains.analytic_mode):
         why = "; ".join(hom.reasons) if not hom.passed else "k2 != 4*k1"

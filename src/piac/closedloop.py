@@ -52,7 +52,7 @@ from .controllers import ControlLaw, GainSchedule, law_homogeneity, optimal_disp
 from .errors import (DAESolveError, DomainError, ShapeError,
                      SolverAccuracyError, UnsupportedForModalPath)
 from .netmodel import (CommunicationGraph, NodeKind, PowerNetwork,
-                       SpectralDecomposition)
+                       _homogeneous_spectrum)
 
 __all__ = [
     "MODELS",
@@ -647,16 +647,17 @@ class ModeBlock:
         return self
 
 
-def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
-                   selector: OutputSelector) -> list[ModeBlock]:
+def modal_decouple(sys: StateSpace, selector: OutputSelector) -> list[ModeBlock]:
     """Split a homogeneous closed loop into per-eigenvalue blocks, each with
     its rows of the ``selector`` output.
 
-    Gather-broadcast: one 4-dim block for the zero mode (phase mean,
-    frequency mean, both central states) plus 2-dim oscillator blocks for
-    every nonzero eigenvalue. Local laws: one 4-dim block per mode. The
-    orthogonal transform is verified to block-diagonalize A to 1e-9
-    relative before the blocks are returned.
+    Once the homogeneity gate passes, the Laplacian of the loop's network
+    is decomposed: the spectrum the closed forms of :mod:`piac.h2` are
+    evaluated on. Gather-broadcast: one 4-dim block for the zero mode
+    (phase mean, frequency mean, both central states) plus 2-dim
+    oscillator blocks for every nonzero eigenvalue. Local laws: one 4-dim
+    block per mode. The orthogonal transform is verified to
+    block-diagonalize A to 1e-9 relative before the blocks are returned.
     """
     if sys.basis is not None:
         raise UnsupportedForModalPath("modal decoupling expects the undeflated system")
@@ -664,85 +665,69 @@ def modal_decouple(sys: StateSpace, spectral: SpectralDecomposition,
     spread = selector is OutputSelector.MARGINAL_COST_SPREAD
     if spread and law.L_comm is None:
         raise DomainError("spread output needs a communication graph to difference over")
-    hom = law_homogeneity(model.net, model.comm, law.name, spread)
+    hom = law_homogeneity(model.net, model.comm, law.name, law.gains, spread)
     if not hom.passed:
         raise UnsupportedForModalPath(
             "modal decoupling needs homogeneous parameters (and a matching "
-            "communication graph for the distributed law)")
+            "communication graph wherever the loop reads it)")
     m, d = hom.m, hom.d
-    n = model.n
-    if spectral.n != n:
-        raise ShapeError(f"spectral decomposition is for n={spectral.n}, system has n={n}")
-    lam = spectral.eigenvalues
-    Q = spectral.modal_matrix
+    n, N = model.n, sys.dim
+    spectral = _homogeneous_spectrum(model.net)
+    lam, Q = spectral.eigenvalues, spectral.modal_matrix
     k1, k2, k3 = law.gains.k1, law.gains.k2, law.gains.k3
+    rt_n = math.sqrt(n)
     blocks: list[ModeBlock] = []
     cols: list[np.ndarray] = []     # columns of T, original coordinates
-    N = sys.dim
     theta, omega, eta, xi = model.unpack(np.arange(N))
 
-    def col(block: np.ndarray, i: int) -> np.ndarray:
-        c = np.zeros(N)
-        if len(block) == n:
-            c[block] = Q[:, i]
-        else:                        # central scalar state
-            c[block[0]] = 1.0
-        return c
+    def add(i: int, A, C, states) -> None:
+        """Mode ``i``'s block, whose input reaches the frequency, and its
+        columns of T, one per block of ``states``."""
+        B = np.zeros((len(A), sys.B.shape[1]))
+        B[1, :] = Q[:, i] @ sys.B_in / m
+        blocks.append(ModeBlock(float(lam[i]), np.asarray(A), B, np.array([C])))
+        for block in states:
+            c = np.zeros(N)
+            if len(block) == n:
+                c[block] = Q[:, i]
+            else:                    # central scalar state
+                c[block[0]] = 1.0
+            cols.append(c)
 
     if law.central:
-        rt_n = math.sqrt(n)
-        A0 = np.array([
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, -d / m, 0.0, k2 / (m * rt_n)],
-            [0.0, d * rt_n, 0.0, 0.0],
-            [0.0, -k1 * m * rt_n, -k1, -k2],
-        ])
+        A0 = [[0.0, 1.0, 0.0, 0.0],
+              [0.0, -d / m, 0.0, k2 / (m * rt_n)],
+              [0.0, d * rt_n, 0.0, 0.0],
+              [0.0, -k1 * m * rt_n, -k1, -k2]]
         C0 = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0, 0.0, 0.0],
               OutputSelector.CONTROL_INPUT: [0.0, 0.0, 0.0, k2 / rt_n],
               OutputSelector.TOTAL_CONTROL_INPUT: [0.0, 0.0, 0.0, k2],
               OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, 0.0]}[selector]
-        B0 = np.zeros((4, sys.B.shape[1]))
-        B0[1, :] = Q[:, 0] @ sys.B_in / m
-        blocks.append(ModeBlock(float(lam[0]), A0, B0, np.array([C0])))
-        cols += [col(theta, 0), col(omega, 0), col(eta, 0), col(xi, 0)]
+        add(0, A0, C0, (theta, omega, eta, xi))
+        Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0]}.get(selector, [0.0, 0.0])
         for i in range(1, n):
-            Ai = np.array([[0.0, 1.0], [-lam[i] / m, -d / m]])
-            Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0]}.get(selector, [0.0, 0.0])
-            Bi = np.zeros((2, sys.B.shape[1]))
-            Bi[1, :] = Q[:, i] @ sys.B_in / m
-            blocks.append(ModeBlock(float(lam[i]), Ai, Bi, np.array([Ci])))
-            cols += [col(theta, i), col(omega, i)]
+            add(i, [[0.0, 1.0], [-lam[i] / m, -d / m]], Ci, (theta, omega))
     else:
-        rt_n = math.sqrt(n)
         for i in range(n):
             li = float(lam[i])
-            Ai = np.array([
-                [0.0, 1.0, 0.0, 0.0],
-                [-li / m, -d / m, 0.0, k2 / m],
-                [0.0, d, 0.0, k2 * k3 * li],
-                [0.0, -k1 * m, -k1, -k2],
-            ])
+            Ai = [[0.0, 1.0, 0.0, 0.0],
+                  [-li / m, -d / m, 0.0, k2 / m],
+                  [0.0, d, 0.0, k2 * k3 * li],
+                  [0.0, -k1 * m, -k1, -k2]]
             us_w = k2 * rt_n if i == 0 else 0.0
             Ci = {OutputSelector.FREQUENCY_DEVIATION: [0.0, 1.0, 0.0, 0.0],
                   OutputSelector.CONTROL_INPUT: [0.0, 0.0, 0.0, k2],
                   OutputSelector.TOTAL_CONTROL_INPUT: [0.0, 0.0, 0.0, us_w],
                   OutputSelector.MARGINAL_COST_SPREAD: [0.0, 0.0, 0.0, k2 * li]}[selector]
-            Bi = np.zeros((4, sys.B.shape[1]))
-            Bi[1, :] = Q[:, i] @ sys.B_in / m
-            blocks.append(ModeBlock(li, Ai, Bi, np.array([Ci])))
-            cols += [col(theta, i), col(omega, i), col(eta, i), col(xi, i)]
+            add(i, Ai, Ci, (theta, omega, eta, xi))
 
     T = np.column_stack(cols)
     At = T.T @ sys.A @ T
-    expected = np.zeros_like(At)
-    pos = 0
-    for blk in blocks:
-        expected[pos:pos + blk.dim, pos:pos + blk.dim] = blk.A
-        pos += blk.dim
+    expected = scipy.linalg.block_diag(*(blk.A for blk in blocks))
     scale = max(float(np.abs(sys.A).max()), 1e-300)
     err = float(np.abs(At - expected).max())
     if err > 1e-9 * scale:
         raise UnsupportedForModalPath(
-            f"transform failed to block-diagonalize (residual {err:.2e}); "
-            "the system was not assembled from the decomposed Laplacian")
+            "the Laplacian's modal transform failed to block-diagonalize "
+            f"the loop (residual {err:.2e}, against 1e-9 max |A|)")
     return blocks

@@ -81,15 +81,16 @@ class GainSchedule:
 
 
 def law_homogeneity(net: PowerNetwork, comm: CommunicationGraph | None, law: str,
-                    spread: bool) -> HomogeneityReport:
-    """Homogeneity report for one law and output.
+                    gains: GainSchedule, spread: bool) -> HomogeneityReport:
+    """Homogeneity report for one law, gains and output.
 
-    The communication graph has to mirror the grid wherever the law reads
-    it: the consensus term of ``dpiac`` and, with ``spread``, the
-    marginal-cost spread of the local laws. The ``gbpiac`` spread is
-    identically zero and reads no graph.
+    The communication graph has to mirror the grid wherever the loop reads
+    it: the consensus term of ``dpiac`` at k3 > 0 (at k3 = 0 the loop is
+    ``decpiac``'s) and, with ``spread``, the marginal-cost spread of the
+    local laws. The ``gbpiac`` spread is identically zero and reads no
+    graph.
     """
-    reads_comm = law == "dpiac" or (law == "decpiac" and spread)
+    reads_comm = (law == "dpiac" and gains.k3 > 0) or (law != "gbpiac" and spread)
     return check_homogeneous(net, comm if reads_comm else None)
 
 

@@ -47,11 +47,10 @@ from .closedloop import (ModeBlock, OutputSelector, StateSpace, assemble,
 from .controllers import GainSchedule, law_homogeneity
 from .errors import DomainError, ShapeError, SolverAccuracyError, UnstableSystem
 from .netmodel import (CommunicationGraph, PowerNetwork, SpectralDecomposition,
-                       _is_symmetric, build_laplacian, spectral_decompose)
+                       _homogeneous_spectrum, _is_symmetric)
 
 __all__ = [
     "Grammians",
-    "DpiacModeCoefficients",
     "AnalyticH2",
     "H2Report",
     "lyapunov_solve",
@@ -237,28 +236,21 @@ def h2_norms(sys: StateSpace, selectors) -> list[float]:
             for C, Qo in zip(outputs, g.observabilities)]
 
 
-def h2_modal(sys: StateSpace, spectral: SpectralDecomposition,
-             selector: OutputSelector):
+def h2_modal(sys: StateSpace, selector: OutputSelector):
     """Squared H2 norm of the ``selector`` output summed over the decoupled
-    per-mode blocks.
+    per-mode blocks of :func:`~piac.closedloop.modal_decouple`.
 
     Independent of the dense route: each block is solved on its own 2x2 to
     4x4 Lyapunov equation. Returns ``(value, per_mode)`` with one
-    contribution per Laplacian eigenvalue, ascending.
+    contribution per eigenvalue of the network's Laplacian, ascending.
     """
-    blocks = modal_decouple(sys, spectral, selector)
-    per_mode = np.zeros(len(blocks))
-    for k, blk in enumerate(blocks):
-        per_mode[k] = _block_norm(blk)
+    per_mode = np.array([_block_norm(blk) for blk in modal_decouple(sys, selector)])
     return float(per_mode.sum()), per_mode
 
 
 def _block_norm(blk: ModeBlock) -> float:
     blk = blk.drop_marginal_modes()
-    rhs = blk.C.T @ blk.C
-    if not np.any(rhs):
-        return 0.0
-    X = lyapunov_solve(blk.A, rhs)
+    X = lyapunov_solve(blk.A, blk.C.T @ blk.C)
     return float(np.trace(blk.B.T @ X @ blk.B))
 
 
@@ -271,26 +263,17 @@ def _require_positive(**params):
             raise DomainError(f"{name} must be positive and finite, got {val}")
 
 
-@dataclass(frozen=True)
-class DpiacModeCoefficients:
-    """Rational-contribution coefficients of one nonzero mode."""
-
-    eigenvalue: float
-    b1: float
-    b2: float
-    e: float
-
-    @classmethod
-    def from_params(cls, lam: float, m: float, d: float, k1: float,
-                    k3: float) -> "DpiacModeCoefficients":
-        b1 = (lam ** 2 * (4 * k1 ** 2 * k3 * m - 1) ** 2 + 4 * d * m * k1 ** 3
-              + k1 * (d + 4 * k1 * m) * (4 * d * lam * k1 * k3 + 5 * lam + 4 * d * k1))
-        b2 = (2 * d * k1 ** 3 * (d + 2 * k1 * m) ** 2
-              + 2 * lam * k1 ** 4 * m ** 2 * (4 * k1 * k3 * d + 4))
-        e = (d * lam ** 2 * (4 * k1 ** 2 * k3 * m - 1) ** 2
-             + 16 * d * lam * k1 ** 4 * k3 * m ** 2 + d ** 2 * lam * k1
-             + 4 * k1 * (d + 2 * k1 * m) ** 2 * (d * k1 + lam + d * lam * k1 * k3))
-        return cls(eigenvalue=lam, b1=b1, b2=b2, e=e)
+def _dpiac_mode(lam: float, m: float, d: float, k1: float,
+                k3: float) -> tuple[float, float, float]:
+    """``(b1, b2, e)`` of the distributed law's nonzero mode ``lam``."""
+    b1 = (lam ** 2 * (4 * k1 ** 2 * k3 * m - 1) ** 2 + 4 * d * m * k1 ** 3
+          + k1 * (d + 4 * k1 * m) * (4 * d * lam * k1 * k3 + 5 * lam + 4 * d * k1))
+    b2 = (2 * d * k1 ** 3 * (d + 2 * k1 * m) ** 2
+          + 2 * lam * k1 ** 4 * m ** 2 * (4 * k1 * k3 * d + 4))
+    e = (d * lam ** 2 * (4 * k1 ** 2 * k3 * m - 1) ** 2
+         + 16 * d * lam * k1 ** 4 * k3 * m ** 2 + d ** 2 * lam * k1
+         + 4 * k1 * (d + 2 * k1 * m) ** 2 * (d * k1 + lam + d * lam * k1 * k3))
+    return b1, b2, e
 
 
 @dataclass(frozen=True)
@@ -353,20 +336,19 @@ def h2_dpiac_analytic(spectral: SpectralDecomposition, m: float, d: float,
     _require_positive(m=m, d=d, k1=k1)
     if k3 < 0 or not np.isfinite(k3):
         raise DomainError(f"k3 must be non-negative and finite, got {k3}")
-    lam = spectral.eigenvalues
     n = spectral.n
-    coeffs = tuple(DpiacModeCoefficients.from_params(float(li), m, d, k1, k3)
-                   for li in lam[1:])
+    modes = [(lam, *_dpiac_mode(lam, m, d, k1, k3))
+             for lam in map(float, spectral.eigenvalues[1:])]
     per_mode = np.zeros(n)
     per_mode[0] = zero = _zero_mode(n, m, d, k1, selector)
     overall = relative = None
     if selector is OutputSelector.FREQUENCY_DEVIATION:
-        per_mode[1:] = [c.b1 / c.e / (2 * m) for c in coeffs]
+        per_mode[1:] = [b1 / e / (2 * m) for _, b1, _, e in modes]
         overall, relative = zero, float(per_mode[1:].sum())
     elif selector is OutputSelector.CONTROL_INPUT:
-        per_mode[1:] = [c.b2 / c.e for c in coeffs]
+        per_mode[1:] = [b2 / e for _, _, b2, e in modes]
     elif selector is OutputSelector.MARGINAL_COST_SPREAD:
-        per_mode[1:] = [c.eigenvalue ** 2 * c.b2 / c.e for c in coeffs]
+        per_mode[1:] = [lam ** 2 * b2 / e for lam, _, b2, e in modes]
     return AnalyticH2(value=float(per_mode.sum()), per_mode=per_mode,
                       overall=overall, relative=relative)
 
@@ -464,7 +446,8 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
     """
     loop = assemble(net, comm, law, gains, B_in)
     numeric, = h2_norms(loop, (selector,))
-    hom = law_homogeneity(net, comm, law, selector is OutputSelector.MARGINAL_COST_SPREAD)
+    hom = law_homogeneity(net, comm, law, gains,
+                          selector is OutputSelector.MARGINAL_COST_SPREAD)
 
     analytic = rel_gap = None
     limit_k1 = limit_k3 = None
@@ -472,7 +455,7 @@ def analyze(net: PowerNetwork, comm: CommunicationGraph | None,
     if hom.passed and gains.analytic_mode:
         # the k3 the law reads: zero but for dpiac
         m, d, k1, k3 = hom.m, hom.d, gains.k1, loop.model.law.gains.k3
-        spectral = spectral_decompose(build_laplacian(net))
+        spectral = _homogeneous_spectrum(net)
         if law == "gbpiac":
             ana = h2_gbpiac_analytic(net.n_nodes, m, d, k1, selector)
         else:

@@ -152,8 +152,7 @@ class PowerNetwork:
 
     @cached_property
     def dampings(self) -> np.ndarray:
-        """Damping over the controller set (machines first is NOT implied;
-        order follows node order restricted to controllers)."""
+        """Damping over the controller set, in node order."""
         return np.array([n.damping for n in self.nodes if n.is_controller])
 
     @cached_property
@@ -396,3 +395,10 @@ def check_homogeneous(net: PowerNetwork,
         if power != talk:
             reasons.append("communication weights differ from line susceptances")
     return HomogeneityReport(passed=not reasons, reasons=tuple(reasons), m=m, d=d)
+
+
+def _homogeneous_spectrum(net: PowerNetwork) -> SpectralDecomposition:
+    """The spectrum that the closed forms and the modal blocks of a network
+    passing :func:`check_homogeneous` are evaluated on: that of the power
+    graph's Laplacian. Both read it from here alone."""
+    return spectral_decompose(build_laplacian(net))

@@ -46,8 +46,10 @@ class Scenario:
     from the onset to ``t_n``, and LSODA steps no shorter span. A noise
     run's ``burn_in`` lies in [0, t_end) and at most 1e-12 past ``t_n``:
     its metrics average the recorded rows at or after the burn-in.
-    ``seed`` is mandatory for noise runs so every ensemble is reproducible,
-    and non-negative, as numpy's ``SeedSequence`` requires. ``paths`` and
+    A noise scenario admits ``seed=None``, but
+    :func:`~piac.sim.simulate_stochastic` and the CLI refuse to run one
+    without a seed, so every ensemble is reproducible. A seed is
+    non-negative, as numpy's ``SeedSequence`` requires. ``paths`` and
     ``seed`` are integers: a float or a bool is refused.
     A field left ``None``, ``t_end`` and ``h`` included, takes its kind's
     value in :data:`DEFAULTS`; a field only the other kind reads must be

@@ -300,10 +300,17 @@ def _refuse_unstable_step(model_obj, A, B, h) -> None:
     every bus an input: |1 + h lambda| < 1 for every eigenvalue lambda of
     the deflated ``A``. The conserved modes the deflation drops are never
     excited. The message names the largest stable step, the least
-    ``-2 Re lambda / |lambda|^2``."""
+    ``-2 Re lambda / |lambda|^2``, or, where some ``Re lambda >= 0`` and
+    no step is stable, the loop's eigenvalue of largest real part."""
     loop = deflate_zero_mode(StateSpace(A=A, B=B, B_in=np.eye(model_obj.n),
                                         model=model_obj))
     lam = np.linalg.eigvals(loop.A)
+    k = int(lam.real.argmax())
+    if lam[k].real >= 0.0:
+        raise DomainError(
+            "the loop at rest is not stable: it has the eigenvalue lambda = "
+            f"{lam[k]:.4g} with Re lambda >= 0, so the ensemble diverges at "
+            "every Euler-Maruyama step h")
     growth = np.abs(1.0 + h * lam)
     k = int(growth.argmax())
     if growth[k] >= 1.0:

@@ -28,10 +28,12 @@ def svg_line_chart(x, series: dict, title: str, xlabel: str, logx: bool) -> str:
     all_y = [float(v) for ys in series.values() for v in ys]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)
+    # an empty range is widened by 1, or by 2^-20 of its value where that is
+    # more: from |v| = 2^53 on, adding 1 leaves v as it is
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo) * 2.0 ** -20)
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo) * 2.0 ** -20)
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo -= pad_y
     y_hi += pad_y

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from piac import (LAWS, GainSchedule, OutputSelector, analyze, build_laplacian,
-                  bundled_case_path, h2_dpiac_analytic, load_case, save_case,
-                  spectral_decompose)
+from piac import (LAWS, GainSchedule, OutputSelector, PowerNetwork, analyze,
+                  build_laplacian, bundled_case_path, h2_dpiac_analytic,
+                  load_case, save_case, spectral_decompose)
 import piac.cli as cli
 import piac.h2
 from piac.cli import main
@@ -239,6 +240,26 @@ def test_analyze_gbpiac_spread_ignores_comm_graph(capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--case", str(case), "--law", law,
                            "--selector", "spread", "--analytic")
         assert code == 6 and "refused" in err
+
+
+def test_analyze_dpiac_without_consensus_reads_no_comm_graph(capsys, tmp_path):
+    # at k3 = 0 the consensus term is zero and the loop is decpiac's: a
+    # communication graph off the grid refuses the closed form only where
+    # the loop reads it, at k3 > 0 or through the spread
+    text = Path(bundled_case_path("homogeneous10")).read_text()
+    case = tmp_path / "comm.case"
+    case.write_text(text.replace("3 8 l=2.5", "3 8 l=1.0"))
+    law = ["analyze", "--case", str(case), "--law"]
+    code, dec, _ = run(capsys, *law, "decpiac", "--analytic")
+    assert code == 0 and dec.splitlines()[1].split(",")[2:5] == [
+        "3.9586539544", "3.9586539544", "0"]
+    code, out, _ = run(capsys, *law, "dpiac", "--k3", "0", "--analytic")
+    assert code == 0 and out.replace("dpiac", "decpiac") == dec
+    for extra in (["--k3", "1"], ["--selector", "spread", "--k3", "0"]):
+        code, out, err = run(capsys, *law, "dpiac", *extra, "--analytic")
+        assert (code, out) == (6, "") and err == (
+            "closed-form analysis refused: communication weights differ from "
+            "line susceptances\n")
 
 
 def test_analyze_bounds_with_b_diag(capsys, two_node_case):
@@ -498,6 +519,20 @@ def test_chart_of_a_flat_series():
     (points,) = re.findall(r'<polyline points="([^"]*)"', text)
     ys = {float(p.split(",")[1]) for p in points.split()}
     assert len(ys) == 1 and 40 < ys.pop() < 350
+
+
+@pytest.mark.parametrize("x, ys", [([1e17], [1.0]), ([1.0, 2.0], [1e17, 1e17])],
+                         ids=["one-point-x", "flat-y"])
+def test_chart_of_an_empty_range_beyond_2_53(x, ys):
+    # adding 1 to 1e17 leaves it as it is, so an empty range there is widened
+    # by a part of its value
+    text = cli.svgplot.svg_line_chart(x, {"s": ys}, "t", "x", False)
+    grid = re.findall(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"',
+                      text)
+    x_ticks = [g for g in grid if g[0] == g[2]]
+    y_ticks = [g for g in grid if g[1] == g[3]]
+    assert 1 <= len(x_ticks) <= 6 and 1 <= len(y_ticks) <= 6
+    assert text.endswith("</svg>\n")
 
 
 def test_sweep_chart_of_a_grid_one_ulp_wide_is_written_in_a_child(tmp_path):
@@ -857,6 +892,24 @@ def test_simulate_noise_step_the_loop_cannot_resolve_is_refused(capsys, monkeypa
     assert err.endswith(f"the largest stable step is {h_max}\n")
     code, out, _ = run(capsys, *argv, "--h", "0.005")
     assert code == 0 and out.startswith("E_S=")
+
+
+def test_simulate_noise_on_an_unstable_rest_loop_names_no_step(capsys, tmp_path):
+    # every injection of ieee39-like x14: the loop at rest has an eigenvalue
+    # with Re lambda > 0, which no Euler-Maruyama step resolves
+    net, comm, gains, scen = load_case(bundled_case_path("ieee39-like"))
+    nodes = tuple(dataclasses.replace(node, injection=14 * node.injection)
+                  for node in net.nodes)
+    case = tmp_path / "x14.case"
+    save_case(case, PowerNetwork(nodes=nodes, edges=net.edges), comm, gains, scen)
+    sigma = [arg for bus in range(30, 40) for arg in ("--sigma", f"{bus}:0.01")]
+    code, out, err = run(capsys, "simulate", "--case", str(case), "--law", "dpiac",
+                         "--kind", "noise", "--h", "0.005", "--t-end", "1",
+                         "--burn-in", "0.5", "--paths", "2", "--seed", "1", *sigma)
+    assert (code, out) == (5, "")
+    assert err == ("analysis error: the loop at rest is not stable: it has the "
+                   "eigenvalue lambda = 14.74+0j with Re lambda >= 0, so the "
+                   "ensemble diverges at every Euler-Maruyama step h\n")
 
 
 def test_sweep_noise_step_the_loop_cannot_resolve_is_refused(capsys, tmp_path):

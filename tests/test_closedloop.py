@@ -310,7 +310,7 @@ def test_modal_blocks_gbpiac():
     g = GainSchedule.analytic(0.8)
     sys = assemble_gbpiac(net, g)
     spec = spectral_decompose(build_laplacian(net))
-    blocks = modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
+    blocks = modal_decouple(sys, OutputSelector.FREQUENCY_DEVIATION)
     assert len(blocks) == 4
     assert blocks[0].dim == 4 and all(b.dim == 2 for b in blocks[1:])
     m, d = 2.0, 0.5
@@ -332,8 +332,7 @@ def test_modal_blocks_dpiac_shapes():
     net, comm = ring_net(5, k=0.7)
     g = GainSchedule.analytic(1.1, 2.0)
     sys = assemble_dpiac(net, comm, g)
-    spec = spectral_decompose(build_laplacian(net))
-    blocks = modal_decouple(sys, spec, OutputSelector.MARGINAL_COST_SPREAD)
+    blocks = modal_decouple(sys, OutputSelector.MARGINAL_COST_SPREAD)
     assert len(blocks) == 5 and all(b.dim == 4 for b in blocks)
     for b in blocks:
         assert b.A[2, 3] == pytest.approx(4 * 1.1 * 2.0 * b.eigenvalue)
@@ -344,8 +343,7 @@ def test_modal_single_node_equals_full():
     net, _ = make_machine_net(1, m=1.7, d=0.4, edges=[])
     g = GainSchedule.analytic(0.6)
     sys = assemble_gbpiac(net, g)
-    spec = spectral_decompose(np.zeros((1, 1)))
-    blocks = modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
+    blocks = modal_decouple(sys, OutputSelector.FREQUENCY_DEVIATION)
     assert len(blocks) == 1
     assert np.allclose(blocks[0].A, sys.A, atol=1e-15)
 
@@ -355,26 +353,15 @@ def test_modal_refuses_heterogeneous():
                                  edges=[(1, 2, 1.0), (2, 3, 1.0)])
     g = GainSchedule.analytic(1.0)
     sys = assemble_gbpiac(net, g)
-    spec = spectral_decompose(build_laplacian(net))
     with pytest.raises(UnsupportedForModalPath):
-        modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
+        modal_decouple(sys, OutputSelector.FREQUENCY_DEVIATION)
 
 
 def test_modal_refuses_deflated():
     net, _ = ring_net(3)
     sys = deflate_zero_mode(assemble_gbpiac(net, GainSchedule.analytic(1.0)))
-    spec = spectral_decompose(build_laplacian(net))
     with pytest.raises(UnsupportedForModalPath):
-        modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
-
-
-def test_modal_refuses_wrong_spectral():
-    net, _ = ring_net(4)
-    other, _ = ring_net(3)
-    sys = assemble_gbpiac(net, GainSchedule.analytic(1.0))
-    with pytest.raises(ShapeError):
-        modal_decouple(sys, spectral_decompose(build_laplacian(other)),
-                       OutputSelector.FREQUENCY_DEVIATION)
+        modal_decouple(sys, OutputSelector.FREQUENCY_DEVIATION)
 
 
 def test_heterogeneous_accepted_for_numeric_assembly():
@@ -382,10 +369,9 @@ def test_heterogeneous_accepted_for_numeric_assembly():
                                  alpha=[1.0, 2.0, 0.5],
                                  edges=[(1, 2, 1.0), (2, 3, 2.0)])
     g = GainSchedule.analytic(1.0, 1.0)
-    spec = spectral_decompose(build_laplacian(net))
     for sys in (assemble_gbpiac(net, g), assemble_dpiac(net, comm, g)):
         with pytest.raises(UnsupportedForModalPath):
-            modal_decouple(sys, spec, OutputSelector.FREQUENCY_DEVIATION)
+            modal_decouple(sys, OutputSelector.FREQUENCY_DEVIATION)
         assert np.linalg.eigvals(deflate_zero_mode(sys).A).real.max() < 0
 
 
@@ -407,3 +393,21 @@ def test_network_without_controllers_is_refused():
     for law in LAWS:
         with pytest.raises(NoControllers, match="no controller nodes"):
             assemble(net, None, law, GainSchedule.analytic(1.0))
+
+
+def _deflated_ring():
+    net, _ = ring_net(3)
+    return deflate_zero_mode(assemble_gbpiac(net, GainSchedule.analytic(1.0)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: assemble_gbpiac(ring_net(3)[0], GainSchedule.analytic(1.0),
+                             B_in=np.eye(2)),
+     ShapeError, "B_in must be (3,3), got (2, 2)"),
+    (lambda: output_matrix(_deflated_ring(), OutputSelector.CONTROL_INPUT),
+     DomainError, "output_matrix needs the undeflated loop from assemble"),
+], ids=["B_in-shape", "output-of-deflated"])
+def test_outside_input_is_refused(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

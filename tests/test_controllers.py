@@ -277,3 +277,15 @@ def test_gbpiac_spread_is_exactly_zero():
         spread = ControlLaw.build(net, graph, "gbpiac", GainSchedule.analytic(1.0)).spread(xi)
         assert spread.shape == (4, 3)
         assert np.all(spread == 0.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GainSchedule(k1=1.0, k2=-1.0),
+     GainConstraintError, "k2 must be positive, got -1.0"),
+    (lambda: synchronized_frequency(two_node()[0], np.zeros(3)),
+     ShapeError, "u must have shape (2,), got (3,)"),
+], ids=["k2-not-positive", "u-shape"])
+def test_outside_input_is_refused(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

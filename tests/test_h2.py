@@ -7,15 +7,15 @@ import pytest
 
 import scipy.linalg
 
-from piac import (LAWS, DomainError, DpiacModeCoefficients, GainSchedule,
-                  OutputSelector, ShapeError, SolverAccuracyError, UnstableSystem,
-                  analyze, assemble, assemble_dpiac, assemble_gbpiac,
-                  build_laplacian, bundled_case_path, compare_laws,
-                  deflate_zero_mode, grammians, h2_bounds_general_B,
-                  h2_dpiac_analytic, h2_gbpiac_analytic, h2_modal, h2_norms,
-                  limit_k1_infinity, load_case, lyapunov_solve, output_matrix,
-                  spectral_decompose)
-from piac.h2 import _SchurForm
+from piac import (LAWS, CommunicationGraph, DomainError, GainSchedule,
+                  OutputSelector, ShapeError, SolverAccuracyError,
+                  UnstableSystem, UnsupportedForModalPath, analyze, assemble,
+                  assemble_dpiac, assemble_gbpiac, build_laplacian,
+                  bundled_case_path, compare_laws, deflate_zero_mode, grammians,
+                  h2_bounds_general_B, h2_dpiac_analytic, h2_gbpiac_analytic,
+                  h2_modal, h2_norms, limit_k1_infinity, load_case,
+                  lyapunov_solve, output_matrix, spectral_decompose)
+from piac.h2 import _SchurForm, _dpiac_mode
 from conftest import (machine_bus_input, make_machine_net, random_homogeneous,
                       ring_net)
 
@@ -274,7 +274,7 @@ def test_decpiac_spread_needs_comm():
     with pytest.raises(DomainError):
         output_matrix(sys, SP)
     with pytest.raises(DomainError):
-        h2_modal(sys, spectral_decompose(build_laplacian(net)), SP)
+        h2_modal(sys, SP)
 
 
 # --- numeric norms against frozen closed-form values ---------------------------
@@ -336,10 +336,7 @@ def test_gbpiac_analytic_domain():
 
 
 def test_dpiac_coefficients_worked_point():
-    c = DpiacModeCoefficients.from_params(2.0, 1.0, 1.0, 1.0, 1.0)
-    assert c.b1 == 150.0
-    assert c.b2 == 50.0
-    assert c.e == 250.0
+    assert _dpiac_mode(2.0, 1.0, 1.0, 1.0, 1.0) == (150.0, 50.0, 250.0)
 
 
 def test_dpiac_analytic_worked_point():
@@ -355,8 +352,8 @@ def test_dpiac_coefficients_positive_on_grid():
         for k1 in (0.1, 1.0, 10.0):
             for k3 in (0.0, 0.5, 5.0):
                 for m, d in ((0.1, 10.0), (1.0, 1.0), (10.0, 0.1)):
-                    c = DpiacModeCoefficients.from_params(lam, m, d, k1, k3)
-                    assert c.e > 0 and c.b1 > 0 and c.b2 > 0
+                    b1, b2, e = _dpiac_mode(lam, m, d, k1, k3)
+                    assert e > 0 and b1 > 0 and b2 > 0
 
 
 def test_analytic_matches_numeric_sampled():
@@ -383,11 +380,10 @@ def test_modal_matches_dense():
         net, comm, m, d = random_homogeneous(rng, n=int(rng.integers(2, 7)))
         g = GainSchedule.analytic(float(np.exp(rng.uniform(np.log(0.1), np.log(10)))),
                                   float(rng.uniform(0, 10)))
-        spec = spectral_decompose(build_laplacian(net))
         for sel in (OM, U, US, SP):
             sys = assemble_dpiac(net, comm, g)
             dense = h2_norms(sys, [sel])[0]
-            modal, per_mode = h2_modal(sys, spec, sel)
+            modal, per_mode = h2_modal(sys, sel)
             assert abs(modal - dense) <= 1e-9 * max(1.0, abs(dense))
             assert len(per_mode) == net.n_nodes
 
@@ -400,15 +396,31 @@ def test_modal_matches_dense_without_consensus(law):
     from piac.closedloop import modal_decouple
 
     net, comm, gains, _ = load_case(bundled_case_path("homogeneous10"))
-    spec = spectral_decompose(build_laplacian(net))
     sys = assemble(net, comm, law, GainSchedule.analytic(gains.k1, 0.0))
     selectors = (OM, U, US, SP)
     for sel, dense in zip(selectors, h2_norms(sys, selectors)):
-        blocks = modal_decouple(sys, spec, sel)
+        blocks = modal_decouple(sys, sel)
         assert sum(b.eigenvalue != 0.0 and b.dim == 4 and b.A[2, 3] == 0.0
                    for b in blocks) == net.n_nodes - 1
-        modal, _ = h2_modal(sys, spec, sel)
+        modal, _ = h2_modal(sys, sel)
         assert abs(modal - dense) <= 1e-9 * max(1.0, abs(dense))
+
+
+def test_modal_route_of_dpiac_without_consensus_reads_no_comm_graph():
+    # at k3 = 0 the consensus term is zero and the loop is decpiac's, so a
+    # communication graph off the grid leaves the modal route open
+    net, _, gains, _ = load_case(bundled_case_path("homogeneous10"))
+    comm = CommunicationGraph(weights=tuple(
+        (i, j, 1.0 if (i, j) == (3, 8) else k) for i, j, k in net.edges))
+    g = GainSchedule.analytic(gains.k1, 0.0)
+    for sel in (OM, U, US):
+        dp = h2_modal(assemble(net, comm, "dpiac", g), sel)
+        dec = h2_modal(assemble(net, comm, "decpiac", g), sel)
+        assert dp[0] == dec[0] and np.array_equal(dp[1], dec[1])
+    for k3, sel in ((1.0, OM), (0.0, SP)):
+        loop = assemble(net, comm, "dpiac", GainSchedule.analytic(gains.k1, k3))
+        with pytest.raises(UnsupportedForModalPath):
+            h2_modal(loop, sel)
 
 
 def test_modal_per_mode_matches_analytic():
@@ -417,7 +429,7 @@ def test_modal_per_mode_matches_analytic():
     spec = spectral_decompose(build_laplacian(net))
     for sel in (OM, U, SP):
         sys = assemble_dpiac(net, comm, g)
-        _, per_mode = h2_modal(sys, spec, sel)
+        _, per_mode = h2_modal(sys, sel)
         ana = h2_dpiac_analytic(spec, 1.2, 0.8, 0.7, 3.0, sel)
         assert np.allclose(per_mode, ana.per_mode, rtol=1e-8, atol=1e-12)
 
@@ -428,10 +440,9 @@ def test_deflation_preserves_norm():
     rng = np.random.default_rng(77)
     net, comm, m, d = random_homogeneous(rng, n=5)
     g = GainSchedule.analytic(1.3, 0.9)
-    spec = spectral_decompose(build_laplacian(net))
     sys = assemble_gbpiac(net, g)
     dense = h2_norms(sys, [OM])[0]
-    modal, _ = h2_modal(sys, spec, OM)
+    modal, _ = h2_modal(sys, OM)
     assert abs(dense - modal) <= 1e-9 * max(1.0, abs(dense))
 
 
@@ -492,7 +503,6 @@ def test_bounds_hold_for_every_selector():
 def test_modal_matches_dense_with_general_B():
     rng = np.random.default_rng(31)
     net, comm = ring_net(4, k=1.7)
-    spec = spectral_decompose(build_laplacian(net))
     g = GainSchedule.analytic(0.6, 2.0)
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     B = Q @ np.diag(rng.uniform(0.5, 2.0, size=4)) @ Q.T
@@ -500,7 +510,7 @@ def test_modal_matches_dense_with_general_B():
     for sel in (OM, U, SP, US):
         sys = assemble_dpiac(net, comm, g, B_in=B)
         dense = h2_norms(sys, [sel])[0]
-        modal, _ = h2_modal(sys, spec, sel)
+        modal, _ = h2_modal(sys, sel)
         assert abs(modal - dense) <= 1e-9 * max(1.0, abs(dense))
 
 
@@ -644,3 +654,26 @@ def test_total_input_norm_on_mixed_network(law):
                   GainSchedule(k1=0.5, k2=3.0, k3=1.0)):
             rep = analyze(net, comm, g, law, US, B_in=B_in)
             assert rep.numeric == pytest.approx(g.k1 * buses / 2, rel=1e-10, abs=0)
+
+
+def _spectrum_of_two():
+    net, _ = make_machine_net(2, edges=[(1, 2, 1.0)])
+    return spectral_decompose(build_laplacian(net))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: lyapunov_solve(np.zeros((2, 3)), np.zeros((2, 3))),
+     ShapeError, "A must be square, got (2, 3)"),
+    (lambda: lyapunov_solve(-np.eye(2), np.eye(3)),
+     ShapeError, "RHS must match A: (3, 3) vs (2, 2)"),
+    (lambda: h2_dpiac_analytic(_spectrum_of_two(), 1.0, 1.0, 1.0, -1.0, OM),
+     DomainError, "k3 must be non-negative and finite, got -1.0"),
+    (lambda: limit_k1_infinity(_spectrum_of_two(), 1.0, 1.0, -0.5),
+     DomainError, "k3 must be non-negative and finite, got -0.5"),
+    (lambda: h2_bounds_general_B(1.0, np.ones((2, 3))),
+     DomainError, "B must be square, got (2, 3)"),
+], ids=["A-not-square", "RHS-shape", "analytic-k3", "limit-k3", "B-not-square"])
+def test_outside_input_is_refused(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

@@ -169,3 +169,26 @@ def test_comm_laplacian_invariants():
     assert np.abs(L @ np.ones(6)).max() <= 1e-12 * max(1.0, np.abs(L).max())
     assert np.array_equal(L, L.T)
     assert np.linalg.eigvalsh(L).min() >= -1e-12 * max(1.0, np.abs(L).max())
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Node(1, NodeKind.MACHINE, inertia=1.0, damping=0.0, price=1.0),
+     ValueError, "node 1: machine needs damping D > 0"),
+    (lambda: Node(2, NodeKind.FREQ_DEPENDENT, damping=-1.0, price=1.0),
+     ValueError, "node 2: frequency-dependent node needs damping D > 0"),
+    (lambda: Node(3, NodeKind.PASSIVE, price=1.0),
+     ValueError, "node 3: passive node has no controller, drop alpha"),
+    (lambda: PowerNetwork(nodes=(Node(1, NodeKind.PASSIVE),), edges=((1, 1, 1.0),)),
+     ValueError, "self-loop at node 1"),
+    (lambda: CommunicationGraph(weights=((2, 2, 1.0),)),
+     ValueError, "communication self-loop at node 2"),
+    (lambda: CommunicationGraph(weights=((1, 2, 1.0), (2, 1, 0.5))),
+     ValueError, "duplicate communication edge (2,1)"),
+    (lambda: spectral_decompose(np.zeros((2, 3))),
+     ShapeError, "Laplacian must be square, got shape (2, 3)"),
+], ids=["machine-damping", "load-damping", "passive-price", "line-self-loop",
+        "comm-self-loop", "comm-duplicate", "non-square-laplacian"])
+def test_outside_input_is_refused(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
